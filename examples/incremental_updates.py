@@ -4,9 +4,9 @@
 BGP speakers apply a steady stream of announcements and withdrawals.
 This example replays a random churn trace against RESAIL, MASHUP, and
 BSIC simultaneously, verifying after every change that all three agree
-with the reference trie — and timing the update cost, which illustrates
-the paper's guidance: RESAIL and MASHUP update cheaply; BSIC's
-BST-level dependencies make updates costly (A.3.2).
+with the reference trie — and timing the update cost.  RESAIL writes
+two memories in place; BSIC rebuilds the affected structures (A.3.2):
+here the touched slice's BST, re-derived from its auxiliary database.
 
 Run:  python examples/incremental_updates.py
 """
@@ -80,9 +80,9 @@ def main() -> None:
         per_update = seconds / CHURN_STEPS * 1e3
         print(f"  {name:8s} {seconds:7.3f} s  ({per_update:7.2f} ms/update)")
     print("\nRESAIL touches two memories per update; MASHUP edits one trie "
-          "node;\nBSIC rebuilds structures from its auxiliary database — "
-          "which is why the\npaper recommends RESAIL/MASHUP when update "
-          "rate matters (A.3.2).")
+          "node (and\nre-hybridizes); BSIC re-derives the touched slice's "
+          "BST from its auxiliary\ndatabase — the affected structures of "
+          "A.3.2, not the whole table.")
 
 
 if __name__ == "__main__":

@@ -43,7 +43,8 @@ class UpdateUnsupported(NotImplementedError):
 
 #: The three update disciplines of Appendix A.3.
 UPDATE_IN_PLACE = "in_place"      # true incremental updates (RESAIL, MASHUP)
-UPDATE_REBUILD = "rebuild"        # insert/delete work but rebuild internally (BSIC)
+UPDATE_REBUILD = "rebuild"        # insert/delete re-derive from an auxiliary database
+#                                   (BSIC: the touched slices; HI-BST: everything)
 UPDATE_UNSUPPORTED = "unsupported"  # insert/delete raise UpdateUnsupported
 
 
@@ -57,7 +58,8 @@ class LookupAlgorithm(abc.ABC):
     #: How the scheme takes route updates (Appendix A.3): one of
     #: :data:`UPDATE_IN_PLACE`, :data:`UPDATE_REBUILD`,
     #: :data:`UPDATE_UNSUPPORTED`.  The managed runtime routes whole
-    #: batches through a single rebuild for the latter two.
+    #: batches through a single rebuild for the latter two, unless the
+    #: scheme takes them as deltas (:attr:`supports_delta`).
     update_strategy: str = UPDATE_UNSUPPORTED
 
     @abc.abstractmethod

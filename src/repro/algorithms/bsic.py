@@ -23,7 +23,9 @@ right endpoints are discarded.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..chip.layout import Layout, LogicalTable, MemoryKind, Phase
 from ..core.idioms import Idiom, IdiomApplication
@@ -32,8 +34,8 @@ from ..core.step import Step
 from ..core.table import exact_table, ternary_table
 from ..memory.tcam import TcamTable
 from ..prefix.prefix import Prefix
-from ..prefix.ranges import BstNode, expand_to_ranges, ranges_to_bst
-from ..prefix.trie import BinaryTrie, Fib
+from ..prefix.ranges import BstNode, SliceIndex, ranges_to_bst
+from ..prefix.trie import Fib
 from .base import UPDATE_REBUILD, LookupAlgorithm
 
 NEXT_HOP_BITS = 8
@@ -44,6 +46,23 @@ NEXT_HOP_BITS = 8
 POINTER_BITS = 24
 #: Initial-table result: 1 type bit + max(pointer, hop) bits.
 INITIAL_DATA_BITS = 1 + POINTER_BITS
+#: Dead nodes tolerated before a compaction is worth its table sweep.
+MIN_DEAD_NODES = 64
+
+_Node = Tuple[int, Optional[int], Optional[int], Optional[int]]
+
+
+def _node_columns(nodes: List[_Node]) -> Tuple[np.ndarray, ...]:
+    """Level nodes as the lane kernels' columns: endpoint, then value
+    and is-None arrays for the hop and the two child indices."""
+    columns = [np.array([n[0] for n in nodes], dtype=np.int64)]
+    for field in (1, 2, 3):
+        columns.append(np.array(
+            [0 if n[field] is None else n[field] for n in nodes],
+            dtype=np.int64))
+        columns.append(np.array([n[field] is None for n in nodes],
+                                dtype=bool))
+    return tuple(columns)
 
 
 class BstForest:
@@ -53,12 +72,22 @@ class BstForest:
     indices into the next level's table.  One lookup therefore touches
     each level's table at most once — the memory fan-out that makes
     binary search legal on RMT chips.
+
+    The level tables only ever grow: :meth:`drop_tree` leaves a
+    replaced tree's nodes where they are, unreachable, and counts them
+    out of :meth:`level_sizes`.  A reader holding a root therefore
+    never sees its tree change; the owner sheds the dead nodes by
+    moving the live trees into a fresh forest.
     """
 
     def __init__(self, endpoint_bits: int):
         self.endpoint_bits = endpoint_bits
         #: levels[d][i] = (endpoint, hop, left_index, right_index).
-        self.levels: List[List[Tuple[int, Optional[int], Optional[int], Optional[int]]]] = []
+        self.levels: List[List[_Node]] = []
+        #: Nodes per level still reachable from a live root.
+        self._live: List[int] = []
+        #: level -> its nodes as NumPy columns, as of the last request.
+        self._columns: Dict[int, Tuple[np.ndarray, ...]] = {}
 
     @property
     def node_entry_bits(self) -> int:
@@ -67,13 +96,21 @@ class BstForest:
 
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        """Levels some live tree reaches."""
+        return len(self.level_sizes())
 
     def level_sizes(self) -> List[int]:
-        return [len(level) for level in self.levels]
+        """Live nodes per level (what a from-scratch build would hold)."""
+        sizes = list(self._live)
+        while sizes and not sizes[-1]:
+            sizes.pop()
+        return sizes
 
     def total_nodes(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(self._live)
+
+    def dead_nodes(self) -> int:
+        return sum(len(level) for level in self.levels) - sum(self._live)
 
     def add_tree(self, root: BstNode) -> int:
         """Store a BST; returns the root's index in level 0."""
@@ -82,11 +119,32 @@ class BstForest:
     def _place(self, node: BstNode, depth: int) -> int:
         while len(self.levels) <= depth:
             self.levels.append([])
+            self._live.append(0)
         left = self._place(node.left, depth + 1) if node.left else None
         right = self._place(node.right, depth + 1) if node.right else None
         index = len(self.levels[depth])
         self.levels[depth].append((node.left_endpoint, node.next_hop, left, right))
+        self._live[depth] += 1
         return index
+
+    def drop_tree(self, root_index: int) -> None:
+        """Count a stored tree's nodes dead (its root is being replaced)."""
+        frontier = [root_index]
+        depth = 0
+        while frontier:
+            self._live[depth] -= len(frontier)
+            level = self.levels[depth]
+            frontier = [child for index in frontier
+                        for child in level[index][2:] if child is not None]
+            depth += 1
+
+    def tree(self, root_index: int, depth: int = 0) -> BstNode:
+        """A stored tree back as linked nodes (:meth:`add_tree`'s inverse)."""
+        endpoint, hop, left, right = self.levels[depth][root_index]
+        return BstNode(
+            endpoint, hop,
+            None if left is None else self.tree(left, depth + 1),
+            None if right is None else self.tree(right, depth + 1))
 
     def search(self, root_index: int, key: int) -> Optional[int]:
         """Algorithm 2's BST walk across the level tables."""
@@ -108,14 +166,36 @@ class BstForest:
     def node(self, level: int, index: int):
         return self.levels[level][index]
 
+    def columns(self, level: int) -> Tuple[np.ndarray, ...]:
+        """One level as frozen NumPy columns (see :func:`_node_columns`).
+
+        The arrays are never written after they are returned; a level
+        that grew since the last call gets new arrays — the old ones
+        plus the appended rows — so freezing costs the rows a delta
+        added, not the table.
+        """
+        nodes = self.levels[level]
+        columns = self._columns.get(level)
+        have = columns[0].shape[0] if columns is not None else 0
+        if columns is None or have < len(nodes):
+            fresh = _node_columns(nodes[have:])
+            columns = fresh if columns is None else tuple(
+                np.concatenate(pair) for pair in zip(columns, fresh))
+            self._columns[level] = columns
+        return columns
+
 
 class Bsic(LookupAlgorithm):
     """Behavioural BSIC for IPv4 (k=16) and IPv6 (k=24)."""
 
-    #: Appendix A.3.2: every update rebuilds from the auxiliary
-    #: database, so a managed runtime should batch updates and rebuild
-    #: once per batch rather than calling insert/delete per route.
+    #: Appendix A.3.2: an update rebuilds the affected structures from
+    #: the auxiliary database.  Here those are the touched slices' BSTs
+    #: and ternary rows, never the table: as a delta batch
+    #: (``supports_delta``) every dirty slice is re-derived once per
+    #: batch; with deltas off the runtime rebuilds once per batch
+    #: instead of calling insert/delete per route.
     update_strategy = UPDATE_REBUILD
+    supports_delta = True
 
     def __init__(self, fib: Fib, k: Optional[int] = None):
         if k is None:
@@ -127,95 +207,115 @@ class Bsic(LookupAlgorithm):
         self.suffix_bits = fib.width - k
         self.name = f"BSIC (k={k})"
 
-        #: All prefixes of length <= k (the slice defaults).
-        self._shorts = BinaryTrie(fib.width)
-        #: slice bits -> [(suffix prefix, hop)] for prefixes longer than k.
-        self._groups: Dict[int, List[Tuple[Prefix, int]]] = {}
-        #: slice bits -> exact /k next hop (case 2 bookkeeping).
-        self._exact_k: Dict[int, int] = {}
+        #: The auxiliary database: short-prefix trie + suffix groups.
+        self._slices = SliceIndex(fib.width, k, fib)
+        #: slice bits -> root index of its BST in the forest.
+        self._roots: Dict[int, int] = {}
+        #: What the routes changed since the last flush invalidate:
+        #: slices to re-derive, and ternary rows of prefixes shorter
+        #: than k to re-write.
+        self._dirty_slices: Set[int] = set()
+        self._dirty_rows: Set[Prefix] = set()
+        self._in_batch = False
 
-        for prefix, hop in fib:
-            if prefix.length <= self.k:
-                self._shorts.insert(prefix, hop)
-                if prefix.length == self.k:
-                    self._exact_k[prefix.bits] = hop
-            else:
-                self._groups.setdefault(prefix.slice(0, self.k), []).append(
-                    (self._suffix_of(prefix), hop)
-                )
-        self._rebuild()
-
-    def _suffix_of(self, prefix: Prefix) -> Prefix:
-        return Prefix.from_bits(
-            prefix.bits & ((1 << (prefix.length - self.k)) - 1),
-            prefix.length - self.k,
-            self.suffix_bits,
-        )
-
-    def _slice_default(self, slice_bits: int) -> Optional[int]:
-        """LPM of the slice among prefixes of length <= k (Appendix A.4)."""
-        return self._shorts.lookup(slice_bits << self.suffix_bits)
-
-    def _rebuild(self) -> None:
-        """(Re)construct the initial TCAM and the BST forest.
-
-        Appendix A.3.2: BSIC updates are costly — they rebuild from the
-        auxiliary prefix database (`_shorts`, `_groups`).
-        """
         self.initial: TcamTable[Tuple] = TcamTable(self.k, name="initial")
         self.forest = BstForest(self.suffix_bits)
-        handled_slices = set()
-        for slice_bits, group in sorted(self._groups.items()):
-            ranges = expand_to_ranges(
-                group, self.suffix_bits, default_hop=self._slice_default(slice_bits)
-            )
-            root = self.forest.add_tree(ranges_to_bst(ranges))
-            self.initial.insert_prefix(
-                Prefix.from_bits(slice_bits, self.k, self.k), ("bst", root)
-            )
-            handled_slices.add(slice_bits)
-        for prefix, hop in self._shorts.items():
-            if prefix.length == self.k and prefix.bits in handled_slices:
-                continue  # its hop is inherited by the slice's BST ranges
-            self.initial.insert_prefix(
-                Prefix.from_bits(prefix.bits, prefix.length, self.k), ("hop", hop)
-            )
+        # The build is the update path with everything dirty.
+        self._dirty_slices.update(self._slices.groups)
+        for prefix, _hop in self._slices.shorts.items():
+            if prefix.length == self.k:
+                self._dirty_slices.add(prefix.bits)
+            else:
+                self._dirty_rows.add(prefix)
+        self._flush()
+
+    def _refresh_slice(self, slice_bits: int) -> None:
+        """Re-derive one slice: its BST (appended to the forest, the
+        replaced one counted dead) and its /k ternary row."""
+        old = self._roots.pop(slice_bits, None)
+        if old is not None:
+            self.forest.drop_tree(old)
+        section = self._slices.section(slice_bits)
+        if section is None:
+            # No long prefix left: the row is the exact /k route's, if any.
+            self._refresh_row(
+                Prefix.from_bits(slice_bits, self.k, self.width))
+        else:
+            self._plant(slice_bits, ranges_to_bst(section))
+
+    def _plant(self, slice_bits: int, tree: BstNode) -> None:
+        """Store a slice's BST and point its /k ternary row at it."""
+        root = self.forest.add_tree(tree)
+        self._roots[slice_bits] = root
+        self.initial.insert_prefix(
+            Prefix.from_bits(slice_bits, self.k, self.k), ("bst", root))
+
+    def _refresh_row(self, prefix: Prefix) -> None:
+        """(Re)write or clear the ternary hop row of a short prefix."""
+        row = Prefix.from_bits(prefix.bits, prefix.length, self.k)
+        hop = self._slices.shorts.get(prefix)
+        if hop is not None:
+            self.initial.insert_prefix(row, ("hop", hop))
+            return
+        try:
+            self.initial.delete_prefix(row)
+        except KeyError:
+            pass
 
     # ------------------------------------------------------------------
     # Updates (Appendix A.3.2: rebuild the affected structures)
     # ------------------------------------------------------------------
     def insert(self, prefix: Prefix, next_hop: int) -> None:
         self._check_prefix(prefix)
-        if prefix.length <= self.k:
-            self._shorts.insert(prefix, next_hop)
-            if prefix.length == self.k:
-                self._exact_k[prefix.bits] = next_hop
-        else:
-            slice_bits = prefix.slice(0, self.k)
-            group = self._groups.setdefault(slice_bits, [])
-            suffix = self._suffix_of(prefix)
-            group[:] = [(s, h) for s, h in group if s != suffix]
-            group.append((suffix, next_hop))
-        self._rebuild()
+        self._slices.announce(prefix, next_hop)
+        self._touch(prefix)
 
     def delete(self, prefix: Prefix) -> None:
         self._check_prefix(prefix)
-        if prefix.length <= self.k:
-            self._shorts.delete(prefix)
-            if prefix.length == self.k:
-                self._exact_k.pop(prefix.bits, None)
+        self._slices.withdraw(prefix)
+        self._touch(prefix)
+
+    def _touch(self, prefix: Prefix) -> None:
+        """Mark what a changed route invalidates: a prefix of length
+        >= k its own slice (BST, or the /k row when the slice has
+        none); a shorter one its ternary row and the BSTs under it,
+        whose uncovered ranges inherit its hop."""
+        if prefix.length >= self.k:
+            self._dirty_slices.add(prefix.slice(0, self.k))
         else:
-            slice_bits = prefix.slice(0, self.k)
-            group = self._groups.get(slice_bits, [])
-            suffix = self._suffix_of(prefix)
-            kept = [(s, h) for s, h in group if s != suffix]
-            if len(kept) == len(group):
-                raise KeyError(str(prefix))
-            if kept:
-                self._groups[slice_bits] = kept
-            else:
-                del self._groups[slice_bits]
-        self._rebuild()
+            self._dirty_rows.add(prefix)
+            self._dirty_slices.update(self._slices.grouped_under(prefix))
+        if not self._in_batch:
+            self._flush()
+
+    def begin_update_batch(self) -> None:
+        """Defer re-derivation: a slice touched by several routes of
+        one batch is rebuilt once, from the batch's final database."""
+        self._in_batch = True
+
+    def end_update_batch(self) -> None:
+        self._in_batch = False
+        self._flush()
+
+    def _flush(self) -> None:
+        for slice_bits in sorted(self._dirty_slices):
+            self._refresh_slice(slice_bits)
+        for prefix in sorted(self._dirty_rows):
+            self._refresh_row(prefix)
+        self._dirty_slices.clear()
+        self._dirty_rows.clear()
+        if self.forest.dead_nodes() > max(MIN_DEAD_NODES,
+                                          self.forest.total_nodes()):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Move the live trees into a fresh forest, repointing every
+        BST row.  Compiled plans keep their frozen readers of the old
+        one until they are patched."""
+        old = self.forest
+        self.forest = BstForest(self.suffix_bits)
+        for slice_bits, root in sorted(self._roots.items()):
+            self._plant(slice_bits, old.tree(root))
 
     # ------------------------------------------------------------------
     # Lookup (Algorithm 2)
@@ -258,10 +358,9 @@ class Bsic(LookupAlgorithm):
                            action=init_act))
 
         previous = "initial"
-        for level in range(self.forest.depth):
+        for level, size in enumerate(self.forest.level_sizes()):
             table = exact_table(
-                f"bst_level_{level}", 0, len(self.forest.levels[level]),
-                self.forest.node_entry_bits,
+                f"bst_level_{level}", 0, size, self.forest.node_entry_bits,
                 key_selector=lambda s: None if s.get("done") or s.get("ptr") is None
                 else s["ptr"],
                 backing=lambda i, level=level: self.forest.node(level, i),
@@ -291,6 +390,38 @@ class Bsic(LookupAlgorithm):
         return state.get("best")
 
     # ------------------------------------------------------------------
+    # Compiled plans: frozen snapshot readers + delta patching
+    # ------------------------------------------------------------------
+    def plan_backings(self):
+        """Frozen readers of the initial table and every level, so an
+        in-place delta never shows through an already-compiled plan."""
+        backings = {"initial": self.initial.plan_reader()}
+        for level in range(self.forest.depth):
+            backings[f"bst_level_{level}"] = \
+                list(self.forest.levels[level]).__getitem__
+        return backings
+
+    def _fits(self, step_names) -> bool:
+        """Whether a compiled step chain still reaches every level."""
+        chain = sum(name.startswith("bst_level_") for name in step_names)
+        return self.forest.depth <= chain
+
+    def plan_patch(self, delta, plan):
+        # A delta repoints initial rows at trees appended to the level
+        # tables (or at a compacted forest), so the initial reader and
+        # the level readers re-freeze together; a level copy is one
+        # pointer memcpy.  Steps below the live depth keep their old
+        # readers: no frozen root leads there.
+        if not self._fits(plan.step_names):
+            return None  # a tree outgrew the compiled chain: recompile
+        return self.plan_backings()
+
+    def vector_patch(self, delta, vector_plan):
+        if not self._fits(vector_plan.plan.step_names):
+            return None
+        return self.vector_specs() or None
+
+    # ------------------------------------------------------------------
     # Vector lowering (the lane compiler)
     # ------------------------------------------------------------------
     #: Tag bit distinguishing ("hop", h) from ("bst", root) in the
@@ -312,8 +443,6 @@ class Bsic(LookupAlgorithm):
         indices) indexed by the ``ptr`` register, so the walk becomes
         a fancy-indexed compare per level — the PlanB move.
         """
-        import numpy as np
-
         from ..core.vector import VectorStepSpec
 
         initial_view = self.initial.vector_reader(encode=self._encode_initial)
@@ -338,17 +467,9 @@ class Bsic(LookupAlgorithm):
             reader=initial_view,
         )}
 
-        for depth, nodes in enumerate(self.forest.levels):
-            ep = np.array([n[0] for n in nodes], dtype=np.int64)
-            hops = np.array([0 if n[1] is None else n[1] for n in nodes],
-                            dtype=np.int64)
-            hop_none = np.array([n[1] is None for n in nodes], dtype=bool)
-            left = np.array([0 if n[2] is None else n[2] for n in nodes],
-                            dtype=np.int64)
-            left_none = np.array([n[2] is None for n in nodes], dtype=bool)
-            right = np.array([0 if n[3] is None else n[3] for n in nodes],
-                             dtype=np.int64)
-            right_none = np.array([n[3] is None for n in nodes], dtype=bool)
+        for depth in range(self.forest.depth):
+            (ep, hops, hop_none, left, left_none,
+             right, right_none) = self.forest.columns(depth)
 
             def level_update(lanes, _vals, _found, _active, ep=ep,
                              hops=hops, hop_none=hop_none, left=left,

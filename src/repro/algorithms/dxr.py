@@ -18,7 +18,7 @@ the software footprint for the ablation bench.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from ..core.program import CramProgram
 from ..core.step import Step
 from ..core.table import direct_index_table, exact_table
 from ..prefix.prefix import Prefix
-from ..prefix.ranges import RangeEntry, expand_to_ranges
-from ..prefix.trie import BinaryTrie, Fib
+from ..prefix.ranges import RangeEntry, SliceIndex
+from ..prefix.trie import Fib
 from .base import LookupAlgorithm, UpdateUnsupported
 
 NEXT_HOP_BITS = 8
@@ -65,18 +65,8 @@ class Dxr(LookupAlgorithm):
         self.name = f"DXR (k={k})"
         self.suffix_bits = fib.width - k
 
-        #: Prefixes of length <= k: slice defaults (kept for deltas).
-        self._shorts = BinaryTrie(fib.width)
-        #: slice -> {(suffix bits, suffix length): (suffix, hop)}.
-        self._groups: Dict[int, Dict[Tuple[int, int], Tuple[Prefix, int]]] = {}
-        for prefix, hop in fib:
-            if prefix.length <= self.k:
-                self._shorts.insert(prefix, hop)
-            else:
-                slice_bits = prefix.slice(0, self.k)
-                suffix = self._suffix_of(prefix)
-                self._groups.setdefault(slice_bits, {})[
-                    (suffix.bits, suffix.length)] = (suffix, hop)
+        #: Short-prefix trie + per-slice suffix groups (kept for deltas).
+        self._slices = SliceIndex(fib.width, k, fib)
 
         #: Global merged range table; sections are contiguous.
         self.ranges: List[RangeEntry] = []
@@ -85,14 +75,12 @@ class Dxr(LookupAlgorithm):
         #: Rows in self.ranges no slice points at any more.
         self._dead_ranges = 0
         for slice_bits in range(1 << self.k):
-            default = self._shorts.lookup(slice_bits << self.suffix_bits)
-            group = self._groups.get(slice_bits)
-            if not group:
+            section = self._slices.section(slice_bits)
+            if section is None:
+                default = self._slices.default(slice_bits)
                 if default is not None:
                     self.initial[slice_bits] = ("hop", default)
                 continue
-            section = expand_to_ranges(
-                list(group.values()), self.suffix_bits, default_hop=default)
             start = len(self.ranges)
             self.ranges.extend(section)
             self.initial[slice_bits] = ("section", start, len(section))
@@ -102,14 +90,6 @@ class Dxr(LookupAlgorithm):
             default=0,
         )
         self._build_mirrors()
-
-    def _suffix_of(self, prefix: Prefix) -> Prefix:
-        """Re-express a long prefix's suffix in the (width - k)-bit space."""
-        return Prefix.from_bits(
-            prefix.bits & ((1 << (prefix.length - self.k)) - 1),
-            prefix.length - self.k,
-            self.suffix_bits,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -151,22 +131,9 @@ class Dxr(LookupAlgorithm):
         announce = op.action == ANNOUNCE
         if not announce and op.prev_hop is None:
             return  # withdraw of an absent prefix: no-op
-        if prefix.length > self.k:
-            slice_bits = prefix.slice(0, self.k)
-            suffix = self._suffix_of(prefix)
-            key = (suffix.bits, suffix.length)
-            group = self._groups.setdefault(slice_bits, {})
-            if announce:
-                group[key] = (suffix, op.next_hop)
-            else:
-                group.pop(key, None)
-                if not group:
-                    del self._groups[slice_bits]
-            self._rebuild_slice(slice_bits)
-            return
-        # Short prefix: the inherited default of every covered slice
-        # changes.  Very broad prefixes cover too many slices to be
-        # worth patching — decline, and the runtime rebuilds instead.
+        # A short prefix changes the inherited default of every slice
+        # it covers.  Very broad ones cover too many slices to be worth
+        # patching — decline, and the runtime rebuilds instead.
         covered = self.k - prefix.length
         if covered > MAX_SHORT_DELTA_BITS:
             raise UpdateUnsupported(
@@ -174,11 +141,13 @@ class Dxr(LookupAlgorithm):
                 "rebuild instead"
             )
         if announce:
-            self._shorts.insert(prefix, op.next_hop)
+            self._slices.announce(prefix, op.next_hop)
         else:
-            self._shorts.delete(prefix)
-        base = prefix.bits << covered
-        for slice_bits in range(base, base + (1 << covered)):
+            self._slices.withdraw(prefix)
+        if prefix.length > self.k:
+            self._rebuild_slice(prefix.slice(0, self.k))
+            return
+        for slice_bits in self._slices.covered(prefix):
             self._rebuild_slice(slice_bits)
 
     def end_update_batch(self) -> None:
@@ -191,13 +160,11 @@ class Dxr(LookupAlgorithm):
         old = self.initial[slice_bits]
         if old is not None and old[0] == "section":
             self._dead_ranges += old[2]
-        default = self._shorts.lookup(slice_bits << self.suffix_bits)
-        group = self._groups.get(slice_bits)
-        if not group:
+        section = self._slices.section(slice_bits)
+        if section is None:
+            default = self._slices.default(slice_bits)
             entry = ("hop", default) if default is not None else None
         else:
-            section = expand_to_ranges(
-                list(group.values()), self.suffix_bits, default_hop=default)
             start = len(self.ranges)
             self.ranges.extend(section)
             entry = ("section", start, len(section))
@@ -284,9 +251,8 @@ class Dxr(LookupAlgorithm):
         all ``2**k`` slices."""
         n = len(self.ranges)
         groups = []
-        for slice_bits in sorted(self._groups):
-            for (sbits, slen), (_suffix, hop) in sorted(
-                    self._groups[slice_bits].items()):
+        for slice_bits, group in sorted(self._slices.groups.items()):
+            for (sbits, slen), (_suffix, hop) in sorted(group.items()):
                 groups.append((slice_bits, sbits, slen, hop))
         arrays = {
             "mirror_kind": self._mirror_kind,
@@ -297,7 +263,7 @@ class Dxr(LookupAlgorithm):
             "range_hopnone": self._mirror_hopnone[:n],
             "shorts": np.array(
                 sorted((p.bits, p.length, h)
-                       for p, h in self._shorts.items()),
+                       for p, h in self._slices.shorts.items()),
                 dtype=np.int64).reshape(-1, 3),
             "groups": np.array(groups, dtype=np.int64).reshape(-1, 4),
         }
@@ -313,16 +279,16 @@ class Dxr(LookupAlgorithm):
         obj.k = int(meta["k"])
         obj.name = f"DXR (k={obj.k})"
         obj.suffix_bits = obj.width - obj.k
-        obj._shorts = BinaryTrie(obj.width)
+        obj._slices = SliceIndex(obj.width, obj.k)
         for bits, length, hop in arrays["shorts"]:
-            obj._shorts.insert(
+            obj._slices.announce(
                 Prefix.from_bits(int(bits), int(length), obj.width),
                 int(hop))
-        obj._groups = {}
         for slice_bits, sbits, slen, hop in arrays["groups"]:
-            suffix = Prefix.from_bits(int(sbits), int(slen), obj.suffix_bits)
-            obj._groups.setdefault(int(slice_bits), {})[
-                (int(sbits), int(slen))] = (suffix, int(hop))
+            obj._slices.announce(
+                Prefix.from_bits((int(slice_bits) << int(slen)) | int(sbits),
+                                 obj.k + int(slen), obj.width),
+                int(hop))
         left = arrays["range_left"]
         hops = arrays["range_hops"]
         hopnone = arrays["range_hopnone"]

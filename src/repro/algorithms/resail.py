@@ -195,7 +195,7 @@ class Resail(LookupAlgorithm):
             arrays[f"bitmap_{i:02d}"] = self.bitmaps[i]._bits.view(np.uint8)
         arrays["tcam"] = np.array(
             [(e.value, e.mask, e.priority, e.data)
-             for e in self.look_aside._entries],
+             for e in self.look_aside.entries()],
             dtype=np.int64).reshape(-1, 4)
         # The d-left table exports its *physical* cell placement
         # (subtable, bucket, key, hop; subtable -1 = overflow area) so

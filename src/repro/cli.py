@@ -497,10 +497,10 @@ def _serve_concurrent(args: argparse.Namespace, base: Fib, registry,
     # Registered after the server's own listener, so by the time this
     # runs the epoch is already bumped: snapshot keys match the epochs
     # the workers tag onto batches.
-    snapshots = {0: Fib(base.width, list(base))}
+    snapshots = {0: base.copy()}
 
     def record_snapshot(outcome, algo, touched):
-        snapshots[server.epoch] = Fib(base.width, list(managed.oracle))
+        snapshots[server.epoch] = managed.oracle.copy()
 
     managed.add_commit_listener(record_snapshot)
 
@@ -721,7 +721,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             cache_size=args.cache, registry=registry, name="serve",
             backend=args.backend)
         for vrf_id in range(args.vrfs):
-            sharded.add_vrf(vrf_id, Fib(base.width, list(base)))
+            sharded.add_vrf(vrf_id, base.copy())
         engines = [e for e in sharded.shard_engines() if e is not None]
         served = 0
         for batch in batches:

@@ -97,8 +97,8 @@ def replay(factory: Callable[[Fib], object], base: Fib,
     """
     from ..algorithms.base import UpdateUnsupported
 
-    oracle = Fib(base.width, list(base))
-    algo = factory(Fib(base.width, list(base)))
+    oracle = base.copy()
+    algo = factory(base.copy())
     for op in ops:
         try:
             prefix = op.resolve()
@@ -116,7 +116,7 @@ def replay(factory: Callable[[Fib], object], base: Fib,
             else:
                 algo.delete(prefix)
         except UpdateUnsupported:
-            algo = factory(Fib(base.width, list(oracle)))
+            algo = factory(oracle.copy())
     return algo, oracle
 
 

@@ -177,12 +177,11 @@ class ManagedFib:
             "repro_batch_size", BATCH_SIZE_BUCKETS,
             "Update ops per applied batch.")
         self.log = EventLog(registry=self.registry)
-        self.oracle = Fib(base.width, list(base))
+        self.oracle = base.copy()
         # A prebuilt structure (e.g. an artifact warm start) skips the
         # factory build; it must already reflect ``base`` exactly.
-        self.algo = algo if algo is not None else factory(
-            Fib(base.width, list(base)))
-        self._base = Fib(base.width, list(base))
+        self.algo = algo if algo is not None else factory(base.copy())
+        self._base = base.copy()
         self.checker = DifferentialChecker(base.width, seed=check_seed)
         self.health = Health.HEALTHY
         self.simulated_backoff_s = 0.0
@@ -250,8 +249,8 @@ class ManagedFib:
                 f"cannot adopt width-{base.width} table into a "
                 f"width-{self.oracle.width} runtime")
         self.algo = algo
-        self.oracle = Fib(base.width, list(base))
-        self._base = Fib(base.width, list(base))
+        self.oracle = base.copy()
+        self._base = base.copy()
         self.last_delta = None
         self.log.record("adopt", self._batch_index, size=len(self.oracle))
 
@@ -622,7 +621,7 @@ class ManagedFib:
             # oracle minus the whole batch) and rebuild from it.  No
             # listener fires — serving still holds pre-batch plans.
             self.log.record("delta_undo_rebuild", b)
-            base = Fib(self.oracle.width, list(self.oracle))
+            base = self.oracle.copy()
             self._replay_inverse(base, delta)
             self.algo = self.factory(base)
 
@@ -636,7 +635,7 @@ class ManagedFib:
                 self.algo.apply_delta_op(dop)
         except Exception:
             self.log.record("delta_undo_rebuild", b)
-            self.algo = self.factory(Fib(self.oracle.width, list(self.oracle)))
+            self.algo = self.factory(self.oracle.copy())
 
     @staticmethod
     def _replay_inverse(base: Fib, delta: FibDelta) -> None:
@@ -659,7 +658,7 @@ class ManagedFib:
                 self._set_health(Health.DEGRADED, b)
         with self.registry.timer("repro_rebuild",
                                  planned="true" if planned else "false"):
-            return self.factory(Fib(self.oracle.width, list(self.oracle)))
+            return self.factory(self.oracle.copy())
 
     # ------------------------------------------------------------------
     # Guards and consistency

@@ -59,7 +59,10 @@ class TcamTable(Generic[V]):
         #: Access accounting: searches count as reads, insert/delete as
         #: writes; per-(value, mask) hit tallies when tracking is on.
         self.stats = AccessStats(name)
-        self._entries: List[TcamEntry[V]] = []
+        #: Rows by exact (value, mask), oldest first within a key, so
+        #: a keyed delete or overwrite never scans the table.
+        self._entries: Dict[Tuple[int, int], List[TcamEntry[V]]] = {}
+        self._size = 0
         # Search index: entries grouped by (priority, mask); within a
         # group the masked value is an exact key.  Physical TCAMs match
         # all rows in parallel; this index gives the simulator
@@ -70,7 +73,7 @@ class TcamTable(Generic[V]):
         self._index_fresh = True
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
     # ------------------------------------------------------------------
     # Mutation
@@ -82,7 +85,9 @@ class TcamTable(Generic[V]):
             raise ValueError("value/mask exceed key width")
         if (value & ~mask) & (limit - 1):
             raise ValueError("value has set bits outside the mask")
-        self._entries.append(TcamEntry(value, mask, priority, data))
+        self._entries.setdefault((value, mask), []).append(
+            TcamEntry(value, mask, priority, data))
+        self._size += 1
         self.stats.writes += 1
         self._index_fresh = False
 
@@ -112,13 +117,15 @@ class TcamTable(Generic[V]):
 
     def delete(self, value: int, mask: int) -> None:
         """Remove the entry with exactly this value/mask; KeyError if absent."""
-        for i, entry in enumerate(self._entries):
-            if entry.value == value and entry.mask == mask:
-                del self._entries[i]
-                self.stats.writes += 1
-                self._index_fresh = False
-                return
-        raise KeyError(f"({value:#x}, {mask:#x})")
+        rows = self._entries.get((value, mask))
+        if not rows:
+            raise KeyError(f"({value:#x}, {mask:#x})")
+        del rows[0]
+        if not rows:
+            del self._entries[(value, mask)]
+        self._size -= 1
+        self.stats.writes += 1
+        self._index_fresh = False
 
     def delete_prefix(self, prefix: Prefix) -> None:
         shift = self.key_width - prefix.width
@@ -237,11 +244,13 @@ class TcamTable(Generic[V]):
 
     def _rebuild_index(self) -> None:
         self._groups = {}
-        for entry in self._entries:
-            group = self._groups.setdefault((entry.priority, entry.mask), {})
-            # First writer wins within a group: insertion order breaks
-            # priority ties, the usual software-managed TCAM convention.
-            group.setdefault(entry.value & entry.mask, entry)
+        for rows in self._entries.values():
+            for entry in rows:
+                group = self._groups.setdefault(
+                    (entry.priority, entry.mask), {})
+                # First writer wins within a group: insertion order breaks
+                # priority ties, the usual software-managed TCAM convention.
+                group.setdefault(entry.value & entry.mask, entry)
         self._group_order = sorted(self._groups)
         self._index_fresh = True
 
@@ -250,14 +259,14 @@ class TcamTable(Generic[V]):
     # ------------------------------------------------------------------
     def tcam_bits(self) -> int:
         """Match-key bits: entries x key width (value component only)."""
-        return len(self._entries) * self.key_width
+        return self._size * self.key_width
 
     def sram_bits(self, data_width: int) -> int:
         """Associated-data bits at the given encoded data width."""
-        return len(self._entries) * data_width
+        return self._size * data_width
 
     def entries(self) -> List[TcamEntry[V]]:
-        return list(self._entries)
+        return [entry for rows in self._entries.values() for entry in rows]
 
 
 def prefix_mask(length: int, width: int) -> int:

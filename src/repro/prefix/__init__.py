@@ -20,7 +20,8 @@ from .prefix import (
     bitstring,
     from_bitstring,
 )
-from .ranges import BstNode, RangeEntry, expand_to_ranges, lookup_ranges, ranges_to_bst
+from .ranges import (BstNode, RangeEntry, SliceIndex, expand_to_ranges,
+                     lookup_ranges, ranges_to_bst)
 from .trie import BinaryTrie, Fib
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "expand_to_lengths",
     "expansion_cost",
     "RangeEntry",
+    "SliceIndex",
     "BstNode",
     "expand_to_ranges",
     "lookup_ranges",

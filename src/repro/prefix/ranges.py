@@ -18,7 +18,7 @@ lands on its correct next hop (Appendix A.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .prefix import Prefix
 from .trie import BinaryTrie
@@ -51,34 +51,121 @@ def expand_to_ranges(
 
     Reproduces Table 13 of the paper for its Table 3 example.
     """
-    prefixes = list(entries)
-    trie = BinaryTrie(width)
-    for prefix, hop in prefixes:
+    # Last binding of a prefix wins, as in a FIB.
+    bound: Dict[Tuple[int, int], int] = {}
+    for prefix, hop in entries:
         if prefix.width != width:
             raise ValueError(
                 f"prefix width {prefix.width} does not match range space {width}"
             )
-        trie.insert(prefix, hop)
-
-    # Elementary interval boundaries: 0 plus every prefix's first
-    # address and one-past-last address.
-    top = 1 << width
-    boundaries = {0}
-    for prefix, _hop in prefixes:
-        first, last = prefix.address_range()
-        boundaries.add(first)
-        if last + 1 < top:
-            boundaries.add(last + 1)
+        bound[(prefix.value, prefix.length)] = hop
 
     merged: List[RangeEntry] = []
-    for left in sorted(boundaries):
-        hop = trie.lookup(left)
-        if hop is None:
-            hop = default_hop
+
+    def emit(left: int, hop: Optional[int]) -> None:
+        if merged and merged[-1].left == left:
+            merged.pop()  # a prefix opens exactly where another closed
         if merged and merged[-1].next_hop == hop:
-            continue  # DXR optimization 1: merge equal neighbours
+            return  # DXR optimization 1: merge equal neighbours
         merged.append(RangeEntry(left, hop))
+
+    # One left-to-right sweep.  Prefixes nest or are disjoint, so the
+    # ones covering the sweep point form a stack, innermost (longest,
+    # the LPM) on top; sorting by (first address, length) opens an
+    # enclosing prefix before the ones inside it.
+    top = 1 << width
+    emit(0, default_hop)
+    covering: List[Tuple[int, int]] = []  # (last address, hop)
+    for (first, length), hop in sorted(bound.items()):
+        while covering and covering[-1][0] < first:
+            last = covering.pop()[0]
+            emit(last + 1, covering[-1][1] if covering else default_hop)
+        emit(first, hop)
+        covering.append((first + (1 << (width - length)) - 1, hop))
+    while covering:
+        last = covering.pop()[0]
+        if last + 1 < top:
+            emit(last + 1, covering[-1][1] if covering else default_hop)
     return merged
+
+
+class SliceIndex:
+    """A prefix database cut at bit ``k``: what DXR and BSIC keep
+    beside their lookup tables so that an update re-derives only the
+    slices it touches (Appendix A.3.2's auxiliary database).
+
+    Prefixes of length <= ``k`` live in a trie and supply every slice's
+    inherited default; longer ones are grouped by their first ``k``
+    bits and held as suffixes over the remaining ``width - k`` bits,
+    ready for :func:`expand_to_ranges`.
+    """
+
+    def __init__(self, width: int, k: int,
+                 entries: Iterable[Tuple[Prefix, int]] = ()):
+        self.width = width
+        self.k = k
+        self.suffix_bits = width - k
+        #: Prefixes of length <= k (the slice defaults).
+        self.shorts = BinaryTrie(width)
+        #: slice -> {(suffix bits, suffix length): (suffix, hop)}.
+        self.groups: Dict[int, Dict[Tuple[int, int], Tuple[Prefix, int]]] = {}
+        for prefix, hop in entries:
+            self.announce(prefix, hop)
+
+    def suffix_of(self, prefix: Prefix) -> Prefix:
+        """A long prefix's suffix in the (width - k)-bit space."""
+        length = prefix.length - self.k
+        return Prefix.from_bits(prefix.bits & ((1 << length) - 1), length,
+                                self.suffix_bits)
+
+    def announce(self, prefix: Prefix, hop: int) -> None:
+        """Bind (or re-bind) ``prefix`` to ``hop``."""
+        if prefix.length <= self.k:
+            self.shorts.insert(prefix, hop)
+            return
+        suffix = self.suffix_of(prefix)
+        self.groups.setdefault(prefix.slice(0, self.k), {})[
+            (suffix.bits, suffix.length)] = (suffix, hop)
+
+    def withdraw(self, prefix: Prefix) -> None:
+        """Drop ``prefix``; ``KeyError`` if it is not bound."""
+        if prefix.length <= self.k:
+            self.shorts.delete(prefix)
+            return
+        slice_bits = prefix.slice(0, self.k)
+        suffix = self.suffix_of(prefix)
+        group = self.groups.get(slice_bits, {})
+        if (suffix.bits, suffix.length) not in group:
+            raise KeyError(str(prefix))
+        del group[(suffix.bits, suffix.length)]
+        if not group:
+            del self.groups[slice_bits]
+
+    def default(self, slice_bits: int) -> Optional[int]:
+        """The slice's own longest match among the short prefixes."""
+        return self.shorts.lookup(slice_bits << self.suffix_bits)
+
+    def section(self, slice_bits: int) -> Optional[List[RangeEntry]]:
+        """The slice's completed range table, or ``None`` when it holds
+        no long prefix (its default then answers for the whole slice)."""
+        group = self.groups.get(slice_bits)
+        if not group:
+            return None
+        return expand_to_ranges(group.values(), self.suffix_bits,
+                                default_hop=self.default(slice_bits))
+
+    def covered(self, prefix: Prefix) -> range:
+        """The slices under a prefix of length <= k."""
+        span = self.k - prefix.length
+        return range(prefix.bits << span, (prefix.bits + 1) << span)
+
+    def grouped_under(self, prefix: Prefix) -> List[int]:
+        """The covered slices that hold long prefixes — the only ones
+        whose range tables inherit ``prefix``'s hop."""
+        covered = self.covered(prefix)
+        if 1 << (self.k - prefix.length) <= len(self.groups):
+            return [s for s in covered if s in self.groups]
+        return [s for s in self.groups if s in covered]
 
 
 def lookup_ranges(table: List[RangeEntry], key: int) -> Optional[int]:

@@ -14,33 +14,48 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 from .prefix import Prefix
 
 
-class _Node:
-    __slots__ = ("children", "next_hop", "has_entry")
-
-    def __init__(self) -> None:
-        self.children: List[Optional["_Node"]] = [None, None]
-        self.next_hop: Optional[int] = None
-        self.has_entry = False
-
-
 class BinaryTrie:
     """A unibit trie mapping prefixes to next hops.
 
     Next hops are small non-negative integers (port identifiers), as in
     the paper's Table 1 where they are letters A–D.
+
+    Nodes are rows of three parallel lists rather than objects: child
+    row numbers (``0`` = no child, the root being row 0) and the bound
+    next hop (``None`` = no entry here).  A table-sized trie is then
+    three containers, not a quarter of a million garbage-collected
+    ones, and :meth:`copy` is three list copies.
     """
 
     def __init__(self, width: int):
         self.width = width
-        self._root = _Node()
+        self._zero: List[int] = [0]
+        self._one: List[int] = [0]
+        self._hops: List[Optional[int]] = [None]
+        #: Rows pruned by :meth:`delete`, reused by :meth:`insert`.
+        self._free: List[int] = []
         self._count = 0
 
     def __len__(self) -> int:
         return self._count
 
     def __contains__(self, prefix: Prefix) -> bool:
-        node = self._find(prefix)
-        return node is not None and node.has_entry
+        return self.get(prefix) is not None
+
+    def copy(self) -> "BinaryTrie":
+        """An independent trie with the same bindings."""
+        twin = BinaryTrie.__new__(BinaryTrie)
+        twin.width = self.width
+        twin._zero = self._zero.copy()
+        twin._one = self._one.copy()
+        twin._hops = self._hops.copy()
+        twin._free = self._free.copy()
+        twin._count = self._count
+        return twin
+
+    def node_count(self) -> int:
+        """Live trie nodes, the root included."""
+        return len(self._hops) - len(self._free)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -48,16 +63,29 @@ class BinaryTrie:
     def insert(self, prefix: Prefix, next_hop: int) -> None:
         """Insert or overwrite a prefix→next-hop binding."""
         self._check(prefix)
-        node = self._root
-        for i in range(prefix.length):
-            bit = prefix.bit(i)
-            if node.children[bit] is None:
-                node.children[bit] = _Node()
-            node = node.children[bit]
-        if not node.has_entry:
+        if next_hop is None:
+            raise ValueError("a binding needs a next hop")
+        kids = (self._zero, self._one)
+        hops = self._hops
+        free = self._free
+        bits = prefix.bits
+        node = 0
+        for shift in range(prefix.length - 1, -1, -1):
+            side = kids[(bits >> shift) & 1]
+            child = side[node]
+            if not child:
+                if free:
+                    child = free.pop()
+                else:
+                    child = len(hops)
+                    kids[0].append(0)
+                    kids[1].append(0)
+                    hops.append(None)
+                side[node] = child
+            node = child
+        if hops[node] is None:
             self._count += 1
-        node.has_entry = True
-        node.next_hop = next_hop
+        hops[node] = next_hop
 
     def delete(self, prefix: Prefix) -> None:
         """Remove a prefix; raises ``KeyError`` if absent.
@@ -67,77 +95,83 @@ class BinaryTrie:
         updates).
         """
         self._check(prefix)
-        path: List[Tuple[_Node, int]] = []
-        node = self._root
-        for i in range(prefix.length):
-            bit = prefix.bit(i)
-            nxt = node.children[bit]
-            if nxt is None:
+        kids = (self._zero, self._one)
+        hops = self._hops
+        bits = prefix.bits
+        path: List[Tuple[int, List[int]]] = []
+        node = 0
+        for shift in range(prefix.length - 1, -1, -1):
+            side = kids[(bits >> shift) & 1]
+            child = side[node]
+            if not child:
                 raise KeyError(str(prefix))
-            path.append((node, bit))
-            node = nxt
-        if not node.has_entry:
+            path.append((node, side))
+            node = child
+        if hops[node] is None:
             raise KeyError(str(prefix))
-        node.has_entry = False
-        node.next_hop = None
+        hops[node] = None
         self._count -= 1
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            if child.has_entry or child.children[0] or child.children[1]:
+        for parent, side in reversed(path):
+            child = side[parent]
+            if hops[child] is not None or kids[0][child] or kids[1][child]:
                 break
-            parent.children[bit] = None
+            side[parent] = 0
+            self._free.append(child)
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _longest(self, address: int) -> Tuple[Optional[int], int]:
+        """``(next hop, length)`` of the longest match (hop None: miss)."""
+        kids = (self._zero, self._one)
+        hops = self._hops
+        best, best_len = hops[0], 0
+        node = 0
+        for shift in range(self.width - 1, -1, -1):
+            node = kids[(address >> shift) & 1][node]
+            if not node:
+                break
+            hop = hops[node]
+            if hop is not None:
+                best, best_len = hop, self.width - shift
+        return best, best_len
+
     def lookup(self, address: int) -> Optional[int]:
         """Longest-prefix-match next hop for ``address``, or ``None``."""
-        node = self._root
-        best = node.next_hop if node.has_entry else None
-        for i in range(self.width):
-            bit = (address >> (self.width - 1 - i)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.has_entry:
-                best = node.next_hop
-        return best
+        return self._longest(address)[0]
 
     def lookup_prefix(self, address: int) -> Optional[Prefix]:
         """The longest matching *prefix* for ``address``, or ``None``."""
-        node = self._root
-        best_len = 0 if self._root.has_entry else None
-        node = self._root
-        for i in range(self.width):
-            bit = (address >> (self.width - 1 - i)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-            if node.has_entry:
-                best_len = i + 1
-        if best_len is None:
+        hop, best_len = self._longest(address)
+        if hop is None:
             return None
         host_bits = self.width - best_len
         return Prefix((address >> host_bits) << host_bits, best_len, self.width)
 
     def get(self, prefix: Prefix) -> Optional[int]:
         """Exact-prefix next hop (no LPM), or ``None``."""
-        node = self._find(prefix)
-        if node is None or not node.has_entry:
-            return None
-        return node.next_hop
+        self._check(prefix)
+        kids = (self._zero, self._one)
+        bits = prefix.bits
+        node = 0
+        for shift in range(prefix.length - 1, -1, -1):
+            node = kids[(bits >> shift) & 1][node]
+            if not node:
+                return None
+        return self._hops[node]
 
     def items(self) -> Iterator[Tuple[Prefix, int]]:
         """All (prefix, next hop) bindings, in (value, length) order."""
-        stack: List[Tuple[_Node, int, int]] = [(self._root, 0, 0)]
+        stack: List[Tuple[int, int, int]] = [(0, 0, 0)]
         out: List[Tuple[Prefix, int]] = []
         while stack:
             node, bits, depth = stack.pop()
-            if node.has_entry:
-                out.append((Prefix.from_bits(bits, depth, self.width), node.next_hop))
-            for bit in (0, 1):
-                child = node.children[bit]
-                if child is not None:
+            hop = self._hops[node]
+            if hop is not None:
+                out.append((Prefix.from_bits(bits, depth, self.width), hop))
+            for bit, side in enumerate((self._zero, self._one)):
+                child = side[node]
+                if child:
                     stack.append((child, (bits << 1) | bit, depth + 1))
         out.sort(key=lambda item: (item[0].value, item[0].length))
         return iter(out)
@@ -150,15 +184,6 @@ class BinaryTrie:
             raise ValueError(
                 f"prefix width {prefix.width} does not match trie width {self.width}"
             )
-
-    def _find(self, prefix: Prefix) -> Optional[_Node]:
-        self._check(prefix)
-        node = self._root
-        for i in range(prefix.length):
-            node = node.children[prefix.bit(i)]
-            if node is None:
-                return None
-        return node
 
 
 class Fib:
@@ -176,6 +201,15 @@ class Fib:
         self._entries: Dict[Prefix, int] = {}
         for prefix, hop in entries:
             self.insert(prefix, hop)
+
+    def copy(self) -> "Fib":
+        """An independent table with the same routes: a structural
+        copy, no per-prefix re-insertion."""
+        twin = Fib.__new__(Fib)
+        twin.width = self.width
+        twin._trie = self._trie.copy()
+        twin._entries = self._entries.copy()
+        return twin
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -137,7 +137,6 @@ def _artifact_engine(width: int, factory, path: str, resync: WireDelta,
     from ..artifact.catalog import ArtifactCatalog
     from ..artifact.errors import ArtifactDigestMismatch
     from ..engine.engine import BatchEngine
-    from ..prefix.trie import Fib
 
     loaded = ArtifactCatalog.load_path(path)
     if loaded.width != width:
@@ -150,7 +149,7 @@ def _artifact_engine(width: int, factory, path: str, resync: WireDelta,
         if algo.supports_delta:
             algo.apply_delta(delta)
         else:
-            algo = factory(Fib(width, list(fib)))
+            algo = factory(fib.copy())
     return BatchEngine(algo, backend=backend, cache_size=cache_size), fib
 
 
@@ -183,7 +182,6 @@ def _worker_main(worker_idx: int, width: int, factory, snapshot: Snapshot,
     snapshot fork, instead of crash-looping on a bad file.
     """
     from ..engine.engine import BatchEngine
-    from ..prefix.trie import Fib
 
     if artifact is not None:
         try:
@@ -263,13 +261,13 @@ def _worker_main(worker_idx: int, width: int, factory, snapshot: Snapshot,
                     algo.apply_delta(delta)
                     engine.refresh(algo, delta.prefixes(), delta=delta)
                 else:
-                    engine = BatchEngine(factory(Fib(width, list(fib))),
+                    engine = BatchEngine(factory(fib.copy()),
                                          backend=backend,
                                          cache_size=cache_size)
             except Exception:  # noqa: BLE001 — resync, don't diverge
                 # Any delta-apply failure: rebuild from the (already
                 # updated) local FIB mirror — correct by construction.
-                engine = BatchEngine(factory(Fib(width, list(fib))),
+                engine = BatchEngine(factory(fib.copy()),
                                      backend=backend, cache_size=cache_size)
             maybe_ack()
             continue

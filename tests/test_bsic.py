@@ -40,6 +40,33 @@ class TestBstForest:
         assert forest.total_nodes() == 7
         assert forest.depth == 3
 
+    def test_dropped_trees_stay_put_but_stop_counting(self):
+        forest = BstForest(endpoint_bits=8)
+        deep = forest.add_tree(self.make_tree(7)[0])
+        shallow_tree = self.make_tree(3)[0]
+        shallow = forest.add_tree(shallow_tree)
+        assert forest.level_sizes() == [2, 4, 4]
+        forest.drop_tree(deep)
+        # Live counts are what a from-scratch forest would hold ...
+        assert forest.level_sizes() == [1, 2] and forest.depth == 2
+        assert (forest.total_nodes(), forest.dead_nodes()) == (3, 7)
+        # ... while a reader still holding the old root sees its tree.
+        assert forest.search(deep, 5) == self.make_tree(7)[0].search(5)
+        assert forest.tree(shallow) == shallow_tree
+
+    def test_columns_extend_without_touching_frozen_arrays(self):
+        forest = BstForest(endpoint_bits=8)
+        forest.add_tree(self.make_tree(7)[0])
+        frozen = forest.columns(1)
+        assert forest.columns(1) is frozen  # nothing appended: reused
+        snapshot = [column.copy() for column in frozen]
+        forest.add_tree(self.make_tree(3)[0])
+        grown = forest.columns(1)
+        assert grown[0].shape[0] == 4 and frozen[0].shape[0] == 2
+        for before, after in zip(snapshot, frozen):
+            assert (before == after).all()
+        assert grown[0].tolist() == [n[0] for n in forest.levels[1]]
+
     def test_node_entry_bits(self):
         # §4.2's four fields: endpoint + hop + two 24-bit pointers.
         assert BstForest(40).node_entry_bits == 40 + 8 + 48

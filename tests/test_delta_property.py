@@ -3,7 +3,7 @@
 The contract under test: a structure grown by *deltas* is
 indistinguishable from one built *from scratch* over the same routing
 table.  Hypothesis drives arbitrary churn through the delta-capable
-algorithms (SAIL, RESAIL, DXR) and asserts, after every commit:
+algorithms (SAIL, RESAIL, DXR, BSIC) and asserts, after every commit:
 
     patched engine == from-scratch plan == interpreter == trie oracle
 
@@ -22,9 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.algorithms.bsic as bsic_module
 import repro.memory.dleft as dleft_module
 import repro.memory.sram as sram_module
-from repro.algorithms import Resail
+from repro.algorithms import Bsic, Resail
 from repro.chaos import ChaosPlan
 from repro.cli import ALGORITHM_FACTORIES
 from repro.control import (
@@ -36,10 +37,13 @@ from repro.control import (
     FibDelta,
     ManagedFib,
     RuntimePolicy,
+    UpdateOp,
 )
 from repro.core import compile_plan
-from repro.core.vector import SparseMapView, map_view, patch_sparse_view
-from repro.datasets import synthesize_as65000, uniform_addresses
+from repro.core.vector import (SparseMapView, compile_vector_plan, map_view,
+                               patch_sparse_view)
+from repro.datasets import (matching_addresses, synthesize_as65000,
+                            synthesize_as131072, uniform_addresses)
 from repro.engine import BatchEngine
 from repro.memory.dleft import DLeftHashTable
 from repro.memory.sram import Bitmap
@@ -172,7 +176,7 @@ def _assert_delta_equals_scratch(managed, engine, factory, probes):
     oracle = managed.oracle
     expected = [oracle.lookup(a) for a in probes]
     assert engine.lookup_batch(probes) == expected
-    scratch = factory(Fib(32, list(oracle)))
+    scratch = factory(oracle.copy())
     scratch_plan = compile_plan(scratch)
     assert [scratch_plan.lookup(a) for a in probes] == expected
     # The per-packet interpreter on a deterministic probe subset.
@@ -265,6 +269,227 @@ def test_patch_threshold_escape_hatch():
     assert results[0][:2] == (0, 3)
     # ... without ever changing the answers.
     assert results[256][2] == results[2][2] == results[0][2]
+
+
+# ---------------------------------------------------------------------------
+# BSIC: slice-local deltas behind frozen plan readers
+# ---------------------------------------------------------------------------
+
+#: The paper's two configurations: IPv4 k=16, IPv6 k=24 (where every
+#: batch delegates from the vector plan to the scalar one).
+BSIC_SHAPES = [(32, 16), (64, 24)]
+BSIC_IDS = ["w32-k16", "w64-k24"]
+
+
+def _bsic_base(width):
+    return (synthesize_as65000(scale=0.001) if width == 32
+            else synthesize_as131072(scale=0.005))
+
+
+def _bsic_runtime(k, base, name, **kwargs):
+    kwargs.setdefault("policy", RuntimePolicy(**QUIET))
+    managed = ManagedFib(lambda fib: Bsic(fib, k=k), base, **kwargs)
+    engine = BatchEngine.over_managed(managed, backend="auto", name=name)
+    return managed, engine
+
+
+def _engine_counts(managed, name):
+    counters = managed.registry.snapshot()["counters"]
+    label = f'{{engine="{name}"}}'
+    return (counters.get("repro_engine_plan_patches_total", {}).get(label, 0),
+            counters.get("repro_engine_plan_recompiles_total",
+                         {}).get(label, 0))
+
+
+def _around(prefixes, width):
+    """First/last covered address of each prefix and their neighbours."""
+    probes = set()
+    for prefix in prefixes:
+        first, last = prefix.address_range()
+        probes.update((first, last, max(first - 1, 0),
+                       min(last + 1, (1 << width) - 1)))
+    return sorted(probes)
+
+
+def _assert_bsic_equals_scratch(managed, engine, k, probes):
+    """Native, interpreter, scalar plan, vector plan (a delegation at
+    width 64) and engine all answer like the trie oracle, and the
+    paper's currency equals a from-scratch build of the same table."""
+    algo, oracle = managed.algo, managed.oracle
+    expected = [oracle.lookup(a) for a in probes]
+    assert [algo.lookup(a) for a in probes] == expected
+    assert engine.plan.lookup_batch(probes) == expected
+    assert engine.vector_plan.lookup_batch_hops(probes) == expected
+    assert engine.lookup_batch(probes) == expected
+    for address in probes[:: max(1, len(probes) // 8)]:
+        assert algo.cram_lookup(address) == oracle.lookup(address)
+    scratch = Bsic(oracle.copy(), k=k)
+    assert algo.cram_metrics() == scratch.cram_metrics()
+    assert algo.layout() == scratch.layout()
+    assert len(algo.initial) == len(scratch.initial)
+    assert algo.forest.level_sizes() == scratch.forest.level_sizes()
+
+
+@pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
+@pytest.mark.parametrize("guarded", [False, True],
+                         ids=["post-commit", "post-rollback"])
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bsic_delta_built_equals_scratch_built(width, k, guarded, seed):
+    """Churn lands as slice-local deltas (or, under the punitive
+    guard, applies and rolls back in place); either way BSIC stays
+    indistinguishable from a from-scratch build."""
+    base = _bsic_base(width)
+    kwargs = {}
+    if guarded:
+        kwargs["guard"] = CapacityGuard(tcam_blocks=0, sram_pages=0,
+                                        stage_budget=1)
+        kwargs["policy"] = RuntimePolicy(check_every=0)
+    managed, engine = _bsic_runtime(k, base, "bsic-prop",
+                                    check_seed=seed, **kwargs)
+    steady = matching_addresses(base, 48, seed=seed)
+    outcomes = []
+    for batch in ChurnGenerator(base, seed=seed).batches(32, 8):
+        outcomes.append(managed.apply_batch(batch))
+        touched = [op.prefix for op in batch if op.prefix is not None]
+        _assert_bsic_equals_scratch(managed, engine, k,
+                                    steady + _around(touched, width))
+    if guarded:
+        assert set(outcomes) == {"batch_rolled_back"}
+        assert managed.algo.forest.dead_nodes() > 0  # undone in place
+    else:
+        assert set(outcomes) == {"batch_applied"}
+        patches, recompiles = _engine_counts(managed, "bsic-prop")
+        assert patches + recompiles == len(outcomes) and patches > 0
+
+
+@pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_bsic_short_prefix_moves_slice_defaults(width, k, data):
+    """Announcing / withdrawing a prefix of length <= k re-derives the
+    BSTs under it (their uncovered ranges inherit its hop) and writes
+    or clears exactly its own ternary row."""
+    slice_bits = data.draw(st.integers(0, (1 << k) - 1))
+    length = data.draw(st.integers(0, k))
+    hop = data.draw(st.integers(1, 200))
+    sibling = slice_bits ^ 1
+    long_a = Prefix.from_bits((slice_bits << 2) | 0b01, k + 2, width)
+    long_b = Prefix.from_bits((sibling << 3) | 0b110, k + 3, width)
+    base = Fib(width, [(long_a, 7), (long_b, 8)])
+    short = Prefix.from_bits(slice_bits >> (k - length), length, width)
+    gap = slice_bits << (width - k)  # under `short`, outside long_a
+    managed, engine = _bsic_runtime(k, base, "bsic-short")
+    probes = _around([long_a, long_b, short], width) + [gap]
+
+    assert managed.apply_batch([UpdateOp(ANNOUNCE, short, hop)]) \
+        == "batch_applied"
+    assert managed.algo.lookup(gap) == hop
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+    assert managed.apply_batch([UpdateOp(WITHDRAW, short)]) == "batch_applied"
+    assert managed.algo.lookup(gap) is None
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+    assert _engine_counts(managed, "bsic-short") == (2, 0)
+
+
+@pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_bsic_withdraw_that_empties_a_slice(width, k, data):
+    """The last long prefix leaving a slice turns its BST row back
+    into the /k route's hop row — or into no row at all."""
+    slice_bits = data.draw(st.integers(0, (1 << k) - 1))
+    has_exact = data.draw(st.booleans())
+    long = Prefix.from_bits((slice_bits << 5) | 0b10110, k + 5, width)
+    exact = Prefix.from_bits(slice_bits, k, width)
+    base = Fib(width, [(long, 3)] + ([(exact, 4)] if has_exact else []))
+    managed, engine = _bsic_runtime(k, base, "bsic-empty")
+    probes = _around([long, exact], width)
+    assert [e.data[0] for e in managed.algo.initial.entries()] == ["bst"]
+
+    assert managed.apply_batch([UpdateOp(WITHDRAW, long)]) == "batch_applied"
+    rows = [e.data for e in managed.algo.initial.entries()]
+    assert rows == ([("hop", 4)] if has_exact else [])
+    assert managed.algo.forest.level_sizes() == []
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+    # ... and back: the slice grows a tree again.
+    assert managed.apply_batch([UpdateOp(ANNOUNCE, long, 5)]) \
+        == "batch_applied"
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+
+
+@pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
+@given(extra=st.integers(min_value=2, max_value=9))
+@settings(max_examples=4, deadline=None)
+def test_bsic_depth_growth_declines_the_patch(width, k, extra):
+    """A batch that makes some tree deeper than the compiled step
+    chain cannot be patched: the hooks say so and the engine counts a
+    recompile; the next shallow batch patches again."""
+    base = _bsic_base(width)
+    managed, engine = _bsic_runtime(k, base, "bsic-deep")
+    depth = managed.algo.forest.depth
+    slice_bits = next(iter(managed.algo._slices.groups))
+    # 2**depth disjoint long prefixes in one slice: > 2**depth ranges.
+    bits = depth + 1
+    grow = [UpdateOp(ANNOUNCE,
+                     Prefix.from_bits((slice_bits << bits) | i, k + bits,
+                                      width), 10 + i % 5)
+            for i in range(0, 1 << bits, 2)]
+    assert len(grow) <= engine.patch_threshold
+    assert managed.apply_batch(grow) == "batch_applied"
+    assert managed.algo.forest.depth > depth
+    assert _engine_counts(managed, "bsic-deep") == (0, 1)
+    probes = _around([op.prefix for op in grow[:extra]], width)
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+    modify = [UpdateOp(ANNOUNCE, op.prefix, 99) for op in grow[:extra]]
+    assert managed.apply_batch(modify) == "batch_applied"
+    assert _engine_counts(managed, "bsic-deep") == (1, 1)
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+
+
+@pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
+@given(seed=st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_bsic_compaction_and_frozen_plans(width, k, seed):
+    """Dead nodes are shed once they outnumber the live ones, and no
+    plan compiled earlier — scalar or vector — ever sees a later
+    delta, the compaction included."""
+    base = _bsic_base(width)
+    managed, engine = _bsic_runtime(k, base, "bsic-compact",
+                                    check_seed=seed)
+    frozen_plan = compile_plan(managed.algo)
+    frozen_vector = compile_vector_plan(managed.algo)
+    groups = managed.algo._slices.groups
+    busiest = max(groups, key=lambda s: len(groups[s]))
+    victim = Prefix.from_bits(busiest << 1, k + 1, width)
+    probes = matching_addresses(base, 64, seed=seed) \
+        + _around([victim], width) \
+        + uniform_addresses(width - k - 1, 16, seed=seed)  # inside victim
+    probes[-16:] = [victim.value | a for a in probes[-16:]]
+    before = [base.lookup(a) for a in probes]
+    forests = {id(managed.algo.forest)}
+    original = bsic_module.MIN_DEAD_NODES
+    bsic_module.MIN_DEAD_NODES = 0
+    try:
+        for hop in range(1, 200):
+            # Re-deriving the busiest slice kills its whole tree.
+            assert managed.apply_batch(
+                [UpdateOp(ANNOUNCE, victim, hop)]) == "batch_applied"
+            forests.add(id(managed.algo.forest))
+            assert managed.algo.forest.dead_nodes() <= max(
+                0, managed.algo.forest.total_nodes())
+            if len(forests) > 1:
+                break
+    finally:
+        bsic_module.MIN_DEAD_NODES = original
+    assert len(forests) > 1, "compaction never ran"
+    assert managed.algo.forest.dead_nodes() == 0
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
+    assert [managed.oracle.lookup(a) for a in probes] != before
+    assert frozen_plan.lookup_batch(probes) == before
+    assert frozen_vector.lookup_batch_hops(probes) == before
 
 
 # ---------------------------------------------------------------------------

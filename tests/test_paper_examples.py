@@ -71,8 +71,9 @@ class TestTable3:
     def test_bst2_entries(self, example_fib):
         """Slice 1001 condenses entries 3-7 into one pointer (BST 2)."""
         bsic = Bsic(example_fib, k=4)
-        group = bsic._groups[0b1001]
-        suffixes = {format(p.bits, f"0{p.length}b") for p, _h in group}
+        group = bsic._slices.groups[0b1001]
+        suffixes = {format(p.bits, f"0{p.length}b")
+                    for p, _h in group.values()}
         assert suffixes == {"00", "01", "0100", "1010", "1011"}
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.prefix import (
     BinaryTrie,
     RangeEntry,
+    SliceIndex,
     expand_to_ranges,
     from_bitstring,
     lookup_ranges,
@@ -120,3 +121,47 @@ class TestBst:
         table = [RangeEntry(i, i % 5) for i in range(0, 128, 2)]
         bst = ranges_to_bst(table)
         assert bst.depth() == 7  # ceil(log2(64 + 1))
+
+
+class TestSliceIndex:
+    """The k-bit cut DXR and BSIC both keep for slice-local updates."""
+
+    def make(self):
+        index = SliceIndex(8, 4)
+        for bits, hop in (("01", 1), ("0101", 2), ("010110", 3),
+                          ("0101111", 4), ("100100", 5)):
+            index.announce(from_bitstring(bits, 8), hop)
+        return index
+
+    def test_cut_at_k(self):
+        index = self.make()
+        assert sorted(index.groups) == [0b0101, 0b1001]
+        assert len(index.shorts) == 2
+        assert index.default(0b0101) == 2 and index.default(0b0100) == 1
+        assert index.default(0b1001) is None
+
+    def test_section_inherits_the_slice_default(self):
+        index = self.make()
+        assert index.section(0b0100) is None  # no long prefix there
+        section = index.section(0b0101)
+        assert section == expand_to_ranges(
+            [(P("10"), 3), (P("111"), 4)], 4, default_hop=2)
+        assert [lookup_ranges(section, key) for key in (0, 0b1000, 0b1110)] \
+            == [2, 3, 4]
+
+    def test_withdraw_drops_empty_groups_and_rejects_strangers(self):
+        index = self.make()
+        index.withdraw(from_bitstring("100100", 8))
+        assert sorted(index.groups) == [0b0101]
+        with pytest.raises(KeyError):
+            index.withdraw(from_bitstring("100100", 8))
+        with pytest.raises(KeyError):
+            index.withdraw(from_bitstring("11", 8))
+
+    def test_covered_and_grouped_slices(self):
+        index = self.make()
+        assert list(index.covered(from_bitstring("01", 8))) == [4, 5, 6, 7]
+        assert index.grouped_under(from_bitstring("01", 8)) == [0b0101]
+        assert sorted(index.grouped_under(from_bitstring("", 8))) == \
+            [0b0101, 0b1001]
+        assert index.grouped_under(from_bitstring("0100", 8)) == []

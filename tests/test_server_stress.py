@@ -32,8 +32,10 @@ import time
 
 import pytest
 
+from repro.algorithms import Bsic
 from repro.algorithms.hibst import HiBst
 from repro.artifact import ArtifactCatalog
+from repro.chaos import ChaosPlan
 from repro.control import ChurnGenerator, ManagedFib, RuntimePolicy
 from repro.control.runtime import Health
 from repro.prefix.prefix import Prefix
@@ -89,6 +91,51 @@ def oracle_answers(oracle):
     return [oracle.lookup(a) for a in range(1 << WIDTH)]
 
 
+def start_producers(server, seed):
+    """PRODUCERS threads each submitting REQUESTS_PER_PRODUCER seeded
+    requests; returns ``(threads, produced, failures)``."""
+    produced = [[] for _ in range(PRODUCERS)]
+    failures = []
+
+    def produce(lane):
+        rng = random.Random(seed + lane)
+        try:
+            for _ in range(REQUESTS_PER_PRODUCER):
+                addresses = [rng.randrange(1 << WIDTH)
+                             for _ in range(REQUEST_SIZE)]
+                produced[lane].append((addresses,
+                                       server.submit(addresses)))
+        except BaseException as exc:  # noqa: BLE001 — surface in the test
+            failures.append(exc)
+
+    threads = [threading.Thread(target=produce, args=(lane,),
+                                name=f"producer-{lane}")
+               for lane in range(PRODUCERS)]
+    for thread in threads:
+        thread.start()
+    return threads, produced, failures
+
+
+def check_produced(produced, snapshots):
+    """Every request answered exactly once, from its epoch's table."""
+    checked = 0
+    for lane_requests in produced:
+        assert len(lane_requests) == REQUESTS_PER_PRODUCER
+        for addresses, handle in lane_requests:
+            hops = handle.result(timeout=60)
+            # Exactly one delivery: nothing lost, nothing duplicated.
+            assert handle.deliveries == 1
+            lo, hi = handle.epoch_span
+            assert lo == hi, "request size divides max_batch"
+            expected = snapshots[hi]
+            for address, hop in zip(addresses, hops):
+                assert hop == expected[address], (
+                    f"stale read at epoch {hi}: address {address} "
+                    f"served {hop}, oracle said {expected[address]}")
+                checked += 1
+    assert checked == PRODUCERS * REQUESTS_PER_PRODUCER * REQUEST_SIZE
+
+
 @pytest.mark.parametrize("mode", ["thread", "process"])
 def test_serving_is_linearizable_under_churn_and_rollbacks(mode):
     base = build_fib()
@@ -107,27 +154,9 @@ def test_serving_is_linearizable_under_churn_and_rollbacks(mode):
 
     managed.add_commit_listener(record)
 
-    produced = [[] for _ in range(PRODUCERS)]
-    failures = []
-
-    def produce(lane):
-        rng = random.Random(100 + lane)
-        try:
-            for _ in range(REQUESTS_PER_PRODUCER):
-                addresses = [rng.randrange(1 << WIDTH)
-                             for _ in range(REQUEST_SIZE)]
-                produced[lane].append((addresses,
-                                       server.submit(addresses)))
-        except BaseException as exc:  # noqa: BLE001 — surface in the test
-            failures.append(exc)
-
     landed = rolled_back = 0
     with server:
-        threads = [threading.Thread(target=produce, args=(lane,),
-                                    name=f"producer-{lane}")
-                   for lane in range(PRODUCERS)]
-        for thread in threads:
-            thread.start()
+        threads, produced, failures = start_producers(server, seed=100)
         generator = ChurnGenerator(base, seed=9)
         for _ in range(CHURN_BATCHES):
             epoch_before = server.epoch
@@ -149,28 +178,125 @@ def test_serving_is_linearizable_under_churn_and_rollbacks(mode):
         # The scripted guard really interleaved both outcomes.
         assert rolled_back >= 1, "guard script produced no rollbacks"
         assert landed >= 5, "churn produced too few landed commits"
-
-        checked = 0
-        for lane_requests in produced:
-            assert len(lane_requests) == REQUESTS_PER_PRODUCER
-            for addresses, handle in lane_requests:
-                hops = handle.result(timeout=60)
-                # Exactly one delivery: nothing lost, nothing duplicated.
-                assert handle.deliveries == 1
-                lo, hi = handle.epoch_span
-                assert lo == hi, "request size divides max_batch"
-                expected = snapshots[hi]
-                for address, hop in zip(addresses, hops):
-                    assert hop == expected[address], (
-                        f"stale read at epoch {hi}: address {address} "
-                        f"served {hop}, oracle said {expected[address]}")
-                    checked += 1
-        assert checked == PRODUCERS * REQUESTS_PER_PRODUCER * REQUEST_SIZE
+        check_produced(produced, snapshots)
 
     # Clean drain: everything answered, workers gone, submits refused.
     assert server.drained()
     with pytest.raises(ServerError):
         server.submit([1])
+
+
+# ---------------------------------------------------------------------------
+# BSIC: deltas mutate the live structure before the gate is taken
+# ---------------------------------------------------------------------------
+
+
+class ProbingGuard(ScriptedGuard):
+    """A scripted guard that also *reads through the server* each time
+    the runtime consults it.
+
+    With a delta-capable scheme the guard runs while the batch sits
+    applied to the live structure but not yet committed (and again
+    right after a hard trip rolled it back in place) — the widest
+    window in which a compiled plan with live table readers would
+    answer from a table the serving epoch does not have yet.
+    """
+
+    def __init__(self, seed, rate=0.35):
+        super().__init__(seed, rate)
+        self.server = None
+        self.committed = None
+        self.probes = self.torn = 0
+
+    def inspect(self, algo):
+        if self.server is not None:
+            got = self.server.lookup_batch(list(range(1 << WIDTH)),
+                                           timeout=60)
+            self.probes += 1
+            self.torn += sum(g != w for g, w in zip(got, self.committed))
+        return super().inspect(algo)
+
+
+def test_bsic_delta_is_invisible_until_the_commit_gate():
+    """Thread mode, commits under load: BSIC batches land in place
+    (and ~35% roll back in place) while producers keep reading.  No
+    request may be lost, duplicated, or answered from any table but
+    its epoch's — in particular not from a half-applied delta."""
+    base = build_fib()
+    guard = ProbingGuard(seed=5)
+    managed = ManagedFib(lambda fib: Bsic(fib, k=4), base, guard=guard,
+                         policy=RuntimePolicy(check_every=4))
+    server = LookupServer(managed=managed, workers=3, mode="thread",
+                          max_batch=MAX_BATCH, max_wait_s=0.001)
+    snapshots = {0: oracle_answers(managed.oracle)}
+    guard.committed = snapshots[0]
+
+    def record(outcome, algo, touched):
+        snapshots[server.epoch] = guard.committed = \
+            oracle_answers(managed.oracle)
+
+    managed.add_commit_listener(record)
+    outcomes = []
+    with server:
+        guard.server = server
+        threads, produced, failures = start_producers(server, seed=200)
+        generator = ChurnGenerator(base, seed=9)
+        for _ in range(CHURN_BATCHES):
+            outcomes.append(managed.apply_batch(list(generator.ops(4))))
+        for thread in threads:
+            thread.join()
+        server.flush()
+        guard.server = None
+
+        assert not failures, failures
+        assert managed.health is not Health.FAILED
+        assert outcomes.count("batch_applied") >= 5, outcomes
+        assert outcomes.count("batch_rolled_back") >= 1, outcomes
+        assert "batch_rebuilt" not in outcomes  # every commit was a delta
+        assert guard.probes >= CHURN_BATCHES and guard.torn == 0
+        check_produced(produced, snapshots)
+    counters = managed.registry.snapshot()["counters"]
+    assert sum(counters["repro_engine_plan_patches_total"].values()) > 0
+    assert server.drained()
+
+
+def test_bsic_process_worker_kill_resyncs_then_chains_deltas():
+    """Process mode: BSIC commits ship as deltas; a killed worker is
+    restarted from a full snapshot and later deltas chain onto it."""
+    base = build_fib(seed=23, size=40)
+    managed = ManagedFib(lambda fib: Bsic(fib, k=4), base,
+                         policy=RuntimePolicy(check_every=0, guard_every=0))
+    chaos = ChaosPlan([], script=[("kill", 0, 2)])
+    addresses = list(range(1 << WIDTH))
+
+    def total(metric):
+        counters = managed.registry.snapshot()["counters"]
+        return sum(counters.get(metric, {}).values())
+
+    def served_equals_oracle():
+        assert server.lookup_batch(addresses, timeout=60) == \
+            oracle_answers(managed.oracle)
+
+    batches = list(ChurnGenerator(base, seed=23).batches(40, 8))
+    with LookupServer(managed=managed, workers=2, mode="process",
+                      max_batch=MAX_BATCH, chaos=chaos) as server:
+        for batch in batches[:-1]:
+            assert managed.apply_batch(batch) == "batch_applied"
+            for _ in range(2):  # march worker 0 toward the scripted kill
+                served_equals_oracle()
+        deadline = time.monotonic() + 30
+        while total("repro_server_restarts_total") < 1:
+            assert time.monotonic() < deadline, "worker never restarted"
+            served_equals_oracle()
+            time.sleep(0.05)
+        snapshot_bytes = total("repro_server_snapshot_bytes_total")
+        assert managed.apply_batch(batches[-1]) == "batch_applied"
+        for _ in range(4):  # enough batches to reach both workers
+            served_equals_oracle()
+        # The post-restart commit shipped as a delta, not a snapshot.
+        assert total("repro_server_snapshot_bytes_total") == snapshot_bytes
+    assert total("repro_server_worker_deaths_total") >= 1
+    assert total("repro_server_delta_bytes_total") > 0
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,14 @@ class TestPrefixApi:
         t.delete_prefix(P("0101"))
         assert t.search(0b01010000) is None
 
+    def test_delete_takes_the_oldest_of_duplicate_rows(self):
+        t = TcamTable(8)
+        t.insert(0b10000000, 0b11000000, priority=1, data="first")
+        t.insert(0b10000000, 0b11000000, priority=1, data="second")
+        t.delete(0b10000000, 0b11000000)
+        assert len(t) == 1 and t.search(0b10000001) == "second"
+        assert [e.data for e in t.entries()] == ["second"]
+
     def test_search_after_mutation_uses_fresh_index(self):
         t = TcamTable(8)
         t.insert_prefix(P("01"), "a")

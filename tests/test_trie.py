@@ -54,7 +54,7 @@ class TestBinaryTrie:
         t = BinaryTrie(8)
         t.insert(P("01010101"), 1)
         t.delete(P("01010101"))
-        assert t._root.children == [None, None]
+        assert t.node_count() == 1  # only the root is left
 
     def test_lookup_prefix(self):
         t = BinaryTrie(8)
@@ -82,6 +82,27 @@ class TestBinaryTrie:
         t = BinaryTrie(8)
         with pytest.raises(ValueError):
             t.insert(from_bitstring("01", 16), 1)
+
+    def test_pruned_rows_are_reused(self):
+        t = BinaryTrie(8)
+        t.insert(P("01010101"), 1)
+        grown = t.node_count()
+        t.delete(P("01010101"))
+        t.insert(P("10101010"), 2)
+        assert t.node_count() == grown
+        assert t.lookup(0b10101010) == 2 and t.lookup(0b01010101) is None
+
+    def test_copy_is_independent(self):
+        t = BinaryTrie(8)
+        t.insert(P("01"), 1)
+        t.insert(P("0101"), 2)
+        t.delete(P("0101"))  # leaves free rows for both sides to reuse
+        twin = t.copy()
+        twin.insert(P("0111"), 3)
+        t.insert(P("0100"), 4)
+        assert list(t.items()) == [(P("01"), 1), (P("0100"), 4)]
+        assert list(twin.items()) == [(P("01"), 1), (P("0111"), 3)]
+        assert (len(t), len(twin)) == (2, 2)
 
 
 class TestFib:
@@ -119,6 +140,20 @@ class TestFib:
         fib.delete(P("01"))
         assert len(fib) == 0
         assert fib.lookup(0b01000000) is None
+
+    def test_copy_equals_reinsertion_and_is_independent(self, ipv4_fib):
+        twin = ipv4_fib.copy()
+        assert list(twin) == list(ipv4_fib)
+        rebuilt = Fib(ipv4_fib.width, list(ipv4_fib))
+        addresses = [p.value | 1 for p in ipv4_fib.prefixes()[:200]]
+        assert [twin.lookup(a) for a in addresses] == \
+            [rebuilt.lookup(a) for a in addresses]
+        victim, hop = next(iter(ipv4_fib))
+        twin.delete(victim)
+        twin.insert(Prefix(0, 1, ipv4_fib.width), 77)
+        assert ipv4_fib.get(victim) == hop
+        assert Prefix(0, 1, ipv4_fib.width) not in ipv4_fib
+        assert len(twin) == len(ipv4_fib)
 
     def test_iteration_is_sorted(self, ipv4_fib):
         entries = list(ipv4_fib)
