@@ -14,8 +14,7 @@ speed — but the perf trajectory of the serving path.  Three benches:
 * ``test_vector_vs_plan_throughput`` is the lane-compiler acceptance
   gate: every scheme lowers fully, so the vector plan
   (``repro.core.vector``) must serve at least **3x** the lookups/sec
-  of the scalar compiled plan on all nine, with identical answers —
-  and the fused schedule must never regress the unfused one.
+  of the scalar compiled plan on all nine, with identical answers.
 
 Every bench emits a machine-readable JSON sidecar via
 ``_bench_utils.emit`` (``benchmarks/results/throughput_*.json``):
@@ -215,11 +214,6 @@ def test_engine_vs_interpreter_throughput(benchmark, small_v4):
     assert speedup >= 3.0, f"plan only {speedup:.2f}x over the interpreter"
 
 
-#: Fused-vs-unfused smoke threshold: identical kernels either way, so
-#: fusion must never *cost* throughput.  A genuine fusion regression
-#: shows up far below this; 0.90 is the noise floor of timing
-#: sub-millisecond batches on a shared CI host.
-FUSION_THRESHOLD = 0.90
 #: Timing samples per measured arm; every rate is the *best* sample
 #: (min-of-N), which rejects scheduler hiccups a single aggregate
 #: timing loop folds straight into the gate.
@@ -259,9 +253,8 @@ def _ab_ratio(fn_a, fn_b, rounds=TIMING_ROUNDS, calls=2):
 def test_vector_vs_plan_throughput(benchmark, small_v4):
     """The lane-compiler acceptance gate: every scheme now lowers
     fully, so the vector plan must serve >= 3x the scalar compiled
-    plan on ALL NINE, with identical answers — and the fusion A-B
-    smoke on top: the fused schedule never regresses the unfused one
-    (min-of-N interleaved timings).  Recorded in a JSON sidecar."""
+    plan on ALL NINE, with identical answers (min-of-N interleaved
+    timings).  Recorded in a JSON sidecar."""
     fib, addresses = small_v4
     # The gate measures *batch* throughput: at the CI bench scale the
     # shared workload shrinks to a few hundred addresses, where kernel
@@ -274,7 +267,6 @@ def test_vector_vs_plan_throughput(benchmark, small_v4):
 
     def run():
         rows = {}
-        fusion = {}
         for name, algo in gated:
             plan = compile_plan(algo)
             vplan = compile_vector_plan(algo, plan=plan)
@@ -284,41 +276,32 @@ def test_vector_vs_plan_throughput(benchmark, small_v4):
             assert got == expected, f"{name}: vector answers diverge"
             vector_rate = _best_rate(
                 lambda: vplan.lookup_batch(addresses), n)
-            # The gated speedup is an *interleaved* A/B ratio (like the
-            # fusion smoke below) so clock drift between the two timing
-            # windows can't push a scheme across the 3x line; the
-            # reported plan rate is derived from it.
+            # The gated speedup is an *interleaved* A/B ratio so clock
+            # drift between the two timing windows can't push a scheme
+            # across the 3x line; the reported plan rate is derived
+            # from it.
             speedup = _ab_ratio(
                 lambda: vplan.lookup_batch(addresses),
                 lambda: plan.lookup_batch(addresses, out=[]),
                 rounds=7, calls=1)
             rows[name] = (vector_rate / speedup, vector_rate, speedup,
                           sum(hop for hop in expected if hop is not None))
-            # Fusion A-B: same kernels, one dispatch loop vs many.
-            unfused = compile_vector_plan(algo, plan=plan, fuse=False)
-            assert unfused.lookup_batch_hops(addresses) == expected
-            fusion[name] = _ab_ratio(
-                lambda: vplan.lookup_batch(addresses),
-                lambda: unfused.lookup_batch(addresses),
-                rounds=9, calls=3)
-        return rows, fusion
+        return rows
 
-    rows, fusion = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
     speedups = {name: speedup
                 for name, (_p, _v, speedup, _c) in rows.items()}
 
     table = Table("Vector lane kernels vs scalar compiled plan",
-                  ["Scheme", "Plan lookups/s", "Vector lookups/s", "Speedup",
-                   "Fused/unfused"])
+                  ["Scheme", "Plan lookups/s", "Vector lookups/s", "Speedup"])
     for name, (plan_rate, vector_rate, speedup, _checksum) in sorted(
             rows.items(), key=lambda kv: -speedups[kv[0]]):
         table.add_row(name, f"{plan_rate:,.0f}", f"{vector_rate:,.0f}",
-                      f"{speedup:.1f}x", f"{fusion[name]:.2f}x")
+                      f"{speedup:.1f}x")
     emit("throughput_vector", table.render(),
          values={
              "addresses": len(addresses),
              "speedup_threshold_x": 3.0,
-             "fusion_threshold_x": FUSION_THRESHOLD,
              "hop_checksums": {name: checksum
                                for name, (_p, _v, _s, checksum)
                                in rows.items()},
@@ -329,13 +312,9 @@ def test_vector_vs_plan_throughput(benchmark, small_v4):
              "vector_lookups_per_s": {name: v for name, (_p, v, _s, _c)
                                       in rows.items()},
              "speedup_x": speedups,
-             "fusion_speedup_x": fusion,
              "benchmark": bench_timings(benchmark),
          })
 
     for name, speedup in speedups.items():
         assert speedup >= 3.0, \
             f"{name}: vector only {speedup:.2f}x over the scalar plan"
-    for name, ab in fusion.items():
-        assert ab >= FUSION_THRESHOLD, \
-            f"{name}: fused schedule {ab:.2f}x the unfused one"

@@ -305,10 +305,11 @@ class LookupAlgorithm(abc.ABC):
         Keyed by *step name* (unknown names raise ``VectorError``, as
         ``plan_backings`` does for the plan compiler); each value is a
         :class:`~repro.core.vector.VectorStepSpec` describing the
-        step's selector/action as array kernels.  Steps without a spec
-        run under the per-lane scalar bridge — correct, just not fast.
-        The default lowers nothing, so every algorithm compiles
-        mixed-mode out of the box.
+        step's selector/action as array kernels.  Lowering is
+        all-or-nothing: one step without a spec and the vector plan
+        holds no kernels, delegating every batch to the scalar plan —
+        correct, just not fast.  The default lowers nothing, so every
+        algorithm compiles out of the box.
         """
         return {}
 
@@ -323,15 +324,11 @@ class LookupAlgorithm(abc.ABC):
         """
         raise NotImplementedError  # pragma: no cover - sentinel, never called
 
-    def compile_vector_plan(self, plan=None, fuse=True):
-        """This algorithm lowered to a :class:`~repro.core.vector.VectorPlan`.
-
-        ``fuse=False`` disables the fusion pass — each lowered step
-        dispatches as its own kernel (the debugging escape hatch).
-        """
+    def compile_vector_plan(self, plan=None):
+        """This algorithm lowered to a :class:`~repro.core.vector.VectorPlan`."""
         from ..core.vector import VectorPlan
 
-        return VectorPlan(self, plan=plan, fuse=fuse)
+        return VectorPlan(self, plan=plan)
 
     # ------------------------------------------------------------------
     def lookup_batch(self, addresses) -> List[Optional[int]]:

@@ -215,15 +215,13 @@ class HiBst(LookupAlgorithm):
         Each level is linearized into flat per-field arrays (prefix
         value, child indices) indexed by the ``ptr`` register; the
         predecessor descent becomes one fancy-indexed compare per
-        level.  Node values are full address width, so widths beyond
-        the int64 lane limit stay on the scalar bridge.
+        level.  Node values are full address width; the lane compiler
+        only asks for specs at widths that fit its int64 lanes.
         """
         import numpy as np
 
-        from ..core.vector import MAX_VECTOR_WIDTH, VectorStepSpec
+        from ..core.vector import VectorStepSpec
 
-        if self.width > MAX_VECTOR_WIDTH:
-            return {}
         if self.root_index is None:
             return {"empty": VectorStepSpec(
                 update=lambda lanes, _v, _f, _a: None)}

@@ -353,10 +353,9 @@ class Mashup(LookupAlgorithm):
         NodeRefs and (hop, child) results live as packed int64 codes;
         the TCAM super-tables lower through their own vector views and
         the SRAM super-tables through sorted ``(tag << stride) | slot``
-        probes.  All-or-nothing: a mixed compilation would interleave
-        the scalar bridge (tuple refs) with kernels (packed codes) on
-        the same registers, so any un-encodable piece bridges the whole
-        program instead.
+        probes.  All-or-nothing, like the lane compiler itself: any
+        un-encodable piece returns no specs and the whole program runs
+        on the scalar plan instead.
         """
         import numpy as np
 

@@ -268,7 +268,7 @@ class ChaosEngine:
 
     Wraps one :class:`~repro.engine.BatchEngine` replica; everything
     except ``lookup_batch`` delegates to the wrapped engine (including
-    ``set_backend`` and the plan/cache introspection the server uses).
+    the plan/cache introspection the server uses).
     """
 
     def __init__(self, engine, plan: ChaosPlan, worker: int):

@@ -90,27 +90,17 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 def _print_lowering_report(vplan) -> None:
     """``repro lookup --explain``: the lane compiler's lowering report.
 
-    Deterministic for a fixed FIB/algorithm: which steps lowered to
-    batch kernels, which run under the scalar bridge, how the fusion
-    pass grouped them, and the dispatch-ordered kernel sequence.
+    Deterministic for a fixed FIB/algorithm: whether the program
+    lowered to batch kernels and, if so, the schedule-ordered steps
+    (one kernel each); a plan that did not lower lists none and runs
+    on the scalar plan.
     """
     info = vplan.describe()
     print(f"algorithm: {info['algorithm']}")
     print(f"width: {info['width']}")
     print(f"fully_lowered: {str(info['fully_lowered']).lower()}")
-    print(f"extract_mode: {info['extract_mode']}")
-    print(f"fuse: {str(info['fuse']).lower()}")
     print(f"lowered_steps ({len(info['lowered_steps'])}): "
           f"{' '.join(info['lowered_steps']) or '-'}")
-    print(f"bridged_steps ({len(info['bridged_steps'])}): "
-          f"{' '.join(info['bridged_steps']) or '-'}")
-    groups = info["fused_groups"]
-    rendered = " ".join("+".join(group) for group in groups) or "-"
-    print(f"fused_groups ({len(groups)}): {rendered}")
-    print("kernel_sequence:")
-    for entry in info["kernel_sequence"]:
-        tag = "fused " if entry["fused"] else ""
-        print(f"  [{tag}{entry['mode']}] {' '.join(entry['steps'])}")
     print()
 
 
@@ -128,19 +118,14 @@ def cmd_lookup(args: argparse.Namespace) -> int:
             table_stats.reset()
     addresses = [_parse_address(text, fib.width) for text in args.addresses]
     backend = getattr(args, "backend", "native")
-    fuse = not getattr(args, "no_fuse", False)
     if getattr(args, "explain", False):
-        _print_lowering_report(algo.compile_vector_plan(fuse=fuse))
+        _print_lowering_report(algo.compile_vector_plan())
     if backend == "native":
         hops = [algo.lookup(address) for address in addresses]
     elif backend == "plan":
         hops = algo.compile_plan().lookup_batch(addresses)
-    else:  # vector | auto — mirror the engine's auto rule
-        vplan = algo.compile_vector_plan(fuse=fuse)
-        if backend == "auto" and not vplan.fully_lowered:
-            hops = vplan.plan.lookup_batch(addresses)
-        else:
-            hops = vplan.lookup_batch_hops(addresses)
+    else:  # vector | auto: a plan that did not lower delegates itself
+        hops = algo.compile_vector_plan().lookup_batch_hops(addresses)
     status = 0
     for address, hop in zip(addresses, hops):
         prefix = fib.lookup_prefix(address)
@@ -1393,12 +1378,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "auto (vector when fully lowered)")
     p.add_argument("--explain", action="store_true",
                    help="print the lane compiler's lowering report "
-                        "(lowered/bridged/fused steps, kernel sequence) "
-                        "before the per-address routes")
-    p.add_argument("--no-fuse", action="store_true",
-                   help="disable the lane compiler's kernel-fusion pass "
-                        "(debugging escape hatch; vector/auto backends "
-                        "and --explain)")
+                        "(whether the program lowered, and its kernel "
+                        "schedule) before the per-address routes")
     p.add_argument("addresses", nargs="+")
     p.set_defaults(func=cmd_lookup)
 

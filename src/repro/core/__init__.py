@@ -14,7 +14,6 @@ from .plan import LookupPlan, PlanError, compile_plan
 from .program import CramProgram, DependencyError
 from .vector import (
     MISS_HOP,
-    VectorBridgeError,
     VectorError,
     VectorPlan,
     VectorStepSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "PlanError",
     "compile_plan",
     "MISS_HOP",
-    "VectorBridgeError",
     "VectorError",
     "VectorPlan",
     "VectorStepSpec",

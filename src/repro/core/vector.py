@@ -13,9 +13,7 @@ The execution model:
   pair of arrays: an ``int64`` value vector plus a boolean ``none``
   mask (the sentinel + mask convention for ``None`` lanes — masked
   lanes hold value 0, so scalar truthiness ``state.get(r)`` lowers to
-  ``vals != 0`` and presence to ``~none``).  A lazily-allocated object
-  sidecar carries the rare non-integer register values (Poptrie leaf
-  refs, BST node objects) that only the scalar bridge produces.
+  ``vals != 0`` and presence to ``~none``).
 * **Vector table views.**  Memory backings grow ``vector_reader()``
   snapshot views alongside ``plan_reader()``: bitmaps as packed
   ``uint8`` arrays gathered by an index vector
@@ -32,23 +30,21 @@ The execution model:
   ``select`` (keys + active mask) to a table view's ``gather`` and an
   ``update`` kernel, or is compute-only (``select=None``) and reads
   the lanes directly.
-* **The scalar bridge.**  Steps without a spec (or whose table cannot
-  produce a vector view) fall back to the *scalar* plan closure under
-  a per-lane gather/scatter bridge: consecutive un-lowered steps are
-  grouped into one segment that extracts a register dict per lane,
-  runs the original runners, and scatters the results back.  Every
-  algorithm therefore compiles — SAIL/RESAIL/DXR/multibit/Poptrie
-  fully lowered, the rest mixed-mode — and stays conformant.
+* **All-or-nothing lowering.**  A plan runs as kernels only when
+  *every* step has a spec whose table produced a vector view, the hop
+  extraction has an array form, and addresses fit ``int64`` lanes
+  (width <= :data:`MAX_VECTOR_WIDTH`; the IPv6 view is 64).
+  Otherwise it holds **no** kernels (``fully_lowered`` is False) and
+  :meth:`VectorPlan.lookup_batch` hands the whole batch to the
+  embedded scalar plan — one kernel schedule, one fallback, decided
+  once at compile time.  All nine algorithms lower fully at
+  lane-compatible widths.
 
 Like a :class:`~repro.core.plan.LookupPlan`, a vector plan is a
 **snapshot**: its views freeze the tables at compile time, and it must
 be recompiled after updates (:class:`repro.engine.BatchEngine` does so
 on every committed batch when its ``backend`` is ``"vector"`` or
 ``"auto"``).
-
-Addresses are carried in ``int64`` lanes, so widths above 62 bits (the
-IPv6 view is 64) cannot enter the SoA file; :meth:`VectorPlan.lookup_batch`
-transparently delegates such batches to the embedded scalar plan.
 """
 
 from __future__ import annotations
@@ -62,7 +58,6 @@ from .plan import LookupPlan
 
 __all__ = [
     "VectorError",
-    "VectorBridgeError",
     "Lanes",
     "BitmapView",
     "DenseArrayView",
@@ -86,18 +81,6 @@ class VectorError(ValueError):
     """The program (or its backings) cannot be lowered to lane kernels."""
 
 
-class VectorBridgeError(VectorError):
-    """A bridged scalar step (or scalar extraction) raised mid-batch.
-
-    Without this wrapper a raising bridge would leave every lane of the
-    batch holding the MISS sentinel — indistinguishable from a genuine
-    no-route answer.  The lane compiler therefore converts any
-    exception escaping a bridged runner into this typed error, naming
-    the step and lane, so the *batch* fails instead of silently
-    missing.  The original exception rides along as ``__cause__``.
-    """
-
-
 #: Sentinel stored in result arrays for ``None`` (no-route) lanes.
 MISS_HOP: int = int(np.iinfo(np.int64).min)
 
@@ -109,8 +92,8 @@ DENSE_LIMIT = 1 << 20
 #: intermediates (TCAM row matrices are ``lanes x rows``).
 DEFAULT_CHUNK = 4096
 
-#: Addresses must fit int64 lanes with headroom for shifts: widths
-#: above this delegate whole batches to the scalar plan.
+#: Addresses must fit int64 lanes with headroom for shifts: wider
+#: plans compile no kernels and delegate to the scalar plan.
 MAX_VECTOR_WIDTH = 62
 
 #: Largest TCAM a ``vector_reader()`` renders as one broadcast row
@@ -150,16 +133,11 @@ else:  # numpy < 2.0 (the 3.9 CI cell): 16-bit lookup-table fallback
 class Lanes:
     """A batch of CRAM register files in structure-of-arrays form.
 
-    Invariants:
-
-    * ``vals[reg][lane] == 0`` wherever ``none[reg][lane]`` is set, so
-      scalar truthiness lowers to ``vals != 0``;
-    * the object sidecar ``objs[reg]`` (allocated on demand) overrides
-      a lane's value when its entry is not ``None`` — only the scalar
-      bridge writes it.
+    Invariant: ``vals[reg][lane] == 0`` wherever ``none[reg][lane]`` is
+    set, so scalar truthiness lowers to ``vals != 0``.
     """
 
-    __slots__ = ("n", "vals", "none", "objs")
+    __slots__ = ("n", "vals", "none")
 
     def __init__(self, registers: Sequence[str], n: int):
         self.n = n
@@ -169,7 +147,6 @@ class Lanes:
         self.none: Dict[str, np.ndarray] = {
             reg: np.ones(n, dtype=bool) for reg in registers
         }
-        self.objs: Dict[str, np.ndarray] = {}
 
     # -- whole-register reads ------------------------------------------
     def values(self, reg: str) -> np.ndarray:
@@ -188,23 +165,14 @@ class Lanes:
         return self.vals[reg] != 0
 
     # -- whole-register writes -----------------------------------------
-    def fill(self, reg: str, value: Any) -> None:
-        """Broadcast one scalar initial value to every lane."""
-        vals, none = self.vals[reg], self.none[reg]
+    def fill(self, reg: str, value: Optional[int]) -> None:
+        """Broadcast one scalar initial value (or ``None``) to every lane."""
         if value is None:
-            vals[:] = 0
-            none[:] = True
-        elif isinstance(value, _BOOL_TYPES + _INT_TYPES):
-            vals[:] = int(value)
-            none[:] = False
+            self.vals[reg][:] = 0
+            self.none[reg][:] = True
         else:
-            sidecar = np.empty(self.n, dtype=object)
-            sidecar[:] = [value] * self.n
-            self.objs[reg] = sidecar
-            vals[:] = 0
-            none[:] = False
-            return
-        self.objs.pop(reg, None)
+            self.vals[reg][:] = int(value)
+            self.none[reg][:] = False
 
     def assign(self, reg: str, values, none=None) -> None:
         """Assign every lane: values + optional none mask."""
@@ -215,7 +183,6 @@ class Lanes:
         else:
             mask[:] = none
             vals[mask] = 0
-        self.objs.pop(reg, None)
 
     def assign_where(self, reg: str, where: np.ndarray, values,
                      none=None) -> None:
@@ -227,46 +194,6 @@ class Lanes:
         else:
             np.copyto(mask, none, where=where)
         vals[mask] = 0
-        sidecar = self.objs.get(reg)
-        if sidecar is not None:
-            sidecar[where] = None
-
-    # -- per-lane access (the scalar bridge) ---------------------------
-    def lane_value(self, reg: str, lane: int) -> Any:
-        sidecar = self.objs.get(reg)
-        if sidecar is not None:
-            value = sidecar[lane]
-            if value is not None:
-                return value
-        if self.none[reg][lane]:
-            return None
-        return int(self.vals[reg][lane])
-
-    def set_lane(self, reg: str, lane: int, value: Any) -> None:
-        sidecar = self.objs.get(reg)
-        if value is None:
-            self.none[reg][lane] = True
-            self.vals[reg][lane] = 0
-        elif isinstance(value, _BOOL_TYPES + _INT_TYPES):
-            try:
-                self.vals[reg][lane] = int(value)
-            except OverflowError:
-                self._set_lane_object(reg, lane, value)
-                return
-            self.none[reg][lane] = False
-        else:
-            self._set_lane_object(reg, lane, value)
-            return
-        if sidecar is not None:
-            sidecar[lane] = None
-
-    def _set_lane_object(self, reg: str, lane: int, value: Any) -> None:
-        sidecar = self.objs.get(reg)
-        if sidecar is None:
-            sidecar = self.objs[reg] = np.empty(self.n, dtype=object)
-        sidecar[lane] = value
-        self.none[reg][lane] = False
-        self.vals[reg][lane] = 0
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +448,7 @@ def map_view(slots: Dict[int, Any], capacity: Optional[int] = None):
     enough (``capacity <= DENSE_LIMIT``), sorted-probe otherwise.
 
     Returns ``None`` when the stored values are not int-like — the
-    lane compiler then bridges the step to its scalar closure.
+    step then has no kernel, so the plan does not lower.
     """
     items = _int_items(slots)
     if items is None:
@@ -624,52 +551,6 @@ def _compile_spec(step, spec: VectorStepSpec) -> Callable[[Lanes], None]:
     return run_table
 
 
-def _compile_bridge(steps: Sequence[Tuple[str, Callable[[dict], None]]],
-                    registers: Sequence[str]) -> Callable[[Lanes], None]:
-    """Consecutive un-lowered steps as one per-lane gather/scatter
-    segment over the scalar plan's own runner closures.
-
-    A raising runner would otherwise leave the whole batch holding
-    MISS sentinels — indistinguishable from genuine misses — so every
-    exception escaping a bridged step is re-raised as a
-    :class:`VectorBridgeError` naming the step and lane.
-    """
-    steps = tuple(steps)
-    registers = tuple(registers)
-
-    def run_bridge(lanes: Lanes) -> None:
-        lane_value = lanes.lane_value
-        set_lane = lanes.set_lane
-        name = steps[0][0] if steps else "?"
-        lane = 0
-        try:
-            for lane in range(lanes.n):
-                state = {reg: lane_value(reg, lane) for reg in registers}
-                for name, run in steps:
-                    run(state)
-                for reg in registers:
-                    set_lane(reg, lane, state.get(reg))
-        except Exception as exc:
-            raise VectorBridgeError(
-                f"bridged step {name!r} raised on lane {lane}: "
-                f"{type(exc).__name__}: {exc}") from exc
-    return run_bridge
-
-
-def _fuse_kernels(
-        kernels: Sequence[Callable[["Lanes"], None]]
-) -> Callable[["Lanes"], None]:
-    """One callable running a run of adjacent lane kernels back to
-    back — the fusion pass output.  The chunk dispatch loop then makes
-    a single Python call for the whole gather→compare→select chain."""
-    chain = tuple(kernels)
-
-    def run_fused(lanes: Lanes) -> None:
-        for kernel in chain:
-            kernel(lanes)
-    return run_fused
-
-
 # ---------------------------------------------------------------------------
 # The vector plan
 # ---------------------------------------------------------------------------
@@ -680,176 +561,101 @@ class VectorPlan:
 
     ``lookup_batch`` returns an ``int64`` array with :data:`MISS_HOP`
     in ``None`` lanes; ``lookup_batch_hops`` converts to the familiar
-    ``List[Optional[int]]``.  ``fully_lowered`` is True when every
-    step *and* the final hop extraction run as kernels — the condition
-    under which the engine's ``backend="auto"`` picks this plan.
+    ``List[Optional[int]]``.  Lowering is all-or-nothing:
+    ``fully_lowered`` is True when every step *and* the final hop
+    extraction run as kernels — the condition under which the engine's
+    ``backend="auto"`` picks this plan.  Otherwise the plan holds no
+    kernels and every batch runs through the embedded scalar plan.
     """
 
     MISS = MISS_HOP
 
     def __init__(self, algo, plan: Optional[LookupPlan] = None,
-                 chunk: int = DEFAULT_CHUNK, fuse: bool = True):
+                 chunk: int = DEFAULT_CHUNK):
         if chunk <= 0:
             raise VectorError("chunk must be positive")
         self.plan = plan if plan is not None else LookupPlan(algo)
-        program = self.plan.program
         self.algorithm: str = self.plan.algorithm
         self.width: int = self.plan.width
         self._chunk = chunk
-        self._registers: Tuple[str, ...] = tuple(sorted(program.registers))
-        self._base: Dict[str, Any] = self.plan._base
-        #: Whether the fusion pass ran (``--no-fuse`` turns it off).
-        self.fuse = bool(fuse)
-
-        specs: Dict[str, VectorStepSpec] = dict(algo.vector_specs())
-        # Units in schedule order: ("kernel", (name,), fn) for lowered
-        # steps, ("bridge", names, fn) for scalar-bridge segments.
-        units: List[Tuple[str, Tuple[str, ...], Callable[[Lanes], None]]] = []
-        lowered: List[str] = []
-        bridged: List[str] = []
-        pending: List[Tuple[str, Callable[[dict], None]]] = []
-
-        def flush_bridge() -> None:
-            if pending:
-                names = tuple(name for name, _runner in pending)
-                units.append(("bridge", names,
-                              _compile_bridge(pending, self._registers)))
-                bridged.extend(names)
-                del pending[:]
-
-        views: Dict[str, Any] = {}
-        for name, runner in zip(self.plan.step_names, self.plan._runners):
-            spec = specs.pop(name, None)
-            kernel = None
-            if spec is not None:
-                try:
-                    kernel = _compile_spec(program.step(name), spec)
-                except VectorError:
-                    kernel = None  # un-lowerable table: bridge the step
-            if kernel is None:
-                pending.append((name, runner))
-            else:
-                flush_bridge()
-                units.append(("kernel", (name,), kernel))
-                lowered.append(name)
-                views[name] = spec.reader
-        flush_bridge()
-        if specs:
-            raise VectorError(
-                f"vector_specs for unknown steps: {sorted(specs)}")
-
-        #: Step names executed as lane kernels, in schedule order.
-        self.lowered_steps = tuple(lowered)
-        #: Step names served by the per-lane scalar bridge.
-        self.bridged_steps = tuple(bridged)
-        #: Schedule-ordered compile units; :meth:`patch` swaps kernels
-        #: here and re-runs the fusion assembly.
-        self._units = units
-        self._views = views
+        self._registers: Tuple[str, ...] = tuple(
+            sorted(self.plan.program.registers))
+        self._base_items = [(reg, value)
+                            for reg, value in self.plan._base.items()
+                            if value is not None and reg != "addr"]
         self._algo = algo
-        self._assemble()
-        self._bind_extract()
+        #: Step names executed as lane kernels, in schedule order —
+        #: every step of the program, or empty when it did not lower.
+        self.lowered_steps: Tuple[str, ...] = ()
+        self._kernels: List[Callable[[Lanes], None]] = []
+        self._views: Dict[str, Any] = {}
+        self._extract = None
+        #: True when every step and the hop extraction run as kernels.
+        self.fully_lowered = False
+        if self.width <= MAX_VECTOR_WIDTH:
+            self._lower()
 
-        self._numpy_ok = self.width <= MAX_VECTOR_WIDTH
-        self.fully_lowered = (self._numpy_ok and not self.bridged_steps
-                              and self.extract_mode == "vector")
+    def _lower(self) -> None:
+        """Compile every step and the hop extraction to kernels, or
+        leave the plan empty if any of them has no array form."""
+        extract = self._bind_extract()
+        if extract is None or not all(
+                isinstance(value, _BOOL_TYPES + _INT_TYPES)
+                for _reg, value in self._base_items):
+            return
+        specs: Dict[str, VectorStepSpec] = dict(self._algo.vector_specs())
+        names = self.plan.step_names
+        unknown = sorted(set(specs) - set(names))
+        if unknown:
+            raise VectorError(f"vector_specs for unknown steps: {unknown}")
+        if len(specs) < len(names):
+            return  # a step without a spec: nothing lowers
+        program = self.plan.program
+        try:
+            kernels = [_compile_spec(program.step(name), specs[name])
+                       for name in names]
+        except VectorError:
+            return  # a table with no vector view: nothing lowers
+        self.lowered_steps = tuple(names)
+        self._kernels = kernels
+        self._views = {name: specs[name].reader for name in names}
+        self._extract = extract
+        self.fully_lowered = True
 
-    def _assemble(self) -> None:
-        """The fusion pass: collapse maximal runs of adjacent lowered
-        kernels into single fused callables, so the per-chunk dispatch
-        loop makes one Python call per *run* instead of one per step.
-        Bridge segments are fusion barriers."""
-        kernels: List[Callable[[Lanes], None]] = []
-        sequence: List[Dict[str, Any]] = []
-        fused_groups: List[Tuple[str, ...]] = []
-        run_names: List[str] = []
-        run_kernels: List[Callable[[Lanes], None]] = []
-
-        def flush_run() -> None:
-            if not run_kernels:
-                return
-            if self.fuse and len(run_kernels) > 1:
-                kernels.append(_fuse_kernels(run_kernels))
-                fused_groups.append(tuple(run_names))
-                sequence.append({"steps": list(run_names),
-                                 "mode": "vector", "fused": True})
-            else:
-                for name, kernel in zip(run_names, run_kernels):
-                    kernels.append(kernel)
-                    sequence.append({"steps": [name],
-                                     "mode": "vector", "fused": False})
-            del run_names[:]
-            del run_kernels[:]
-
-        for kind, names, fn in self._units:
-            if kind == "kernel":
-                run_names.extend(names)
-                run_kernels.append(fn)
-            else:
-                flush_run()
-                kernels.append(fn)
-                sequence.append({"steps": list(names),
-                                 "mode": "bridge", "fused": False})
-        flush_run()
-
-        self._kernels = tuple(kernels)
-        #: Step-name groups collapsed into single fused kernels.
-        self.fused_groups = tuple(fused_groups)
-        #: Steps executing inside fused kernels (the gauge value).
-        self.fused_steps = sum(len(group) for group in self.fused_groups)
-        #: Dispatch-ordered kernel description (goldens + --explain).
-        self._sequence = tuple(
-            {key: (list(value) if isinstance(value, list) else value)
-             for key, value in entry.items()} for entry in sequence)
-
-    def _bind_extract(self) -> None:
+    def _bind_extract(self):
+        """The array hop extractor, or ``None`` when the algorithm
+        overrides ``cram_extract_hop`` without a vector counterpart."""
         algo = self._algo
         from ..algorithms.base import LookupAlgorithm
         frozen = algo.vector_extract_factory()
         if frozen is not None:
-            self._extract_vec = frozen
-            self.extract_mode = "vector"
-        elif (type(algo).vector_extract_hop
+            return frozen
+        if (type(algo).vector_extract_hop
                 is not LookupAlgorithm.vector_extract_hop):
-            self._extract_vec = algo.vector_extract_hop
-            self.extract_mode = "vector"
-        elif (type(algo).cram_extract_hop
-                is LookupAlgorithm.cram_extract_hop):
-            self._extract_vec = _extract_hop_register
-            self.extract_mode = "vector"
-        else:
-            # A custom scalar extractor with no vector counterpart:
-            # run it per lane (the extraction analogue of the bridge).
-            self._extract_scalar = algo.cram_extract_hop
-            self._extract_vec = None
-            self.extract_mode = "scalar"
+            return algo.vector_extract_hop
+        if type(algo).cram_extract_hop is LookupAlgorithm.cram_extract_hop:
+            return _extract_hop_register
+        return None
 
     def patch(self, specs: Dict[str, VectorStepSpec]) -> None:
         """Swap the named steps' kernels for freshly-frozen ones.
 
         ``specs`` comes from the algorithm's ``vector_patch(delta)``
-        hook.  Only single-step kernel units can be patched; a name
-        currently served by the scalar bridge raises
-        :class:`VectorError` (the engine then falls back to a full
-        recompile).  Fusion re-runs over the updated unit list, and
-        extraction re-freezes, so a patched plan is indistinguishable
-        from a recompiled one.
+        hook.  A plan that did not lower has nothing to patch and
+        raises :class:`VectorError`, as does an unknown step name (the
+        engine then falls back to a full recompile).  Extraction
+        re-freezes, so a patched plan is indistinguishable from a
+        recompiled one.
         """
         program = self.plan.program
-        index = {}
-        for i, (kind, names, _fn) in enumerate(self._units):
-            if kind == "kernel":
-                index[names[0]] = i
         for name, spec in specs.items():
-            i = index.get(name)
-            if i is None:
+            if name not in self.lowered_steps:
                 raise VectorError(
                     f"vector_patch for un-lowered or unknown step {name!r}")
-            kernel = _compile_spec(program.step(name), spec)
-            self._units[i] = ("kernel", (name,), kernel)
+            self._kernels[self.lowered_steps.index(name)] = _compile_spec(
+                program.step(name), spec)
             self._views[name] = spec.reader
-        self._assemble()
-        self._bind_extract()
+        self._extract = self._bind_extract()
 
     def step_view(self, name: str):
         """The table view ``name``'s kernel was compiled against, or
@@ -867,11 +673,6 @@ class VectorPlan:
     def __len__(self) -> int:
         return len(self._kernels)
 
-    @property
-    def lowered_fraction(self) -> float:
-        total = len(self.lowered_steps) + len(self.bridged_steps)
-        return len(self.lowered_steps) / total if total else 1.0
-
     # ------------------------------------------------------------------
     # Data path
     # ------------------------------------------------------------------
@@ -883,11 +684,12 @@ class VectorPlan:
         """A whole batch through the kernels.
 
         Returns an ``int64`` array of next hops with :data:`MISS_HOP`
-        in no-route lanes.  Batches whose addresses cannot live in
-        int64 lanes (width > 62, or values >= 2**63) run through the
-        embedded scalar plan instead — same snapshot, same answers.
+        in no-route lanes.  A plan that did not lower — and any batch
+        whose addresses cannot live in int64 lanes (values >= 2**63) —
+        runs through the embedded scalar plan instead: same snapshot,
+        same answers.
         """
-        if not self._numpy_ok:
+        if not self.fully_lowered:
             return self._scalar_batch(addresses)
         try:
             addrs = np.asarray(addresses, dtype=np.int64)
@@ -898,12 +700,10 @@ class VectorPlan:
         n = int(addrs.shape[0])
         hops = np.empty(n, dtype=np.int64)
         registers = self._registers
-        base_items = [(reg, value) for reg, value in self._base.items()
-                      if value is not None and reg != "addr"]
         for start in range(0, n, self._chunk):
             segment = addrs[start:start + self._chunk]
             lanes = Lanes(registers, int(segment.shape[0]))
-            for reg, value in base_items:
+            for reg, value in self._base_items:
                 lanes.fill(reg, value)
             lanes.assign("addr", segment)
             for kernel in self._kernels:
@@ -917,30 +717,6 @@ class VectorPlan:
         hops = self.lookup_batch(addresses)
         return [None if hop == MISS_HOP else hop for hop in hops.tolist()]
 
-    # ------------------------------------------------------------------
-    def _extract(self, lanes: Lanes) -> Tuple[np.ndarray, np.ndarray]:
-        if self._extract_vec is not None:
-            return self._extract_vec(lanes)
-        vals = np.zeros(lanes.n, dtype=np.int64)
-        none = np.zeros(lanes.n, dtype=bool)
-        registers = self._registers
-        lane_value = lanes.lane_value
-        extract = self._extract_scalar
-        lane = 0
-        try:
-            for lane in range(lanes.n):
-                state = {reg: lane_value(reg, lane) for reg in registers}
-                hop = extract(state)
-                if hop is None:
-                    none[lane] = True
-                else:
-                    vals[lane] = hop
-        except Exception as exc:
-            raise VectorBridgeError(
-                f"scalar hop extraction raised on lane {lane}: "
-                f"{type(exc).__name__}: {exc}") from exc
-        return vals, none
-
     def _scalar_batch(self, addresses) -> np.ndarray:
         hops = self.plan.lookup_batch([int(a) for a in addresses])
         return np.array([MISS_HOP if hop is None else hop for hop in hops],
@@ -953,21 +729,9 @@ class VectorPlan:
             "algorithm": self.algorithm,
             "width": self.width,
             "steps": len(self.plan.step_names),
-            "lowered_steps": list(self.lowered_steps),
-            "bridged_steps": list(self.bridged_steps),
-            "lowered_fraction": round(self.lowered_fraction, 4),
-            "extract_mode": self.extract_mode,
             "fully_lowered": self.fully_lowered,
-            "fuse": self.fuse,
-            "fused_steps": self.fused_steps,
-            "fused_groups": [list(group) for group in self.fused_groups],
-            "kernel_sequence": self.kernel_sequence(),
+            "lowered_steps": list(self.lowered_steps),
         }
-
-    def kernel_sequence(self) -> List[Dict[str, Any]]:
-        """Dispatch-ordered kernels: step names, mode, fusion grouping."""
-        return [{"steps": list(entry["steps"]), "mode": entry["mode"],
-                 "fused": entry["fused"]} for entry in self._sequence]
 
 
 def _extract_hop_register(lanes: Lanes) -> Tuple[np.ndarray, np.ndarray]:
@@ -976,7 +740,6 @@ def _extract_hop_register(lanes: Lanes) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def compile_vector_plan(algo, plan: Optional[LookupPlan] = None,
-                        chunk: int = DEFAULT_CHUNK,
-                        fuse: bool = True) -> VectorPlan:
+                        chunk: int = DEFAULT_CHUNK) -> VectorPlan:
     """Lower ``algo``'s compiled plan into a :class:`VectorPlan`."""
-    return VectorPlan(algo, plan=plan, chunk=chunk, fuse=fuse)
+    return VectorPlan(algo, plan=plan, chunk=chunk)

@@ -55,7 +55,6 @@ class BatchEngine:
         name: str = "engine",
         cache_sample: int = 8,
         backend: str = "plan",
-        fuse: bool = True,
         patch_threshold: int = 256,
     ):
         if backend not in ENGINE_BACKENDS:
@@ -65,8 +64,6 @@ class BatchEngine:
         self.registry = registry or MetricsRegistry()
         self._algo = algo
         self.backend = backend
-        #: Whether the lane compiler's fusion pass runs (debug knob).
-        self.fuse = fuse
         #: Largest committed delta (route count) eligible for plan
         #: patching; bigger batches take the full-recompile path, where
         #: one rebuild beats many per-step regenerations.  ``0``
@@ -111,12 +108,6 @@ class BatchEngine:
         self._lowered_gauge = reg.gauge(
             "repro_engine_vector_lowered_steps",
             "Steps the lane compiler lowered to batch kernels.")
-        self._bridged_gauge = reg.gauge(
-            "repro_engine_vector_bridged_steps",
-            "Steps served by the vector plan's per-lane scalar bridge.")
-        self._fused_gauge = reg.gauge(
-            "repro_engine_vector_fused_steps",
-            "Steps executing inside fused lane kernels.")
         self._plan: LookupPlan
         self._vector: Optional[VectorPlan] = None
         self._compile()
@@ -126,14 +117,9 @@ class BatchEngine:
         backend can use it — then refresh the lowering gauges."""
         self._plan = compile_plan(self._algo)
         if self.backend != "plan":
-            self._vector = compile_vector_plan(self._algo, plan=self._plan,
-                                               fuse=self.fuse)
+            self._vector = compile_vector_plan(self._algo, plan=self._plan)
             self._lowered_gauge.set(len(self._vector.lowered_steps),
                                     engine=self.name)
-            self._bridged_gauge.set(len(self._vector.bridged_steps),
-                                    engine=self.name)
-            self._fused_gauge.set(self._vector.fused_steps,
-                                  engine=self.name)
         active = self.active_backend
         for backend in ENGINE_BACKENDS:
             self._backend_gauge.set(1 if backend == active else 0,
@@ -165,29 +151,6 @@ class BatchEngine:
                 and self._vector.fully_lowered:
             return "vector"
         return "plan"
-
-    def set_backend(self, backend: str) -> None:
-        """Switch execution backend in place (health degradation path).
-
-        A DEGRADED server falls back from ``"vector"`` to the scalar
-        ``"plan"`` backend — and back — without rebuilding the engine:
-        the compiled plans are kept (or recompiled when switching *to*
-        a vector-capable backend for the first time) and the FIB cache
-        survives the flip.
-        """
-        if backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"backend {backend!r} not one of {ENGINE_BACKENDS}")
-        if backend == self.backend:
-            return
-        self.backend = backend
-        if backend != "plan" and self._vector is None:
-            self._compile()
-        else:
-            active = self.active_backend
-            for candidate in ENGINE_BACKENDS:
-                self._backend_gauge.set(1 if candidate == active else 0,
-                                        engine=self.name, backend=candidate)
 
     # ------------------------------------------------------------------
     # Data path
@@ -314,25 +277,19 @@ class BatchEngine:
             readers = algo.plan_patch(delta, self._plan)
             if readers is None:
                 return False
+            # A vector plan that did not lower holds no kernels: it
+            # delegates to the (patched) scalar plan, nothing to re-freeze.
+            lowered = self._vector is not None and self._vector.fully_lowered
             specs = None
-            if self._vector is not None:
+            if lowered:
                 specs = algo.vector_patch(delta, self._vector)
                 if specs is None:
                     return False
             self._plan.patch(readers)
-            if self._vector is not None:
+            if lowered:
                 self._vector.patch(specs)
         except (PlanError, VectorError):
             return False
-        if self._vector is not None:
-            # Re-assembly keeps the lowering partition, but refresh the
-            # gauges anyway so they can never drift from the plan.
-            self._lowered_gauge.set(len(self._vector.lowered_steps),
-                                    engine=self.name)
-            self._bridged_gauge.set(len(self._vector.bridged_steps),
-                                    engine=self.name)
-            self._fused_gauge.set(self._vector.fused_steps,
-                                  engine=self.name)
         return True
 
     def warm(self, addresses: Sequence[int]) -> None:

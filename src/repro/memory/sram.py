@@ -97,7 +97,7 @@ class DirectIndexTable(Generic[V]):
 
         Dense index → value arrays when the key space is small enough,
         a sorted-key probe view otherwise; ``None`` when the stored
-        values are not int-like (the plan then bridges to scalar).
+        values are not int-like (the plan then does not lower).
         Frozen like :meth:`plan_reader` — recompile after updates.
         """
         return map_view(self._slots, capacity=self.capacity)

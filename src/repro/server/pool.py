@@ -29,8 +29,9 @@ Failure semantics (the fault model ``docs/robustness.md`` documents):
 * a **worker crash** (:class:`~repro.server.coalescer.WorkerCrash`, or
   any exception escaping the worker loop itself) leaves the batch
   *unscattered* and exits the thread; the ``on_worker_exit`` callback
-  hands the orphaned batch to the supervisor, which re-queues it on a
-  surviving worker and restarts the dead one within its budget.  A
+  hands the orphaned batch (as a list, empty when none) to the
+  supervisor, which re-queues it on a surviving worker and restarts
+  the dead one within its budget.  A
   bare pool (no supervisor wired) fails the orphan instead of losing
   it — every accepted batch resolves either way.
 """
@@ -144,9 +145,8 @@ class ThreadWorkerPool:
         on_error: Optional[Callable[[CoalescedBatch,
                                      BaseException], None]] = None,
         on_worker_exit: Optional[Callable[[int, BaseException,
-                                           Optional[CoalescedBatch]],
+                                           List[CoalescedBatch]],
                                           None]] = None,
-        backend_of: Optional[Callable[[], Optional[str]]] = None,
         clock=None,
     ):
         if not engines:
@@ -163,7 +163,6 @@ class ThreadWorkerPool:
         self._on_depth = on_depth
         self._on_error = on_error
         self._on_worker_exit = on_worker_exit
-        self._backend_of = backend_of
         #: Optional clock for span phase marks; ``None`` keeps the hot
         #: loop free of per-batch clock reads entirely.
         self._clock = clock
@@ -329,17 +328,6 @@ class ThreadWorkerPool:
         if self._on_depth is not None:
             self._on_depth(self._queue.qsize())
 
-    def _apply_backend(self, engine) -> None:
-        """Honour the server's backend preference (health degradation)
-        between batches — each worker flips only its own replica, so no
-        cross-thread engine state is ever touched."""
-        if self._backend_of is None:
-            return
-        want = self._backend_of()
-        if want is not None and getattr(engine, "backend", want) != want \
-                and hasattr(engine, "set_backend"):
-            engine.set_backend(want)
-
     def _run(self, worker: int, engine) -> None:
         batch: Optional[CoalescedBatch] = None
         try:
@@ -348,7 +336,6 @@ class ThreadWorkerPool:
                 if batch is _STOP:
                     return
                 self._note_depth()
-                self._apply_backend(engine)
                 clock = self._clock
                 try:
                     meta = batch.meta
@@ -384,12 +371,13 @@ class ThreadWorkerPool:
                         self._on_error(batch, exc)
                 batch = None
         except BaseException as exc:  # noqa: BLE001 — worker death
-            orphan = batch if batch is not None and batch is not _STOP \
-                else None
+            orphans = [batch] if batch is not None and batch is not _STOP \
+                else []
             if self._on_error is not None:
-                self._on_error(orphan, exc)
+                self._on_error(orphans[0] if orphans else None, exc)
             if self._on_worker_exit is not None:
-                self._on_worker_exit(worker, exc, orphan)
-            elif orphan is not None:
+                self._on_worker_exit(worker, exc, orphans)
+            else:
                 # No supervisor: the orphan must still resolve.
-                orphan.fail(exc)
+                for orphan in orphans:
+                    orphan.fail(exc)

@@ -637,27 +637,8 @@ class ProcessWorkerPool:
                     self._snapshot_dirty = False
                 message = ("snapshot", self._ship_seq,
                            self._current_snapshot())
-            if self._on_ship is not None:
-                self._on_ship(message[0], len(pickle.dumps(message)))
-            with self._lock:
-                self._acked = set()
-                live = [i for i in range(self._n) if self.worker_alive(i)]
-                for worker in live:
-                    self._commit_seqs[worker] += 1
-            for worker in live:
-                self._task_qs[worker].put(message)
-        with self._idle:
-            self._idle.wait_for(
-                lambda: self._acked >= set(
-                    w for w in live if self.worker_alive(w)),
-                timeout=self._ack_timeout_s)
-            laggards = [w for w in live
-                        if w not in self._acked and self.worker_alive(w)]
-        for worker in laggards:
-            # Killing it converts "hung on ack" into the ordinary
-            # worker-death path: monitor -> on_worker_exit -> restart
-            # from self._snapshot (the snapshot it failed to ack).
-            self.kill_worker(worker)
+            live = self._ship(message)
+        self._await_acks(live)
 
     def reload_artifact(self, path: str, snapshot: Snapshot) -> None:
         """Blue/green flip: every worker becomes the catalog snapshot
@@ -679,16 +660,26 @@ class ProcessWorkerPool:
             self._table = dict(self._artifact_base)
             self._snapshot = sorted(snapshot)
             self._snapshot_dirty = False
-            message = ("reload", self._ship_seq, path)
-            if self._on_ship is not None:
-                self._on_ship("reload", len(pickle.dumps(message)))
-            with self._lock:
-                self._acked = set()
-                live = [i for i in range(self._n) if self.worker_alive(i)]
-                for worker in live:
-                    self._commit_seqs[worker] += 1
+            live = self._ship(("reload", self._ship_seq, path))
+        self._await_acks(live)
+
+    def _ship(self, message) -> List[int]:
+        """Queue ``message`` to every live worker and return them
+        (caller holds ``_lifecycle``)."""
+        if self._on_ship is not None:
+            self._on_ship(message[0], len(pickle.dumps(message)))
+        with self._lock:
+            self._acked = set()
+            live = [i for i in range(self._n) if self.worker_alive(i)]
             for worker in live:
-                self._task_qs[worker].put(message)
+                self._commit_seqs[worker] += 1
+        for worker in live:
+            self._task_qs[worker].put(message)
+        return live
+
+    def _await_acks(self, live: List[int]) -> None:
+        """Wait up to ``ack_timeout_s`` for the shipped workers' acks,
+        then kill the laggards."""
         with self._idle:
             self._idle.wait_for(
                 lambda: self._acked >= set(
@@ -697,6 +688,9 @@ class ProcessWorkerPool:
             laggards = [w for w in live
                         if w not in self._acked and self.worker_alive(w)]
         for worker in laggards:
+            # Killing it converts "hung on ack" into the ordinary
+            # worker-death path: monitor -> on_worker_exit -> restart
+            # from the snapshot (or artifact) it failed to ack.
             self.kill_worker(worker)
 
     def _wait_idle(self) -> None:

@@ -30,9 +30,11 @@ Fault tolerance (``docs/robustness.md`` has the full fault model):
   *never* hangs past its deadline, and late answers are dropped;
 * **degradation** — a :class:`~repro.server.supervisor.ServingHealth`
   state machine (HEALTHY → DEGRADED → BROWNOUT) driven by queue depth,
-  restart rate, and deadline-miss rate.  DEGRADED flips vector-backend
-  workers to the scalar plan (thread mode); BROWNOUT serves
-  answer-cache hits at the current epoch and sheds the rest;
+  restart rate, and deadline-miss rate.  DEGRADED is a health signal
+  on the way to BROWNOUT, not a backend switch: the scalar plan costs
+  8.2 vs 0.95 µs/lookup, so falling back to it under load would only
+  deepen the queue.  BROWNOUT serves answer-cache hits at the current
+  epoch and sheds the rest;
 * **chaos** — a seeded :class:`~repro.chaos.ChaosPlan` injects
   scripted dataplane faults (worker kills, in-batch exceptions,
   delayed/dropped snapshot-acks, commit-gate stalls) for the
@@ -296,7 +298,6 @@ class LookupServer:
                 gate=self.gate, epoch_of=lambda: self._epoch,
                 on_done=self._on_done, on_depth=self._on_depth,
                 on_error=self._on_error, on_worker_exit=on_worker_exit,
-                backend_of=self._preferred_backend if supervise else None,
                 clock=self.clock)
         else:
             if factory is None or base_fib is None:
@@ -529,17 +530,8 @@ class LookupServer:
                 for address, hop in zip(handle.addresses, handle._hops):
                     self._answer_cache[address] = hop
 
-    def _preferred_backend(self) -> Optional[str]:
-        """Thread-pool ``backend_of`` hook: DEGRADED (or worse) falls a
-        vector-capable backend back to the scalar plan."""
-        if self.backend == "plan" or self.health is None:
-            return None
-        if self.health.state is not ServingState.HEALTHY:
-            return "plan"
-        return self.backend
-
     def _worker_exited(self, worker: int, exc: BaseException,
-                       orphans=None) -> None:
+                       orphans: List[CoalescedBatch]) -> None:
         if self.supervisor is not None:
             self.supervisor.worker_exited(worker, exc, orphans)
 

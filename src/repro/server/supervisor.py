@@ -19,9 +19,12 @@ of :mod:`repro.control.runtime`'s control-plane guards):
   restarts, deadline-miss rate — drive *upward* transitions
   immediately; *downward* transitions need ``recovery_s`` of calm
   (hysteresis, so the server does not flap on the boundary).  The
-  server maps states to behaviour: DEGRADED falls the vector backend
-  back to the scalar plan, BROWNOUT serves answer-cache hits and sheds
-  everything else.
+  server maps states to behaviour: DEGRADED is a health signal only
+  (gauge, transition counter, ``/health``) — an engine's execution
+  path is fixed at compile time, and the scalar plan costs 8.2 vs
+  0.95 µs/lookup, so moving a loaded server onto it would only deepen
+  the queue; BROWNOUT serves answer-cache hits and sheds everything
+  else.
 * :class:`RetryingClient` wraps a server with idempotent client-side
   retries: lookups are pure reads, so :class:`RequestTimeout`,
   :class:`RequestShed` and worker-crash failures are safely resubmitted
@@ -42,7 +45,7 @@ import enum
 import random
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from ..obs.clock import Clock, MonotonicClock, TimerHandle
 from .coalescer import (
@@ -318,9 +321,8 @@ class WorkerSupervisor:
     """Turns worker-exit events into re-queues and budgeted restarts.
 
     Wire :meth:`worker_exited` as the pool's ``on_worker_exit``
-    callback (both pools call it — the thread pool with a single
-    orphan-or-None, the process pool with a list; both shapes are
-    accepted).  The sequence per death:
+    callback (both pools call it with the list of batches the dead
+    worker left unscattered, empty when none).  The sequence per death:
 
     1. count the death (``on_death``) and feed the health monitor;
     2. re-queue every orphaned batch via ``pool.requeue`` — the pools
@@ -366,12 +368,8 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------
     def worker_exited(self, worker: int, exc: BaseException,
-                      orphans=None) -> None:
+                      orphans: Sequence[CoalescedBatch]) -> None:
         """Pool callback: ``worker`` died with ``orphans`` in flight."""
-        if isinstance(orphans, CoalescedBatch):
-            orphans = [orphans]
-        elif orphans is None:
-            orphans = []
         with self._lock:
             self.deaths += 1
             closed = self._closed

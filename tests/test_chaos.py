@@ -31,8 +31,8 @@ class CountingEngine:
         self.calls += 1
         return [None] * len(addresses)
 
-    def set_backend(self, backend):
-        self.backend = backend
+    def seed_cache(self, tally):
+        self.seeded = tally
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,8 @@ class TestChaosEngine:
         for _ in range(5):
             engine.lookup_batch([1, 2])
         assert engine._seq == 5 and inner.calls == 5
-        engine.set_backend("plan")  # __getattr__ delegation
-        assert inner.backend == "plan"
+        engine.seed_cache({1: 2})  # __getattr__ delegation
+        assert inner.seeded == {1: 2}
 
 
 # ---------------------------------------------------------------------------

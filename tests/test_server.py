@@ -503,15 +503,30 @@ class TestThreadWorkerPool:
                     break
                 deadline.wait(0.01)
             assert len(exits) == 1
-            worker, exc, orphan = exits[0]
+            worker, exc, orphans = exits[0]
             assert worker == 0 and isinstance(exc, WorkerCrash)
-            assert orphan is batch
+            assert orphans == [batch]  # a list, like the process pool
             assert not handle.done()  # unscattered: safe to re-queue
             assert pool.alive_workers() == 0
             # requeue with no live worker: queued (a restart drains it)
             # or failed typed — never silently dropped.
             pool.restart_worker(0)
             assert pool.requeue(batch) or handle.done()
+        finally:
+            pool.close(drain=False)
+
+    def test_bare_pool_fails_the_orphan_of_a_crashed_worker(self):
+        class CrashingEngine:
+            def lookup_batch(self, addresses):
+                raise WorkerCrash("induced death")
+
+        pool = ThreadWorkerPool([CrashingEngine()])  # no supervisor wired
+        pool.start()
+        try:
+            handle = PendingLookup([1], 0.0)
+            pool.submit(CoalescedBatch([1], [(handle, 0, 0, 1)], "size"))
+            with pytest.raises(WorkerCrash):
+                handle.result(timeout=10)
         finally:
             pool.close(drain=False)
 
@@ -541,7 +556,7 @@ class TestThreadWorkerPool:
             assert pool.alive_workers() == 0
             assert pool.restart_worker(0)
             assert pool.alive_workers() == 1
-            worker, orphan = exits[0]
+            worker, (orphan,) = exits[0]
             assert pool.requeue(orphan)
             assert doomed.result(10) == [None]
         finally:

@@ -39,8 +39,9 @@ from repro.chaos import ChaosPlan
 from repro.control import ChurnGenerator, ManagedFib, RuntimePolicy
 from repro.control.runtime import Health
 from repro.prefix.prefix import Prefix
+from repro.obs.clock import MonotonicClock
 from repro.prefix.trie import Fib
-from repro.server import LookupServer, ServerError
+from repro.server import LookupServer, ServerError, ServingHealth
 
 WIDTH = 8
 PRODUCERS = 4
@@ -410,28 +411,37 @@ def test_worker_death_mid_reload_restarts_from_new_version(tmp_path):
     loaded_old = catalog.load("chaos", "v001")
 
     managed = ManagedFib(lambda fib: HiBst(fib), old_fib)
+    # Lenient health (as run_bench_serve's faulted pass builds): this
+    # test is about the restart's snapshot version, and host load must
+    # not be able to push the server into BROWNOUT shedding meanwhile.
+    lenient = ServingHealth(
+        MonotonicClock(), queue_capacity=32,
+        degraded_restarts=10, brownout_restarts=20,
+        degraded_miss_rate=1.1, brownout_miss_rate=1.1,
+        degraded_depth=100.0, brownout_depth=200.0)
     server = LookupServer(managed=managed, workers=2, mode="process",
                           max_batch=MAX_BATCH, max_wait_s=0.001,
-                          artifact=str(loaded_old.path))
+                          artifact=str(loaded_old.path), health=lenient)
     addresses = list(range(1 << WIDTH))
     with server:
         assert server.lookup_batch(addresses, timeout=60) == \
             [old_fib.lookup(a) for a in addresses]
 
         pool = server.pool
-        reload_started = threading.Event()
+        note_ship = pool._on_ship
+        killed = []
 
-        def assassin():
-            reload_started.wait(timeout=30)
-            time.sleep(0.002)  # land the SIGTERM inside the flip
-            pool.kill_worker(0)
+        def kill_at_ship(kind, nbytes):
+            # The ship point: the parent has already swapped in the new
+            # artifact path and is about to queue the reload message.
+            if kind == "reload":
+                killed.append(pool.kill_worker(0))
+            note_ship(kind, nbytes)
 
-        killer = threading.Thread(target=assassin, name="assassin")
-        killer.start()
+        pool._on_ship = kill_at_ship
         loaded_new = catalog.load("chaos", "v002")
-        reload_started.set()
         epoch = server.reload_artifact(loaded_new)
-        killer.join()
+        assert killed == [True]
         assert epoch == 1
 
         # Supervision restarts the dead worker; the re-fork must mmap

@@ -131,6 +131,17 @@ class TestCompare:
             {"values.workers": 4.0}, {"values.workers": 1.0}))
         assert report["ok"]
 
+    def test_vanished_metrics_are_removed_not_regressed(self):
+        # A sidecar that drops a key (a deleted A-B leg) is not a drop
+        # to zero: only metrics present in both runs are compared.
+        report = trajectory.compare_runs(self._history(
+            {"timings.vector_lookups_per_s": 100.0,
+             "timings.unfused_lookups_per_s": 100.0},
+            {"timings.vector_lookups_per_s": 101.0}))
+        assert report["ok"]
+        assert [f["metric"] for f in report["findings"]] == \
+            ["timings.vector_lookups_per_s"]
+
     def test_render_report_mentions_warnings(self):
         report = trajectory.compare_runs(self._history(
             {"timings.lookups_per_s": 100.0},

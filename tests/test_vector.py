@@ -14,11 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import HiBst, LogicalTcam, MultibitTrie, Sail
+from repro.algorithms import Bsic, HiBst, LogicalTcam, MultibitTrie, Sail
 from repro.control import ChurnGenerator, ManagedFib
 from repro.core import (
     MISS_HOP,
-    VectorBridgeError,
     VectorError,
     VectorStepSpec,
     compile_plan,
@@ -40,11 +39,12 @@ from repro.engine import BatchEngine
 from repro.prefix import Fib, Prefix
 
 
-class BridgedTcam(LogicalTcam):
-    """LogicalTcam with its lowering withheld: every step bridges.
+class UnloweredTcam(LogicalTcam):
+    """LogicalTcam with its lowering withheld: nothing lowers.
 
-    Now that all nine real algorithms lower fully, the mixed-mode and
-    auto-fallback paths need a synthetic algorithm to stay covered.
+    All nine real algorithms lower fully at lane-compatible widths, so
+    the delegation and auto-fallback paths need a synthetic algorithm
+    (or an over-wide table) to stay covered.
     """
 
     def vector_specs(self):
@@ -90,29 +90,17 @@ class TestLanes:
         lanes.assign_where("r", where, np.array([1, 2, 3, 4]),
                            none=np.array([False, True, True, True]))
         # Unselected lanes keep their value; selected lane 2 went None.
-        assert lanes.lane_value("r", 0) == 1
-        assert lanes.lane_value("r", 1) == 9
-        assert lanes.lane_value("r", 2) is None
-        assert lanes.values("r")[2] == 0  # sentinel invariant
+        assert lanes.values("r").tolist() == [1, 9, 0, 9]  # 0: sentinel
+        assert lanes.is_none("r").tolist() == [False, False, True, False]
 
     def test_fill_none_and_roundtrip(self):
         lanes = Lanes(["r"], 3)
+        lanes.fill("r", 42)
+        assert lanes.values("r").tolist() == [42] * 3
+        assert not lanes.is_none("r").any()
         lanes.fill("r", None)
-        assert all(lanes.lane_value("r", i) is None for i in range(3))
-        lanes.set_lane("r", 1, 42)
-        assert lanes.lane_value("r", 1) == 42
-        lanes.set_lane("r", 1, None)
-        assert lanes.lane_value("r", 1) is None
-
-    def test_object_sidecar_for_unrepresentable_values(self):
-        lanes = Lanes(["r"], 2)
-        lanes.set_lane("r", 0, 1 << 70)      # overflows int64
-        lanes.set_lane("r", 1, ("node", 3))  # not an int at all
-        assert lanes.lane_value("r", 0) == 1 << 70
-        assert lanes.lane_value("r", 1) == ("node", 3)
-        # A vector write through the same register clears the sidecar.
-        lanes.assign("r", np.array([7, 8]))
-        assert lanes.lane_value("r", 0) == 7
+        assert lanes.is_none("r").all()
+        assert lanes.values("r").tolist() == [0] * 3  # sentinel invariant
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +198,7 @@ class TestViews:
 
         table = TcamTable(64)
         table.insert_prefix(Prefix.from_bits(0b1, 1, 64), 1)
-        # 64-bit masked values overflow int64 lanes: bridge instead.
+        # 64-bit masked values overflow int64 lanes: no view, no kernels.
         assert table.vector_reader() is None
 
     def test_popcount64_matches_python(self):
@@ -319,38 +307,36 @@ class TestVectorPlan:
         addresses = [1 << 63, (1 << 63) | 5, 17]
         assert vplan.lookup_batch_hops(addresses) == [3, 3, None]
 
-    def test_mixed_mode_reports_bridged_steps(self):
+    def test_withheld_spec_compiles_no_kernels(self):
         fib = small_v8_fib()
-        vplan = compile_vector_plan(BridgedTcam(fib))
-        info = vplan.describe()
-        assert not info["fully_lowered"]
-        assert info["bridged_steps"]  # the match step runs over the bridge
-        assert 0.0 <= info["lowered_fraction"] <= 1.0
-        assert info["kernel_sequence"] == [
-            {"steps": ["match"], "mode": "bridge", "fused": False}]
+        vplan = compile_vector_plan(UnloweredTcam(fib))
+        # All-or-nothing: one step without a spec and nothing lowers.
+        assert vplan.fully_lowered is False
+        assert len(vplan) == 0
+        assert vplan.describe()["lowered_steps"] == []
+        assert vplan.view_map() == {}
+        # A plan with no kernels has nothing to patch.
+        with pytest.raises(VectorError, match="un-lowered"):
+            vplan.patch(LogicalTcam(fib).vector_specs())
 
-    def test_bridge_exception_fails_batch_with_typed_error(self):
-        # A raising bridged step must abort the whole batch: before the
-        # typed error, lanes were left holding the MISS sentinel,
-        # indistinguishable from a genuine no-route answer.
-        class ExplodingTcam(BridgedTcam):
-            def cram_program(self):
-                prog = super().cram_program()
+    def test_custom_scalar_extractor_compiles_no_kernels(self):
+        class OddExtract(LogicalTcam):
+            def cram_extract_hop(self, state):
+                return state.get("hop")
 
-                def boom(state, result):
-                    if state["addr"] == 0b1010_0001:
-                        raise RuntimeError("table wedged")
-                    state["hop"] = result
+        fib = small_v8_fib()
+        vplan = compile_vector_plan(OddExtract(fib))
+        # Every step has a spec, but hop extraction has no array form.
+        assert not vplan.fully_lowered and len(vplan) == 0
+        addresses = list(range(256))
+        assert vplan.lookup_batch_hops(addresses) == \
+            [fib.lookup(a) for a in addresses]
 
-                prog.step("match").action = boom
-                return prog
-
-        vplan = compile_vector_plan(ExplodingTcam(small_v8_fib()))
-        assert vplan.bridged_steps == ("match",)
-        with pytest.raises(VectorBridgeError, match=r"'match'.*lane 1"):
-            vplan.lookup_batch([0b1010_0000, 0b1010_0001, 0b1010_0010])
-        # VectorBridgeError is a VectorError, so existing handlers see it.
-        assert issubclass(VectorBridgeError, VectorError)
+    def test_lowered_plan_runs_one_kernel_per_step(self):
+        vplan = compile_vector_plan(MultibitTrie(small_v8_fib(), [4, 4]))
+        assert vplan.fully_lowered
+        assert vplan.lowered_steps == tuple(vplan.plan.step_names)
+        assert len(vplan) == len(vplan.plan.step_names)
 
     def test_unknown_spec_names_raise(self):
         class BadTcam(LogicalTcam):
@@ -398,66 +384,15 @@ def test_multibit_vector_masks_match_oracle(entries):
 
 @settings(max_examples=25, deadline=None)
 @given(prefix_lists)
-def test_bridged_vector_masks_match_oracle(entries):
+def test_delegated_vector_masks_match_oracle(entries):
     fib = Fib(8)
     for length, bits, hop in entries:
         fib.insert(Prefix.from_bits(bits & ((1 << length) - 1), length, 8),
                    hop)
-    vplan = compile_vector_plan(BridgedTcam(fib))  # forced scalar bridge
+    vplan = compile_vector_plan(UnloweredTcam(fib))  # whole-batch delegation
     addresses = list(range(256))
     assert vplan.lookup_batch_hops(addresses) == \
         [fib.lookup(a) for a in addresses]
-
-
-# ---------------------------------------------------------------------------
-# The fusion pass
-# ---------------------------------------------------------------------------
-
-
-class TestFusion:
-    def test_fusion_collapses_adjacent_lowered_steps(self):
-        fib = small_v8_fib()
-        algo = MultibitTrie(fib, [4, 4])
-        fused = compile_vector_plan(algo)
-        unfused = compile_vector_plan(algo, fuse=False)
-        assert fused.fuse and not unfused.fuse
-        # All steps lowered and adjacent: one fused kernel dispatch.
-        assert len(fused) == 1 < len(unfused)
-        assert fused.fused_groups == (fused.lowered_steps,)
-        assert fused.fused_steps == len(fused.lowered_steps)
-        assert unfused.fused_groups == () and unfused.fused_steps == 0
-        addresses = list(range(256))
-        assert fused.lookup_batch_hops(addresses) == \
-            unfused.lookup_batch_hops(addresses)
-
-    def test_bridge_segments_are_fusion_barriers(self):
-        vplan = compile_vector_plan(BridgedTcam(small_v8_fib()))
-        # A single bridged step: nothing to fuse around it.
-        assert vplan.fused_groups == ()
-        assert [e["mode"] for e in vplan.kernel_sequence()] == ["bridge"]
-
-    def test_single_step_plans_report_no_fusion(self):
-        vplan = compile_vector_plan(LogicalTcam(small_v8_fib()))
-        assert vplan.fully_lowered
-        assert vplan.fused_steps == 0  # one kernel: no group to merge
-        assert vplan.kernel_sequence() == [
-            {"steps": ["match"], "mode": "vector", "fused": False}]
-
-    def test_engine_fuse_knob_and_gauge(self):
-        fib = small_v8_fib()
-        engine = BatchEngine(MultibitTrie(fib, [4, 4]), backend="vector",
-                             name="fusion")
-        gauge = engine.registry.gauge("repro_engine_vector_fused_steps")
-        assert gauge.value(engine="fusion") == \
-            engine.vector_plan.fused_steps > 0
-        off = BatchEngine(MultibitTrie(fib, [4, 4]), backend="vector",
-                          name="nofuse", fuse=False)
-        assert off.vector_plan.fused_steps == 0
-        assert off.registry.gauge(
-            "repro_engine_vector_fused_steps").value(engine="nofuse") == 0
-        addresses = list(range(256))
-        assert engine.lookup_batch(addresses) == \
-            off.lookup_batch(addresses)
 
 
 # ---------------------------------------------------------------------------
@@ -478,18 +413,61 @@ class TestEngineBackend:
         gauge = vec.registry.gauge("repro_engine_backend")
         assert gauge.value(engine="vec", backend="vector") == 1
         assert gauge.value(engine="vec", backend="plan") == 0
-        # auto drops to the scalar plan when steps bridged...
-        auto = BatchEngine(BridgedTcam(fib), backend="auto", name="auto")
+        # auto drops to the scalar plan when the program did not lower...
+        auto = BatchEngine(UnloweredTcam(fib), backend="auto", name="auto")
         assert auto.active_backend == "plan"
         assert auto.vector_plan is not None
+        assert not auto.vector_plan.fully_lowered
         # ...while a fully-lowered tree scheme stays on vector...
         tree = BatchEngine(HiBst(fib), backend="auto", name="tree")
         assert tree.active_backend == "vector"
-        # ...and the bridged one still serves correct answers if forced.
-        forced = BatchEngine(BridgedTcam(fib), backend="vector")
+        # ...and a forced vector backend still answers the oracle, by
+        # delegating whole batches to the embedded scalar plan.
+        forced = BatchEngine(UnloweredTcam(fib), backend="vector")
+        assert forced.active_backend == "vector"
+        assert len(forced.vector_plan) == 0
         addresses = list(range(256))
         assert forced.lookup_batch(addresses) == \
             [fib.lookup(a) for a in addresses]
+
+    def test_wide_bsic_compiles_no_kernels_and_skips_vector_patch(self):
+        # A real width-64 table: int64 lanes cannot hold it, so the
+        # compile must not build specs/views that can never execute,
+        # and commits must not ask the algorithm to re-freeze them.
+        calls = {"specs": 0, "patch": 0}
+
+        class CountingBsic(Bsic):
+            def vector_specs(self):
+                calls["specs"] += 1
+                return super().vector_specs()
+
+            def vector_patch(self, delta, vector_plan):
+                calls["patch"] += 1
+                return super().vector_patch(delta, vector_plan)
+
+        base = Fib(64)
+        for i in range(24):
+            base.insert(Prefix.from_bits((0x2001 << 16) | i, 32, 64), i)
+        managed = ManagedFib(lambda fib: CountingBsic(fib, k=24), base)
+        engine = BatchEngine.over_managed(managed, backend="auto",
+                                          name="wide")
+        assert engine.active_backend == "plan"
+        assert not engine.vector_plan.fully_lowered
+        assert len(engine.vector_plan) == 0
+        assert engine.vector_plan.view_map() == {}
+        outcomes = [managed.apply_batch(batch) for batch in
+                    ChurnGenerator(base, seed=5).batches(6, 4)]
+        assert "batch_applied" in outcomes  # the delta (patch) path ran
+        patches = engine.registry.get(
+            "repro_engine_plan_patches_total").value(engine="wide")
+        assert patches > 0
+        assert calls == {"specs": 0, "patch": 0}
+        oracle = managed.oracle
+        addresses = [p.value | 1 for p, _hop in oracle] + [0, (1 << 64) - 1]
+        expected = [oracle.lookup(a) for a in addresses]
+        assert engine.lookup_batch(addresses) == expected
+        # Forced vector over the same table delegates and agrees.
+        assert engine.vector_plan.lookup_batch_hops(addresses) == expected
 
     def test_lowering_gauges_published(self):
         fib = small_v8_fib()
@@ -497,10 +475,11 @@ class TestEngineBackend:
                              name="low")
         reg = engine.registry
         lowered = reg.gauge("repro_engine_vector_lowered_steps")
-        bridged = reg.gauge("repro_engine_vector_bridged_steps")
         assert lowered.value(engine="low") == \
-            len(engine.vector_plan.lowered_steps)
-        assert bridged.value(engine="low") == 0
+            len(engine.vector_plan.lowered_steps) > 0
+        BatchEngine(UnloweredTcam(fib), backend="auto", name="none",
+                    registry=reg)
+        assert lowered.value(engine="none") == 0
 
     def test_commit_recompiles_vector_plan(self):
         base = small_v8_fib()

@@ -6,12 +6,13 @@ algorithms:
 
     vector plan == scalar plan == CRAM interpreter == binary-trie oracle
 
-fused and unfused, post-commit and post-rollback.  The address mixes
+post-commit and post-rollback.  The address mixes
 deliberately include *adversarial-depth* probes — prefix endpoints and
 their ±1 neighbours, which exercise the deepest tree walks and the
 equal/greater branches of every BST kernel — and the width-62/63/64
 boundary, where int64 lanes run out of headroom and the vector plan
-must delegate whole batches to its embedded scalar plan.
+must compile no kernels and delegate whole batches to its embedded
+scalar plan.
 """
 
 import pytest
@@ -95,10 +96,9 @@ def assert_paths_agree(algo, fib, addresses, interpreter_every=16):
     expected = [fib.lookup(a) for a in addresses]
     plan = compile_plan(algo)
     assert [plan.lookup(a) for a in addresses] == expected
-    fused = compile_vector_plan(algo, plan=plan)
-    unfused = compile_vector_plan(algo, plan=plan, fuse=False)
-    assert fused.lookup_batch_hops(addresses) == expected
-    assert unfused.lookup_batch_hops(addresses) == expected
+    vplan = compile_vector_plan(algo, plan=plan)
+    assert vplan.fully_lowered
+    assert vplan.lookup_batch_hops(addresses) == expected
     # The per-packet interpreter re-derives the schedule per call:
     # probe a deterministic subset.
     for address in addresses[::max(1, len(addresses) // interpreter_every)]:
@@ -132,13 +132,12 @@ def test_differential_width_boundaries(name, width, entries, extras):
     expected = [fib.lookup(a) for a in addresses]
     plan = compile_plan(algo)
     assert [plan.lookup(a) for a in addresses] == expected
-    for fuse in (True, False):
-        vplan = compile_vector_plan(algo, plan=plan, fuse=fuse)
-        if width > 62:
-            # Over-wide lanes: the whole batch must delegate, and the
-            # plan must say so instead of silently mis-answering.
-            assert not vplan.fully_lowered
-        assert vplan.lookup_batch_hops(addresses) == expected
+    vplan = compile_vector_plan(algo, plan=plan)
+    # Over-wide lanes: no kernels, the whole batch delegates, and the
+    # plan says so instead of silently mis-answering.
+    assert vplan.fully_lowered == (width <= 62)
+    assert (len(vplan) > 0) == (width <= 62)
+    assert vplan.lookup_batch_hops(addresses) == expected
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
@@ -161,7 +160,7 @@ def test_differential_post_commit_and_post_rollback(name, seed):
             outcomes.add(managed.apply_batch(batch))
             # After every landed OR rolled-back batch, the committed
             # structure must still answer like the committed oracle
-            # through all four paths, fused and unfused.
+            # through all four paths.
             oracle = managed.oracle
             addresses = probe_addresses(oracle, [seed])
             assert_paths_agree(managed.algo, oracle, addresses,
