@@ -464,8 +464,7 @@ def _serve_concurrent(args: argparse.Namespace, base: Fib, registry,
                               n.startswith("ack") for n in chaos_names)
                           else 60.0,
                           artifact=(str(loaded.path)
-                                    if loaded is not None
-                                    and args.mode == "process" else None))
+                                    if loaded is not None else None))
     status = None
     status_port = getattr(args, "status_port", None)
     if status_port is not None:
@@ -1536,9 +1535,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "milliseconds (--workers)")
     p.add_argument("--mode", choices=["thread", "process"],
                    default="thread",
-                   help="worker pool kind for --workers (process mode "
-                        "ships commit deltas, falling back to FIB "
-                        "snapshots, at each commit)")
+                   help="worker replica kind for --workers (process: "
+                        "forked children, shipped commit deltas, falling "
+                        "back to FIB snapshots, at each commit)")
     p.add_argument("--delta", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="commit churn batches as in-place deltas and "

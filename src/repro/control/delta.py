@@ -12,8 +12,8 @@ the currency of the incremental commit pipeline:
 * :class:`~repro.engine.BatchEngine` hands it to the algorithm's
   ``plan_patch`` / ``vector_patch`` hooks so compiled plans re-derive
   only the touched steps;
-* :class:`~repro.server.procpool.ProcessWorkerPool` ships its
-  :meth:`FibDelta.wire_ops` net effect to worker replicas instead of a
+* :class:`~repro.server.procpool.ForkedReplica` ships its
+  :meth:`FibDelta.wire_ops` net effect to its child instead of a
   whole-FIB snapshot.
 """
 

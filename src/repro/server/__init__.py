@@ -5,10 +5,13 @@ Layers, bottom-up:
 * :mod:`repro.server.coalescer` — FIFO request coalescing with a
   size-or-deadline flush trigger and future-like per-request handles;
 * :mod:`repro.server.pool` — the :class:`CommitGate` readers/writer
-  gate plus :class:`ThreadWorkerPool`, N engine replicas over one
-  bounded queue with block/shed backpressure;
-* :mod:`repro.server.procpool` — the same contract over forked
-  processes with FIB-snapshot shipping at each commit;
+  gate plus :class:`ThreadWorkerPool`: the one worker pool, N engine
+  replicas over one bounded queue with block/shed backpressure, orphan
+  re-queue and restarts;
+* :mod:`repro.server.procpool` — :class:`ForkedReplica`, the second
+  replica kind: an engine in a forked child behind a pipe that fills
+  the pool's engine slot, shipped a delta or FIB snapshot at each
+  commit from the shared :class:`ReplicaSource`;
 * :mod:`repro.server.supervisor` — worker supervision (budgeted
   restarts, orphan re-queue), the HEALTHY/DEGRADED/BROWNOUT health
   state machine, and idempotent client-side retries;
@@ -32,7 +35,7 @@ from .coalescer import (
     WorkerCrash,
 )
 from .pool import CommitGate, ThreadWorkerPool
-from .procpool import ProcessWorkerPool, WorkerDeath, fib_snapshot
+from .procpool import ForkedReplica, ReplicaSource, fib_snapshot
 from .server import SERVER_MODES, SERVER_OVERLOAD_POLICIES, LookupServer
 from .supervisor import (
     RestartPolicy,
@@ -46,9 +49,10 @@ from .supervisor import (
 __all__ = [
     "CoalescedBatch",
     "CommitGate",
+    "ForkedReplica",
     "LookupServer",
     "PendingLookup",
-    "ProcessWorkerPool",
+    "ReplicaSource",
     "RequestCoalescer",
     "RequestShed",
     "RequestTimeout",
@@ -63,7 +67,6 @@ __all__ = [
     "ServingState",
     "ThreadWorkerPool",
     "WorkerCrash",
-    "WorkerDeath",
     "WorkerSupervisor",
     "fib_snapshot",
 ]

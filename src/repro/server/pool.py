@@ -1,11 +1,20 @@
 """Worker pool: coalesced batches in, scattered answers out.
 
-:class:`ThreadWorkerPool` runs N worker threads, each owning its own
-:class:`~repro.engine.BatchEngine` replica (own compiled plan, own
-FIB cache — no shared mutable state between workers, mirroring
-:class:`~repro.engine.RoundRobinEngine`).  Batches flow through one
-bounded queue; the NumPy lane kernels release the GIL on the hot
-gathers, so workers genuinely overlap on the vector backend.
+:class:`ThreadWorkerPool` runs N worker threads over one bounded
+queue, each owning one *replica* — any object with ``lookup_batch``
+and ``on_commit``.  There are two replica kinds and one pool:
+
+* an in-thread :class:`~repro.engine.BatchEngine` (its own compiled
+  plan over the shared committed structure; the NumPy lane kernels
+  release the GIL on the hot gathers, so workers genuinely overlap on
+  the vector backend);
+* a :class:`~repro.server.procpool.ForkedReplica` — the same engine in
+  a forked child behind a pipe, for structures whose lookups never
+  release the GIL.  The worker thread blocks on the round trip.
+
+A replica may also offer ``restart()`` (called before its worker
+thread is started or replaced) and ``close()`` (called once the
+threads are joined); the pool looks both up outside the serving loop.
 
 Backpressure is the queue bound plus a policy:
 
@@ -168,7 +177,6 @@ class ThreadWorkerPool:
         self._clock = clock
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._threads: Dict[int, threading.Thread] = {}
-        self._spawns = 0
         self._lifecycle = threading.Lock()
         self._started = False
         self._closed = False
@@ -188,10 +196,6 @@ class ThreadWorkerPool:
         """How many worker threads are currently running."""
         return sum(1 for t in self._threads.values() if t.is_alive())
 
-    def worker_alive(self, worker: int) -> bool:
-        thread = self._threads.get(worker)
-        return thread is not None and thread.is_alive()
-
     # ------------------------------------------------------------------
     def start(self) -> None:
         with self._lifecycle:
@@ -202,9 +206,12 @@ class ThreadWorkerPool:
                 self._spawn(i)
 
     def _spawn(self, worker: int) -> None:
-        """Start (or replace) worker ``worker``'s thread.  Caller holds
-        ``_lifecycle``."""
-        self._spawns += 1
+        """Start (or replace) worker ``worker``'s thread, over a
+        freshly restarted replica when the replica has a ``restart``
+        hook.  Caller holds ``_lifecycle``."""
+        restart = getattr(self.engines[worker], "restart", None)
+        if restart is not None:
+            restart()
         thread = threading.Thread(
             target=self._run, args=(worker, self.engines[worker]),
             name=f"repro-serve-w{worker}", daemon=True)
@@ -291,6 +298,10 @@ class ThreadWorkerPool:
         # Crashed workers (or submits racing the close) can leave
         # batches behind the sentinels; nothing will serve them now.
         self._fail_leftovers(ServerError("server closed before serving"))
+        for engine in self.engines:
+            close = getattr(engine, "close", None)
+            if close is not None:
+                close()
         self._note_depth()
 
     def _fail_leftovers(self, error: ServerError) -> None:
@@ -319,9 +330,21 @@ class ThreadWorkerPool:
         (the committed :class:`~repro.control.FibDelta`, when the
         runtime applied in place) lets each replica patch its compiled
         plans instead of recompiling them.
+
+        A replica's ``on_commit`` may return a wait for work it only
+        started (a forked replica's ack): every replica is told first,
+        then every wait runs, so N children apply one commit in
+        parallel.  ``_lifecycle`` is held while the replicas are told:
+        a restart either finishes first (and its replica is told this
+        commit) or starts after (and comes up from it) — a replacement
+        can never come up serving a stale table at the new epoch.
         """
-        for engine in self.engines:
-            engine.on_commit(outcome, algo, touched, delta=delta)
+        with self._lifecycle:
+            waits = [engine.on_commit(outcome, algo, touched, delta=delta)
+                     for engine in self.engines]
+        for wait in waits:
+            if wait is not None:
+                wait()
 
     # ------------------------------------------------------------------
     def _note_depth(self) -> None:

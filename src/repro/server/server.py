@@ -3,27 +3,28 @@
 :class:`LookupServer` is what ``repro serve --workers N`` runs: many
 logical clients submit single addresses or small batches; a
 :class:`~repro.server.coalescer.RequestCoalescer` packs them into
-engine-sized batches on a size-or-deadline trigger; a worker pool
-(threads by default, forked processes with ``mode="process"``) runs
-each batch through its own :class:`~repro.engine.BatchEngine` replica
-and scatters the answers back to the per-request futures.
+engine-sized batches on a size-or-deadline trigger; the worker pool
+runs each batch through one of its engine replicas (in-thread
+:class:`~repro.engine.BatchEngine` replicas by default, forked children
+behind pipes with ``mode="process"``) and scatters the answers back to
+the per-request futures.
 
 Consistency under churn — the property the stress tests prove — comes
 from one rule: **commits quiesce serving**.  The server subscribes to
 :class:`~repro.control.ManagedFib` commits; the handler takes the
 :class:`~repro.server.pool.CommitGate` write side (waiting out every
 in-flight batch), bumps the serving epoch, refreshes every worker
-replica (recompile + targeted cache invalidation, or a shipped FIB
-snapshot in process mode), and releases.  Every batch therefore
-executes entirely within one epoch: no lookup can observe a
-half-applied update, and rolled-back batches — which never notify —
-leave the serving plan untouched.
+replica (recompile/patch + targeted cache invalidation in-thread, a
+shipped delta or FIB snapshot to a forked child), and releases.  Every
+batch therefore executes entirely within one epoch: no lookup can
+observe a half-applied update, and rolled-back batches — which never
+notify — leave the serving plan untouched.
 
 Fault tolerance (``docs/robustness.md`` has the full fault model):
 
-* **supervision** — worker deaths (thread crashes, killed processes,
-  hung snapshot-acks) re-queue their unscattered batches on survivors
-  and restart the worker under a budgeted, jittered backoff
+* **supervision** — worker deaths (engine crashes, dead or silent
+  children, hung commit acks) re-queue their unscattered batches on
+  survivors and restart the worker under a budgeted, jittered backoff
   (:class:`~repro.server.supervisor.WorkerSupervisor`);
 * **deadlines** — ``request_deadline_s`` arms a per-request timer that
   fails the future with :class:`RequestTimeout`; an accepted request
@@ -76,7 +77,8 @@ Telemetry (all in the shared :class:`~repro.obs.MetricsRegistry`):
 ``repro_server_slo_target_seconds``         configured SLO targets (gauge)
 ``repro_server_request`` (timing)           per-request latency (wall clock)
 ``repro_server_phase`` (timing)             per-phase latency decomposition
-                                            (queue wait / execute / scatter)
+                                            (coalesce / queue wait / gate /
+                                            execute / scatter)
 ``repro_server_quiesce`` (timing)           commit quiesce + refresh latency
 ==========================================  ================================
 
@@ -116,7 +118,7 @@ from .coalescer import (
     ServerError,
 )
 from .pool import CommitGate, ThreadWorkerPool
-from .procpool import ProcessWorkerPool, fib_snapshot
+from .procpool import ForkedReplica, ReplicaSource
 from .supervisor import (
     SERVING_STATE_VALUES,
     RestartPolicy,
@@ -188,8 +190,11 @@ class LookupServer:
         if algo is None:
             raise ValueError("need an algorithm (or managed=) to serve")
         self.name = name
-        self.mode = mode
         self.backend = backend
+        #: Path of the catalog snapshot the served table was last
+        #: loaded from (the ``artifact=`` warm start, then every
+        #: :meth:`reload_artifact`); ``None`` when built from scratch.
+        self.artifact = artifact
         self.registry = registry if registry is not None else MetricsRegistry()
         self.clock = clock if clock is not None else MonotonicClock()
         self.gate = CommitGate()
@@ -197,6 +202,7 @@ class LookupServer:
         self.chaos = chaos
         self._managed = managed
         self._factory = factory
+        self._base_fib = base_fib
         self._width = algo.width
         self._epoch = 0
         self._started = False
@@ -283,6 +289,8 @@ class LookupServer:
                 on_transition=self._on_health_transition)
         on_worker_exit = self._worker_exited if supervise else None
 
+        # The one place the replica kind is chosen: the pool, the gate
+        # and the fault path below are the same for both.
         if mode == "thread":
             engines = [
                 BatchEngine(algo, cache_size=cache_size, registry=reg,
@@ -293,26 +301,24 @@ class LookupServer:
                 from ..chaos.plan import ChaosEngine
                 engines = [ChaosEngine(engine, chaos, i)
                            for i, engine in enumerate(engines)]
-            self._pool = ThreadWorkerPool(
-                engines, queue_depth=queue_depth, overload=overload,
-                gate=self.gate, epoch_of=lambda: self._epoch,
-                on_done=self._on_done, on_depth=self._on_depth,
-                on_error=self._on_error, on_worker_exit=on_worker_exit,
-                clock=self.clock)
         else:
             if factory is None or base_fib is None:
                 raise ServerError(
                     "process mode needs factory= and base_fib= (or managed=)")
-            self._pool = ProcessWorkerPool(
-                base_fib.width, factory, fib_snapshot(base_fib),
-                workers=workers, queue_depth=queue_depth, overload=overload,
-                gate=self.gate, epoch_of=lambda: self._epoch,
-                on_done=self._on_done, on_depth=self._on_depth,
-                on_error=self._on_error, on_worker_exit=on_worker_exit,
-                backend=backend, cache_size=cache_size,
-                ack_timeout_s=ack_timeout_s, chaos=chaos,
-                clock=self.clock, ship_deltas=ship_deltas,
-                on_ship=self._note_ship, artifact=artifact)
+            source = ReplicaSource(
+                base_fib, factory, backend=backend, cache_size=cache_size,
+                artifact=artifact, committed=self._committed,
+                ship_deltas=ship_deltas, ack_timeout_s=ack_timeout_s,
+                chaos=chaos, on_ship=self._note_ship,
+                on_error=self._on_error)
+            engines = [ForkedReplica(source, i, name=f"{name}-w{i}")
+                       for i in range(workers)]
+        self._pool = ThreadWorkerPool(
+            engines, queue_depth=queue_depth, overload=overload,
+            gate=self.gate, epoch_of=lambda: self._epoch,
+            on_done=self._on_done, on_depth=self._on_depth,
+            on_error=self._on_error, on_worker_exit=on_worker_exit,
+            clock=self.clock)
         if supervise:
             policy = restart_policy if restart_policy is not None \
                 else RestartPolicy(self.clock)
@@ -339,14 +345,16 @@ class LookupServer:
     def workers(self) -> int:
         return self._pool.workers
 
-    def engines(self) -> List[BatchEngine]:
-        """Worker engine replicas (thread mode; empty for processes)."""
-        return list(getattr(self._pool, "engines", []))
+    def engines(self) -> list:
+        """The worker replicas, one per worker: in-thread engines or
+        forked replicas.  Each has ``name`` and ``active_backend``."""
+        return list(self._pool.engines)
 
     @property
-    def active_backend(self) -> str:
-        engines = self.engines()
-        return engines[0].active_backend if engines else self.mode
+    def active_backend(self) -> Optional[str]:
+        """The backend worker 0's engine actually runs (a forked
+        replica reports its child's; ``None`` before it has forked)."""
+        return self._pool.engines[0].active_backend
 
     @property
     def health_state(self) -> ServingState:
@@ -563,10 +571,18 @@ class LookupServer:
         """ManagedFib commit listener — only landed batches notify."""
         self._quiesce(outcome, algo, touched)
 
+    def _committed(self):
+        """``(fib, artifact path)`` as committed — what a forked
+        replica resyncs from when a commit has no delta to ship.
+        Read under the gate's write side."""
+        fib = (self._managed.oracle if self._managed is not None
+               else self._base_fib)
+        return fib, self.artifact
+
     def _quiesce(self, outcome: str, algo, touched) -> None:
         # An applied (not rebuilt) batch publishes its FibDelta on the
-        # runtime: thread replicas use it to patch their compiled plans
-        # in place; process mode ships it instead of a full snapshot.
+        # runtime: in-thread replicas patch their compiled plans with
+        # it, forked replicas are shipped it instead of a full snapshot.
         delta = (self._managed.last_delta
                  if self._managed is not None
                  and outcome == "batch_applied" else None)
@@ -581,21 +597,7 @@ class LookupServer:
                     self._epoch += 1
                     self._answer_cache.clear()
                 self._epoch_gauge.set(self._epoch, server=self.name)
-                if self.mode == "thread":
-                    self._pool.on_commit(outcome, algo, touched,
-                                         delta=delta)
-                else:
-                    if delta is not None and self._pool.ship_deltas:
-                        # The delta is the whole payload; the pool's own
-                        # FIB mirror covers restarts, so the oracle
-                        # serialisation is skipped entirely.
-                        self._pool.on_commit(outcome, algo, touched,
-                                             delta=delta)
-                    else:
-                        snapshot = (fib_snapshot(self._managed.oracle)
-                                    if self._managed is not None else None)
-                        self._pool.on_commit(outcome, algo, touched,
-                                             snapshot=snapshot)
+                self._pool.on_commit(outcome, algo, touched, delta=delta)
         self._commits.inc(1, server=self.name, outcome=outcome)
 
     def reload_artifact(self, loaded) -> int:
@@ -612,8 +614,8 @@ class LookupServer:
         after it see only the new table — there is no interleaving in
         which a request observes half of each.
 
-        Thread mode refreshes every engine onto the new algorithm;
-        process mode ships a ``reload`` message so each child mmaps
+        In-thread engines refresh onto the new algorithm; forked
+        replicas are shipped a ``reload`` message so each child mmaps
         the snapshot itself (and any worker that dies mid-flip is
         restarted from the *new* catalog version).  A ``managed=``
         runtime, when present, adopts the new state under the same
@@ -628,29 +630,25 @@ class LookupServer:
                 f"artifact width {loaded.width} != serving width "
                 f"{self._width}")
         new_fib = loaded.fib()
-        new_algo = None
-        if self.mode == "thread" or self._managed is not None:
-            new_algo = loaded.algorithm(factory=self._factory)
-        triples = (loaded.fib_triples() if self.mode == "process" else None)
+        new_algo = loaded.algorithm(factory=self._factory)
         with self.registry.timer("repro_server_quiesce", server=self.name):
             with self.gate.write():
                 with self._cache_lock:
                     self._epoch += 1
                     self._answer_cache.clear()
                 self._epoch_gauge.set(self._epoch, server=self.name)
-                if self.mode == "thread":
-                    self._pool.on_commit("reload", new_algo, None)
-                else:
-                    self._pool.reload_artifact(str(loaded.path), triples)
+                self.artifact = str(loaded.path)
+                self._base_fib = new_fib
                 if self._managed is not None:
                     # adopt() does not re-fire commit listeners — the
                     # flip is already happening under this gate.
                     self._managed.adopt(new_algo, new_fib)
+                self._pool.on_commit("reload", new_algo, None)
         self._commits.inc(1, server=self.name, outcome="reload")
         return self._epoch
 
     def _note_ship(self, kind: str, nbytes: int) -> None:
-        """ProcessWorkerPool ``on_ship`` observer: payload accounting."""
+        """:class:`ReplicaSource` ``on_ship`` observer: payload accounting."""
         if kind == "delta":
             self._delta_bytes.inc(nbytes, server=self.name)
         else:
@@ -676,18 +674,15 @@ class LookupServer:
 
     @staticmethod
     def _phase_intervals(meta: dict) -> List[Tuple[str, float, float]]:
-        """The batch's phase intervals from the pool's meta stamps.
-
-        Thread mode stamps ``picked_at``/``gate_at``/``executed_at``;
-        process mode ships only the execute *duration* back (parent and
-        child monotonic clocks are not comparable) and the parent
-        anchors it at the ``done_at`` receive stamp.
-        """
+        """The batch's phase intervals from the pool's meta stamps
+        (``picked_at``/``gate_at``/``executed_at``/``scattered_at``,
+        the same for both replica kinds: over a forked replica
+        ``execute`` is the whole pipe round trip)."""
         out: List[Tuple[str, float, float]] = []
         opened, cut = meta.get("opened_at"), meta.get("cut_at")
         if opened is not None and cut is not None:
             out.append(("coalesce", opened, cut))
-        if "picked_at" in meta:                      # thread mode
+        if "picked_at" in meta:
             picked = meta["picked_at"]
             if cut is not None:
                 out.append(("queue_wait", cut, picked))
@@ -697,23 +692,6 @@ class LookupServer:
             out.append(("execute", gate, executed))
             if "scattered_at" in meta:
                 out.append(("scatter", executed, meta["scattered_at"]))
-        elif "done_at" in meta:                      # process mode
-            done = meta["done_at"]
-            gate_from = meta.get("gate_wait_from")
-            gate_at = meta.get("gate_at")
-            if gate_from is not None and gate_at is not None:
-                out.append(("gate", gate_from, gate_at))
-            dispatched = meta.get("dispatched_at")
-            exec_start = done
-            if "execute_s" in meta:
-                exec_start = done - meta["execute_s"]
-                if dispatched is not None:
-                    exec_start = max(dispatched, exec_start)
-            if dispatched is not None:
-                out.append(("queue_wait", dispatched, exec_start))
-            out.append(("execute", exec_start, done))
-            if "scattered_at" in meta:
-                out.append(("scatter", done, meta["scattered_at"]))
         return out
 
     def _on_done(self, batch: CoalescedBatch,
@@ -726,18 +704,27 @@ class LookupServer:
         intervals = self._phase_intervals(meta)
         sampled_batch = any(h.sampled for h, *_ in batch.parts)
         batch_trace = batch_trace_id_for(meta.get("batch", 0), epoch)
+        worker = meta.get("worker", 0)
+        # A forked replica's child times its own lookup (its clock, so
+        # only the duration crosses the pipe).  This runs on the
+        # worker's thread right after its round trip, so the replica's
+        # last duration is this batch's; it rides on the execute span.
+        child_s = (getattr(self._pool.engines[worker], "last_execute_s", None)
+                   if sampled_batch else None)
         for phase, start, end in intervals:
             dur = max(0.0, end - start)
             self.slo.observe(phase, dur)
             self.registry.observe_seconds(
                 "repro_server_phase", dur, server=self.name, phase=phase)
             if sampled_batch:
+                extra = ({"child_execute_s": child_s}
+                         if child_s is not None and phase == "execute"
+                         else {})
                 self.spans.record(
-                    batch_trace, phase, start, end,
-                    worker=meta.get("worker", 0),
+                    batch_trace, phase, start, end, worker=worker,
                     batch=meta.get("batch", 0), reason=batch.reason,
                     size=len(batch.addresses), epoch=epoch,
-                    retries=meta.get("retries", 0))
+                    retries=meta.get("retries", 0), **extra)
         for handle in finished:
             # The root request span reuses the timer's exact floats
             # (same subtraction, same clamp), so the span<->metrics

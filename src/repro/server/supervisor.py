@@ -3,7 +3,7 @@
 The fault-tolerance layer over the serving stack (the dataplane twin
 of :mod:`repro.control.runtime`'s control-plane guards):
 
-* :class:`WorkerSupervisor` consumes the worker pools'
+* :class:`WorkerSupervisor` consumes the worker pool's
   ``on_worker_exit`` events.  A dead worker's orphaned batches —
   guaranteed unscattered, see
   :class:`~repro.server.coalescer.WorkerCrash` — are re-queued on the
@@ -12,8 +12,9 @@ of :mod:`repro.control.runtime`'s control-plane guards):
   restarted under a :class:`RestartPolicy`: exponential backoff with
   seeded jitter, a bounded budget per sliding window, and a permanent
   give-up once the budget is spent (a worker that keeps dying is a
-  bug, not a blip).  For process pools the restart re-ships the latest
-  FIB snapshot, so the replacement re-joins at the serving epoch.
+  bug, not a blip).  A forked replica's restart re-forks it from the
+  latest committed table, so the replacement re-joins at the serving
+  epoch.
 * :class:`ServingHealth` is the HEALTHY → DEGRADED → BROWNOUT state
   machine.  Sliding-window signals — queue-depth fraction, worker
   restarts, deadline-miss rate — drive *upward* transitions
@@ -321,12 +322,12 @@ class WorkerSupervisor:
     """Turns worker-exit events into re-queues and budgeted restarts.
 
     Wire :meth:`worker_exited` as the pool's ``on_worker_exit``
-    callback (both pools call it with the list of batches the dead
-    worker left unscattered, empty when none).  The sequence per death:
+    callback (it is called with the list of batches the dead worker
+    left unscattered, empty when none).  The sequence per death:
 
     1. count the death (``on_death``) and feed the health monitor;
-    2. re-queue every orphaned batch via ``pool.requeue`` — the pools
-       guarantee the batches are unscattered, and ``requeue`` fails
+    2. re-queue every orphaned batch via ``pool.requeue`` — the pool
+       guarantees the batches are unscattered, and ``requeue`` fails
        them with a typed error rather than dropping them when no
        dispatch is possible;
     3. ask the :class:`RestartPolicy` for a backoff; schedule the

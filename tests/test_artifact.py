@@ -278,11 +278,15 @@ def test_fuzz_bit_flips_fail_typed_or_load_identically(saved_artifact,
     # Byte positions the checksums do NOT cover: alignment padding
     # between the header and the data, and between/after sections.
     hlen, data_start, sections = _layout(blob)
-    checked = set(range(_PREFIX.size + hlen + 32))
-    for entry in sections:
-        start = data_start + entry["offset"]
-        checked.update(range(start, start + entry["length"]))
-    padding = sorted(set(range(len(blob))) - checked)
+    # They are the gaps between the sorted checked intervals.
+    checked = sorted(
+        [(0, _PREFIX.size + hlen + 32)]
+        + [(data_start + entry["offset"], entry["length"])
+           for entry in sections])
+    padding, covered = [], 0
+    for start, length in checked + [(len(blob), 0)]:
+        padding.extend(range(covered, start))
+        covered = max(covered, start + length)
     assert padding, "format has no alignment padding at all?"
 
     def _attempt(tampered):

@@ -633,7 +633,6 @@ def test_process_worker_restart_resyncs_then_chains_deltas():
             assert time.monotonic() < deadline, "worker never restarted"
             expected = [managed.oracle.lookup(a) for a in probes]
             assert server.lookup_batch(probes, timeout=60) == expected
-            time.sleep(0.05)
         # One more committed delta must chain onto the resynced replica.
         assert managed.apply_batch(batches[-1]) == "batch_applied"
         expected = [managed.oracle.lookup(a) for a in probes]

@@ -5,13 +5,16 @@ deadline-trigger assertion is deterministic — no test here sleeps on
 the wall clock to make a timer fire.
 """
 
+import multiprocessing
 import random
 import threading
 
 import pytest
 
+from repro.algorithms import Bsic
 from repro.algorithms.hibst import HiBst
-from repro.control import ManagedFib, UpdateOp
+from repro.chaos import ChaosPlan
+from repro.control import ChurnGenerator, ManagedFib, RuntimePolicy, UpdateOp
 from repro.control.churn import ANNOUNCE
 from repro.obs import FakeClock, MetricsRegistry, MonotonicClock
 from repro.prefix.prefix import Prefix
@@ -19,10 +22,13 @@ from repro.prefix.trie import Fib
 from repro.server import (
     CoalescedBatch,
     CommitGate,
+    ForkedReplica,
     LookupServer,
     PendingLookup,
+    ReplicaSource,
     RequestCoalescer,
     RequestShed,
+    RestartPolicy,
     ServerClosed,
     ServerError,
     ThreadWorkerPool,
@@ -53,24 +59,6 @@ class RecordingSink:
     def __call__(self, batch):
         self.batches.append(batch)
         return self.accept
-
-
-class BlockingEngine:
-    """Duck-typed engine whose lookup blocks until released."""
-
-    def __init__(self):
-        self.release = threading.Event()
-        self.entered = threading.Event()
-
-    def lookup_batch(self, addresses):
-        self.entered.set()
-        assert self.release.wait(30)
-        return [None] * len(addresses)
-
-
-class FailingEngine:
-    def lookup_batch(self, addresses):
-        raise RuntimeError("engine exploded")
 
 
 # ---------------------------------------------------------------------------
@@ -394,50 +382,113 @@ class TestCommitGate:
 
 
 # ---------------------------------------------------------------------------
-# ThreadWorkerPool
+# ThreadWorkerPool — one contract battery, both replica kinds
 # ---------------------------------------------------------------------------
 
 
+class ScriptedReplica:
+    """What the replica under test does with a batch, for both kinds.
+
+    In a thread it *is* the engine.  Forked, it rides into the child as
+    its (duck-typed) chaos plan, so the same script runs inside the
+    real :class:`ForkedReplica` child; its events are process-shared
+    for that.  Scripts: ``serve``, ``block`` (until ``release``),
+    ``raise``, ``crash``, ``crash_once`` (the first batch only).
+    """
+
+    def __init__(self, script):
+        ctx = multiprocessing.get_context("fork")
+        self.script = script
+        self.entered = ctx.Event()
+        self.release = ctx.Event()
+        self.calls = 0
+
+    def batch_action(self, worker, seq):
+        if self.script == "block":
+            self.entered.set()
+            assert self.release.wait(30)
+        if self.script == "crash" or (self.script == "crash_once"
+                                      and seq == 0):
+            return "crash"
+        return "raise" if self.script == "raise" else None
+
+    def ack_action(self, worker, seq):
+        return None
+
+    def lookup_batch(self, addresses):
+        action = self.batch_action(0, self.calls)
+        self.calls += 1
+        if action == "crash":
+            raise WorkerCrash("induced death")
+        if action == "raise":
+            raise RuntimeError("engine exploded")
+        return [None] * len(addresses)
+
+
+def lookup_of(address):
+    handle = PendingLookup([address], 0.0)
+    return handle, CoalescedBatch([address], [(handle, 0, 0, 1)], "size")
+
+
+def wait_until(condition):
+    """Bounded wait for another thread's callback to have run."""
+    for _ in range(1000):
+        if condition():
+            return
+        threading.Event().wait(0.01)
+    raise AssertionError("condition never held")
+
+
 class TestThreadWorkerPool:
-    def test_shed_policy_refuses_when_queue_full(self):
-        engine = BlockingEngine()
-        pool = ThreadWorkerPool([engine], queue_depth=1, overload="shed")
+    """The pool contract, over in-thread engines."""
+
+    def pool_of(self, script, **kwargs):
+        """A started one-worker pool over a replica running ``script``;
+        returns ``(pool, script handle)``."""
+        scripted = ScriptedReplica(script)
+        pool = ThreadWorkerPool([self.engine_for(scripted)], **kwargs)
         pool.start()
+        return pool, scripted
+
+    def engine_for(self, scripted):
+        return scripted
+
+    def answer(self, address):
+        return [None]
+
+    def test_shed_policy_refuses_when_queue_full(self):
+        pool, engine = self.pool_of("block", queue_depth=1, overload="shed")
         try:
-            first = CoalescedBatch([1], [(PendingLookup([1], 0.0), 0, 0, 1)],
-                                   "size")
-            assert pool.submit(first)
-            assert engine.entered.wait(10)  # worker is busy on `first`
-            assert pool.submit(CoalescedBatch(
-                [2], [(PendingLookup([2], 0.0), 0, 0, 1)], "size"))
-            refused = CoalescedBatch(
-                [3], [(PendingLookup([3], 0.0), 0, 0, 1)], "size")
-            assert not pool.submit(refused)  # depth-1 queue is full
+            assert pool.submit(lookup_of(1)[1])
+            assert engine.entered.wait(10)  # worker is busy on the first
+            assert pool.submit(lookup_of(2)[1])
+            assert not pool.submit(lookup_of(3)[1])  # depth-1 queue is full
         finally:
             engine.release.set()
             pool.close(drain=True)
 
     def test_worker_exception_fails_the_batch(self):
         errors = []
-        pool = ThreadWorkerPool([FailingEngine()],
-                                on_error=lambda b, e: errors.append(e))
-        pool.start()
-        handle = PendingLookup([1], 0.0)
-        pool.submit(CoalescedBatch([1], [(handle, 0, 0, 1)], "size"))
-        with pytest.raises(RuntimeError, match="engine exploded"):
+        pool, _ = self.pool_of("raise",
+                               on_error=lambda b, e: errors.append(e))
+        handle, batch = lookup_of(1)
+        pool.submit(batch)
+        # RuntimeError straight from a thread's engine; from a child it
+        # arrives as the typed ServerError wrapping its repr.
+        with pytest.raises((RuntimeError, ServerError),
+                           match="engine exploded|injected batch exception"):
             handle.result(10)
+        # Failed the batch, not the worker: it still serves.
+        assert pool.alive_workers() == 1
         pool.close(drain=True)
         assert len(errors) == 1
 
     def test_close_without_drain_fails_queued_batches(self):
-        engine = BlockingEngine()
-        pool = ThreadWorkerPool([engine], queue_depth=4)
-        pool.start()
-        busy = PendingLookup([1], 0.0)
-        queued = PendingLookup([2], 0.0)
-        pool.submit(CoalescedBatch([1], [(busy, 0, 0, 1)], "size"))
+        pool, engine = self.pool_of("block", queue_depth=4)
+        pool.submit(lookup_of(1)[1])
         assert engine.entered.wait(10)
-        pool.submit(CoalescedBatch([2], [(queued, 0, 0, 1)], "size"))
+        queued, batch = lookup_of(2)
+        pool.submit(batch)
         engine.release.set()
         pool.close(drain=False)
         assert not pool.alive()
@@ -445,7 +496,7 @@ class TestThreadWorkerPool:
         assert queued.done()
 
     def test_submit_before_start_raises(self):
-        pool = ThreadWorkerPool([BlockingEngine()])
+        pool = ThreadWorkerPool([self.engine_for(ScriptedReplica("serve"))])
         with pytest.raises(ServerError):
             pool.submit(CoalescedBatch([1], [], "size"))
 
@@ -484,30 +535,18 @@ class TestThreadWorkerPool:
             pool.close(drain=True)
 
     def test_worker_crash_reports_exit_with_unscattered_orphan(self):
-        class CrashingEngine:
-            def lookup_batch(self, addresses):
-                raise WorkerCrash("induced death")
-
         exits = []
-        pool = ThreadWorkerPool(
-            [CrashingEngine()],
-            on_worker_exit=lambda w, e, o: exits.append((w, e, o)))
-        pool.start()
+        pool, _ = self.pool_of(
+            "crash", on_worker_exit=lambda w, e, o: exits.append((w, e, o)))
         try:
-            handle = PendingLookup([1], 0.0)
-            batch = CoalescedBatch([1], [(handle, 0, 0, 1)], "size")
+            handle, batch = lookup_of(1)
             pool.submit(batch)
-            deadline = threading.Event()
-            for _ in range(200):
-                if exits:
-                    break
-                deadline.wait(0.01)
-            assert len(exits) == 1
+            wait_until(lambda: exits)
             worker, exc, orphans = exits[0]
             assert worker == 0 and isinstance(exc, WorkerCrash)
-            assert orphans == [batch]  # a list, like the process pool
+            assert orphans == [batch]  # a list, empty when none
             assert not handle.done()  # unscattered: safe to re-queue
-            assert pool.alive_workers() == 0
+            wait_until(lambda: pool.alive_workers() == 0)
             # requeue with no live worker: queued (a restart drains it)
             # or failed typed — never silently dropped.
             pool.restart_worker(0)
@@ -516,58 +555,36 @@ class TestThreadWorkerPool:
             pool.close(drain=False)
 
     def test_bare_pool_fails_the_orphan_of_a_crashed_worker(self):
-        class CrashingEngine:
-            def lookup_batch(self, addresses):
-                raise WorkerCrash("induced death")
-
-        pool = ThreadWorkerPool([CrashingEngine()])  # no supervisor wired
-        pool.start()
+        pool, _ = self.pool_of("crash")  # no supervisor wired
         try:
-            handle = PendingLookup([1], 0.0)
-            pool.submit(CoalescedBatch([1], [(handle, 0, 0, 1)], "size"))
+            handle, batch = lookup_of(1)
+            pool.submit(batch)
             with pytest.raises(WorkerCrash):
                 handle.result(timeout=10)
         finally:
             pool.close(drain=False)
 
     def test_restart_worker_replaces_a_dead_thread(self):
-        class DieOnceEngine:
-            def __init__(self):
-                self.calls = 0
-
-            def lookup_batch(self, addresses):
-                self.calls += 1
-                if self.calls == 1:
-                    raise WorkerCrash("first batch kills")
-                return [None] * len(addresses)
-
         exits = []
-        pool = ThreadWorkerPool(
-            [DieOnceEngine()],
-            on_worker_exit=lambda w, e, o: exits.append((w, o)))
-        pool.start()
+        pool, _ = self.pool_of(
+            "crash_once", on_worker_exit=lambda w, e, o: exits.append((w, o)))
         try:
-            doomed = PendingLookup([1], 0.0)
-            pool.submit(CoalescedBatch([1], [(doomed, 0, 0, 1)], "size"))
-            for _ in range(200):
-                if exits:
-                    break
-                threading.Event().wait(0.01)
-            assert pool.alive_workers() == 0
+            doomed, batch = lookup_of(1)
+            pool.submit(batch)
+            wait_until(lambda: exits)
+            wait_until(lambda: pool.alive_workers() == 0)
             assert pool.restart_worker(0)
             assert pool.alive_workers() == 1
             worker, (orphan,) = exits[0]
             assert pool.requeue(orphan)
-            assert doomed.result(10) == [None]
+            assert doomed.result(10) == self.answer(1)
         finally:
             pool.close(drain=True)
 
     def test_close_is_idempotent_and_concurrent_safe(self):
-        engine = BlockingEngine()
-        pool = ThreadWorkerPool([engine], queue_depth=4)
-        pool.start()
-        busy = PendingLookup([1], 0.0)
-        pool.submit(CoalescedBatch([1], [(busy, 0, 0, 1)], "size"))
+        pool, engine = self.pool_of("block", queue_depth=4)
+        busy, batch = lookup_of(1)
+        pool.submit(batch)
         assert engine.entered.wait(10)
         engine.release.set()
         closers = [threading.Thread(target=pool.close,
@@ -585,17 +602,13 @@ class TestThreadWorkerPool:
 
     def test_submit_racing_close_never_strands_a_batch(self):
         for _round in range(10):
-            engine = BlockingEngine()
-            engine.release.set()  # serve instantly
-            pool = ThreadWorkerPool([engine], queue_depth=8)
-            pool.start()
+            pool, _ = self.pool_of("serve", queue_depth=8)
             handles = []
             stop = threading.Event()
 
             def submitter():
                 while not stop.is_set():
-                    handle = PendingLookup([1], 0.0)
-                    batch = CoalescedBatch([1], [(handle, 0, 0, 1)], "size")
+                    handle, batch = lookup_of(1)
                     try:
                         if pool.submit(batch):
                             handles.append(handle)
@@ -611,6 +624,24 @@ class TestThreadWorkerPool:
             # Every accepted batch resolved: served or typed-failed.
             for handle in handles:
                 assert handle.done() or handle.result(10) is not None
+
+
+class TestForkedReplicaPool(TestThreadWorkerPool):
+    """The same battery with a :class:`ForkedReplica` in the engine
+    slot: the script runs in a real forked child."""
+
+    fib = small_fib()
+
+    def engine_for(self, scripted):
+        source = ReplicaSource(self.fib, HiBst, chaos=scripted)
+        return ForkedReplica(source, 0)
+
+    def answer(self, address):
+        return [self.fib.lookup(address)]
+
+    # A child cannot hand back a wrong-length answer through the pipe
+    # protocol; that case is about in-thread engines only.
+    test_wrong_length_answer_fails_futures_not_the_worker = None
 
 
 # ---------------------------------------------------------------------------
@@ -744,3 +775,79 @@ class TestProcessMode:
             assert server.epoch == 1
             want = [managed.oracle.lookup(a) for a in addresses]
             assert server.lookup_batch(addresses, timeout=60) == want
+            # Introspection is truthful for forked replicas too: one
+            # entry per worker, the backend is what the child reported.
+            replicas = server.engines()
+            assert [r.name for r in replicas] == ["server-w0", "server-w1"]
+            assert {r.active_backend for r in replicas} == {"plan"}
+            assert server.active_backend == "plan"
+
+    def test_idle_child_death_costs_the_next_batch_one_retry(self):
+        fib = small_fib(seed=17, size=25)
+        addresses = list(range(0, 256, 5))
+        want = [fib.lookup(a) for a in addresses]
+        with LookupServer(HiBst(fib), factory=HiBst, base_fib=fib,
+                          workers=1, mode="process", max_batch=64,
+                          sample_rate=1.0,
+                          restart_policy=RestartPolicy(
+                              base_backoff_s=0.005, max_backoff_s=0.01,
+                              jitter=0.0)) as server:
+            assert server.lookup_batch(addresses, timeout=60) == want
+            replica = server.engines()[0]
+            assert replica.kill()  # SIGTERM while idle: nobody notices
+            replica._proc.join(10)
+            assert server.supervisor.deaths == 0
+            # The next batch finds the pipe closed, is re-queued
+            # unscattered, and the re-forked child answers it.
+            assert server.lookup_batch(addresses, timeout=60) == want
+            assert server.supervisor.deaths == 1
+            assert server.supervisor.requeued_batches == 1
+            executes = server.spans.spans("execute")
+            assert [s.attrs["retries"] for s in executes] == [0, 1]
+            # The child's own lookup time rides on the execute span.
+            assert all(0 <= s.attrs["child_execute_s"] <= s.dur_s
+                       for s in executes)
+            counters = server.registry.snapshot
+            wait_until(lambda: counters()["counters"].get(
+                "repro_server_restarts_total"))
+
+    def test_ack_drop_laggard_restarts_from_the_unacked_table(self):
+        base = small_fib(seed=19, size=30)
+        managed = ManagedFib(lambda f: Bsic(f, k=4), base,
+                             policy=RuntimePolicy(check_every=0,
+                                                  guard_every=0))
+        # Worker 0 swallows its first commit ack (a hung worker).
+        chaos = ChaosPlan([], script=[("ack_drop", 0, 0)])
+        addresses = list(range(1 << WIDTH))
+        batches = list(ChurnGenerator(base, seed=19).batches(16, 8))
+
+        def total(metric):
+            counters = managed.registry.snapshot()["counters"]
+            return sum(counters.get(metric, {}).values())
+
+        def served_equals_oracle():
+            assert server.lookup_batch(addresses, timeout=60) == \
+                [managed.oracle.lookup(a) for a in addresses]
+
+        with LookupServer(managed=managed, workers=2, mode="process",
+                          max_batch=256, chaos=chaos,
+                          ack_timeout_s=0.5) as server:
+            served_equals_oracle()
+            # The commit waits out the ack timeout, kills the laggard
+            # and lands; the mirror already holds this commit.
+            assert managed.apply_batch(batches[0]) == "batch_applied"
+            assert not server.engines()[0].alive
+            while total("repro_server_restarts_total") < 1:
+                served_equals_oracle()  # bounded by the test timeout
+            assert total("repro_server_worker_deaths_total") == 1
+            # The re-fork came up at the commit it never acked, so the
+            # next delta chains onto it: shipped as a delta, acked by
+            # both children, nobody killed for a broken chain.
+            snapshot_bytes = total("repro_server_snapshot_bytes_total")
+            assert managed.apply_batch(batches[1]) == "batch_applied"
+            assert total("repro_server_snapshot_bytes_total") == \
+                snapshot_bytes
+            assert all(r.alive for r in server.engines())
+            for _ in range(4):  # enough batches to reach both workers
+                served_equals_oracle()
+        assert total("repro_server_worker_deaths_total") == 1

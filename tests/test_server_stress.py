@@ -289,7 +289,6 @@ def test_bsic_process_worker_kill_resyncs_then_chains_deltas():
         while total("repro_server_restarts_total") < 1:
             assert time.monotonic() < deadline, "worker never restarted"
             served_equals_oracle()
-            time.sleep(0.05)
         snapshot_bytes = total("repro_server_snapshot_bytes_total")
         assert managed.apply_batch(batches[-1]) == "batch_applied"
         for _ in range(4):  # enough batches to reach both workers
@@ -427,31 +426,33 @@ def test_worker_death_mid_reload_restarts_from_new_version(tmp_path):
         assert server.lookup_batch(addresses, timeout=60) == \
             [old_fib.lookup(a) for a in addresses]
 
-        pool = server.pool
-        note_ship = pool._on_ship
+        replica = server.engines()[0]
+        source = replica.source
+        note_ship = source._on_ship
         killed = []
 
         def kill_at_ship(kind, nbytes):
             # The ship point: the parent has already swapped in the new
-            # artifact path and is about to queue the reload message.
+            # artifact path and is about to send the reload message.
             if kind == "reload":
-                killed.append(pool.kill_worker(0))
+                killed.append(replica.kill())
             note_ship(kind, nbytes)
 
-        pool._on_ship = kill_at_ship
+        source._on_ship = kill_at_ship
         loaded_new = catalog.load("chaos", "v002")
         epoch = server.reload_artifact(loaded_new)
         assert killed == [True]
         assert epoch == 1
 
-        # Supervision restarts the dead worker; the re-fork must mmap
-        # the v002 snapshot the parent installed before shipping.
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline and not pool.worker_alive(0):
-            time.sleep(0.05)
-        assert pool.worker_alive(0), "worker 0 never restarted"
-
+        # The batch that finds worker 0 dead is re-queued and the
+        # supervisor re-forks it; the re-fork must mmap the v002
+        # snapshot the parent installed before shipping.
         want = [new_fib.lookup(a) for a in addresses]
+        counters = server.registry.snapshot
+        deadline = time.monotonic() + 30
+        while not counters()["counters"].get("repro_server_restarts_total"):
+            assert time.monotonic() < deadline, "worker 0 never restarted"
+            assert server.lookup_batch(addresses, timeout=60) == want
         for _ in range(6):  # enough batches to hit every worker
             assert server.lookup_batch(addresses, timeout=60) == want
         assert managed.health is not Health.FAILED

@@ -184,7 +184,9 @@ class TestHealthCoupling:
                               clock=FakeClock())
         with server:
             server.lookup_batch([1, 2], timeout=30)
-            report = server.slo.report()
+        # The worker observes "request" after it resolves the future;
+        # close() joined it, so the observation has landed by now.
+        report = server.slo.report()
         assert set(report) == {"slo", "phases", "breaches"}
         assert "request" in report["phases"]
         for key in ("p50_s", "p99_s", "p999_s", "observed", "window_n"):

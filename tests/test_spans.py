@@ -327,7 +327,10 @@ class TestServerSpans:
     def test_process_mode_ships_spans_across_a_kill(self):
         fib = small_fib(seed=13, size=25)
         managed = ManagedFib(lambda f: HiBst(f), fib)
-        plan = ChaosPlan(injectors=[], script=[("kill", 0, 1)])
+        # Four batches over two workers sharing one queue: whichever
+        # worker takes a second batch dies on it.
+        plan = ChaosPlan(injectors=[],
+                         script=[("kill", 0, 1), ("kill", 1, 1)])
         registry = MetricsRegistry()
         server = LookupServer(
             managed=managed, workers=2, mode="process", max_batch=16,
