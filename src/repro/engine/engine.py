@@ -108,6 +108,10 @@ class BatchEngine:
         self._lowered_gauge = reg.gauge(
             "repro_engine_vector_lowered_steps",
             "Steps the lane compiler lowered to batch kernels.")
+        # The batch path's three series, label keys resolved once.
+        self._batches_series = self._batches.labels(engine=name)
+        self._batch_size_series = self._batch_size.labels()
+        self._lookups_series = self._lookups.labels(engine=name)
         self._plan: LookupPlan
         self._vector: Optional[VectorPlan] = None
         self._compile()
@@ -175,9 +179,9 @@ class BatchEngine:
 
     def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
         n = len(addresses)
-        self._batches.inc(1, engine=self.name)
-        self._batch_size.observe(n)
-        self._lookups.inc(n, engine=self.name)
+        self._batches_series.inc()
+        self._batch_size_series.observe(n)
+        self._lookups_series.inc(n)
         cache = self.cache
         if cache is None:
             if self.active_backend == "vector":

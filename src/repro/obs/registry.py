@@ -21,11 +21,26 @@ The determinism contract mirrors :mod:`repro.control.events`: nothing
 in a deterministic section may depend on the clock, the pid, or hash
 randomization.  Label values are coerced to strings and label names
 are sorted, so rendering order is stable by construction.
+
+**Series handles.**  ``family.labels(**labels)`` (and
+:meth:`MetricsRegistry.timing` for the wall-clock half) resolve a label
+set to its canonical key *once* and return a handle bound to that one
+series; the keyword forms (``inc(1, server="s")``) sort and stringify
+the labels on every call.  Code on a request or batch path holds
+handles; the keyword forms are for everything rarer.
+
+**Concurrency.**  Every update is a read-modify-write, so every update
+runs under a lock: one per registry, shared by its families and
+timings (a family built on its own has its own).  The serving frontend
+updates per batch, not per request — ``observe_many`` records a whole
+batch of durations, across several series, under one acquisition.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from bisect import bisect_left
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -73,21 +88,67 @@ def _format_bound(bound: float) -> str:
     return _format_value(bound)
 
 
+class CounterSeries:
+    """One labelled series of a :class:`Counter`, its label key resolved.
+
+    What ``counter.labels(...)`` returns: ``inc`` skips the per-call
+    label sort and goes straight to the family's lock and value.
+    """
+
+    __slots__ = ("_family", "_key")
+    _monotonic = True
+
+    def __init__(self, family: "Counter", key: LabelKey):
+        self._family = family
+        self._key = key
+
+    def inc(self, amount: Number = 1) -> None:
+        family = self._family
+        if amount < 0 and self._monotonic:
+            raise ValueError(
+                f"counter {family.name}: negative increment {amount}")
+        with family._lock:
+            values = family._values
+            try:
+                values[self._key] += amount
+            except KeyError:
+                values[self._key] = amount
+
+
+class GaugeSeries(CounterSeries):
+    """One labelled series of a :class:`Gauge`."""
+
+    __slots__ = ()
+    _monotonic = False
+
+    def set(self, value: Number) -> None:
+        family = self._family
+        with family._lock:
+            family._values[self._key] = value
+
+    def dec(self, amount: Number = 1) -> None:
+        self.inc(-amount)
+
+
 class Counter:
     """A monotonically increasing family of per-label values."""
 
     kind = "counter"
+    _series_type = CounterSeries
 
     def __init__(self, name: str, help_text: str = ""):
         self.name = name
         self.help = help_text
         self._values: Dict[LabelKey, Number] = {}
+        #: Guards every update; the registry's own lock once registered.
+        self._lock = threading.Lock()
+
+    def labels(self, **labels: object):
+        """The series handle for one label set (key resolved once)."""
+        return self._series_type(self, _label_key(labels))
 
     def inc(self, amount: Number = 1, **labels: object) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name}: negative increment {amount}")
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        self._series_type(self, _label_key(labels)).inc(amount)
 
     def value(self, **labels: object) -> Number:
         return self._values.get(_label_key(labels), 0)
@@ -104,16 +165,36 @@ class Gauge(Counter):
     """A settable family of per-label values (health states, sizes)."""
 
     kind = "gauge"
+    _series_type = GaugeSeries
 
     def set(self, value: Number, **labels: object) -> None:
-        self._values[_label_key(labels)] = value
-
-    def inc(self, amount: Number = 1, **labels: object) -> None:
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        GaugeSeries(self, _label_key(labels)).set(value)
 
     def dec(self, amount: Number = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
+        GaugeSeries(self, _label_key(labels)).dec(amount)
+
+
+class HistogramSeries:
+    """One labelled series of a :class:`Histogram`."""
+
+    __slots__ = ("_family", "_key")
+
+    def __init__(self, family: "Histogram", key: LabelKey):
+        self._family = family
+        self._key = key
+
+    def observe(self, value: Number) -> None:
+        family = self._family
+        # First bucket whose bound is >= value; past the last: +Inf.
+        bucket = bisect_left(family.bounds, value)
+        with family._lock:
+            series = family._series.get(self._key)
+            if series is None:
+                series = family._series[self._key] = [
+                    [0] * (len(family.bounds) + 1), 0, 0]
+            series[0][bucket] += 1
+            series[1] += value
+            series[2] += 1
 
 
 class Histogram:
@@ -140,21 +221,15 @@ class Histogram:
         self.bounds = bounds
         # per label-key: ([per-bucket counts..., +Inf count], sum, count)
         self._series: Dict[LabelKey, List] = {}
+        #: Guards every update; the registry's own lock once registered.
+        self._lock = threading.Lock()
+
+    def labels(self, **labels: object) -> HistogramSeries:
+        """The series handle for one label set (key resolved once)."""
+        return HistogramSeries(self, _label_key(labels))
 
     def observe(self, value: Number, **labels: object) -> None:
-        key = _label_key(labels)
-        series = self._series.get(key)
-        if series is None:
-            series = self._series[key] = [[0] * (len(self.bounds) + 1), 0, 0]
-        counts, _total, _n = series
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                counts[i] += 1
-                break
-        else:
-            counts[-1] += 1
-        series[1] += value
-        series[2] += 1
+        HistogramSeries(self, _label_key(labels)).observe(value)
 
     def count(self, **labels: object) -> int:
         series = self._series.get(_label_key(labels))
@@ -197,27 +272,50 @@ class Histogram:
 
 
 class _Timing:
-    """One wall-clock series: count/total/min/max + latency buckets."""
+    """One wall-clock series: count/total/min/max + latency buckets.
 
-    __slots__ = ("count", "total_s", "min_s", "max_s", "buckets")
+    Its own series handle: :meth:`MetricsRegistry.timing` returns it.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("count", "total_s", "min_s", "max_s", "buckets", "_lock")
+
+    def __init__(self, lock) -> None:
         self.count = 0
         self.total_s = 0.0
         self.min_s: Optional[float] = None
         self.max_s: Optional[float] = None
         self.buckets = [0] * (len(LATENCY_BUCKETS_S) + 1)
+        self._lock = lock
 
     def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_s += seconds
-        self.min_s = seconds if self.min_s is None else min(self.min_s, seconds)
-        self.max_s = seconds if self.max_s is None else max(self.max_s, seconds)
-        for i, bound in enumerate(LATENCY_BUCKETS_S):
-            if seconds <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        self.observe_many((seconds,))
+
+    def observe_many(self, durations: Sequence[float]) -> None:
+        """Record a batch of durations under one lock acquisition."""
+        with self._lock:
+            self._add(durations)
+
+    def _add(self, durations: Sequence[float]) -> None:
+        """Lock held by the caller.  The sum is taken in order, one
+        value at a time, so it equals what per-value ``observe`` calls
+        would have produced bit for bit."""
+        if not durations:
+            return
+        total, buckets = self.total_s, self.buckets
+        low = high = durations[0]
+        for seconds in durations:
+            total += seconds
+            if seconds < low:
+                low = seconds
+            elif seconds > high:
+                high = seconds
+            buckets[bisect_left(LATENCY_BUCKETS_S, seconds)] += 1
+        self.count += len(durations)
+        self.total_s = total
+        if self.min_s is None or low < self.min_s:
+            self.min_s = low
+        if self.max_s is None or high > self.max_s:
+            self.max_s = high
 
     def to_dict(self) -> dict:
         bounds = [_format_bound(b) for b in LATENCY_BUCKETS_S] + ["+Inf"]
@@ -253,21 +351,25 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, Union[Counter, Gauge, Histogram]] = {}
         self._timings: Dict[Tuple[str, LabelKey], _Timing] = {}
+        #: The one lock every update of this registry runs under.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Family constructors (idempotent: same name returns same family)
     # ------------------------------------------------------------------
     def _register(self, family):
-        existing = self._families.get(family.name)
-        if existing is not None:
-            if type(existing) is not type(family):
-                raise ValueError(
-                    f"metric {family.name!r} already registered as "
-                    f"{existing.kind}"
-                )
-            return existing
-        self._families[family.name] = family
-        return family
+        with self._lock:
+            existing = self._families.get(family.name)
+            if existing is not None:
+                if type(existing) is not type(family):
+                    raise ValueError(
+                        f"metric {family.name!r} already registered as "
+                        f"{existing.kind}"
+                    )
+                return existing
+            family._lock = self._lock
+            self._families[family.name] = family
+            return family
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         return self._register(Counter(name, help_text))
@@ -285,18 +387,31 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Timings (wall clock — never part of deterministic output)
     # ------------------------------------------------------------------
+    def timing(self, name: str, **labels: object) -> _Timing:
+        """The series handle of one timing: ``observe(seconds)`` and
+        ``observe_many(durations)``.  A series shows up in
+        :meth:`timings_snapshot` with its first observation."""
+        key = (name, _label_key(labels))
+        with self._lock:
+            timing = self._timings.get(key)
+            if timing is None:
+                timing = self._timings[key] = _Timing(self._lock)
+            return timing
+
     def timer(self, name: str, **labels: object) -> _TimerContext:
-        return _TimerContext(self._timing(name, **labels))
+        return _TimerContext(self.timing(name, **labels))
 
     def observe_seconds(self, name: str, seconds: float, **labels: object) -> None:
-        self._timing(name, **labels).observe(seconds)
+        self.timing(name, **labels).observe(seconds)
 
-    def _timing(self, name: str, **labels: object) -> _Timing:
-        key = (name, _label_key(labels))
-        timing = self._timings.get(key)
-        if timing is None:
-            timing = self._timings[key] = _Timing()
-        return timing
+    def observe_many(
+        self, observations: Sequence[Tuple[_Timing, Sequence[float]]],
+    ) -> None:
+        """Record ``(timing handle, durations)`` pairs — several series,
+        many values each — under one lock acquisition."""
+        with self._lock:
+            for timing, durations in observations:
+                timing._add(durations)
 
     # ------------------------------------------------------------------
     # Output
@@ -334,6 +449,7 @@ class MetricsRegistry:
         return {
             name + _render_labels(key): timing.to_dict()
             for (name, key), timing in sorted(self._timings.items())
+            if timing.count
         }
 
     def render_prometheus(self, include_timings: bool = False) -> str:
@@ -351,9 +467,10 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {family.kind}")
             for sample, value in family.samples():
                 lines.append(f"{sample} {value}")
-        if include_timings and self._timings:
+        timings = self.timings_snapshot() if include_timings else {}
+        if timings:
             lines.append("# --- wall-clock timings (non-deterministic) ---")
-            for series, stats in self.timings_snapshot().items():
+            for series, stats in timings.items():
                 lines.append(f"# TYPE {series.split('{')[0]}_seconds summary")
                 lines.append(f"{series}_seconds_count {stats['count']}")
                 lines.append(f"{series}_seconds_sum {stats['total_s']:.6f}")

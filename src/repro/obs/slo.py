@@ -10,8 +10,10 @@ phase against a :class:`SloConfig`'s targets.
 
 Every request is observed — sampling never touches SLO accounting, so
 the percentiles are exact over the window even at a 1/16 span rate.
-Evaluation is amortised (every ``evaluate_every`` observations, a
-sort of the window), keeping the per-request cost to a deque append.
+The server observes per batch (:meth:`SloTracker.observe_many`: every
+phase's durations under one lock acquisition) and evaluation is
+amortised (once ``evaluate_every`` request observations have
+accumulated, one sort of the window).
 
 Determinism contract: percentile *values* are wall-clock durations and
 therefore never enter the registry's deterministic sections — they
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .registry import MetricsRegistry
 
@@ -45,9 +47,13 @@ def window_percentile(values: List[float], quantile: float) -> Optional[float]:
     """Exact nearest-rank percentile of ``values`` (None when empty)."""
     if not values:
         return None
+    return _nearest_rank(sorted(values), quantile)
+
+
+def _nearest_rank(ordered: List[float], quantile: float) -> float:
+    """The nearest-rank percentile of an already sorted, non-empty list."""
     if not 0.0 < quantile <= 1.0:
         raise ValueError("quantile must be within (0, 1]")
-    ordered = sorted(values)
     # Nearest-rank: ceil(q * n), clamped to the window.
     rank = int(-(-(quantile * len(ordered)) // 1))
     return ordered[min(len(ordered) - 1, max(0, rank - 1))]
@@ -104,14 +110,17 @@ class _PhaseWindow:
         self.observed = 0
         self.total_s = 0.0
 
-    def observe(self, seconds: float) -> None:
-        self.values.append(seconds)
-        self.observed += 1
-        self.total_s += seconds
+    def observe_many(self, durations: Sequence[float]) -> None:
+        self.values.extend(durations)
+        self.observed += len(durations)
+        self.total_s += sum(durations)
 
     def percentiles(self) -> Dict[str, Optional[float]]:
-        snapshot = list(self.values)
-        return {name: window_percentile(snapshot, q)
+        """All tracked quantiles from one sort of the window."""
+        ordered = sorted(self.values)
+        if not ordered:
+            return {name: None for name in SLO_QUANTILES}
+        return {name: _nearest_rank(ordered, q)
                 for name, q in _QUANTILE_VALUES.items()}
 
 
@@ -147,18 +156,29 @@ class SloTracker:
     # -- observation ---------------------------------------------------
     def observe(self, phase: str, seconds: float) -> None:
         """Record one duration; periodically evaluates the SLO."""
+        self.observe_many(((phase, (seconds,)),))
+
+    def observe_many(
+        self, observations: Iterable[Tuple[str, Sequence[float]]],
+    ) -> None:
+        """Record ``(phase, durations)`` pairs — a batch's request
+        durations and its phase decomposition — under one lock
+        acquisition; evaluates the SLO (once) when the request
+        observations since the last evaluation reach
+        ``evaluate_every``."""
         evaluate = False
         with self._lock:
-            window = self._phases.get(phase)
-            if window is None:
-                window = self._phases[phase] = _PhaseWindow(
-                    self.config.window)
-            window.observe(seconds)
-            if phase == "request":
-                self._since_eval += 1
-                if self._since_eval >= self.config.evaluate_every:
-                    self._since_eval = 0
-                    evaluate = True
+            for phase, durations in observations:
+                window = self._phases.get(phase)
+                if window is None:
+                    window = self._phases[phase] = _PhaseWindow(
+                        self.config.window)
+                window.observe_many(durations)
+                if phase == "request":
+                    self._since_eval += len(durations)
+            if self._since_eval >= self.config.evaluate_every:
+                self._since_eval = 0
+                evaluate = True
         if evaluate:
             self.evaluate()
 

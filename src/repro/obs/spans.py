@@ -145,9 +145,12 @@ class SpanRecorder:
 
     ``capacity`` bounds memory (a ring buffer: old spans fall off);
     ``sample_rate`` is the head-based knob consulted by
-    :meth:`sampled` — the serving layer asks once per request at
+    :meth:`decide` — the serving layer asks once per request at
     submit time and stamps the decision on the handle, so every span
-    of one request shares its fate (whole traces, never fragments).
+    of one request shares its fate (whole traces, never fragments) —
+    and the decisions are counted a batch at a time
+    (:meth:`count_decisions`).  :meth:`sampled` is both at once, for a
+    request that travels alone.
     """
 
     def __init__(
@@ -169,6 +172,8 @@ class SpanRecorder:
         self._spans: deque = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._spans_total = None
+        #: ``repro_server_spans_total`` series handles, by phase.
+        self._phase_totals: Dict[str, object] = {}
         self._sampled_total = None
         self._unsampled_total = None
         if registry is not None:
@@ -177,20 +182,31 @@ class SpanRecorder:
                 "Request-lifecycle spans recorded, by phase.")
             self._sampled_total = registry.counter(
                 "repro_server_span_requests_sampled_total",
-                "Requests picked by the head-based span sampler.")
+                "Requests picked by the head-based span sampler."
+            ).labels(server=server)
             self._unsampled_total = registry.counter(
                 "repro_server_span_requests_unsampled_total",
-                "Requests skipped by the head-based span sampler.")
+                "Requests skipped by the head-based span sampler."
+            ).labels(server=server)
 
     # -- sampling ------------------------------------------------------
+    def decide(self, seq: int) -> bool:
+        """The head-sampling decision for request ``seq``, uncounted:
+        whoever asks owes a :meth:`count_decisions`."""
+        return span_sampled(seq, self.sample_rate, self.seed)
+
+    def count_decisions(self, sampled: int, unsampled: int) -> None:
+        """Count a batch of :meth:`decide` outcomes."""
+        if self._sampled_total is not None:
+            if sampled:
+                self._sampled_total.inc(sampled)
+            if unsampled:
+                self._unsampled_total.inc(unsampled)
+
     def sampled(self, seq: int) -> bool:
         """The (counted) head-sampling decision for request ``seq``."""
-        decision = span_sampled(seq, self.sample_rate, self.seed)
-        if decision:
-            if self._sampled_total is not None:
-                self._sampled_total.inc(1, server=self.server)
-        elif self._unsampled_total is not None:
-            self._unsampled_total.inc(1, server=self.server)
+        decision = self.decide(seq)
+        self.count_decisions(int(decision), int(not decision))
         return decision
 
     # -- recording -----------------------------------------------------
@@ -209,7 +225,11 @@ class SpanRecorder:
         with self._lock:
             self._spans.append(span)
         if self._spans_total is not None:
-            self._spans_total.inc(1, server=self.server, phase=name)
+            total = self._phase_totals.get(name)
+            if total is None:
+                total = self._phase_totals[name] = self._spans_total.labels(
+                    server=self.server, phase=name)
+            total.inc()
         return span
 
     def event(self, trace_id: str, name: str, at_s: float,

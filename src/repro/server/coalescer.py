@@ -76,6 +76,12 @@ class WorkerCrash(ServerError):
     """
 
 
+#: Serialises partial deliveries to requests that span batches (two
+#: workers can each hold one part of the same request).  Shared, not
+#: per request: the common request fits one batch and never takes it.
+_SPLIT_LOCK = threading.Lock()
+
+
 class PendingLookup:
     """A future for one submitted request's next hops.
 
@@ -84,14 +90,22 @@ class PendingLookup:
     (commit generation) the answers were computed under — when a
     request spans a commit boundary, the *last* scatter wins and
     ``epoch_span`` exposes the full ``(min, max)`` window.
+
+    Resolution is two raw locks.  ``_claim`` starts free and is taken
+    once, without blocking, by whoever resolves the request — the test
+    and set that keeps a final scatter racing a deadline failure from
+    both winning.  ``_waiter`` is held from construction and released
+    exactly once, by that winner; a thread in :meth:`wait` blocks
+    acquiring it and passes it on, so every waiter wakes in turn.
     """
 
     __slots__ = ("addresses", "submitted_at", "epoch", "deliveries",
-                 "_hops", "_remaining", "_event", "_error", "_epoch_min",
-                 "deadline_timer", "seq", "sampled")
+                 "_hops", "_size", "_remaining", "_claim", "_waiter",
+                 "_done", "_error", "_epoch_min", "deadline_timer", "seq",
+                 "sampled")
 
     def __init__(self, addresses: Sequence[int], submitted_at: float):
-        self.addresses = list(addresses)
+        self.addresses = addresses = list(addresses)
         self.submitted_at = submitted_at
         self.epoch: Optional[int] = None
         self._epoch_min: Optional[int] = None
@@ -107,68 +121,100 @@ class PendingLookup:
         #: A per-request deadline timer armed by the server (or None);
         #: cancelled automatically once the request resolves.
         self.deadline_timer = None
-        self._hops: List[Optional[int]] = [None] * len(self.addresses)
-        self._remaining = len(self.addresses)
-        self._event = threading.Event()
+        #: The answers: the one scattered slice itself when the request
+        #: fit a batch, a slot list filled part by part when it did not.
+        self._hops: Optional[Sequence[Optional[int]]] = None
+        #: ``_size`` never changes, so "this delivery is the whole
+        #: request" can be read without a lock; ``_remaining`` counts
+        #: down as parts land.
+        self._size = self._remaining = len(addresses)
         self._error: Optional[BaseException] = None
-        if not self.addresses:
-            self._event.set()
+        self._claim = threading.Lock()
+        self._waiter = threading.Lock()
+        self._done = not addresses
+        if addresses:
+            self._waiter.acquire()
+        else:
+            self._hops = []
+            self._claim.acquire()
 
     # -- completion side (coalescer / worker pool) ---------------------
     def _scatter(self, offset: int, hops: Sequence[Optional[int]],
                  epoch: Optional[int]) -> bool:
-        """Deliver one batch's share; True when the request completed."""
-        if self._event.is_set():
+        """Deliver one batch's share; True when the request completed.
+
+        ``hops`` is handed over: a delivery that answers the whole
+        request is kept as is, not copied."""
+        if self._done:
             # Already failed (shed/closed) or — a bug — double-served.
             if self._error is None:
                 raise AssertionError(
                     f"duplicate delivery to a completed request "
                     f"(offset {offset}, {len(hops)} hops)")
             return False
-        self.deliveries += 1
-        self._hops[offset:offset + len(hops)] = hops
-        self._remaining -= len(hops)
-        if epoch is not None:
-            self.epoch = epoch
-            self._epoch_min = epoch if self._epoch_min is None \
-                else min(self._epoch_min, epoch)
-        if self._remaining <= 0:
-            self._event.set()
-            self._disarm_deadline()
-            return True
-        return False
+        count = len(hops)
+        if count == self._size:
+            self.deliveries += 1
+            self._hops = hops
+            self._remaining = 0
+            if epoch is not None:
+                self.epoch = self._epoch_min = epoch
+            return self._resolve(None)
+        with _SPLIT_LOCK:
+            if self._hops is None:
+                self._hops = [None] * self._size
+            self.deliveries += 1
+            self._hops[offset:offset + count] = hops
+            self._remaining -= count
+            if epoch is not None:
+                self.epoch = epoch
+                self._epoch_min = epoch if self._epoch_min is None \
+                    else min(self._epoch_min, epoch)
+            if self._remaining > 0:
+                return False
+        return self._resolve(None)
 
     def _fail(self, error: BaseException) -> bool:
         """Resolve the request with an error (idempotent)."""
-        if self._event.is_set():
+        return self._resolve(error)
+
+    def _resolve(self, error: Optional[BaseException]) -> bool:
+        """Resolve once: ``False`` for every caller but the first."""
+        if not self._claim.acquire(False):
             return False
         self._error = error
-        self._event.set()
-        self._disarm_deadline()
-        return True
-
-    def _disarm_deadline(self) -> None:
+        self._done = True
+        self._waiter.release()
         timer = self.deadline_timer
         if timer is not None:
             self.deadline_timer = None
             timer.cancel()
+        return True
 
     # -- caller side ---------------------------------------------------
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
+        if not self._done:
+            if timeout is None:
+                acquired = self._waiter.acquire()
+            else:
+                acquired = self._waiter.acquire(
+                    True, timeout if timeout > 0 else 0)
+            if acquired:
+                self._waiter.release()  # the next waiter's turn
+        return self._done
 
     @property
     def epoch_span(self) -> Tuple[Optional[int], Optional[int]]:
         return (self._epoch_min, self.epoch)
 
     def result(self, timeout: Optional[float] = None) -> List[Optional[int]]:
-        if not self._event.wait(timeout):
+        if not self.wait(timeout):
             raise TimeoutError(
                 f"request not served within {timeout}s "
-                f"({self._remaining}/{len(self.addresses)} pending)")
+                f"({self._remaining}/{self._size} pending)")
         if self._error is not None:
             raise self._error
         return list(self._hops)
@@ -205,13 +251,11 @@ class CoalescedBatch:
             raise ValueError(
                 f"batch of {len(self.addresses)} answered with "
                 f"{len(hops)} hops")
-        finished = []
-        for handle, handle_offset, batch_offset, count in self.parts:
-            if handle._scatter(handle_offset,
-                               hops[batch_offset:batch_offset + count],
-                               epoch):
-                finished.append(handle)
-        return finished
+        return [handle
+                for handle, handle_offset, batch_offset, count in self.parts
+                if handle._scatter(
+                    handle_offset, hops[batch_offset:batch_offset + count],
+                    epoch)]
 
     def fail(self, error: BaseException) -> List[PendingLookup]:
         """Fail every request with a part in this batch."""
@@ -281,8 +325,11 @@ class RequestCoalescer:
         the coalescer is closed.
         """
         handle = PendingLookup(addresses, self.clock.now())
-        if not handle.addresses:
+        if handle._done:
             return handle  # trivially complete
+        addresses, n = handle.addresses, handle._size
+        max_batch = self.max_batch
+        cut = False
         with self._lock:
             if self._closed:
                 raise ServerClosed("coalescer is closed")
@@ -290,19 +337,28 @@ class RequestCoalescer:
             self._seq += 1
             if self._sampler is not None:
                 handle.sampled = self._sampler(handle.seq)
-            offset, n = 0, len(handle.addresses)
+            offset = 0
             while offset < n:
-                if not self._addresses:
+                used = len(self._addresses)
+                if not used:
                     self._opened_at = handle.submitted_at
-                take = min(self.max_batch - len(self._addresses), n - offset)
-                self._parts.append(
-                    (handle, offset, len(self._addresses), take))
-                self._addresses.extend(handle.addresses[offset:offset + take])
+                take = n - offset
+                if take > max_batch - used:
+                    take = max_batch - used
+                self._parts.append((handle, offset, used, take))
+                self._addresses += (addresses if take == n
+                                    else addresses[offset:offset + take])
                 offset += take
-                if len(self._addresses) >= self.max_batch:
+                if used + take >= max_batch:
                     self._cut("size")
-            self._manage_deadline()
-        self._drain_outbox()
+                    cut = True
+            if self._timer is None and self._addresses:
+                self._timer = self.clock.call_at(
+                    self.clock.now() + self.max_wait_s, self._on_deadline)
+        if cut:
+            # Nothing else can have filled the outbox: every cut is
+            # followed by its own drain.
+            self._drain_outbox()
         return handle
 
     def flush(self, reason: str = "manual") -> None:
@@ -318,12 +374,10 @@ class RequestCoalescer:
             if self._closed:
                 return
             self._closed = True
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
+            self._cancel_deadline()
             if self._addresses:
                 if drain:
-                    self._cut("drain", arm=False)
+                    self._cut("drain")
                 else:
                     error = ServerClosed("server closed before serving")
                     for handle, *_ in self._parts:
@@ -334,8 +388,9 @@ class RequestCoalescer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _cut(self, reason: str, arm: bool = True) -> None:
-        """Move the open batch to the outbox (lock held by caller)."""
+    def _cut(self, reason: str) -> None:
+        """Move the open batch to the outbox and drop its deadline
+        (lock held by caller; :meth:`submit` arms the next one)."""
         meta = {
             "batch": self._batch_seq,
             "opened_at": self._opened_at,
@@ -347,16 +402,10 @@ class RequestCoalescer:
         self._outbox.append(
             CoalescedBatch(self._addresses, self._parts, reason, meta))
         self._addresses, self._parts = [], []
-        if arm:
-            self._manage_deadline()
+        self._cancel_deadline()
 
-    def _manage_deadline(self) -> None:
-        """Arm the deadline for a newly-opened batch, cancel for an
-        empty one (lock held by caller)."""
-        if self._addresses and self._timer is None:
-            self._timer = self.clock.call_at(
-                self.clock.now() + self.max_wait_s, self._on_deadline)
-        elif not self._addresses and self._timer is not None:
+    def _cancel_deadline(self) -> None:
+        if self._timer is not None:
             self._timer.cancel()
             self._timer = None
 

@@ -5,12 +5,21 @@ queue, each owning one *replica* — any object with ``lookup_batch``
 and ``on_commit``.  There are two replica kinds and one pool:
 
 * an in-thread :class:`~repro.engine.BatchEngine` (its own compiled
-  plan over the shared committed structure; the NumPy lane kernels
-  release the GIL on the hot gathers, so workers genuinely overlap on
-  the vector backend);
+  plan over the shared committed structure).  Worker threads share the
+  interpreter lock, and a lane kernel is ~250 short NumPy calls, so two
+  of them do not add up.  Measured on the 2-core sandbox (PR 17,
+  ``docs/serving.md``): one thread doing everything a 512-address batch
+  of the saturate workload needs — the kernel and its 32 requests'
+  bookkeeping — takes 0.52 + 32 x 0.009 = 0.81 ms, 630 k lookups/s if
+  it did nothing else; the server with two worker threads delivers
+  185 k/s, 29 % of that (PR 16: 0.52 + 32 x 0.024 = 1.29 ms, 400 k/s,
+  144 k/s delivered, 36 %), and the pool alone (whole 512-address
+  requests, two outstanding) reads 5.1-5.8 us/lookup where the engine
+  on one thread reads 1.0-1.4;
 * a :class:`~repro.server.procpool.ForkedReplica` — the same engine in
-  a forked child behind a pipe, for structures whose lookups never
-  release the GIL.  The worker thread blocks on the round trip.
+  a forked child behind a pipe, which takes the kernel off the parent's
+  interpreter lock altogether.  The worker thread blocks on the round
+  trip.
 
 A replica may also offer ``restart()`` (called before its worker
 thread is started or replaced) and ``close()`` (called once the

@@ -44,8 +44,9 @@ Fault tolerance (``docs/robustness.md`` has the full fault model):
 Telemetry (all in the shared :class:`~repro.obs.MetricsRegistry`):
 
 ==========================================  ================================
-``repro_server_requests_total``             requests accepted
-``repro_server_addresses_total``            addresses accepted
+``repro_server_requests_total``             requests accepted (counted per
+                                            batch, as it is dispatched)
+``repro_server_addresses_total``            addresses accepted (likewise)
 ``repro_server_batches_total``              coalesced batches dispatched
 ``repro_server_flush_total``                flushes by ``reason`` label
 ``repro_server_batch_size``                 coalesced-batch-size histogram
@@ -82,6 +83,13 @@ Telemetry (all in the shared :class:`~repro.obs.MetricsRegistry`):
 ``repro_server_quiesce`` (timing)           commit quiesce + refresh latency
 ==========================================  ================================
 
+All of it is booked per coalesced batch, not per request: admission
+counts when a batch is dispatched (:meth:`LookupServer._sink`), request
+and phase durations, SLO windows and spans when it has been served
+(:meth:`LookupServer._on_done`, one ``observe_many`` each).  A request
+itself pays for a future, a sequence number and a sampling decision;
+``tests/test_server_cost.py`` holds that to a call budget.
+
 Observability (``docs/observability.md`` § request-lifecycle tracing):
 every request carries a deterministic sequence number and a head-based
 span-sampling decision; sampled requests leave a full trace — root
@@ -105,6 +113,7 @@ from ..obs.clock import Clock, MonotonicClock
 from ..obs.slo import SloConfig, SloTracker
 from ..obs.spans import (
     DEFAULT_SPAN_SAMPLE_RATE,
+    SPAN_PHASES,
     SpanRecorder,
     batch_trace_id_for,
     trace_id_for,
@@ -213,64 +222,76 @@ class LookupServer:
         self._cache_lock = threading.Lock()
 
         reg = self.registry
-        self._requests = reg.counter(
+
+        def counter(metric: str, help_text: str):
+            """This server's series of a counter, label key resolved."""
+            return reg.counter(metric, help_text).labels(server=name)
+
+        def gauge(metric: str, help_text: str):
+            return reg.gauge(metric, help_text).labels(server=name)
+
+        self._requests = counter(
             "repro_server_requests_total", "Requests accepted by the server.")
-        self._addresses = reg.counter(
+        self._addresses = counter(
             "repro_server_addresses_total", "Addresses accepted by the server.")
-        self._batches = reg.counter(
+        self._batches = counter(
             "repro_server_batches_total", "Coalesced batches dispatched.")
         self._flushes = reg.counter(
             "repro_server_flush_total",
             "Coalescer flushes by trigger (size/deadline/drain/manual).")
         self._batch_size = reg.histogram(
             "repro_server_batch_size", ENGINE_BATCH_BUCKETS,
-            "Addresses per coalesced batch.")
-        self._depth = reg.gauge(
+            "Addresses per coalesced batch.").labels()
+        self._depth = gauge(
             "repro_server_queue_depth", "Batches queued for the workers.")
-        self._shed = reg.counter(
+        self._shed = counter(
             "repro_server_shed_total",
             "Addresses shed by the overload policy.")
         self._commits = reg.counter(
             "repro_server_commits_total",
             "Commits quiesced through the server, by outcome.")
-        self._epoch_gauge = reg.gauge(
+        self._epoch_gauge = gauge(
             "repro_server_epoch", "Serving epoch (landed-commit generation).")
-        self._worker_errors = reg.counter(
+        self._worker_errors = counter(
             "repro_server_worker_errors_total",
             "Batches failed by a worker exception.")
-        self._worker_deaths = reg.counter(
+        self._worker_deaths = counter(
             "repro_server_worker_deaths_total",
             "Worker threads/processes that died while serving.")
-        self._restarts = reg.counter(
+        self._restarts = counter(
             "repro_server_restarts_total",
             "Workers restarted by the supervisor.")
-        self._giveups = reg.counter(
+        self._giveups = counter(
             "repro_server_restart_giveups_total",
             "Workers left down after the restart budget was spent.")
-        self._deadline_misses = reg.counter(
+        self._deadline_misses = counter(
             "repro_server_deadline_misses_total",
             "Requests failed by their per-request deadline.")
-        self._retries = reg.counter(
+        self._retries = counter(
             "repro_server_retries_total",
             "Client-side retry attempts against this server.")
-        self._health_gauge = reg.gauge(
+        self._health_gauge = gauge(
             "repro_server_health_state",
             "Serving health (0 healthy, 1 degraded, 2 brownout).")
         self._health_transitions = reg.counter(
             "repro_server_health_transitions_total",
             "Serving health transitions, by destination state.")
-        self._brownout_hits = reg.counter(
+        self._brownout_hits = counter(
             "repro_server_brownout_hits_total",
             "Addresses served from the brownout answer cache.")
-        self._snapshot_bytes = reg.counter(
+        self._snapshot_bytes = counter(
             "repro_server_snapshot_bytes_total",
             "Full-snapshot bytes shipped to process workers on commits.")
-        self._delta_bytes = reg.counter(
+        self._delta_bytes = counter(
             "repro_server_delta_bytes_total",
             "Commit-delta bytes shipped to process workers on commits.")
-        self._epoch_gauge.set(0, server=self.name)
-        self._depth.set(0, server=self.name)
-        self._health_gauge.set(0, server=self.name)
+        self._request_timing = reg.timing("repro_server_request", server=name)
+        self._phase_timings = {
+            phase: reg.timing("repro_server_phase", server=name, phase=phase)
+            for phase in SPAN_PHASES if phase != "request"}
+        self._epoch_gauge.set(0)
+        self._depth.set(0)
+        self._health_gauge.set(0)
 
         #: Request-lifecycle spans (head-sampled) and the SLO tracker
         #: (observes every request — sampling never skews percentiles).
@@ -329,7 +350,7 @@ class LookupServer:
                 on_requeue=self._note_requeue)
         self.coalescer = RequestCoalescer(
             self._sink, max_batch=max_batch, max_wait_s=max_wait_s,
-            clock=self.clock, sampler=self.spans.sampled)
+            clock=self.clock, sampler=self.spans.decide)
         if managed is not None:
             managed.add_commit_listener(self._on_commit)
 
@@ -419,15 +440,16 @@ class LookupServer:
         shed — the point of brownout is to stop feeding a drowning
         worker pool while still answering what can be answered.
         """
-        self.start()
-        if self.health is not None:
-            self.health.note_request()
-            if self.health.state is ServingState.BROWNOUT:
+        if not self._started:
+            self.start()
+        health = self.health
+        if health is not None:
+            health.note_request()
+            if health.state is ServingState.BROWNOUT:
                 return self._brownout_submit(addresses)
         handle = self.coalescer.submit(addresses)
-        self._requests.inc(1, server=self.name)
-        self._addresses.inc(len(handle.addresses), server=self.name)
-        self._arm_deadline(handle)
+        if self.request_deadline_s is not None:
+            self._arm_deadline(handle)
         return handle
 
     def submit_one(self, address: int) -> PendingLookup:
@@ -461,7 +483,7 @@ class LookupServer:
     # Robustness internals
     # ------------------------------------------------------------------
     def _arm_deadline(self, handle: PendingLookup) -> None:
-        if self.request_deadline_s is None or handle.done():
+        if handle.done():
             return
         handle.deadline_timer = self.clock.call_at(
             self.clock.now() + self.request_deadline_s,
@@ -470,7 +492,7 @@ class LookupServer:
     def _miss_deadline(self, handle: PendingLookup) -> None:
         if handle._fail(RequestTimeout(
                 f"request not served within {self.request_deadline_s}s")):
-            self._deadline_misses.inc(1, server=self.name)
+            self._deadline_misses.inc()
             if handle.sampled:
                 self.spans.event(
                     trace_id_for(handle.seq, self._epoch), "timeout",
@@ -482,10 +504,10 @@ class LookupServer:
     def _brownout_submit(self, addresses: Sequence[int]) -> PendingLookup:
         now = self.clock.now()
         handle = PendingLookup(addresses, now)
-        self._requests.inc(1, server=self.name)
-        self._addresses.inc(len(handle.addresses), server=self.name)
         if not handle.addresses:
             return handle
+        self._requests.inc()
+        self._addresses.inc(len(handle.addresses))
         handle.seq = self.coalescer.next_seq()
         handle.sampled = self.spans.sampled(handle.seq)
         with self._cache_lock:
@@ -493,7 +515,7 @@ class LookupServer:
             hops = [self._answer_cache.get(a, _MISS)
                     for a in handle.addresses]
         if any(h is _MISS for h in hops):
-            self._shed.inc(len(handle.addresses), server=self.name)
+            self._shed.inc(len(handle.addresses))
             handle._fail(RequestShed(
                 "brownout: request not fully answerable from cache"))
             if handle.sampled:
@@ -502,15 +524,14 @@ class LookupServer:
                     now, seq=handle.seq,
                     addresses=len(handle.addresses))
         else:
-            self._brownout_hits.inc(len(hops), server=self.name)
+            self._brownout_hits.inc(len(hops))
             handle._scatter(0, hops, epoch)
             # Cache hits count as served requests: the latency timer,
             # the SLO window, and (when sampled) a root span whose
             # measured duration matches the timer observation exactly.
             done = self.clock.now()
             dur = max(0.0, done - handle.submitted_at)
-            self.registry.observe_seconds(
-                "repro_server_request", dur, server=self.name)
+            self._request_timing.observe(dur)
             self.slo.observe("request", dur)
             if handle.sampled:
                 trace_id = trace_id_for(handle.seq, epoch)
@@ -525,18 +546,23 @@ class LookupServer:
         return handle
 
     def _feed_answer_cache(self, finished: List[PendingLookup]) -> None:
+        if self.health is None:
+            return  # no health machine, no brownout to answer from it
         with self._cache_lock:
+            cache, epoch = self._answer_cache, self._epoch
+            room = BROWNOUT_CACHE_SIZE - len(cache)
+            if room <= 0:
+                return
             for handle in finished:
                 # Only answers computed at the *current* epoch may be
                 # cached — a late scatter racing a commit must not
                 # plant stale hops (zero-stale-reads invariant).
-                if handle.epoch != self._epoch:
+                if handle.epoch != epoch:
                     continue
-                if len(self._answer_cache) + len(handle.addresses) \
-                        > BROWNOUT_CACHE_SIZE:
+                if len(handle.addresses) > room:
                     continue
-                for address, hop in zip(handle.addresses, handle._hops):
-                    self._answer_cache[address] = hop
+                cache.update(zip(handle.addresses, handle._hops))
+                room = BROWNOUT_CACHE_SIZE - len(cache)
 
     def _worker_exited(self, worker: int, exc: BaseException,
                        orphans: List[CoalescedBatch]) -> None:
@@ -544,20 +570,20 @@ class LookupServer:
             self.supervisor.worker_exited(worker, exc, orphans)
 
     def _note_death(self, worker: int, exc: BaseException) -> None:
-        self._worker_deaths.inc(1, server=self.name)
+        self._worker_deaths.inc()
 
     def _note_restart(self, worker: int, delay: float) -> None:
-        self._restarts.inc(1, server=self.name)
+        self._restarts.inc()
 
     def _note_giveup(self, worker: int) -> None:
-        self._giveups.inc(1, server=self.name)
+        self._giveups.inc()
 
     def _note_retry(self, attempt: int, error: BaseException) -> None:
-        self._retries.inc(1, server=self.name)
+        self._retries.inc()
 
     def _on_health_transition(self, old: ServingState,
                               new: ServingState) -> None:
-        self._health_gauge.set(SERVING_STATE_VALUES[new], server=self.name)
+        self._health_gauge.set(SERVING_STATE_VALUES[new])
         self._health_transitions.inc(1, server=self.name, to=str(new))
 
     # ------------------------------------------------------------------
@@ -596,7 +622,7 @@ class LookupServer:
                 with self._cache_lock:
                     self._epoch += 1
                     self._answer_cache.clear()
-                self._epoch_gauge.set(self._epoch, server=self.name)
+                self._epoch_gauge.set(self._epoch)
                 self._pool.on_commit(outcome, algo, touched, delta=delta)
         self._commits.inc(1, server=self.name, outcome=outcome)
 
@@ -636,7 +662,7 @@ class LookupServer:
                 with self._cache_lock:
                     self._epoch += 1
                     self._answer_cache.clear()
-                self._epoch_gauge.set(self._epoch, server=self.name)
+                self._epoch_gauge.set(self._epoch)
                 self.artifact = str(loaded.path)
                 self._base_fib = new_fib
                 if self._managed is not None:
@@ -650,17 +676,29 @@ class LookupServer:
     def _note_ship(self, kind: str, nbytes: int) -> None:
         """:class:`ReplicaSource` ``on_ship`` observer: payload accounting."""
         if kind == "delta":
-            self._delta_bytes.inc(nbytes, server=self.name)
+            self._delta_bytes.inc(nbytes)
         else:
-            self._snapshot_bytes.inc(nbytes, server=self.name)
+            self._snapshot_bytes.inc(nbytes)
 
     # ------------------------------------------------------------------
     # Pool/coalescer callbacks
     # ------------------------------------------------------------------
     def _sink(self, batch: CoalescedBatch) -> bool:
         self._flushes.inc(1, server=self.name, reason=batch.reason)
+        # Admission is counted here, a batch at a time: a request with
+        # the batch its first address went into (so once), an address
+        # with its own batch — whether or not the pool then takes it.
+        requests = sampled = 0
+        for handle, handle_offset, _, _ in batch.parts:
+            if not handle_offset:
+                requests += 1
+                if handle.sampled:
+                    sampled += 1
+        self._requests.inc(requests)
+        self._addresses.inc(len(batch.addresses))
+        self.spans.count_decisions(sampled, requests - sampled)
         if not self._pool.submit(batch):
-            self._shed.inc(len(batch.addresses), server=self.name)
+            self._shed.inc(len(batch.addresses))
             now = self.clock.now()
             for handle, *_ in batch.parts:
                 if handle.sampled:
@@ -668,7 +706,7 @@ class LookupServer:
                         trace_id_for(handle.seq, self._epoch), "shed",
                         now, seq=handle.seq, reason="pool_refused")
             return False
-        self._batches.inc(1, server=self.name)
+        self._batches.inc()
         self._batch_size.observe(len(batch.addresses))
         return True
 
@@ -696,53 +734,67 @@ class LookupServer:
 
     def _on_done(self, batch: CoalescedBatch,
                  finished: List[PendingLookup]) -> None:
+        """Book one served batch: everything here is per batch — one
+        pass over the finished requests, then one ``observe_many`` each
+        on the timings and the SLO windows."""
         now = self.clock.now()
         meta = batch.meta
         epoch = batch.parts[0][0].epoch if batch.parts else None
         if epoch is None:
             epoch = self._epoch
-        intervals = self._phase_intervals(meta)
-        sampled_batch = any(h.sampled for h, *_ in batch.parts)
-        batch_trace = batch_trace_id_for(meta.get("batch", 0), epoch)
+        phases = [(phase, start, end, max(0.0, end - start))
+                  for phase, start, end in self._phase_intervals(meta)]
+        # The root request span reuses the timer's exact floats (same
+        # subtraction, same clamp to zero), so the span<->metrics
+        # consistency check holds bit-for-bit at sample rate 1.
+        durations = [dur if (dur := now - handle.submitted_at) > 0.0 else 0.0
+                     for handle in finished]
+        self.registry.observe_many(
+            [(self._request_timing, durations)]
+            + [(self._phase_timings[phase], (dur,))
+               for phase, _, _, dur in phases])
+        self.slo.observe_many(
+            [("request", durations)]
+            + [(phase, (dur,)) for phase, _, _, dur in phases])
+        for handle, _, _, _ in batch.parts:
+            if handle.sampled:
+                self._record_spans(batch, finished, phases, epoch, now)
+                break
+        self._feed_answer_cache(finished)
+
+    def _record_spans(self, batch: CoalescedBatch,
+                      finished: List[PendingLookup],
+                      phases: List[Tuple[str, float, float, float]],
+                      epoch: int, now: float) -> None:
+        """The spans of a batch that carries a sampled request: its
+        phase decomposition, and a root span per sampled request."""
+        spans = self.spans
+        meta = batch.meta
+        batch_seq, retries = meta.get("batch", 0), meta.get("retries", 0)
         worker = meta.get("worker", 0)
         # A forked replica's child times its own lookup (its clock, so
         # only the duration crosses the pipe).  This runs on the
         # worker's thread right after its round trip, so the replica's
         # last duration is this batch's; it rides on the execute span.
-        child_s = (getattr(self._pool.engines[worker], "last_execute_s", None)
-                   if sampled_batch else None)
-        for phase, start, end in intervals:
-            dur = max(0.0, end - start)
-            self.slo.observe(phase, dur)
-            self.registry.observe_seconds(
-                "repro_server_phase", dur, server=self.name, phase=phase)
-            if sampled_batch:
-                extra = ({"child_execute_s": child_s}
-                         if child_s is not None and phase == "execute"
-                         else {})
-                self.spans.record(
-                    batch_trace, phase, start, end, worker=worker,
-                    batch=meta.get("batch", 0), reason=batch.reason,
-                    size=len(batch.addresses), epoch=epoch,
-                    retries=meta.get("retries", 0), **extra)
+        child_s = getattr(self._pool.engines[worker], "last_execute_s", None)
+        batch_trace = batch_trace_id_for(batch_seq, epoch)
+        for phase, start, end, _ in phases:
+            extra = ({"child_execute_s": child_s}
+                     if child_s is not None and phase == "execute"
+                     else {})
+            spans.record(
+                batch_trace, phase, start, end, worker=worker,
+                batch=batch_seq, reason=batch.reason,
+                size=len(batch.addresses), epoch=epoch,
+                retries=retries, **extra)
         for handle in finished:
-            # The root request span reuses the timer's exact floats
-            # (same subtraction, same clamp), so the span<->metrics
-            # consistency check holds bit-for-bit at sample rate 1.
-            dur = max(0.0, now - handle.submitted_at)
-            self.registry.observe_seconds(
-                "repro_server_request", dur, server=self.name)
-            self.slo.observe("request", dur)
             if handle.sampled:
-                self.spans.record(
+                spans.record(
                     trace_id_for(handle.seq, handle.epoch or 0),
                     "request", handle.submitted_at, now,
                     seq=handle.seq, epoch=handle.epoch or 0,
                     addresses=len(handle.addresses),
-                    batch=meta.get("batch", 0),
-                    retries=meta.get("retries", 0), outcome="ok")
-        if self.health is not None:
-            self._feed_answer_cache(finished)
+                    batch=batch_seq, retries=retries, outcome="ok")
 
     def _note_requeue(self, worker: int, batch: CoalescedBatch) -> None:
         """Supervisor re-queued an orphaned batch: a visible retry
@@ -762,13 +814,13 @@ class LookupServer:
             self.health.note_slo_breach()
 
     def _on_depth(self, depth: int) -> None:
-        self._depth.set(depth, server=self.name)
+        self._depth.set(depth)
         if self.health is not None:
             self.health.note_depth(depth)
 
     def _on_error(self, batch: Optional[CoalescedBatch],
                   exc: BaseException) -> None:
-        self._worker_errors.inc(1, server=self.name)
+        self._worker_errors.inc()
         if batch is not None:
             now = self.clock.now()
             meta = batch.meta

@@ -147,7 +147,9 @@ class ServingHealth:
         self.brownout_slo_breaches = brownout_slo_breaches
         self._on_transition = on_transition
         self._lock = threading.Lock()
-        self._state = ServingState.HEALTHY
+        #: The current level.  Read it freely (the server does, on
+        #: every request); only the signal feeds below move it.
+        self.state = ServingState.HEALTHY
         self._depth = 0
         self._restarts: Deque[float] = deque()
         self._misses: Deque[float] = deque()
@@ -173,9 +175,17 @@ class ServingHealth:
         self._evaluate()
 
     def note_request(self) -> None:
-        with self._lock:
-            self._requests.append(self.clock.now())
-        self._evaluate()
+        """One more request in the miss-rate denominator.
+
+        While HEALTHY this is a bare (atomic) deque append: a request
+        can only *lower* the miss rate, so it can cause no transition,
+        and the next signal that evaluates — a depth change, restart,
+        miss or breach — trims the window.  In a worse state requests
+        evaluate, which is what lets recovery progress under traffic.
+        """
+        self._requests.append(self.clock.now())
+        if self.state is not ServingState.HEALTHY:
+            self._evaluate()
 
     def note_slo_breach(self) -> None:
         """An :class:`~repro.obs.SloTracker` quantile went over budget."""
@@ -184,14 +194,10 @@ class ServingHealth:
         self._evaluate()
 
     # -- state ---------------------------------------------------------
-    @property
-    def state(self) -> ServingState:
-        return self._state
-
     def refresh(self) -> ServingState:
         """Re-evaluate now (lets recovery progress without traffic)."""
         self._evaluate()
-        return self._state
+        return self.state
 
     # -- internals -----------------------------------------------------
     def _trim(self, now: float) -> None:
@@ -226,20 +232,21 @@ class ServingHealth:
             now = self.clock.now()
             self._trim(now)
             target = self._target_state()
-            current = self._state
-            if _STATE_ORDER.index(target) > _STATE_ORDER.index(current):
+            current = self.state
+            level = SERVING_STATE_VALUES[current]
+            if SERVING_STATE_VALUES[target] > level:
                 # Worse: escalate immediately, restart the calm timer.
                 self._calm_since = None
-                self._state = target
+                self.state = target
                 transition = (current, target)
-            elif _STATE_ORDER.index(target) < _STATE_ORDER.index(current):
+            elif SERVING_STATE_VALUES[target] < level:
                 # Better: step down one level only after recovery_s of
                 # uninterrupted calm (hysteresis against flapping).
                 if self._calm_since is None:
                     self._calm_since = now
                 elif now - self._calm_since >= self.recovery_s:
-                    stepped = _STATE_ORDER[_STATE_ORDER.index(current) - 1]
-                    self._state = stepped
+                    stepped = _STATE_ORDER[level - 1]
+                    self.state = stepped
                     self._calm_since = now
                     transition = (current, stepped)
             else:

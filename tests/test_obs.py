@@ -6,6 +6,8 @@ tests below compare byte-for-byte.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -193,6 +195,82 @@ class TestRegistry:
         assert stats["max_s"] == 99.0
         assert stats["buckets"]["1e-06"] == 1
         assert stats["buckets"]["+Inf"] == 1
+
+    def test_series_handles_address_the_same_series(self):
+        reg = MetricsRegistry()
+        counter = reg.counter("demo_total")
+        counter.inc(2, b=2, a=1)
+        counter.labels(a=1, b=2).inc(3)
+        assert counter.value(a=1, b=2) == 5
+        with pytest.raises(ValueError):
+            counter.labels().inc(-1)
+        gauge = reg.gauge("demo_gauge").labels(server="s")
+        gauge.set(5)
+        gauge.dec(7)
+        assert reg.gauge("demo_gauge").value(server="s") == -2
+        hist = reg.histogram("demo_hist", [1, 10])
+        hist.labels(k="v").observe(10)
+        hist.observe(11, k="v")
+        assert hist.bucket_counts(k="v") == {"1": 0, "10": 1, "+Inf": 1}
+        # A handle alone creates nothing: a series exists once written.
+        counter.labels(a=9)
+        reg.timing("idle")
+        assert [key for key, _ in counter.items()] == [
+            (("a", "1"), ("b", "2"))]
+        assert reg.timings_snapshot() == {}
+
+    def test_observe_many_equals_one_observe_per_value(self):
+        values = [3e-4, 0.5e-6, 99.0, 1e-3, 0.02, 7e-5]
+        one, many = MetricsRegistry(), MetricsRegistry()
+        for value in values:
+            one.observe_seconds("phase", value, server="s")
+            one.observe_seconds("other", value)
+        phase = many.timing("phase", server="s")
+        phase.observe_many(values[:2])
+        many.observe_many([(phase, values[2:]),
+                           (many.timing("other"), values), (phase, [])])
+        assert many.timings_snapshot() == one.timings_snapshot()
+
+    def test_concurrent_updates_are_not_lost(self):
+        """Four threads, a switch interval short enough to cut into
+        every unguarded read-modify-write: the sums must be exact
+        (at PR 16 the counter ended at ~192,000 of 200,000)."""
+        threads, rounds = 4, 50_000
+        reg = MetricsRegistry()
+        counter = reg.counter("demo_total")
+        series = counter.labels(server="s")
+        hist = reg.histogram("demo_hist", [1, 10]).labels(server="s")
+        timing = reg.timing("demo", server="s")
+
+        def work():
+            for i in range(rounds):
+                if i & 1:
+                    series.inc()
+                else:
+                    counter.inc(1, server="s")
+                if i % 10 == 0:
+                    hist.observe(5)
+                    timing.observe(0.25)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=work) for _ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pool)
+        assert counter.value(server="s") == threads * rounds
+        observed = threads * rounds // 10
+        assert reg.get("demo_hist").count(server="s") == observed
+        assert reg.get("demo_hist").sum(server="s") == 5 * observed
+        stats = reg.timings_snapshot()['demo{server="s"}']
+        assert stats["count"] == observed
+        assert stats["total_s"] == 0.25 * observed
+        assert stats["buckets"]["1"] == observed
 
 
 class TestAccessStats:

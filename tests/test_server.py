@@ -7,6 +7,7 @@ the wall clock to make a timer fire.
 
 import multiprocessing
 import random
+import sys
 import threading
 
 import pytest
@@ -28,6 +29,7 @@ from repro.server import (
     ReplicaSource,
     RequestCoalescer,
     RequestShed,
+    RequestTimeout,
     RestartPolicy,
     ServerClosed,
     ServerError,
@@ -149,6 +151,117 @@ class TestPendingLookup:
         assert not handle._fail(ServerClosed("late"))
         with pytest.raises(RequestShed):
             handle.result(0)
+
+    def test_one_resolution_wakes_every_waiter(self):
+        handle = PendingLookup([10, 20], 0.0)
+        woke = []
+        waiters = [threading.Thread(
+            target=lambda: woke.append(handle.wait(30))) for _ in range(5)]
+        waiters.append(threading.Thread(
+            target=lambda: woke.append(handle.result(30) == [1, 2])))
+        for thread in waiters:
+            thread.start()
+        assert not handle.wait(0.01)     # nobody is through yet
+        assert handle._scatter(0, [1, 2], epoch=0)
+        for thread in waiters:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in waiters)
+        assert woke == [True] * 6
+        assert handle.wait() and handle.wait(0) and handle.done()
+
+    def test_timeouts_report_what_is_pending(self):
+        handle = PendingLookup([10, 20, 30], 0.0)
+        handle._scatter(0, [1], epoch=0)
+        assert not handle.done()
+        assert handle.wait(0) is False
+        assert handle.wait(-1.0) is False    # a spent budget: poll, not raise
+        assert handle.wait(0.01) is False
+        with pytest.raises(TimeoutError, match=r"2/3 pending"):
+            handle.result(0.01)
+        assert handle._scatter(1, [2, 3], epoch=0)
+        assert handle.result(0) == [1, 2, 3]
+
+    def test_empty_request_never_resolves_again(self):
+        handle = PendingLookup([], 0.0)
+        assert handle.wait() and handle.wait(0)
+        assert not handle._fail(ServerClosed("late"))
+        assert handle.result(0) == []
+
+    def test_duplicate_delivery_to_a_failed_request_is_dropped(self):
+        handle = PendingLookup([10], 0.0)
+        assert handle._fail(RequestShed("drop"))
+        assert handle._scatter(0, [1], epoch=0) is False
+        with pytest.raises(RequestShed):
+            handle.result(0)
+
+    def test_whole_delivery_is_adopted_partial_ones_are_copied(self):
+        whole = PendingLookup([10, 20], 0.0)
+        hops = [1, 2]
+        whole._scatter(0, hops, epoch=0)
+        assert whole._hops is hops
+        assert whole.result(0) == hops and whole.result(0) is not hops
+        # Parts may land in any order (two workers, two batches).
+        split = PendingLookup([10, 20, 30], 0.0)
+        assert not split._scatter(1, [2, 3], epoch=5)
+        assert split._scatter(0, [1], epoch=4)
+        assert split.result(0) == [1, 2, 3]
+        assert split.epoch_span == (4, 4) and split.deliveries == 2
+
+    def test_fail_racing_the_final_scatter_resolves_exactly_once(self):
+        """A deadline ``_fail`` against the last ``_scatter``, from two
+        threads, cut into by a tiny switch interval: one of them wins,
+        the loser is told so, the waiter lock is released once (a second
+        release would raise) and the deadline timer is disarmed."""
+        trials = 2_500
+        clock = FakeClock()
+        start = threading.Barrier(2)
+        handles = [PendingLookup([1, 2], 0.0) for _ in range(trials)]
+        for handle in handles:
+            handle.deadline_timer = clock.call_at(1.0, lambda: None)
+        won = {"scatter": [], "fail": []}
+        errors = []
+
+        def run(side, resolve):
+            try:
+                for handle in handles:
+                    start.wait(timeout=30)   # both sides, every trial
+                    won[side].append(resolve(handle))
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                errors.append(exc)
+
+        timeout = RequestTimeout("late")
+        pair = [
+            threading.Thread(target=run, args=(
+                "scatter", lambda h: h._scatter(0, [7, 8], epoch=0))),
+            threading.Thread(target=run, args=(
+                "fail", lambda h: h._fail(timeout))),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in pair:
+                thread.start()
+            for thread in pair:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pair)
+        assert errors == []
+        answered = failed = 0
+        for handle, scattered, did_fail in zip(
+                handles, won["scatter"], won["fail"]):
+            assert scattered != did_fail       # exactly one resolver
+            assert handle.done() and handle.wait(0)
+            assert handle.deadline_timer is None
+            if scattered:
+                answered += 1
+                assert handle.result(0) == [7, 8]
+            else:
+                failed += 1
+                with pytest.raises(RequestTimeout):
+                    handle.result(0)
+        assert answered + failed == trials
+        assert clock.pending_timers() == 0
 
     def test_batch_complete_requires_matching_hop_count(self):
         handle = PendingLookup([1, 2], 0.0)
