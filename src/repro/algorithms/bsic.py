@@ -457,8 +457,9 @@ class Bsic(LookupAlgorithm):
             is_hop = found & (vals >= hop_tag)
             is_bst = found & ~is_hop
             lanes.assign("done", np.where(is_bst, 0, 1), none=is_bst)
-            lanes.assign("best", vals & (hop_tag - 1), none=~is_hop)
-            lanes.assign("ptr", vals, none=~is_bst)
+            lanes.assign("best", np.where(is_hop, vals & (hop_tag - 1), 0),
+                         none=~is_hop)
+            lanes.assign("ptr", np.where(is_bst, vals, 0), none=~is_bst)
 
         specs = {"initial": VectorStepSpec(
             update=init_update,

@@ -446,7 +446,8 @@ class Mashup(LookupAlgorithm):
                         ((vals >> self._HOP_BITS) & 1) == 1)
                     lanes.assign(
                         f"{reg}_best_{level}",
-                        np.where(hop_present, vals & hop_mask, carried),
+                        np.where(hop_present, vals & hop_mask,
+                                 np.where(fired, carried, 0)),
                         none=~fired | (~hop_present & carried_none))
                     kindb = (vals >> kind_shift) & 3
                     lanes.assign(

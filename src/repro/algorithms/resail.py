@@ -454,51 +454,59 @@ class Resail(LookupAlgorithm):
     def _vector_bitmap_spec(self, i, prev=None):
         from ..core.vector import VectorStepSpec
 
-        shift = IPV4_WIDTH - i
-        mark_shift = PIVOT_LEVEL - i
-
-        def update(lanes, vals, found, active, i=i):
-            # Bit marking, vectorized: append a 1, shift to width 25.
-            index = lanes.values("addr") >> shift
-            marked = ((index << 1) | 1) << mark_shift
-            hit = vals != 0
-            lanes.assign(f"key_{i}", np.where(hit, marked, 0), none=~hit)
-
+        # The parallel level shares one (levels, n) uint8 lane matrix:
+        # each bitmap kernel is one shift plus one gather from its own
+        # view into its own row.  The key_i registers of the CRAM
+        # program stay unwritten — the hash step marks the one key it
+        # needs.
         if prev is None:
             prev = self._artifact_views.get(f"bitmap_{i}")
-        return VectorStepSpec(
-            update,
-            select=lambda lanes, shift=shift: (
-                lanes.values("addr") >> shift, None),
-            reader=self.bitmaps[i].vector_reader(prev),
-        )
+        view = self.bitmaps[i].vector_reader(prev)
+        levels = len(self.bitmaps)
+        row = i - self.min_bmp
+        shift = IPV4_WIDTH - i
+
+        def update(lanes, vals, found, active):
+            lanes.matrix("bitmaps", levels, np.uint8)[row] = view.packed[
+                lanes.values("addr") >> shift]
+
+        # Compute-only (the kernel gathers into its row itself);
+        # recording the view as the spec's reader lets the compiled
+        # plan hand it back for an incremental re-freeze on a patch.
+        return VectorStepSpec(update, reader=view)
 
     def _vector_hash_spec(self, prev=None):
         from ..core.vector import VectorStepSpec
 
-        # Final step: coalesce the longest marked key (priority 24 down
-        # to min_bmp), probe the flattened d-left view, resolve against
-        # the look-aside hop.
+        # Final step: weigh each row of the lane matrix by its rank
+        # (1 for min_bmp ... levels for 24) and the column maximum is
+        # the longest hit level per lane, 0 where no bitmap hit; mark
+        # that one key, probe the flattened d-left view once, resolve
+        # against the look-aside hop.
         if prev is None:
             prev = self._artifact_views.get("hash")
         hash_view = self.hash_table.vector_reader(prev)
+        levels = len(self.bitmaps)
+        ranks = np.arange(1, levels + 1, dtype=np.uint8)[:, None]
+        base_shift = IPV4_WIDTH - PIVOT_LEVEL
 
         def hash_update(lanes, vals, found, active):
-            keys = np.zeros(lanes.n, dtype=np.int64)
-            have = np.zeros(lanes.n, dtype=bool)
-            for i in range(PIVOT_LEVEL, self.min_bmp - 1, -1):
-                key_present = lanes.present(f"key_{i}")
-                np.copyto(keys, lanes.values(f"key_{i}"),
-                          where=key_present & ~have)
-                have |= key_present
-            laside = lanes.present("laside_hop")
-            hops, hit = hash_view.gather(keys, have & ~laside)
+            rank = (lanes.matrix("bitmaps", levels, np.uint8) * ranks
+                    ).max(axis=0)
+            # Level 24 - drop is the longest hit, so its marked key is
+            # ((addr >> (8 + drop)) << 1 | 1) << drop.
+            drop = levels - rank
+            keys = ((lanes.values("addr") >> (drop + base_shift) << 1) | 1
+                    ) << drop
+            no_laside = lanes.is_none("laside_hop")
+            hops, hit = hash_view.gather(keys, (rank != 0) & no_laside)
             lanes.assign("hop",
-                         np.where(laside, lanes.values("laside_hop"), hops),
-                         none=~laside & ~hit)
+                         np.where(no_laside, hops,
+                                  lanes.values("laside_hop")),
+                         none=no_laside & ~hit)
 
-        # No select (the step coalesces its own keys), but recording
-        # the view as the spec's reader lets the compiled plan hand it
+        # No select (the step marks its own key), but recording the
+        # view as the spec's reader lets the compiled plan hand it
         # back here for an incremental re-freeze on the next patch.
         return VectorStepSpec(hash_update, reader=hash_view)
 

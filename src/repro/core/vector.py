@@ -13,7 +13,11 @@ The execution model:
   pair of arrays: an ``int64`` value vector plus a boolean ``none``
   mask (the sentinel + mask convention for ``None`` lanes — masked
   lanes hold value 0, so scalar truthiness ``state.get(r)`` lowers to
-  ``vals != 0`` and presence to ``~none``).
+  ``vals != 0`` and presence to ``~none``).  The file is adopt-on-write:
+  a register costs nothing until a kernel writes it and then *is* the
+  arrays the kernel produced, so a batch costs O(CRAM steps) wide array
+  passes, not O(steps x registers) short ones.  The kernels of one
+  parallel CRAM level can share a lane matrix, one row each.
 * **Vector table views.**  Memory backings grow ``vector_reader()``
   snapshot views alongside ``plan_reader()``: bitmaps as packed
   ``uint8`` arrays gathered by an index vector
@@ -27,9 +31,9 @@ The execution model:
   selector/action lower to array form via
   :meth:`~repro.algorithms.base.LookupAlgorithm.vector_specs` —
   a dict of step name → :class:`VectorStepSpec`.  A spec either binds
-  ``select`` (keys + active mask) to a table view's ``gather`` and an
-  ``update`` kernel, or is compute-only (``select=None``) and reads
-  the lanes directly.
+  ``select`` (keys + active mask, ``None`` = every lane) to a table
+  view's ``gather`` and an ``update`` kernel, or is compute-only
+  (``select=None``) and reads the lanes directly.
 * **All-or-nothing lowering.**  A plan runs as kernels only when
   *every* step has a spec whose table produced a vector view, the hop
   extraction has an array form, and addresses fit ``int64`` lanes
@@ -133,79 +137,143 @@ else:  # numpy < 2.0 (the 3.9 CI cell): 16-bit lookup-table fallback
 class Lanes:
     """A batch of CRAM register files in structure-of-arrays form.
 
+    The file is **adopt-on-write**: a register costs nothing until a
+    kernel writes it.  :meth:`assign` adopts the producer's arrays as
+    the register (no copy-in), a register assigned without a ``none``
+    mask stores no mask at all (one is only built if somebody asks
+    :meth:`is_none`), and a register no kernel has written yet reads as
+    ``None`` in every lane — materialised on that first read or partial
+    write, never up front.
+
     Invariant: ``vals[reg][lane] == 0`` wherever ``none[reg][lane]`` is
-    set, so scalar truthiness lowers to ``vals != 0``.
+    set, so scalar truthiness lowers to ``vals != 0``.  For
+    :meth:`assign` that is the **producer's contract** (hand in
+    ``np.where(hit, x, 0)``, not ``x``), as is giving the arrays up:
+    one array is never handed to two registers, and never one a table
+    view still owns — a later :meth:`assign_where` writes in place.
+
+    Besides registers the file holds **lane matrices**
+    (:meth:`matrix`): one ``(rows, n)`` array shared by the kernels of
+    a parallel CRAM level, each writing its own row, so the step that
+    joins them reduces one matrix instead of coalescing ``rows``
+    register pairs.
     """
 
-    __slots__ = ("n", "vals", "none")
+    __slots__ = ("registers", "n", "vals", "none", "mats")
 
-    def __init__(self, registers: Sequence[str], n: int):
+    def __init__(self, registers, n: int):
+        self.registers = registers
         self.n = n
-        self.vals: Dict[str, np.ndarray] = {
-            reg: np.zeros(n, dtype=np.int64) for reg in registers
-        }
-        self.none: Dict[str, np.ndarray] = {
-            reg: np.ones(n, dtype=bool) for reg in registers
-        }
+        self.vals: Dict[str, np.ndarray] = {}
+        #: ``None`` for a register assigned with every lane present.
+        self.none: Dict[str, Optional[np.ndarray]] = {}
+        self.mats: Dict[str, np.ndarray] = {}
+
+    def _unwritten(self, reg: str) -> Tuple[np.ndarray, np.ndarray]:
+        """First touch of a register nothing assigned: all lanes None."""
+        if reg not in self.registers:
+            raise KeyError(reg)
+        vals = self.vals[reg] = np.zeros(self.n, dtype=np.int64)
+        none = self.none[reg] = np.ones(self.n, dtype=bool)
+        return vals, none
 
     # -- whole-register reads ------------------------------------------
     def values(self, reg: str) -> np.ndarray:
         """The value vector (``None`` lanes read 0, as in ``eval_expr``)."""
-        return self.vals[reg]
+        try:
+            return self.vals[reg]
+        except KeyError:
+            return self._unwritten(reg)[0]
 
     def is_none(self, reg: str) -> np.ndarray:
-        return self.none[reg]
+        try:
+            none = self.none[reg]
+        except KeyError:
+            return self._unwritten(reg)[1]
+        if none is None:
+            none = self.none[reg] = np.zeros(self.n, dtype=bool)
+        return none
 
     def present(self, reg: str) -> np.ndarray:
         """Lanes where the register ``is not None``."""
-        return ~self.none[reg]
+        try:
+            none = self.none[reg]
+        except KeyError:
+            none = self._unwritten(reg)[1]
+        if none is None:
+            return np.ones(self.n, dtype=bool)
+        return ~none
 
     def truthy(self, reg: str) -> np.ndarray:
         """Scalar ``if state.get(reg):`` — None lanes hold 0, so one test."""
-        return self.vals[reg] != 0
+        try:
+            return self.vals[reg] != 0
+        except KeyError:
+            return self._unwritten(reg)[0] != 0
 
     # -- whole-register writes -----------------------------------------
     def fill(self, reg: str, value: Optional[int]) -> None:
         """Broadcast one scalar initial value (or ``None``) to every lane."""
         if value is None:
-            self.vals[reg][:] = 0
-            self.none[reg][:] = True
+            self.vals.pop(reg, None)
+            self.none.pop(reg, None)
         else:
-            self.vals[reg][:] = int(value)
-            self.none[reg][:] = False
+            self.assign(reg, np.full(self.n, int(value), dtype=np.int64))
 
-    def assign(self, reg: str, values, none=None) -> None:
-        """Assign every lane: values + optional none mask."""
-        vals, mask = self.vals[reg], self.none[reg]
-        vals[:] = values
-        if none is None:
-            mask[:] = False
-        else:
-            mask[:] = none
-            vals[mask] = 0
+    def assign(self, reg: str, values: np.ndarray,
+               none: Optional[np.ndarray] = None) -> None:
+        """Assign every lane by adopting ``values`` (an ``int64`` lane
+        vector, 0 wherever ``none`` is set) and the optional ``none``
+        mask — see the class docstring for what the producer owes."""
+        if reg not in self.registers:
+            raise KeyError(reg)
+        self.vals[reg] = values
+        self.none[reg] = none
 
     def assign_where(self, reg: str, where: np.ndarray, values,
                      none=None) -> None:
-        """Assign only the lanes selected by ``where``."""
-        vals, mask = self.vals[reg], self.none[reg]
+        """Assign only the lanes selected by ``where`` (in place)."""
+        try:
+            vals, mask = self.vals[reg], self.none[reg]
+        except KeyError:
+            vals, mask = self._unwritten(reg)
         np.copyto(vals, values, where=where)
         if none is None:
-            mask[where] = False
+            if mask is not None:
+                mask[where] = False
         else:
+            if mask is None:
+                mask = self.is_none(reg)
             np.copyto(mask, none, where=where)
-        vals[mask] = 0
+            vals[mask] = 0
+
+    # -- lane matrices -------------------------------------------------
+    def matrix(self, name: str, rows: int, dtype) -> np.ndarray:
+        """The ``(rows, n)`` lane matrix ``name``, allocated (not
+        filled) by whichever kernel asks first.  Every row belongs to
+        one kernel, which must write all of it before the joining step
+        reads the matrix."""
+        try:
+            return self.mats[name]
+        except KeyError:
+            mat = self.mats[name] = np.empty((rows, self.n), dtype=dtype)
+            return mat
 
 
 # ---------------------------------------------------------------------------
 # Vector table views (the vector_reader() contract)
 # ---------------------------------------------------------------------------
 #
-# A view answers `gather(keys, active) -> (vals, found)`:
+# A view answers `gather(keys, active=None) -> (vals, found)`:
 #   * `keys`   int64 lane vector (contents of inactive lanes ignored);
-#   * `active` bool mask of lanes that actually probe the table;
+#   * `active` bool mask of lanes that actually probe the table, or
+#     `None` when every lane does — the common case, answered without
+#     building a mask, masking the keys or clearing inactive lanes;
 #   * `vals`   int64 results, 0 wherever not found;
 #   * `found`  bool mask — the vector form of "result is not None"
 #     (implies active).
+# Results are fresh arrays the caller may adopt into a register; no
+# `gather` writes into the view's own arrays.
 # Views are snapshots: building one freezes the table.  A backing that
 # supports incremental freezing stamps the view with the write-log
 # `version` it is synced to and, handed the view back on the next
@@ -216,7 +284,8 @@ class Lanes:
 
 
 class BitmapView:
-    """A packed bitmap: one ``uint8`` per slot, gathered by index."""
+    """A packed bitmap: one ``uint8`` (0 or 1) per slot, gathered by
+    index."""
 
     __slots__ = ("packed", "version")
 
@@ -224,17 +293,23 @@ class BitmapView:
         self.packed = packed
         self.version = version
 
-    def gather(self, keys: np.ndarray,
-               active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        # A clear bit is still a stored value: found == probed, so with
+        # every lane probing ``found`` is ``None`` too.
+        if active is None:
+            return self.packed[keys].astype(np.int64), None
         idx = np.where(active, keys, 0)
         vals = self.packed[idx].astype(np.int64)
         vals[~active] = 0
-        # A clear bit is still a stored value: found == probed.
         return vals, active.copy()
 
 
 class DenseArrayView:
-    """A dict view densified to index → value arrays (small key spaces)."""
+    """A dict view densified to index → value arrays (small key spaces).
+
+    ``dense`` holds 0 wherever ``present`` is clear.
+    """
 
     __slots__ = ("dense", "present")
 
@@ -242,8 +317,10 @@ class DenseArrayView:
         self.dense = dense
         self.present = present
 
-    def gather(self, keys: np.ndarray,
-               active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        if active is None:
+            return self.dense[keys], self.present[keys]
         idx = np.where(active, keys, 0)
         found = active & self.present[idx]
         vals = np.where(found, self.dense[idx], 0)
@@ -260,14 +337,16 @@ class SparseMapView:
         self.data = data
         self.version = version
 
-    def gather(self, keys: np.ndarray,
-               active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
         if self.keys.size == 0:
             zero = np.zeros(keys.shape, dtype=np.int64)
             return zero, np.zeros(keys.shape, dtype=bool)
-        pos = np.searchsorted(self.keys, keys)
-        pos = np.minimum(pos, self.keys.size - 1)
-        found = active & (self.keys[pos] == keys)
+        pos = self.keys.searchsorted(keys)
+        np.minimum(pos, self.keys.size - 1, out=pos)
+        found = self.keys[pos] == keys
+        if active is not None:
+            found &= active
         vals = np.where(found, self.data[pos], 0)
         return vals, found
 
@@ -279,26 +358,47 @@ class TcamMatrixView:
     mask)`` first — the winning order), so the broadcast compare
     ``(keys & mask) == value`` followed by ``argmax`` along the row
     axis returns the highest-priority match per lane.
+
+    The ``lanes x rows`` compare only runs over lanes that can match at
+    all: a key matches some row only if it agrees with that row on the
+    bits *every* row cares about, i.e. ``key & AND(masks)`` is one of
+    the rows' ``value & AND(masks)`` — one ``searchsorted`` into at
+    most ``rows`` sorted entries, exact as a necessary condition.  A
+    look-aside table of long prefixes rejects nearly all traffic there.
     """
 
-    __slots__ = ("values_", "masks", "data")
+    __slots__ = ("values_", "masks", "data", "common", "common_values")
 
     def __init__(self, values: np.ndarray, masks: np.ndarray,
                  data: np.ndarray):
         self.values_ = values
         self.masks = masks
         self.data = data
+        #: The bits every row's mask cares about (0 filters nothing)...
+        self.common = (int(np.bitwise_and.reduce(masks))
+                       if masks.size else 0)
+        #: ...and the rows' distinct values under it, sorted.
+        self.common_values = np.unique(values & self.common)
 
-    def gather(self, keys: np.ndarray,
-               active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        vals = np.zeros(keys.shape, dtype=np.int64)
+        found = np.zeros(keys.shape, dtype=bool)
         if self.values_.size == 0:
-            zero = np.zeros(keys.shape, dtype=np.int64)
-            return zero, np.zeros(keys.shape, dtype=bool)
-        match = (keys[:, None] & self.masks[None, :]) == self.values_[None, :]
-        match &= active[:, None]
-        found = match.any(axis=1)
-        first = match.argmax(axis=1)
-        vals = np.where(found, self.data[first], 0)
+            return vals, found
+        under = keys & self.common
+        pos = self.common_values.searchsorted(under)
+        np.minimum(pos, self.common_values.size - 1, out=pos)
+        maybe = self.common_values[pos] == under
+        if active is not None:
+            maybe &= active
+        idx = maybe.nonzero()[0]
+        if idx.size:
+            match = ((keys[idx, None] & self.masks[None, :])
+                     == self.values_[None, :])
+            hit = match.any(axis=1)
+            vals[idx] = np.where(hit, self.data[match.argmax(axis=1)], 0)
+            found[idx] = hit
         return vals, found
 
 
@@ -321,24 +421,29 @@ class TcamGroupView:
         #: ``(mask, view)`` pairs in frozen group (winning) order.
         self.groups = tuple(groups)
 
-    def gather(self, keys: np.ndarray,
-               active: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
         vals = np.zeros(keys.shape, dtype=np.int64)
         found = np.zeros(keys.shape, dtype=bool)
         # Compress to the active lanes once, then shrink the probe set
         # as groups answer: each searchsorted touches only lanes no
         # earlier (higher-priority) group matched, so deep probe chains
         # cost O(sum of survivors) instead of O(groups x lanes).
-        idx = np.flatnonzero(active)
+        if active is None:
+            idx = np.arange(keys.shape[0])
+            sub = keys
+        else:
+            idx = active.nonzero()[0]
+            sub = keys[idx]
         if idx.size == 0:
             return vals, found
-        sub = keys[idx]
         for mask, view in self.groups:
             gkeys = view.keys
             if gkeys.size == 0:
                 continue
             probe = sub & mask
-            pos = np.minimum(np.searchsorted(gkeys, probe), gkeys.size - 1)
+            pos = gkeys.searchsorted(probe)
+            np.minimum(pos, gkeys.size - 1, out=pos)
             gfound = gkeys[pos] == probe
             if gfound.any():
                 hit = idx[gfound]
@@ -505,11 +610,13 @@ class VectorStepSpec:
     ``update(lanes, vals, found, active)`` is the array form of the
     step's action.  With ``select`` set, the compiler gathers from the
     step's table view first (``select(lanes) -> (keys, active)``;
-    ``active=None`` means every lane) and passes the results through;
-    a compute-only spec (``select=None``) receives ``(None, None,
-    None)`` and reads/gathers from the lanes itself.  ``reader``
-    overrides the view otherwise obtained from the table backing's
-    ``vector_reader()``.
+    ``active=None`` means every lane, and reaches ``update`` as
+    ``None``) and passes the results through; a compute-only spec
+    (``select=None``) receives ``(None, None, None)`` and
+    reads/gathers from the lanes itself.  What ``update`` hands
+    :meth:`Lanes.assign` the register file adopts — see the contract
+    there.  ``reader`` overrides the view otherwise obtained from the
+    table backing's ``vector_reader()``.
     """
 
     update: Callable[[Lanes, Optional[np.ndarray], Optional[np.ndarray],
@@ -544,8 +651,6 @@ def _compile_spec(step, spec: VectorStepSpec) -> Callable[[Lanes], None]:
 
     def run_table(lanes: Lanes) -> None:
         keys, active = select(lanes)
-        if active is None:
-            active = np.ones(lanes.n, dtype=bool)
         vals, found = view.gather(keys, active)
         update(lanes, vals, found, active)
     return run_table
@@ -578,8 +683,7 @@ class VectorPlan:
         self.algorithm: str = self.plan.algorithm
         self.width: int = self.plan.width
         self._chunk = chunk
-        self._registers: Tuple[str, ...] = tuple(
-            sorted(self.plan.program.registers))
+        self._registers = frozenset(self.plan.program.registers)
         self._base_items = [(reg, value)
                             for reg, value in self.plan._base.items()
                             if value is not None and reg != "addr"]
@@ -689,38 +793,55 @@ class VectorPlan:
         runs through the embedded scalar plan instead: same snapshot,
         same answers.
         """
-        if not self.fully_lowered:
-            return self._scalar_batch(addresses)
-        try:
-            addrs = np.asarray(addresses, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return self._scalar_batch(addresses)
-        if addrs.ndim != 1:
-            raise VectorError("lookup_batch expects a 1-D address vector")
-        n = int(addrs.shape[0])
-        hops = np.empty(n, dtype=np.int64)
-        registers = self._registers
-        for start in range(0, n, self._chunk):
-            segment = addrs[start:start + self._chunk]
-            lanes = Lanes(registers, int(segment.shape[0]))
-            for reg, value in self._base_items:
-                lanes.fill(reg, value)
-            lanes.assign("addr", segment)
-            for kernel in self._kernels:
-                kernel(lanes)
-            vals, none = self._extract(lanes)
-            hops[start:start + self._chunk] = np.where(none, MISS_HOP, vals)
-        return hops
+        out = self._run(addresses)
+        if out is None:
+            hops = self.plan.lookup_batch([int(a) for a in addresses])
+            return np.array([MISS_HOP if hop is None else hop
+                             for hop in hops], dtype=np.int64)
+        vals, none = out
+        return np.where(none, MISS_HOP, vals)
 
     def lookup_batch_hops(self, addresses) -> List[Optional[int]]:
         """:meth:`lookup_batch` as ``List[Optional[int]]`` (engine form)."""
-        hops = self.lookup_batch(addresses)
-        return [None if hop == MISS_HOP else hop for hop in hops.tolist()]
+        out = self._run(addresses)
+        if out is None:
+            return self.plan.lookup_batch([int(a) for a in addresses])
+        vals, none = out
+        # The extraction's own mask says which lanes missed: no
+        # sentinel round trip, no per-lane Python comparison.
+        hops = vals.tolist()
+        for lane in np.flatnonzero(none).tolist():
+            hops[lane] = None
+        return hops
 
-    def _scalar_batch(self, addresses) -> np.ndarray:
-        hops = self.plan.lookup_batch([int(a) for a in addresses])
-        return np.array([MISS_HOP if hop is None else hop for hop in hops],
-                        dtype=np.int64)
+    def _run(self, addresses) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(vals, none)`` lane vectors for the batch out of the
+        kernels, or ``None`` when it has to run on the scalar plan."""
+        if not self.fully_lowered:
+            return None
+        try:
+            addrs = np.asarray(addresses, dtype=np.int64)
+        except (OverflowError, TypeError, ValueError):
+            return None
+        if addrs.ndim != 1:
+            raise VectorError("lookup_batch expects a 1-D address vector")
+        n = addrs.shape[0]
+        if n <= self._chunk:
+            return self._run_chunk(addrs)
+        parts = [self._run_chunk(addrs[start:start + self._chunk])
+                 for start in range(0, n, self._chunk)]
+        return (np.concatenate([vals for vals, _none in parts]),
+                np.concatenate([none for _vals, none in parts]))
+
+    def _run_chunk(self, addrs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        lanes = Lanes(self._registers, addrs.shape[0])
+        for reg, value in self._base_items:
+            lanes.fill(reg, value)
+        # Adopted, not copied: no CRAM step writes ``addr``.
+        lanes.assign("addr", addrs)
+        for kernel in self._kernels:
+            kernel(lanes)
+        return self._extract(lanes)
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:

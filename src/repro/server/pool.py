@@ -6,16 +6,21 @@ and ``on_commit``.  There are two replica kinds and one pool:
 
 * an in-thread :class:`~repro.engine.BatchEngine` (its own compiled
   plan over the shared committed structure).  Worker threads share the
-  interpreter lock, and a lane kernel is ~250 short NumPy calls, so two
-  of them do not add up.  Measured on the 2-core sandbox (PR 17,
+  interpreter lock, and a lane kernel is a run of short NumPy calls (83
+  profile-visible ones for RESAIL since PR 19, 304 before), each of
+  which drops the lock once a batch passes 500 elements, so two of
+  them do not add up.  Measured on the 2-core sandbox (PR 19,
   ``docs/serving.md``): one thread doing everything a 512-address batch
   of the saturate workload needs — the kernel and its 32 requests'
-  bookkeeping — takes 0.52 + 32 x 0.009 = 0.81 ms, 630 k lookups/s if
+  bookkeeping — takes 0.18 + 32 x 0.009 = 0.47 ms, 1.1 M lookups/s if
   it did nothing else; the server with two worker threads delivers
-  185 k/s, 29 % of that (PR 16: 0.52 + 32 x 0.024 = 1.29 ms, 400 k/s,
-  144 k/s delivered, 36 %), and the pool alone (whole 512-address
-  requests, two outstanding) reads 5.1-5.8 us/lookup where the engine
-  on one thread reads 1.0-1.4;
+  260 k/s, 24 % of that (PR 17: 0.52 + 32 x 0.009 = 0.81 ms, 630 k/s,
+  185 k/s delivered, 29 %), and the pool alone (whole 512-address
+  requests, two outstanding) reads 1.5-1.9 us/lookup where the engine
+  on one thread reads 0.38-0.41 (PR 17: 4.3-5.3 against 1.0).  Two
+  threads looping nothing but the kernel at n = 512 cost 0.57-0.61 ms
+  per batch in aggregate against 0.25 for one (PR 17: 1.9-2.3 against
+  0.65-0.72);
 * a :class:`~repro.server.procpool.ForkedReplica` — the same engine in
   a forked child behind a pipe, which takes the kernel off the parent's
   interpreter lock altogether.  The worker thread blocks on the round

@@ -105,6 +105,8 @@ p50/p99/p999 windows gate the SLO and, on breach, degrade
 from __future__ import annotations
 
 import threading
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..engine.engine import ENGINE_BATCH_BUCKETS, BatchEngine
@@ -439,7 +441,24 @@ class LookupServer:
         future resolves immediately from it; otherwise the request is
         shed — the point of brownout is to stop feeding a drowning
         worker pool while still answering what can be answered.
+
+        Raises ``ValueError`` for an address outside the served width
+        and ``TypeError`` for a non-integer one, before anything is
+        accepted.
         """
+        # Admission: one bad address must fail this request, not the
+        # batch it would have been coalesced into.  OR-ing the
+        # addresses is one builtin call that says all three things: an
+        # address >= 2**width leaves a bit above the width, a negative
+        # one makes the whole OR negative, a non-integer cannot be
+        # OR-ed at all.
+        try:
+            stray = reduce(or_, addresses, 0) >> self._width
+        except TypeError:
+            raise TypeError("addresses must be integers") from None
+        if stray:
+            raise ValueError(
+                f"address outside [0, 2**{self._width}) in request")
         if not self._started:
             self.start()
         health = self.health

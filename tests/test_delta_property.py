@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.algorithms.bsic as bsic_module
@@ -334,6 +334,7 @@ def _assert_bsic_equals_scratch(managed, engine, k, probes):
 @pytest.mark.parametrize("guarded", [False, True],
                          ids=["post-commit", "post-rollback"])
 @given(seed=st.integers(min_value=0, max_value=2**16))
+@example(seed=21694)  # --hypothesis-seed=1172: ends right after a compaction
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_bsic_delta_built_equals_scratch_built(width, k, guarded, seed):
@@ -349,6 +350,7 @@ def test_bsic_delta_built_equals_scratch_built(width, k, guarded, seed):
     managed, engine = _bsic_runtime(k, base, "bsic-prop",
                                     check_seed=seed, **kwargs)
     steady = matching_addresses(base, 48, seed=seed)
+    algo = managed.algo
     outcomes = []
     for batch in ChurnGenerator(base, seed=seed).batches(32, 8):
         outcomes.append(managed.apply_batch(batch))
@@ -357,7 +359,10 @@ def test_bsic_delta_built_equals_scratch_built(width, k, guarded, seed):
                                     steady + _around(touched, width))
     if guarded:
         assert set(outcomes) == {"batch_rolled_back"}
-        assert managed.algo.forest.dead_nodes() > 0  # undone in place
+        # Undone in place, not rebuilt.  (Dead nodes are no witness:
+        # once they outnumber the live ones _compact moves the trees
+        # into a fresh forest and the count is back to 0.)
+        assert managed.algo is algo
     else:
         assert set(outcomes) == {"batch_applied"}
         patches, recompiles = _engine_counts(managed, "bsic-prop")

@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.algorithms import Bsic
+from repro.algorithms import Bsic, Resail
 from repro.algorithms.hibst import HiBst
 from repro.chaos import ChaosPlan
 from repro.control import ChurnGenerator, ManagedFib, RuntimePolicy, UpdateOp
@@ -858,6 +858,45 @@ class TestLookupServer:
             assert len(engines) == 3
             assert [e.name for e in engines] == ["r-w0", "r-w1", "r-w2"]
             assert server.workers == 3
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_a_bad_address_fails_only_its_own_request(self, mode):
+        # One coalesced batch of five requests used to fail as one:
+        # 1 << 32 indexes past every bitmap inside NumPy, -5 wraps to
+        # the end of them, 1.7 is silently truncated by the int64
+        # conversion.  Admission refuses each for its request alone.
+        fib = Fib(32)
+        for bits, length, hop in ((0x0A, 8, 1), (0x0A01, 16, 2),
+                                  (0xC0A801, 24, 3), (0xFFFFFFFF, 32, 4)):
+            fib.insert(Prefix.from_bits(bits, length, 32), hop)
+        managed = ManagedFib(lambda f: Resail(f, min_bmp=13), fib)
+        rng = random.Random(19)
+        good = [[rng.choice((0x0A000000, 0x0A010000, 0xC0A80100, 0))
+                 + rng.randrange(256) for _ in range(16)] for _ in range(4)]
+        good[3][-1] = (1 << 32) - 1          # the last servable address
+        registry = MetricsRegistry()
+        with LookupServer(managed=managed, workers=2, mode=mode,
+                          max_batch=512, max_wait_s=60.0, backend="auto",
+                          registry=registry, name="adm") as server:
+            for bad, error in (([1 << 32], ValueError), ([-5], ValueError),
+                               ([1.7], TypeError)):
+                handles = [server.submit(request) for request in good[:2]]
+                with pytest.raises(error):
+                    server.submit(bad)
+                with pytest.raises(error):      # not only as the extreme
+                    server.submit([7, bad[0], 9] if error is ValueError
+                                  else [0, bad[0], 1 << 31])
+                handles += [server.submit(request) for request in good[2:]]
+                server.flush()
+                for handle, request in zip(handles, good):
+                    assert handle.result(60) == [fib.lookup(a)
+                                                 for a in request]
+            assert server.active_backend == "vector"
+        # Nothing of a refused request was accepted.
+        assert registry.get("repro_server_requests_total").value(
+            server="adm") == 12
+        assert registry.get("repro_server_addresses_total").value(
+            server="adm") == 12 * 16
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,12 @@ def small_v8_fib():
 
 class TestLanes:
     def test_none_lanes_hold_zero(self):
+        # assign adopts: handing in 0 under ``none`` is the producer's
+        # contract (np.where(hit, x, 0)), which the reads rely on.
         lanes = Lanes(["r"], 4)
-        lanes.assign("r", np.array([5, 6, 7, 8]),
-                     none=np.array([False, True, False, True]))
+        hit = np.array([True, False, True, False])
+        lanes.assign("r", np.where(hit, np.array([5, 6, 7, 8]), 0),
+                     none=~hit)
         assert lanes.values("r").tolist() == [5, 0, 7, 0]
         assert lanes.is_none("r").tolist() == [False, True, False, True]
         assert lanes.truthy("r").tolist() == [True, False, True, False]
@@ -101,6 +104,71 @@ class TestLanes:
         lanes.fill("r", None)
         assert lanes.is_none("r").all()
         assert lanes.values("r").tolist() == [0] * 3  # sentinel invariant
+
+    def test_nothing_is_allocated_until_touched(self):
+        lanes = Lanes(["a", "b"], 3)
+        assert lanes.vals == {} and lanes.none == {} and lanes.mats == {}
+        # A register no kernel wrote reads as None / 0 in every lane,
+        # through every accessor, and costs an array only then.
+        assert lanes.values("a").tolist() == [0, 0, 0]
+        assert lanes.is_none("a").all()
+        assert not lanes.present("a").any() and not lanes.truthy("a").any()
+        assert set(lanes.vals) == {"a"}
+        assert not lanes.truthy("b").any() and lanes.is_none("b").all()
+
+    def test_assign_adopts_without_copying(self):
+        lanes = Lanes(["r", "s"], 3)
+        vals = np.array([4, 0, 6])
+        none = np.array([False, True, False])
+        lanes.assign("r", vals, none=none)
+        assert lanes.values("r") is vals and lanes.is_none("r") is none
+        # "No lane is None" stores no mask until somebody asks for it.
+        lanes.assign("s", vals + 1)
+        assert lanes.none["s"] is None
+        assert lanes.truthy("s").all() and lanes.none["s"] is None
+        assert not lanes.is_none("s").any() and lanes.present("s").all()
+        # A partial write lands in the adopted array, in place.
+        lanes.assign_where("r", np.array([False, True, False]), 9)
+        assert vals.tolist() == [4, 9, 6] and not none.any()
+
+    def test_assign_where_on_an_unwritten_register(self):
+        lanes = Lanes(["r", "s"], 4)
+        where = np.array([True, False, True, False])
+        lanes.assign_where("r", where, np.array([1, 2, 3, 4]))
+        assert lanes.values("r").tolist() == [1, 0, 3, 0]
+        assert lanes.is_none("r").tolist() == [False, True, False, True]
+        lanes.assign_where("s", where, np.array([1, 2, 3, 4]),
+                           none=np.array([False, False, True, False]))
+        assert lanes.values("s").tolist() == [1, 0, 0, 0]
+        assert lanes.is_none("s").tolist() == [False, True, True, True]
+
+    def test_assign_where_with_none_on_an_all_present_register(self):
+        lanes = Lanes(["r"], 3)
+        lanes.assign("r", np.array([7, 8, 9]))
+        lanes.assign_where("r", np.array([False, True, True]),
+                           np.array([1, 2, 3]),
+                           none=np.array([True, True, False]))
+        assert lanes.values("r").tolist() == [7, 0, 3]
+        assert lanes.is_none("r").tolist() == [False, True, False]
+
+    def test_unknown_register_is_an_error_not_a_new_register(self):
+        lanes = Lanes(frozenset(["r"]), 2)
+        for touch in (lambda: lanes.values("typo"),
+                      lambda: lanes.is_none("typo"),
+                      lambda: lanes.truthy("typo"),
+                      lambda: lanes.assign("typo", np.zeros(2, np.int64)),
+                      lambda: lanes.assign_where(
+                          "typo", np.ones(2, dtype=bool), 1)):
+            with pytest.raises(KeyError):
+                touch()
+        assert lanes.vals == {}
+
+    def test_lane_matrix_is_shared_by_name(self):
+        lanes = Lanes(["r"], 5)
+        mat = lanes.matrix("m", 3, np.uint8)
+        assert mat.shape == (3, 5) and mat.dtype == np.uint8
+        assert lanes.matrix("m", 3, np.uint8) is mat
+        assert lanes.vals == {}  # a matrix is not a register
 
 
 # ---------------------------------------------------------------------------

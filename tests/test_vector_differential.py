@@ -15,6 +15,9 @@ must compile no kernels and delegate whole batches to its embedded
 scalar plan.
 """
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,7 +34,8 @@ from repro.algorithms import (
     Sail,
 )
 from repro.control import CapacityGuard, ChurnGenerator, ManagedFib
-from repro.core import compile_plan, compile_vector_plan
+from repro.core import MISS_HOP, compile_plan, compile_vector_plan
+from repro.core.vector import Lanes, view_state
 from repro.prefix import Fib, Prefix
 
 #: The nine schemes at their fuzzing widths (SAIL/RESAIL are IPv4-only).
@@ -177,3 +181,223 @@ def test_differential_post_commit_and_post_rollback(name, seed):
                 assert not hard, (outcomes, hard)
         else:
             assert "batch_rolled_back" not in outcomes
+
+
+# ---------------------------------------------------------------------------
+# Edges of the adopt-on-write register file and RESAIL's stacked level
+# ---------------------------------------------------------------------------
+
+#: One fixed table per width for the non-hypothesis edges below.
+FIXED_ENTRIES = [(0, 0, 9), (1, 1, 1), (3, 5, 2), (5, 19, 3), (8, 77, 4),
+                 (8, 200, 5), (13, 0x0ABC, 6), (16, 0xC0A8, 7),
+                 (24, 0xC0A801, 8), (27, 0xC0A80100 >> 5, 10),
+                 (32, 0xC0A801FF, 11)]
+
+
+def view_bytes(vplan):
+    """Every array of every compiled table view, as bytes."""
+    return {(step, field): array.tobytes()
+            for step, view in vplan.view_map().items()
+            for field, array in view_state(view)[2].items()}
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entries=entry_lists,
+       extras=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                       max_size=8))
+def test_register_file_contract_after_every_kernel(name, entries, extras):
+    """``Lanes.assign`` adopts what the kernels hand it, so what it
+    used to enforce is checked here instead, after every kernel of
+    every scheme: int64 lane vectors, 0 under ``none``, and no array
+    owned by two registers or by a table view (a later ``assign_where``
+    would write through)."""
+    width, maker = MAKERS[name]
+    fib = build_fib(width, entries)
+    vplan = compile_vector_plan(maker(fib))
+    addrs = np.asarray(probe_addresses(fib, extras), dtype=np.int64)
+    lanes = Lanes(vplan._registers, len(addrs))
+    for reg, value in vplan._base_items:
+        lanes.fill(reg, value)
+    lanes.assign("addr", addrs)
+    owned_by_views = [array for view in vplan.view_map().values()
+                      for array in view_state(view)[2].values()]
+    for step, kernel in zip(vplan.lowered_steps, vplan._kernels):
+        kernel(lanes)
+        held = []
+        for reg, vals in lanes.vals.items():
+            none = lanes.none[reg]
+            assert vals.dtype == np.int64 and vals.shape == addrs.shape, \
+                (step, reg)
+            held.append((reg, vals))
+            if none is not None:
+                assert none.dtype == np.bool_ and none.shape == addrs.shape
+                assert not vals[none].any(), (step, reg)
+                held.append((reg + ".none", none))
+        for i, (reg, array) in enumerate(held):
+            for other, array2 in held[i + 1:]:
+                assert not np.shares_memory(array, array2), (step, reg, other)
+            for array2 in owned_by_views:
+                assert not np.shares_memory(array, array2), (step, reg)
+    vals, none = vplan._extract(lanes)
+    assert np.where(none, None, vals).tolist() == \
+        [fib.lookup(a) for a in addrs.tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+def test_batch_sizes_across_the_chunk_seam(name):
+    width, maker = MAKERS[name]
+    fib = build_fib(width, FIXED_ENTRIES)
+    algo = maker(fib)
+    plan = compile_plan(algo)
+    vplan = compile_vector_plan(algo, plan=plan)
+    rng = random.Random(width)
+    pool = probe_addresses(fib, [rng.getrandbits(64) for _ in range(64)])
+    before = view_bytes(vplan)
+    for n in (0, 1, 4_096, 4_097, 8_193):   # DEFAULT_CHUNK is 4,096
+        addresses = [rng.choice(pool) for _ in range(n)]
+        expected = [fib.lookup(a) for a in addresses]
+        raw = vplan.lookup_batch(addresses)
+        assert raw.dtype == np.int64 and raw.shape == (n,)
+        assert [None if hop == MISS_HOP else hop
+                for hop in raw.tolist()] == expected
+        assert vplan.lookup_batch_hops(addresses) == expected
+        assert vplan.lookup_batch_hops(
+            np.asarray(addresses, dtype=np.int64)) == expected
+        assert plan.lookup_batch(addresses) == expected
+    # No kernel wrote into an array a view owns.
+    assert view_bytes(vplan) == before
+
+
+def resail_edge_fib():
+    fib = Fib(32)
+    for bits, length, hop in (
+            (0x05, 8, 1),                   # short: expands into B13
+            (0x0ABC >> 1, 12, 2),           # short: expands into B13
+            (0x1ABC, 13, 3),                # a real /13
+            (0xC0A8, 16, 4), (0xC0A801, 24, 5),
+            (0xC0A80100 >> 7, 25, 6),       # look-aside, under the /24
+            (0xC0A801F0 >> 4, 28, 7), (0xC0A801FF, 32, 8),
+            (0x0B000001, 32, 9)):           # look-aside, no bitmap hit
+        fib.insert(Prefix.from_bits(bits, length, 32), hop)
+    return fib
+
+
+RESAIL_EDGE_BATCHES = {
+    "all-look-aside": [0xC0A80100, 0xC0A8017F, 0xC0A801F0, 0xC0A801FE,
+                       0xC0A801FF, 0x0B000001] * 11,
+    "all-miss": [0, 0x0B000000, 0x0B000002, 0xC0A70000, 0xFFFFFFFF,
+                 0x7FFFFFFF, 0x80000000] * 9,
+    # Shorter than min_bmp or exactly /13, nothing longer over them:
+    # the only set bit in the lane matrix is in the bitmap_13 row.
+    "only-bitmap-13": [0x05 << 24, (0x05 << 24) | 0xFFFFFF,
+                       0x55E << 20, (0x55E << 20) | 0xFFFFF,
+                       0x1ABC << 19, (0x1ABC << 19) | 0x7FFFF] * 10,
+}
+
+
+@pytest.mark.parametrize("label", sorted(RESAIL_EDGE_BATCHES))
+def test_resail_stacked_level_edge_batches(label):
+    fib = resail_edge_fib()
+    algo = Resail(fib, min_bmp=13)
+    plan = compile_plan(algo)
+    vplan = compile_vector_plan(algo, plan=plan)
+    addresses = RESAIL_EDGE_BATCHES[label]
+    matched = [fib.lookup_prefix(a) for a in addresses]
+    if label == "all-look-aside":
+        assert all(p is not None and p.length > 24 for p in matched)
+    elif label == "all-miss":
+        assert matched == [None] * len(addresses)
+    else:
+        assert all(p is not None and p.length <= 13 for p in matched)
+        assert {p.length for p in matched} == {8, 12, 13}
+    expected = [fib.lookup(a) for a in addresses]
+    assert plan.lookup_batch(addresses) == expected
+    assert vplan.lookup_batch_hops(addresses) == expected
+    # The vector path leaves the CRAM program's key_i registers alone.
+    assert vplan.describe()["lowered_steps"] == list(plan.step_names)
+
+
+def test_resail_kernels_read_patched_and_replaced_views(monkeypatch):
+    """A delta commit re-freezes each touched view through
+    ``vector_reader(prev=)``: replayed in place while the write log
+    reaches back to it, a fresh view object once the log was trimmed
+    past it.  The stacked kernels read the new bits either way."""
+    import repro.memory.sram as sram_module
+    from repro.control import UpdateOp
+    from repro.control.churn import ANNOUNCE, WITHDRAW
+    from repro.engine import BatchEngine
+
+    base = resail_edge_fib()
+    managed = ManagedFib(lambda fib: Resail(fib, min_bmp=13), base)
+    engine = BatchEngine.over_managed(managed, backend="vector", name="e")
+
+    def check(extra):
+        oracle = managed.oracle
+        addresses = probe_addresses(oracle, extra)
+        assert engine.vector_plan.lookup_batch_hops(addresses) == \
+            [oracle.lookup(a) for a in addresses]
+
+    def count(name):
+        return engine.registry.get(name).value(engine="e")
+
+    check([])
+    view24 = engine.vector_plan.step_view("bitmap_24")
+    view20 = engine.vector_plan.step_view("bitmap_20")
+    hash_view = engine.vector_plan.step_view("hash")
+    new24 = Prefix.from_bits(0x0C0102, 24, 32)
+    assert managed.apply_batch(
+        [UpdateOp(ANNOUNCE, new24, 21),
+         UpdateOp(WITHDRAW, Prefix.from_bits(0xC0A801, 24, 32))]) \
+        == "batch_applied"
+    assert count("repro_engine_plan_patches_total") == 1
+    # Replayed in place: same view objects, the kernels see the bits.
+    assert engine.vector_plan.step_view("bitmap_24") is view24
+    assert engine.vector_plan.step_view("hash") is hash_view
+    assert view24.packed[0x0C0102] == 1 and view24.packed[0xC0A801] == 0
+    assert engine.vector_plan.lookup(0x0C010203) == 21
+    assert engine.vector_plan.lookup(0xC0A801C0) == 4   # the /16 again
+    check([0x0C010203, 0xC0A801C0])
+
+    # Trim the log past the compiled views: more /20 writes in one
+    # commit than the cap keeps.
+    monkeypatch.setattr(sram_module, "FREEZE_LOG_CAP", 4)
+    batch = [UpdateOp(ANNOUNCE, Prefix.from_bits(0x0D000 + i, 20, 32), 30 + i)
+             for i in range(12)]
+    assert managed.apply_batch(batch) == "batch_applied"
+    assert count("repro_engine_plan_patches_total") == 2
+    assert count("repro_engine_plan_recompiles_total") == 0
+    fresh20 = engine.vector_plan.step_view("bitmap_20")
+    assert fresh20 is not view20                     # a new view object
+    assert engine.vector_plan.step_view("bitmap_24") is view24  # untouched
+    assert view20.packed[0x0D005] == 0 and fresh20.packed[0x0D005] == 1
+    assert engine.vector_plan.lookup(0x0D005123) == 35
+    check([0x0D000000, 0x0D00B999, 0x0D00C000])
+
+
+def test_resail_kernels_over_read_only_mapped_views(tmp_path):
+    """Warm start: the views are adopted from the mapped artifact.  The
+    kernels only ever read them — shown by serving with every adopted
+    array marked read-only."""
+    from repro.artifact import ArtifactCatalog
+
+    fib = resail_edge_fib()
+    algo = Resail(fib, min_bmp=13)
+    catalog = ArtifactCatalog(str(tmp_path))
+    catalog.save("edge", algo, fib, vector_plan=algo.compile_vector_plan())
+    warm = catalog.load("edge").algorithm()
+    adopted = dict(warm._artifact_views)
+    assert {"hash", "bitmap_13", "bitmap_24"} <= set(adopted)
+    vplan = warm.compile_vector_plan()
+    for step, view in adopted.items():
+        assert vplan.step_view(step) is view         # no re-flatten
+        for array in view_state(view)[2].values():
+            array.flags.writeable = False
+    before = view_bytes(vplan)
+    addresses = probe_addresses(fib, [])
+    addresses += [a for batch in RESAIL_EDGE_BATCHES.values() for a in batch]
+    expected = [fib.lookup(a) for a in addresses]
+    for _ in range(2):
+        assert vplan.lookup_batch_hops(addresses) == expected
+    assert view_bytes(vplan) == before
