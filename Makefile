@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test ci conformance bench bench-smoke bench-vector \
-        bench-serve bench-updates bench-history chaos spans examples clean
+        bench-updates bench-history chaos spans examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -22,8 +22,6 @@ ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	$(PYTHON) -m repro serve --smoke --algo sail --backend vector --seed 7
 	$(PYTHON) -m repro serve --smoke --algo resail --workers 2 \
 	    --max-batch 64 --max-wait 1.0 --seed 7
-	$(PYTHON) -m repro bench-serve --smoke --seed 7 \
-	    --out benchmarks/results/serve_concurrency_cli.json
 	$(PYTHON) -m repro artifact save rib --algo resail --scale 0.005 \
 	    --seed 7 --catalog benchmarks/results/artifacts
 	$(PYTHON) -m repro artifact verify rib --deep \
@@ -32,10 +30,12 @@ ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	    --load rib --catalog benchmarks/results/artifacts
 	$(PYTHON) -m repro chaos-soak --mode both --seed 7 \
 	    --out benchmarks/results/chaos_soak.json
+	$(PYTHON) -m repro chaos-soak --mode both --seed 7 --rate 0 \
+	    --script kill:0:1 --script kill:1:2 --script kill:2:3 \
+	    --out benchmarks/results/chaos_soak_kills.json
 	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
 	    benchmarks/bench_tab04_ipv4_cram.py benchmarks/bench_updates.py \
-	    benchmarks/bench_throughput.py benchmarks/bench_serve.py \
-	    benchmarks/bench_coldstart.py -q
+	    benchmarks/bench_throughput.py benchmarks/bench_coldstart.py -q
 	$(PYTHON) -m repro bench-history --check
 
 conformance:      ## wide-width engine conformance sweep (CI's slow job)
@@ -51,10 +51,6 @@ bench-vector:     ## lane-compiler gate: vector >= 3x scalar plan
 	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
 	    benchmarks/bench_throughput.py -q -k vector
 
-bench-serve:      ## serving gate: coalesced >= 2x sequential
-	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
-	    benchmarks/bench_serve.py -q
-
 bench-updates:    ## churn gate: delta commits >= 5x full recompiles
 	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
 	    benchmarks/bench_updates.py -q
@@ -65,6 +61,9 @@ bench-history:    ## benchmark trajectory: append sidecars + regression report
 chaos:            ## chaos soak: thread + process pools under fault injection
 	$(PYTHON) -m repro chaos-soak --mode both --seed 7 \
 	    --out benchmarks/results/chaos_soak.json
+	$(PYTHON) -m repro chaos-soak --mode both --seed 7 --rate 0 \
+	    --script kill:0:1 --script kill:1:2 --script kill:2:3 \
+	    --out benchmarks/results/chaos_soak_kills.json
 	$(PYTHON) -m repro serve --smoke --algo resail --workers 2 \
 	    --chaos default --seed 7
 

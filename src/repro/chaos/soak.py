@@ -10,8 +10,8 @@ robustness invariants the fault model promises:
 * **nothing duplicated** — every answered request saw exactly one
   delivery;
 * **nothing stale** — every answer equals the trie oracle's answer at
-  the serving epoch the request executed under (epoch-keyed snapshots
-  recorded at each landed commit, exactly like the stress suite);
+  the serving epoch the request executed under (the stress suite's
+  :class:`~repro.server.EpochAudit`);
 * **supervision works** — every worker the chaos plan killed is
   restarted within the budget: the pool ends the soak with its full
   worker complement alive;
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..control import ChurnGenerator, ManagedFib, RuntimePolicy
 from ..obs import MetricsRegistry
 from ..prefix.prefix import Prefix
 from ..prefix.trie import Fib
-from ..server import LookupServer, RestartPolicy, ServerError
+from ..server import EpochAudit, LookupServer, RestartPolicy, ServerError
 from .plan import ChaosPlan
 
 __all__ = ["SoakFailure", "run_chaos_soak", "DEFAULT_CHAOS"]
@@ -42,7 +42,7 @@ __all__ = ["SoakFailure", "run_chaos_soak", "DEFAULT_CHAOS"]
 #: The background-chaos set the soak (and ``--chaos all``) defaults to.
 DEFAULT_CHAOS = ("worker_kill", "batch_exception", "commit_stall")
 
-_WIDTH = 8  # 256 addresses: the oracle snapshot is cheap and total
+_WIDTH = 8  # a 30-route table: the per-epoch oracle copies are cheap
 
 
 class SoakFailure(AssertionError):
@@ -58,10 +58,6 @@ def _build_fib(seed: int, size: int = 30) -> Fib:
             Prefix.from_bits(rng.getrandbits(length), length, _WIDTH),
             rng.randint(1, 99))
     return fib
-
-
-def _oracle_answers(oracle) -> List[Optional[int]]:
-    return [oracle.lookup(a) for a in range(1 << _WIDTH)]
 
 
 def run_chaos_soak(
@@ -113,13 +109,7 @@ def run_chaos_soak(
         restart_policy=restart_policy,
         ack_timeout_s=2.0 if any(n.startswith("ack") for n in names)
         or any(k.startswith("ack") for k, *_ in script) else 60.0)
-
-    snapshots = {0: _oracle_answers(managed.oracle)}
-
-    def record(outcome, algo, touched):
-        snapshots[server.epoch] = _oracle_answers(managed.oracle)
-
-    managed.add_commit_listener(record)
+    audit = EpochAudit(server, managed)
 
     rng = random.Random(f"chaos-traffic:{seed}")
     generator = ChurnGenerator(base, seed=seed + 1)
@@ -129,7 +119,7 @@ def run_chaos_soak(
         for i in range(requests):
             addresses = [rng.randrange(1 << _WIDTH)
                          for _ in range(request_size)]
-            submitted.append((addresses, server.submit(addresses)))
+            submitted.append(server.submit(addresses))
             if churn_every and (i + 1) % churn_every == 0:
                 server.flush()
                 outcome = managed.apply_batch(list(generator.ops(churn_ops)))
@@ -142,7 +132,7 @@ def run_chaos_soak(
         answered = shed = timeouts = crash_failures = 0
         errors: Dict[str, int] = {}
         stale = lost = duplicated = 0
-        for addresses, handle in submitted:
+        for handle in submitted:
             try:
                 hops = handle.result(timeout=60)
             except ServerError as exc:
@@ -162,18 +152,10 @@ def run_chaos_soak(
             if handle.deliveries != 1:
                 duplicated += 1
                 continue
-            lo, hi = handle.epoch_span
-            if lo != hi:
-                stale += 1  # request spanned a commit: cannot happen here
-                continue
-            expected = snapshots.get(hi)
-            if expected is None:
+            # None: the request spanned a commit, which cannot happen
+            # here (request_size divides max_batch).
+            if audit.check(handle, hops) != []:
                 stale += 1
-                continue
-            for address, hop in zip(addresses, hops):
-                if hop != expected[address]:
-                    stale += 1
-                    break
 
         # Recovery: every killed worker must come back.  Give the
         # supervisor's (tiny) backoffs a bounded window to land.
@@ -191,7 +173,7 @@ def run_chaos_soak(
                 break
             recovered.wait(0.005)
         final_alive = server.pool.alive_workers()
-        unresolved = sum(1 for _a, h in submitted if not h.done())
+        unresolved = sum(1 for h in submitted if not h.done())
 
     request_pcts = server.slo.percentiles("request")
     supervisor = server.supervisor
@@ -244,6 +226,10 @@ def run_chaos_soak(
         failures.append(
             f"only {final_alive}/{workers} workers alive after recovery "
             f"window with no budget give-ups")
+    scripted_kills = sum(1 for kind, *_ in script if kind == "kill")
+    if supervisor.deaths < scripted_kills:
+        failures.append(f"{scripted_kills} scripted kill(s) but only "
+                        f"{supervisor.deaths} worker death(s)")
     if answered == 0:
         failures.append("chaos starved the soak: nothing was answered")
     if failures:

@@ -74,6 +74,14 @@ def _parse_address(text: str, width: int) -> int:
     return parse_ipv4_address(text) if width == 32 else parse_ipv6_address(text)
 
 
+def _base_fib(args: argparse.Namespace, **synth) -> Fib:
+    """``--fib FILE``, else the ``--family``/``--scale`` synthetic table."""
+    if args.fib:
+        return load_fib(args.fib)
+    maker = synthesize_as65000 if args.family == "v4" else synthesize_as131072
+    return maker(scale=args.scale, **synth)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -315,12 +323,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
         args.ops = 200
         args.faults = "all"
 
-    if args.fib:
-        base = load_fib(args.fib)
-    else:
-        maker = synthesize_as65000 if args.family == "v4" else synthesize_as131072
-        base = maker(scale=args.scale)
-
+    base = _base_fib(args)
     if args.faults == "all":
         fault_names = sorted(ALL_FAULTS)
     elif args.faults in ("none", ""):
@@ -356,10 +359,7 @@ def cmd_churn(args: argparse.Namespace) -> int:
             break
     managed.log.check_accounting()
     managed.log.check_registry_consistency()
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(managed.registry.to_json(include_timings=True))
-            handle.write("\n")
+    _write_metrics(managed.registry, args.metrics_out)
     if args.events_out:
         with open(args.events_out, "w", encoding="utf-8") as handle:
             handle.write(managed.log.to_jsonl())
@@ -381,408 +381,230 @@ def _artifact_ref(text: str):
     return name, (version or None)
 
 
-def _artifact_save(args: argparse.Namespace, algo, fib: Fib) -> None:
-    """``serve --save``: snapshot the built state into the catalog."""
-    from .artifact import ArtifactCatalog
+def _chaos_names(text: Optional[str]) -> List[str]:
+    """``--chaos``: 'all', 'default' (also when omitted) or a comma list."""
+    from .chaos import ALL_CHAOS, DEFAULT_CHAOS
 
-    name, version = _artifact_ref(args.save)
-    catalog = ArtifactCatalog(args.catalog)
-    try:
-        vplan = algo.compile_vector_plan()
-    except Exception:
-        vplan = None  # scalar-only schemes still snapshot their state
-    version = catalog.save(name, algo, fib, version=version,
-                           vector_plan=vplan)
-    print(f"serve: saved artifact {name}:{version} to {catalog.root}")
+    if text == "all":
+        return sorted(ALL_CHAOS)
+    if text in (None, "default"):
+        return list(DEFAULT_CHAOS)
+    return [n for n in text.split(",") if n]
 
 
-def _serve_concurrent(args: argparse.Namespace, base: Fib, registry,
-                      loaded=None) -> int:
-    """``repro serve --workers N``: the coalesced concurrent frontend.
-
-    Producer threads submit small requests; the
-    :class:`~repro.server.LookupServer` coalesces them into engine
-    batches while the main thread interleaves managed churn.  Every
-    answered request is checked against the oracle *as of the serving
-    epoch its batch executed under* — per-epoch snapshots are recorded
-    by a commit listener — so the spot checks stay exact under churn.
-
-    SIGINT/SIGTERM drain gracefully: accepted requests are answered,
-    the pool winds down, and the command exits 130.  ``--chaos`` arms
-    a seeded :class:`~repro.chaos.ChaosPlan` against the serving
-    dataplane (the supervisor keeps the run alive through the kills).
-    """
-    import signal
-    import threading
-
-    from .control import ChurnGenerator, ManagedFib, PROFILES
-    from .datasets import skewed_addresses
-    from .server import LookupServer, ServerError
-
-    if args.vrfs > 0 or args.policy == "vrf-hash":
-        raise SystemExit("serve: --workers does not combine with VRF "
-                         "sharding (use the synchronous path)")
-
-    chaos_plan = None
-    chaos_names: List[str] = []
-    if getattr(args, "chaos", None):
-        from .chaos import ALL_CHAOS, DEFAULT_CHAOS, ChaosPlan
-        if args.chaos == "all":
-            chaos_names = sorted(ALL_CHAOS)
-        elif args.chaos == "default":
-            chaos_names = list(DEFAULT_CHAOS)
-        else:
-            chaos_names = [n for n in args.chaos.split(",") if n]
-        chaos_seed = (args.chaos_seed if args.chaos_seed is not None
-                      else args.seed)
-        chaos_plan = ChaosPlan.build(chaos_names, chaos_seed)
-    deadline_ms = getattr(args, "deadline", 0.0)
-    from .control import RuntimePolicy
-    delta = getattr(args, "delta", True)
-    managed = ManagedFib(lambda fib: _build(args.algo, fib), base,
-                         registry=registry, check_seed=args.seed,
-                         policy=RuntimePolicy(delta_updates=delta),
-                         algo=(loaded.algorithm() if loaded is not None
-                               else None))
-    if getattr(args, "save", None):
-        _artifact_save(args, managed.algo, managed.oracle)
-    server = LookupServer(managed=managed, workers=args.workers,
-                          max_batch=args.max_batch,
-                          max_wait_s=args.max_wait / 1000.0,
-                          overload=args.overload, mode=args.mode,
-                          cache_size=args.cache, backend=args.backend,
-                          name="serve", chaos=chaos_plan,
-                          ship_deltas=delta,
-                          request_deadline_s=(deadline_ms / 1000.0
-                                              if deadline_ms else None),
-                          sample_rate=(args.sample_rate
-                                       if getattr(args, "sample_rate",
-                                                  None) is not None
-                                       else 0.0625),
-                          span_seed=args.seed,
-                          ack_timeout_s=2.0 if any(
-                              n.startswith("ack") for n in chaos_names)
-                          else 60.0,
-                          artifact=(str(loaded.path)
-                                    if loaded is not None else None))
-    status = None
-    status_port = getattr(args, "status_port", None)
-    if status_port is not None:
-        from .obs.status import StatusServer
-        status = StatusServer(
-            registry, port=status_port,
-            health=lambda: {"state": str(server.health_state),
-                            "epoch": server.epoch},
-            epoch=lambda: server.epoch,
-            spans=server.spans.tail,
-            slo=server.slo.report)
-        status.start()
-        print(f"serve: status endpoint at {status.url}")
-    # Registered after the server's own listener, so by the time this
-    # runs the epoch is already bumped: snapshot keys match the epochs
-    # the workers tag onto batches.
-    snapshots = {0: base.copy()}
-
-    def record_snapshot(outcome, algo, touched):
-        snapshots[server.epoch] = managed.oracle.copy()
-
-    managed.add_commit_listener(record_snapshot)
-
-    addresses = skewed_addresses(base, args.requests, seed=args.seed)
-    request_size = max(1, min(16, args.max_batch))
-    chunks = [addresses[i:i + request_size]
-              for i in range(0, len(addresses), request_size)]
-    producers = min(4, max(1, args.workers))
-    handles: List[Optional[object]] = [None] * len(chunks)
-
-    def produce(lane: int) -> None:
-        try:
-            for idx in range(lane, len(chunks), producers):
-                handles[idx] = server.submit(chunks[idx])
-        except ServerError:
-            return  # server closing (signal-drain): stop submitting
-
-    generator = (ChurnGenerator(base, seed=args.seed,
-                                profile=PROFILES[args.profile])
-                 if args.churn_ops else None)
-    engine_batches = max(1, -(-len(addresses) // args.batch))
-    churn_batches = (engine_batches // args.churn_every
-                     if generator is not None and args.churn_every else 0)
-    pacing = threading.Event()  # never set: .wait() is a pure sleep
-
-    # Graceful drain on SIGINT/SIGTERM: raise in the main thread so
-    # the `with server` unwind closes with drain=True — everything
-    # already accepted is answered before the process exits.
-    def _drain_signal(signum, frame):
-        raise KeyboardInterrupt
-
-    old_handlers = {}
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            old_handlers[signum] = signal.signal(signum, _drain_signal)
-        except ValueError:  # pragma: no cover - not the main thread
-            pass
-
-    try:
-        with server, registry.timer("repro_serve_batch"):
-            threads = [threading.Thread(target=produce, args=(lane,),
-                                        name=f"serve-client-{lane}")
-                       for lane in range(producers)]
-            for thread in threads:
-                thread.start()
-            for _ in range(churn_batches):
-                if not any(t.is_alive() for t in threads):
-                    break
-                managed.apply_batch(list(generator.ops(args.churn_ops)))
-                pacing.wait(0.001)
-            for thread in threads:
-                thread.join()
-            server.flush()
-    except KeyboardInterrupt:
-        # The context manager has already drained and closed.
-        print("serve: interrupted — drained accepted requests and "
-              "shut down cleanly")
-        return 130
-    finally:
-        for signum, handler in old_handlers.items():
-            signal.signal(signum, handler)
-
-    with registry.timer("repro_serve_check"):
-        mismatches = straddled = shed = checked = 0
-        position = 0
-        for handle in handles:
-            if handle is None:  # producer stopped early (signal drain)
-                continue
-            try:
-                hops = handle.result(timeout=120)
-            except ServerError:
-                shed += 1
-                position += len(handle.addresses)
-                continue
-            lo, hi = handle.epoch_span
-            if lo != hi:
-                # Split across a commit; each half was consistent with
-                # its own epoch but the handle only records the last.
-                straddled += 1
-                position += len(handle.addresses)
-                continue
-            oracle = snapshots[hi]
-            for i, address in enumerate(handle.addresses):
-                if args.check_every and (position + i) % args.check_every == 0:
-                    checked += 1
-                    if hops[i] != oracle.lookup(address):
-                        mismatches += 1
-            position += len(handle.addresses)
-
-    serve_s = registry.timings_snapshot().get(
-        "repro_serve_batch", {}).get("total_s", 0.0) or 1e-9
-    snap = registry.snapshot()
-    batch_count = snap["counters"].get(
-        "repro_server_batches_total", {}).get(f'{{server="serve"}}', 0)
-    print(f"serve: algo={args.algo} policy=coalesced mode={args.mode} "
-          f"backend={args.backend} workers={args.workers} "
-          f"requests={len(addresses)} request_size={request_size} "
-          f"max_batch={args.max_batch} max_wait={args.max_wait}ms "
-          f"cache={args.cache} seed={args.seed}")
-    for eng in server.engines():
-        print(f"  worker {eng.name}: backend {eng.active_backend}")
-    print(f"  coalesced: {len(chunks)} requests into {batch_count} batches, "
-          f"{shed} shed, {straddled} commit-straddled")
-    print(f"  churn: {managed.log.batches_total} batches committed, "
-          f"serving epoch {server.epoch}, health={managed.health}")
-    if server.supervisor is not None and (chaos_plan is not None
-                                          or server.supervisor.deaths):
-        sup = server.supervisor
-        print(f"  chaos: faults={','.join(chaos_names) or 'none'} "
-              f"deaths={sup.deaths} restarts={sup.restarts} "
-              f"giveups={sup.giveups} requeued={sup.requeued_batches} "
-              f"serving_health={server.health_state}")
-    print(f"  throughput: {len(addresses) / serve_s:,.0f} lookups/s "
-          f"({serve_s * 1e3:.1f} ms serving)")
-    slo_report = server.slo.report()
-    request_pcts = slo_report["phases"].get("request", {})
-    print(f"  latency: p50={request_pcts.get('p50_s', 0.0) * 1e3:.2f}ms "
-          f"p99={request_pcts.get('p99_s', 0.0) * 1e3:.2f}ms "
-          f"p999={request_pcts.get('p999_s', 0.0) * 1e3:.2f}ms "
-          f"(window of {request_pcts.get('window_n', 0)}, "
-          f"{slo_report['breaches']} SLO breaches)")
-    span_counts = server.spans.counts()
-    rate = server.spans.sample_rate
-    print(f"  spans: {len(server.spans)} recorded at rate {rate:g} "
-          f"({', '.join(f'{k}={v}' for k, v in span_counts.items()) or 'none'})")
-    if rate >= 1.0:
-        from .obs.spans import check_span_metrics_consistency
-        report = check_span_metrics_consistency(server.spans, registry,
-                                                server="serve")
-        if report["ok"]:
-            print("  span<->metrics consistency: OK "
-                  f"(count={report['spans']['count']}, sums agree)")
-        else:
-            print("  span<->metrics consistency: FAILED: "
-                  + "; ".join(report["mismatches"]))
-            return 1
-    if getattr(args, "span_jsonl", None):
-        server.spans.write_jsonl(args.span_jsonl)
-        print(f"  spans written to {args.span_jsonl}")
-    if getattr(args, "span_chrome", None):
-        server.spans.write_chrome_trace(args.span_chrome)
-        print(f"  chrome trace written to {args.span_chrome}")
-    if status is not None:
-        status.close()
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
+def _write_metrics(registry, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(registry.to_json(include_timings=True))
             handle.write("\n")
+
+
+def _serve_vrfs(args: argparse.Namespace, base: Fib) -> int:
+    """``repro serve --vrfs N``: the synchronous VRF-hash demo.
+
+    Requests here are ``(vrf, address)`` pairs, which the server does
+    not take, so N VRFs (each carrying the base table) are hashed across
+    ``--shards`` tag-widened shard engines (idiom I5) and served batch
+    by batch on the calling thread.
+    """
+    from .datasets import skewed_addresses
+    from .engine import VrfShardedEngine
+    from .obs import MetricsRegistry
+
+    # Shard FIBs are tag-widened, so the structure must accept arbitrary
+    # widths; width-bound schemes fall back to the logical TCAM.
+    algo = args.algo
+    if algo not in ("ltcam", "hibst", "bsic"):
+        print(f"serve: {algo} is width-bound; VRF shards use ltcam")
+        algo = "ltcam"
+    registry = MetricsRegistry()
+    sharded = VrfShardedEngine(
+        base.width, lambda fib: _build(algo, fib), shards=args.shards,
+        max_vrfs=args.vrfs, cache_size=args.cache, registry=registry,
+        name="serve", backend=args.backend)
+    for vrf_id in range(args.vrfs):
+        sharded.add_vrf(vrf_id, base.copy())
+    addresses = skewed_addresses(base, args.requests, seed=args.seed)
+    mismatches = 0
+    for start in range(0, len(addresses), args.max_batch):
+        batch = addresses[start:start + args.max_batch]
+        requests = [((start + i) % args.vrfs, address)
+                    for i, address in enumerate(batch)]
+        with registry.timer("repro_serve_batch"):
+            hops = sharded.lookup_batch(requests)
+        if args.check_every:
+            mismatches += sum(hops[i] != base.lookup(batch[i])
+                              for i in range(0, len(batch), args.check_every))
+
+    serve_s = registry.timings_snapshot().get(
+        "repro_serve_batch", {}).get("total_s", 0.0)
+    lookups = registry.counter("repro_engine_lookups_total")
+    print(f"serve: algo={algo} vrfs={args.vrfs} shards={args.shards} "
+          f"backend={args.backend} requests={len(addresses)} "
+          f"batch={args.max_batch} cache={args.cache} seed={args.seed}")
+    for eng in sharded.shard_engines():
+        if eng is not None:
+            print(f"  shard {eng.name}: {lookups.value(engine=eng.name)} "
+                  f"lookups, backend {eng.active_backend}")
+    print(f"  throughput: {len(addresses) / (serve_s or 1e-9):,.0f} "
+          f"lookups/s ({serve_s * 1e3:.1f} ms serving)")
+    _write_metrics(registry, args.metrics_out)
     if mismatches:
-        print(f"serve: {mismatches} spot-check mismatches against the "
-              "epoch oracle")
+        print(f"serve: {mismatches} spot-check mismatches against the oracle")
         return 1
-    print(f"  spot-checks: {checked} answers verified against per-epoch "
-          "oracle snapshots, all consistent")
+    print(f"  spot-checks: every {args.check_every} requests verified "
+          "against the oracle, all consistent")
     return 0
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a skewed lookup workload through the batch engine."""
-    from .control import ChurnGenerator, ManagedFib, PROFILES
+    """Serve a skewed workload through :func:`repro.server.serve_workload`
+    (churn commits land meanwhile; answers are spot-checked against the
+    oracle of their serving epoch).  SIGINT/SIGTERM drain and exit 130;
+    ``--chaos`` arms a seeded :class:`~repro.chaos.ChaosPlan`."""
+    import contextlib
+
+    from .artifact import ArtifactCatalog
+    from .control import ChurnGenerator, ManagedFib, PROFILES, RuntimePolicy
     from .datasets import skewed_addresses
-    from .engine import BatchEngine, RoundRobinEngine, VrfShardedEngine
     from .obs import MetricsRegistry
+    from .server import LookupServer, serve_workload
 
     if args.smoke:
         args.scale = 0.001
         args.requests = 4000
-        args.batch = 256
-        args.cache = 512
-        args.churn_every = 4
         args.churn_ops = 8
 
     loaded = None
-    if getattr(args, "load", None):
-        from .artifact import ArtifactCatalog
-        if args.vrfs > 0 or args.policy == "vrf-hash":
-            raise SystemExit("serve: --load does not combine with VRF "
-                             "sharding")
+    if args.load:
+        if args.vrfs > 0:
+            raise SystemExit("serve: --load does not combine with --vrfs")
         name, version = _artifact_ref(args.load)
         loaded = ArtifactCatalog(args.catalog).load(
             name, version, factory=lambda fib: _build(args.algo, fib))
         base = loaded.fib()
         print(f"serve: warm start from artifact {name}:{loaded.version} "
               f"({len(base):,} prefixes, {loaded.algorithm_name or args.algo})")
-    elif args.fib:
-        base = load_fib(args.fib)
     else:
-        maker = synthesize_as65000 if args.family == "v4" else synthesize_as131072
-        base = maker(scale=args.scale)
+        base = _base_fib(args)
+    if args.vrfs > 0:
+        return _serve_vrfs(args, base)
 
-    if args.workers:
-        return _serve_concurrent(args, base, MetricsRegistry(), loaded=loaded)
-
-    policy = args.policy
-    if policy == "auto":
-        policy = "vrf-hash" if args.vrfs > 0 else "round-robin"
-    if policy == "vrf-hash" and args.vrfs < 1:
-        raise SystemExit("serve: --policy vrf-hash needs --vrfs >= 1")
-
+    chaos_names = _chaos_names(args.chaos) if args.chaos else []
+    chaos_plan = None
+    if chaos_names:
+        from .chaos import ChaosPlan
+        chaos_plan = ChaosPlan.build(
+            chaos_names,
+            args.seed if args.chaos_seed is None else args.chaos_seed)
     registry = MetricsRegistry()
+    managed = ManagedFib(
+        lambda fib: _build(args.algo, fib), base, registry=registry,
+        check_seed=args.seed, policy=RuntimePolicy(delta_updates=args.delta),
+        algo=loaded.algorithm() if loaded is not None else None)
+    if args.save:
+        name, version = _artifact_ref(args.save)
+        try:
+            vplan = managed.algo.compile_vector_plan()
+        except Exception:
+            vplan = None  # scalar-only schemes still snapshot their state
+        version = ArtifactCatalog(args.catalog).save(
+            name, managed.algo, managed.oracle, version=version,
+            vector_plan=vplan)
+        print(f"serve: saved artifact {name}:{version} to {args.catalog}")
+    server = LookupServer(
+        managed=managed, workers=args.workers, max_batch=args.max_batch,
+        max_wait_s=args.max_wait / 1000.0, overload=args.overload,
+        mode=args.mode, cache_size=args.cache, backend=args.backend,
+        name="serve", chaos=chaos_plan, ship_deltas=args.delta,
+        request_deadline_s=args.deadline / 1000.0 if args.deadline else None,
+        sample_rate=args.sample_rate, span_seed=args.seed,
+        ack_timeout_s=(2.0 if any(n.startswith("ack") for n in chaos_names)
+                       else 60.0),
+        artifact=str(loaded.path) if loaded is not None else None)
+
     addresses = skewed_addresses(base, args.requests, seed=args.seed)
-    batches = [addresses[i:i + args.batch]
-               for i in range(0, len(addresses), args.batch)]
-    mismatches = 0
+    request_size = min(16, args.max_batch)
+    requests = [addresses[i:i + request_size]
+                for i in range(0, len(addresses), request_size)]
+    churn = ()
+    if args.churn_ops and args.churn_every:
+        commits = -(-len(addresses) // args.max_batch) // args.churn_every
+        churn = ChurnGenerator(
+            base, seed=args.seed, profile=PROFILES[args.profile]
+        ).batches(commits * args.churn_ops, args.churn_ops)
+    with contextlib.ExitStack() as stack:
+        if args.status_port is not None:
+            from .obs.status import StatusServer
+            status = stack.enter_context(StatusServer(
+                registry, port=args.status_port,
+                health=lambda: {"state": str(server.health_state),
+                                "epoch": server.epoch},
+                epoch=lambda: server.epoch,
+                spans=server.spans.tail, slo=server.slo.report))
+            print(f"serve: status endpoint at {status.url}")
+        report = serve_workload(server, managed, requests, churn=churn,
+                                check_every=args.check_every)
+    if report["interrupted"]:
+        print("serve: interrupted — drained accepted requests and "
+              "shut down cleanly")
+        return 130
 
-    if policy == "vrf-hash":
-        # Shard FIBs are tag-widened (idiom I5), so the structure must
-        # accept arbitrary widths; width-bound schemes fall back to the
-        # logical TCAM.
-        vrf_algo = args.algo
-        if vrf_algo not in ("ltcam", "hibst", "bsic"):
-            print(f"serve: {vrf_algo} is width-bound; VRF shards use ltcam")
-            vrf_algo = "ltcam"
-        # N VRFs (each carrying the base table) hashed across the shards.
-        sharded = VrfShardedEngine(
-            base.width, lambda fib: _build(vrf_algo, fib),
-            shards=args.shards, max_vrfs=args.vrfs,
-            cache_size=args.cache, registry=registry, name="serve",
-            backend=args.backend)
-        for vrf_id in range(args.vrfs):
-            sharded.add_vrf(vrf_id, base.copy())
-        engines = [e for e in sharded.shard_engines() if e is not None]
-        served = 0
-        for batch in batches:
-            requests = [((served + i) % args.vrfs, address)
-                        for i, address in enumerate(batch)]
-            with registry.timer("repro_serve_batch"):
-                hops = sharded.lookup_batch(requests)
-            if args.check_every:
-                for i in range(0, len(batch), args.check_every):
-                    if hops[i] != base.lookup(batch[i]):
-                        mismatches += 1
-            served += len(batch)
-        managed = None
-    else:
-        from .control import RuntimePolicy
-        managed = ManagedFib(
-            lambda fib: _build(args.algo, fib), base,
-            registry=registry, check_seed=args.seed,
-            policy=RuntimePolicy(delta_updates=getattr(args, "delta", True)),
-            algo=(loaded.algorithm() if loaded is not None else None))
-        if getattr(args, "save", None):
-            _artifact_save(args, managed.algo, managed.oracle)
-        if args.shards > 1:
-            engine = RoundRobinEngine(managed.algo, replicas=args.shards,
-                                      cache_size=args.cache,
-                                      registry=registry, name="serve",
-                                      backend=args.backend)
-            managed.add_commit_listener(engine.on_commit)
-            engines = engine.shard_engines()
-        else:
-            engine = BatchEngine.over_managed(managed, cache_size=args.cache,
-                                              name="serve-s0",
-                                              backend=args.backend)
-            engines = [engine]
-        generator = (ChurnGenerator(base, seed=args.seed,
-                                    profile=PROFILES[args.profile])
-                     if args.churn_ops else None)
-        for b, batch in enumerate(batches):
-            with registry.timer("repro_serve_batch"):
-                hops = engine.lookup_batch(batch)
-            if args.check_every:
-                for i in range(0, len(batch), args.check_every):
-                    if hops[i] != managed.oracle.lookup(batch[i]):
-                        mismatches += 1
-            if generator is not None and args.churn_every and (
-                    b + 1) % args.churn_every == 0:
-                managed.apply_batch(list(generator.ops(args.churn_ops)))
-
-    serve_s = registry.timings_snapshot().get(
-        "repro_serve_batch", {}).get("total_s", 0.0) or 1e-9
-    lookups = registry.counter("repro_engine_lookups_total")
-    hits = registry.counter("repro_engine_cache_hits_total")
-    misses = registry.counter("repro_engine_cache_misses_total")
-    print(f"serve: algo={args.algo} policy={policy} backend={args.backend} "
-          f"requests={len(addresses)} "
-          f"batch={args.batch} cache={args.cache} shards={args.shards} "
-          f"vrfs={args.vrfs} seed={args.seed}")
-    for eng in engines:
-        n = lookups.value(engine=eng.name)
-        h, m = hits.value(engine=eng.name), misses.value(engine=eng.name)
-        ratio = h / (h + m) if h + m else 0.0
-        print(f"  shard {eng.name}: {n} lookups, cache hit ratio {ratio:.2f}, "
-              f"backend {eng.active_backend}")
-    if managed is not None:
-        print(f"  churn: {managed.log.batches_total} batches committed, "
-              f"health={managed.health}")
+    batches = sum(registry.snapshot()["counters"].get(
+        "repro_server_batches_total", {}).values())
+    print(f"serve: algo={args.algo} mode={args.mode} backend={args.backend} "
+          f"workers={args.workers} requests={len(addresses)} "
+          f"request_size={request_size} max_batch={args.max_batch} "
+          f"max_wait={args.max_wait}ms cache={args.cache} seed={args.seed}")
+    for eng in server.engines():
+        print(f"  worker {eng.name}: backend {eng.active_backend}")
+    print(f"  coalesced: {len(requests)} requests into {batches} batches, "
+          f"{report['shed']} shed, {report['straddled']} commit-straddled")
+    print(f"  churn: {report['commits']} batches committed, "
+          f"serving epoch {report['epoch']}, health={managed.health}")
+    sup = server.supervisor
+    if chaos_plan is not None or sup.deaths:
+        print(f"  chaos: faults={','.join(chaos_names) or 'none'} "
+              f"deaths={sup.deaths} restarts={sup.restarts} "
+              f"giveups={sup.giveups} requeued={sup.requeued_batches} "
+              f"serving_health={server.health_state}")
+    serve_s = report["serve_s"] or 1e-9
     print(f"  throughput: {len(addresses) / serve_s:,.0f} lookups/s "
           f"({serve_s * 1e3:.1f} ms serving)")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as handle:
-            handle.write(registry.to_json(include_timings=True))
-            handle.write("\n")
-    if mismatches:
-        print(f"serve: {mismatches} spot-check mismatches against the oracle")
+    slo_report = server.slo.report()
+    pcts = slo_report["phases"].get("request", {})
+    print(f"  latency: p50={pcts.get('p50_s', 0.0) * 1e3:.2f}ms "
+          f"p99={pcts.get('p99_s', 0.0) * 1e3:.2f}ms "
+          f"p999={pcts.get('p999_s', 0.0) * 1e3:.2f}ms "
+          f"(window of {pcts.get('window_n', 0)}, "
+          f"{slo_report['breaches']} SLO breaches)")
+    rate = server.spans.sample_rate
+    counts = ", ".join(f"{k}={v}" for k, v in server.spans.counts().items())
+    print(f"  spans: {len(server.spans)} recorded at rate {rate:g} "
+          f"({counts or 'none'})")
+    if rate >= 1.0:
+        from .obs.spans import check_span_metrics_consistency
+        check = check_span_metrics_consistency(server.spans, registry,
+                                               server="serve")
+        if not check["ok"]:
+            print("  span<->metrics consistency: FAILED: "
+                  + "; ".join(check["mismatches"]))
+            return 1
+        print("  span<->metrics consistency: OK "
+              f"(count={check['spans']['count']}, sums agree)")
+    if args.span_jsonl:
+        server.spans.write_jsonl(args.span_jsonl)
+        print(f"  spans written to {args.span_jsonl}")
+    if args.span_chrome:
+        server.spans.write_chrome_trace(args.span_chrome)
+        print(f"  chrome trace written to {args.span_chrome}")
+    _write_metrics(registry, args.metrics_out)
+    if report["mismatches"]:
+        print(f"serve: {report['mismatches']} spot-check mismatches against "
+              "the epoch oracle")
         return 1
-    print(f"  spot-checks: every {args.check_every} requests verified "
-          "against the oracle, all consistent")
+    print(f"  spot-checks: {report['checked']} answers verified against "
+          "per-epoch oracle snapshots, all consistent")
     return 0
 
 
@@ -795,12 +617,7 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     catalog = ArtifactCatalog(args.catalog)
 
     if args.artifact_cmd == "save":
-        if args.fib:
-            fib = load_fib(args.fib)
-        else:
-            maker = (synthesize_as65000 if args.family == "v4"
-                     else synthesize_as131072)
-            fib = maker(scale=args.scale, seed=args.seed)
+        fib = _base_fib(args, seed=args.seed)
         algo = _build(args.algo, fib)
         vplan = None
         if not args.no_vector:
@@ -868,307 +685,14 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     return 1 if mismatches else 0
 
 
-def run_bench_serve(
-    base: Fib,
-    algo_name: str,
-    *,
-    requests: int = 20000,
-    workers: int = 4,
-    max_batch: int = 512,
-    max_wait_s: float = 0.002,
-    request_size: int = 16,
-    producers: int = 8,
-    window: int = 32,
-    backend: str = "auto",
-    seed: int = 0,
-    registry=None,
-    faulted: bool = True,
-):
-    """Closed-loop serving benchmark: sequential vs coalesced concurrent.
-
-    The baseline serves the same Zipf workload one request at a time
-    through a single engine (the un-coalesced path a naive frontend
-    would take).  The concurrent side runs ``producers`` closed-loop
-    clients, each keeping ``window`` requests outstanding against a
-    :class:`~repro.server.LookupServer`.
-
-    With ``faulted=True`` a third pass replays the concurrent side
-    under a scripted chaos plan that kills every worker once; the
-    supervisor restarts them and the run records the recovery time
-    (first death to full worker complement) plus the faulted/fault-free
-    throughput ratio the CI gate checks (≥ 0.6x).
-
-    Returns the ``values`` / ``timings`` dict the JSON sidecar and the
-    CI gate consume; shared by ``repro bench-serve`` and
-    ``benchmarks/bench_serve.py``.
-    """
-    import threading
-
-    from .datasets import skewed_addresses
-    from .engine import BatchEngine
-    from .obs import MetricsRegistry
-    from .obs.clock import MonotonicClock
-    from .server import LookupServer
-    from .server.supervisor import RestartPolicy
-
-    if registry is None:
-        registry = MetricsRegistry()
-    algo = _build(algo_name, base)
-    addresses = skewed_addresses(base, requests, seed=seed)
-
-    sequential = BatchEngine(algo, backend="plan", registry=registry,
-                             name="bench-seq")
-    with registry.timer("repro_bench_serve_sequential"):
-        for address in addresses:
-            sequential.lookup_batch([address])
-
-    chunks = [addresses[i:i + request_size]
-              for i in range(0, len(addresses), request_size)]
-
-    def drive(server) -> None:
-        errors: List[BaseException] = []
-
-        def produce(lane: int) -> None:
-            outstanding = []
-            try:
-                for idx in range(lane, len(chunks), producers):
-                    outstanding.append(server.submit(chunks[idx]))
-                    if len(outstanding) >= window:
-                        outstanding.pop(0).result(timeout=120)
-                for handle in outstanding:
-                    handle.result(timeout=120)
-            except BaseException as exc:  # noqa: BLE001 — surface to caller
-                errors.append(exc)
-
-        threads = [threading.Thread(target=produce, args=(lane,),
-                                    name=f"bench-client-{lane}")
-                   for lane in range(producers)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-
-    def slo_latency(srv) -> Dict[str, dict]:
-        """Per-phase p50/p99/p999 from the server's SLO windows."""
-        return {
-            phase: {q: stats.get(q) for q in ("p50_s", "p99_s", "p999_s")}
-            for phase, stats in srv.slo.report()["phases"].items()
-        }
-
-    server = LookupServer(algo, workers=workers, max_batch=max_batch,
-                          max_wait_s=max_wait_s, backend=backend,
-                          registry=registry, name="bench-serve")
-    with server:
-        with registry.timer("repro_bench_serve_concurrent"):
-            drive(server)
-        backend_used = server.active_backend
-        concurrent_latency = slo_latency(server)
-
-    fault_values = {}
-    fault_timings = {}
-    if faulted:
-        from .chaos import ChaosPlan
-        from .server import ServingHealth
-
-        # Kill every worker exactly once, early and staggered; the
-        # supervisor must restart each within its (tiny) backoff.
-        script = [("kill", w, 1 + w) for w in range(workers)]
-        plan = ChaosPlan(injectors=[], script=script)
-        # Lenient health thresholds: the scripted kill burst must not
-        # flip the server into DEGRADED/BROWNOUT, or the measurement
-        # compares a shedding server against a serving one instead of
-        # isolating the cost of deaths + restarts + re-queues.
-        lenient = ServingHealth(
-            MonotonicClock(), queue_capacity=32,
-            degraded_restarts=10 * workers,
-            brownout_restarts=20 * workers,
-            degraded_miss_rate=1.1, brownout_miss_rate=1.1,
-            degraded_depth=100.0, brownout_depth=200.0)
-        faulted_server = LookupServer(
-            algo, workers=workers, max_batch=max_batch,
-            max_wait_s=max_wait_s, backend=backend, registry=registry,
-            name="bench-serve-faulted", chaos=plan, health=lenient,
-            restart_policy=RestartPolicy(
-                base_backoff_s=0.005, max_backoff_s=0.02,
-                budget=4 * workers, window_s=3600.0, seed=seed))
-        clock = MonotonicClock()
-        recovery = {"death_at": None, "restored_at": None}
-        watcher_stop = threading.Event()
-
-        def watch() -> None:
-            pool = faulted_server.pool
-            while not watcher_stop.wait(0.001):
-                alive = pool.alive_workers()
-                if recovery["death_at"] is None:
-                    if alive < workers:
-                        recovery["death_at"] = clock.now()
-                elif recovery["restored_at"] is None and alive == workers:
-                    recovery["restored_at"] = clock.now()
-
-        watcher = threading.Thread(target=watch, name="bench-chaos-watch")
-        faulted_latency = {}
-        with faulted_server:
-            watcher.start()
-            with registry.timer("repro_bench_serve_faulted"):
-                drive(faulted_server)
-            faulted_latency = slo_latency(faulted_server)
-            # Pending restarts may still be in their (tiny) backoff;
-            # give them a bounded window so recovery_s is recorded.
-            settle = threading.Event()
-            supervisor = faulted_server.supervisor
-            for _ in range(1000):
-                caught_up = (supervisor.restarts + supervisor.giveups
-                             >= supervisor.deaths)
-                seen = (recovery["death_at"] is None
-                        or recovery["restored_at"] is not None)
-                if caught_up and seen:
-                    break
-                settle.wait(0.002)
-            watcher_stop.set()
-            watcher.join()
-        recovery_s = (recovery["restored_at"] - recovery["death_at"]
-                      if recovery["death_at"] is not None
-                      and recovery["restored_at"] is not None else None)
-        fault_values = {
-            "faulted_kills_scripted": len(script),
-            "faulted_worker_deaths": supervisor.deaths,
-            "faulted_worker_restarts": supervisor.restarts,
-            "faulted_threshold_x": 0.6,
-        }
-        fault_timings = {"recovery_s": recovery_s}
-
-    timings = registry.timings_snapshot()
-    sequential_s = timings["repro_bench_serve_sequential"]["total_s"] or 1e-9
-    concurrent_s = timings["repro_bench_serve_concurrent"]["total_s"] or 1e-9
-    doc = {
-        "values": {
-            "algo": algo_name,
-            "backend": backend_used,
-            "max_batch": max_batch,
-            "producers": producers,
-            "request_size": request_size,
-            "requests": len(addresses),
-            "window": window,
-            "workers": workers,
-            "speedup_threshold_x": 2.0,
-            **fault_values,
-        },
-        "timings": {
-            "sequential_s": sequential_s,
-            "concurrent_s": concurrent_s,
-            "sequential_lookups_per_s": len(addresses) / sequential_s,
-            "concurrent_lookups_per_s": len(addresses) / concurrent_s,
-            "speedup_x": sequential_s / concurrent_s,
-            "latency": {"concurrent": concurrent_latency},
-            **fault_timings,
-        },
-    }
-    if faulted:
-        faulted_s = timings["repro_bench_serve_faulted"]["total_s"] or 1e-9
-        doc["timings"]["faulted_s"] = faulted_s
-        doc["timings"]["faulted_lookups_per_s"] = len(addresses) / faulted_s
-        doc["timings"]["faulted_throughput_x"] = concurrent_s / faulted_s
-        doc["timings"]["latency"]["faulted"] = faulted_latency
-    return doc
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Closed-loop load generator: coalesced serving vs sequential."""
-    import json
-    import pathlib
-
-    from .obs import MetricsRegistry
-
-    if args.smoke:
-        args.scale = 0.001
-        args.requests = 4000
-
-    if args.fib:
-        base = load_fib(args.fib)
-    else:
-        maker = synthesize_as65000 if args.family == "v4" else synthesize_as131072
-        base = maker(scale=args.scale)
-
-    registry = MetricsRegistry()
-    doc = run_bench_serve(
-        base, args.algo, requests=args.requests, workers=args.workers,
-        max_batch=args.max_batch, max_wait_s=args.max_wait / 1000.0,
-        request_size=args.request_size, producers=args.producers,
-        window=args.window, backend=args.backend, seed=args.seed,
-        registry=registry)
-    doc["values"]["speedup_threshold_x"] = args.threshold
-    timings = doc["timings"]
-    print(f"bench-serve: algo={args.algo} backend={doc['values']['backend']} "
-          f"base={len(base)} prefixes requests={doc['values']['requests']} "
-          f"workers={args.workers} producers={args.producers} "
-          f"window={args.window} request_size={args.request_size} "
-          f"max_batch={args.max_batch} max_wait={args.max_wait}ms "
-          f"seed={args.seed}")
-    print(f"  sequential: {timings['sequential_lookups_per_s']:,.0f} "
-          f"lookups/s ({timings['sequential_s'] * 1e3:.1f} ms)")
-    print(f"  coalesced:  {timings['concurrent_lookups_per_s']:,.0f} "
-          f"lookups/s ({timings['concurrent_s'] * 1e3:.1f} ms)")
-    print(f"  speedup: {timings['speedup_x']:.1f}x "
-          f"(threshold {args.threshold:.1f}x)")
-    request_pcts = timings.get("latency", {}).get(
-        "concurrent", {}).get("request") or {}
-    if request_pcts.get("p50_s") is not None:
-        print(f"  latency (request): "
-              f"p50={request_pcts['p50_s'] * 1e3:.2f}ms "
-              f"p99={(request_pcts.get('p99_s') or 0.0) * 1e3:.2f}ms "
-              f"p999={(request_pcts.get('p999_s') or 0.0) * 1e3:.2f}ms")
-    faulted_x = timings.get("faulted_throughput_x")
-    if faulted_x is not None:
-        recovery = timings.get("recovery_s")
-        recovery_txt = (f"{recovery * 1e3:.1f} ms"
-                        if recovery is not None else "n/a")
-        print(f"  faulted:    {timings['faulted_lookups_per_s']:,.0f} "
-              f"lookups/s ({timings['faulted_s'] * 1e3:.1f} ms) — "
-              f"{doc['values']['faulted_worker_deaths']} kill(s), "
-              f"{doc['values']['faulted_worker_restarts']} restart(s), "
-              f"recovery {recovery_txt}")
-        print(f"  faulted throughput: {faulted_x:.2f}x fault-free "
-              f"(threshold {doc['values']['faulted_threshold_x']:.1f}x)")
-    out = pathlib.Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = {
-        "bench": out.stem,
-        "values": doc["values"],
-        "timings": doc["timings"],
-        "metrics": registry.snapshot(),
-        "wall_timings": registry.timings_snapshot(),
-    }
-    out.write_text(json.dumps(sidecar, indent=2, sort_keys=True,
-                              default=str) + "\n")
-    print(f"  wrote {out}")
-    failed = False
-    if args.threshold and timings["speedup_x"] < args.threshold:
-        print(f"bench-serve: speedup below the {args.threshold:.1f}x "
-              "threshold")
-        failed = True
-    if faulted_x is not None and faulted_x < doc["values"]["faulted_threshold_x"]:
-        print(f"bench-serve: faulted throughput "
-              f"{faulted_x:.2f}x below the "
-              f"{doc['values']['faulted_threshold_x']:.1f}x threshold")
-        failed = True
-    return 1 if failed else 0
-
-
 def cmd_chaos_soak(args: argparse.Namespace) -> int:
     """Deterministic chaos soak: fault-injected serving vs the oracle."""
     import json
     import pathlib
 
-    from .chaos import ALL_CHAOS, DEFAULT_CHAOS, SoakFailure, run_chaos_soak
+    from .chaos import SoakFailure, run_chaos_soak
 
-    if args.chaos == "all":
-        names = sorted(ALL_CHAOS)
-    elif args.chaos in (None, "default"):
-        names = list(DEFAULT_CHAOS)
-    else:
-        names = [n for n in args.chaos.split(",") if n]
+    names = _chaos_names(args.chaos)
     script = []
     for event in args.script or []:
         try:
@@ -1346,6 +870,8 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .obs.spans import DEFAULT_SPAN_SAMPLE_RATE
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="CRAM-lens IP lookup: synthesize tables, run lookups, "
@@ -1484,12 +1010,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve a skewed lookup workload through the batch engine",
-        description="Compile the algorithm into a lookup plan and serve "
-                    "Zipf-skewed batches through the engine (plan + FIB "
-                    "cache + optional sharding), spot-checking answers "
-                    "against the oracle; optionally interleaves managed "
-                    "churn to exercise commit-time cache invalidation.",
+        help="serve a skewed lookup workload through the LookupServer",
+        description="Serve Zipf-skewed requests through the coalescing "
+                    "LookupServer (a pool of engine replicas, thread or "
+                    "forked), optionally landing managed churn commits "
+                    "meanwhile, and spot-check every answer against the "
+                    "oracle of the epoch it was served under.  --vrfs N "
+                    "runs the synchronous VRF-hash sharding demo instead.",
     )
     p.add_argument("--algo", default="resail",
                    choices=sorted(ALGORITHM_FACTORIES))
@@ -1499,45 +1026,41 @@ def build_parser() -> argparse.ArgumentParser:
                    help="synthetic table scale (default 0.002)")
     p.add_argument("--requests", type=int, default=20000,
                    help="total lookups to serve")
-    p.add_argument("--batch", type=int, default=256,
-                   help="packets per engine batch")
-    p.add_argument("--cache", type=int, default=1024,
-                   help="FIB-cache capacity per shard (0 disables)")
-    p.add_argument("--shards", type=int, default=1,
-                   help="engine shards (replicas or VRF-hash shards)")
-    p.add_argument("--vrfs", type=int, default=0,
-                   help="serve this many VRFs through the VRF-hash dispatcher")
-    p.add_argument("--policy", choices=["auto", "vrf-hash", "round-robin"],
-                   default="auto",
-                   help="dispatch policy (auto: vrf-hash iff --vrfs > 0)")
+    # Defaults are bench/workloads.py::SERVING, the measured configuration.
+    p.add_argument("--workers", type=int, default=2,
+                   help="engine replicas in the worker pool")
+    p.add_argument("--max-batch", type=int, default=512,
+                   help="coalescer batch-size flush trigger")
+    p.add_argument("--max-wait", type=float, default=2.0,
+                   help="coalescer deadline flush trigger in milliseconds")
     p.add_argument("--backend", choices=["plan", "vector", "auto"],
-                   default="plan",
-                   help="engine execution backend: the scalar compiled "
-                        "plan (default), the lane-compiled NumPy vector "
-                        "plan, or auto (vector when fully lowered)")
+                   default="auto",
+                   help="engine execution backend: auto (default; the "
+                        "lane-compiled NumPy vector plan when fully "
+                        "lowered), vector, or the scalar compiled plan")
+    p.add_argument("--cache", type=int, default=0,
+                   help="FIB-cache capacity per engine (0 disables)")
+    p.add_argument("--mode", choices=["thread", "process"],
+                   default="thread",
+                   help="worker replica kind (process: forked children, "
+                        "shipped commit deltas, falling back to FIB "
+                        "snapshots, at each commit)")
+    p.add_argument("--vrfs", type=int, default=0,
+                   help="serve this many VRFs through the synchronous "
+                        "VRF-hash dispatcher instead of the server")
+    p.add_argument("--shards", type=int, default=1,
+                   help="VRF-hash shards (--vrfs)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--profile", choices=["calm", "default", "stormy"],
                    default="calm", help="churn profile when --churn-ops > 0")
     p.add_argument("--churn-ops", type=int, default=0,
                    help="interleave managed churn batches of this many ops")
     p.add_argument("--churn-every", type=int, default=4,
-                   help="apply churn after every Nth served batch")
+                   help="one churn commit per N full batches of traffic: "
+                        "ceil(requests / max-batch) // N commits in all")
     p.add_argument("--check-every", type=int, default=64,
                    help="differentially spot-check every Nth request "
                         "(0 disables)")
-    p.add_argument("--workers", type=int, default=0,
-                   help="serve through the concurrent coalescing frontend "
-                        "with this many workers (0: synchronous path)")
-    p.add_argument("--max-batch", type=int, default=256,
-                   help="coalescer batch-size flush trigger (--workers)")
-    p.add_argument("--max-wait", type=float, default=2.0,
-                   help="coalescer deadline flush trigger in "
-                        "milliseconds (--workers)")
-    p.add_argument("--mode", choices=["thread", "process"],
-                   default="thread",
-                   help="worker replica kind for --workers (process: "
-                        "forked children, shipped commit deltas, falling "
-                        "back to FIB snapshots, at each commit)")
     p.add_argument("--delta", action=argparse.BooleanOptionalAction,
                    default=True,
                    help="commit churn batches as in-place deltas and "
@@ -1546,35 +1069,33 @@ def build_parser() -> argparse.ArgumentParser:
                         "snapshot shipping)")
     p.add_argument("--overload", choices=["block", "shed"],
                    default="block",
-                   help="backpressure policy when the worker queue is "
-                        "full (--workers)")
+                   help="backpressure policy when the worker queue is full")
     p.add_argument("--chaos", metavar="NAMES",
-                   help="inject seeded dataplane faults while serving "
-                        "(--workers): comma-separated injector names, "
-                        "'default' (kills + batch exceptions + commit "
-                        "stalls) or 'all'")
+                   help="inject seeded dataplane faults while serving: "
+                        "comma-separated injector names, 'default' (kills "
+                        "+ batch exceptions + commit stalls) or 'all'")
     p.add_argument("--chaos-seed", type=int, default=None,
                    help="chaos schedule seed (default: --seed)")
     p.add_argument("--deadline", type=float, default=0.0,
-                   help="per-request deadline in milliseconds "
-                        "(--workers; 0 disables)")
+                   help="per-request deadline in milliseconds (0 disables)")
     p.add_argument("--smoke", action="store_true",
                    help="CI smoke mode: small table, 4k requests, churn on")
-    p.add_argument("--sample-rate", type=float, default=None,
+    p.add_argument("--sample-rate", type=float,
+                   default=DEFAULT_SPAN_SAMPLE_RATE,
                    help="request-lifecycle span sampling rate in [0, 1] "
-                        "(--workers; default 0.0625 — 1 in 16; 1.0 also "
-                        "runs the span<->metrics consistency check)")
+                        "(default %(default)s; 1.0 also runs the "
+                        "span<->metrics consistency check)")
     p.add_argument("--span-jsonl", metavar="FILE",
-                   help="write sampled spans as JSONL to FILE (--workers)")
+                   help="write sampled spans as JSONL to FILE")
     p.add_argument("--span-chrome", metavar="FILE",
                    help="write sampled spans as a Chrome trace-event "
-                        "file to FILE (--workers; opens in Perfetto)")
+                        "file to FILE (opens in Perfetto)")
     p.add_argument("--status-port", type=int, default=None,
                    help="serve a live status endpoint (/metrics /health "
                         "/epoch /slo /spans) on this port while serving "
-                        "(--workers; 0 picks an ephemeral port)")
+                        "(0 picks an ephemeral port)")
     p.add_argument("--metrics-out", metavar="FILE",
-                   help="write the engine metrics registry (including "
+                   help="write the metrics registry (including "
                         "wall-clock timings) as JSON to FILE")
     p.add_argument("--catalog", default=".repro-artifacts",
                    help="artifact catalog directory for --save/--load")
@@ -1636,46 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--probe", type=int, default=512,
                     help="probe-lookup budget (default 512)")
     sp.set_defaults(func=cmd_artifact)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="closed-loop load generator: coalesced vs sequential serving",
-        description="Serve the same seeded Zipf workload two ways — one "
-                    "request at a time through a single engine, then "
-                    "through the concurrent coalescing frontend under "
-                    "closed-loop producers — and report the throughput "
-                    "ratio; writes a machine-readable JSON sidecar.",
-    )
-    p.add_argument("--algo", default="resail",
-                   choices=sorted(ALGORITHM_FACTORIES))
-    p.add_argument("--family", choices=["v4", "v6"], default="v4")
-    p.add_argument("--fib", help="FIB file to serve (overrides synthesis)")
-    p.add_argument("--scale", type=float, default=0.002,
-                   help="synthetic table scale (default 0.002)")
-    p.add_argument("--requests", type=int, default=20000,
-                   help="total lookups per side")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--producers", type=int, default=8,
-                   help="closed-loop client threads")
-    p.add_argument("--window", type=int, default=32,
-                   help="outstanding requests per client")
-    p.add_argument("--request-size", type=int, default=16,
-                   help="addresses per client request")
-    p.add_argument("--max-batch", type=int, default=512)
-    p.add_argument("--max-wait", type=float, default=2.0,
-                   help="coalescer deadline in milliseconds")
-    p.add_argument("--backend", choices=["plan", "vector", "auto"],
-                   default="auto")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=2.0,
-                   help="fail unless coalesced/sequential throughput "
-                        "ratio reaches this (0 disables)")
-    p.add_argument("--smoke", action="store_true",
-                   help="CI smoke mode: tiny table, 4k requests")
-    p.add_argument("--out", metavar="FILE",
-                   default="benchmarks/results/serve_concurrency.json",
-                   help="JSON sidecar path")
-    p.set_defaults(func=cmd_bench_serve)
 
     p = sub.add_parser(
         "chaos-soak",

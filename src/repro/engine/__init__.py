@@ -2,8 +2,7 @@
 
 Compiled lookup plans (:mod:`repro.core.plan`) served through
 :class:`BatchEngine` (plan + skew-aware :class:`FibCache` + metrics),
-with multi-VRF sharding via :class:`VrfShardedEngine` (VRF-hash) and
-:class:`RoundRobinEngine` (replicated round-robin).  See
+with multi-VRF sharding via :class:`VrfShardedEngine` (VRF-hash).  See
 ``docs/engine.md``.
 """
 
@@ -11,7 +10,7 @@ from ..core.plan import LookupPlan, PlanError, compile_plan
 from ..core.vector import VectorError, VectorPlan, compile_vector_plan
 from .cache import FibCache
 from .engine import ENGINE_BACKENDS, ENGINE_BATCH_BUCKETS, BatchEngine
-from .shard import RoundRobinEngine, VrfShardedEngine
+from .shard import VrfShardedEngine
 
 __all__ = [
     "LookupPlan",
@@ -24,6 +23,5 @@ __all__ = [
     "ENGINE_BACKENDS",
     "ENGINE_BATCH_BUCKETS",
     "BatchEngine",
-    "RoundRobinEngine",
     "VrfShardedEngine",
 ]

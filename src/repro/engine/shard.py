@@ -1,21 +1,16 @@
-"""Multi-VRF sharding: N independent plans behind a dispatcher.
+"""Multi-VRF sharding: N independent plans behind a VRF-hash dispatcher.
 
-Two dispatch disciplines, matching how routers actually scale out:
+:class:`VrfShardedEngine` partitions VRFs across N shards
+(``vrf_id % shards``); each shard coalesces its VRFs into one
+tag-widened FIB (idiom I5, exactly as
+:class:`repro.algorithms.vrf.VrfRouter` does) and serves it through
+its own independent :class:`~repro.engine.BatchEngine` — its own
+compiled plan, its own cache, its own counters.  A lookup touches
+exactly one shard.  (Replicas of *one* table are the worker pool's
+job: see :class:`repro.server.LookupServer`.)
 
-* :class:`VrfShardedEngine` — **VRF-hash**.  VRFs are partitioned
-  across N shards (``vrf_id % shards``); each shard coalesces its
-  VRFs into one tag-widened FIB (idiom I5, exactly as
-  :class:`repro.algorithms.vrf.VrfRouter` does) and serves it through
-  its own independent :class:`~repro.engine.BatchEngine` — its own
-  compiled plan, its own cache, its own counters.  A lookup touches
-  exactly one shard.
-* :class:`RoundRobinEngine` — **round-robin**.  N replica engines
-  over the *same* structure model cores pulling batches off a shared
-  queue: each batch goes to the next replica in turn, so plans (and
-  caches) scale with cores while answers stay identical everywhere.
-
-Both dispatchers share one :class:`~repro.obs.MetricsRegistry` across
-their shards; per-shard traffic is visible as the ``engine`` label on
+The shards share one :class:`~repro.obs.MetricsRegistry`; per-shard
+traffic is visible as the ``engine`` label on
 ``repro_engine_lookups_total`` (shards are named ``<name>-s<i>``) plus
 the dispatcher's own ``repro_engine_shard_dispatch_total``.
 """
@@ -29,7 +24,7 @@ from ..obs import MetricsRegistry
 from ..prefix.trie import Fib
 from .engine import BatchEngine
 
-__all__ = ["VrfShardedEngine", "RoundRobinEngine"]
+__all__ = ["VrfShardedEngine"]
 
 
 class VrfShardedEngine:
@@ -157,63 +152,3 @@ class VrfShardedEngine:
             for i, hop in zip(slots[shard], hops):
                 results[i] = hop
         return results
-
-
-class RoundRobinEngine:
-    """N replica plans over one structure; batches dispatch in turn."""
-
-    def __init__(
-        self,
-        algo,
-        *,
-        replicas: int = 2,
-        cache_size: int = 0,
-        registry: Optional[MetricsRegistry] = None,
-        name: str = "rr-engine",
-        backend: str = "plan",
-    ):
-        if replicas < 1:
-            raise ValueError("need at least one replica")
-        self.name = name
-        self.registry = registry or MetricsRegistry()
-        self._engines = [
-            BatchEngine(algo, cache_size=cache_size, registry=self.registry,
-                        name=f"{name}-s{i}", backend=backend)
-            for i in range(replicas)
-        ]
-        self._next = 0
-        self._dispatch = self.registry.counter(
-            "repro_engine_shard_dispatch_total",
-            "Lookups routed to each replica by the round-robin dispatcher.")
-
-    @property
-    def replicas(self) -> int:
-        return len(self._engines)
-
-    def shard_engines(self) -> List[BatchEngine]:
-        return list(self._engines)
-
-    def _take(self) -> Tuple[BatchEngine, int]:
-        shard = self._next
-        self._next = (shard + 1) % len(self._engines)
-        return self._engines[shard], shard
-
-    def lookup(self, address: int) -> Optional[int]:
-        engine, shard = self._take()
-        self._dispatch.inc(1, shard=shard)
-        return engine.lookup(address)
-
-    def lookup_batch(self, addresses: Sequence[int]) -> List[Optional[int]]:
-        engine, shard = self._take()
-        self._dispatch.inc(len(addresses), shard=shard)
-        return engine.lookup_batch(addresses)
-
-    def refresh(self, algo=None, touched=None) -> None:
-        """Propagate a structure change to every replica."""
-        for engine in self._engines:
-            engine.refresh(algo, touched)
-
-    def on_commit(self, outcome: str, algo, touched) -> None:
-        """Commit listener fan-out (see :meth:`BatchEngine.on_commit`)."""
-        for engine in self._engines:
-            engine.on_commit(outcome, algo, touched)

@@ -145,7 +145,9 @@ def _runs_by_bench(history: List[dict]) -> Dict[str, Dict[int, dict]]:
 
 def compare_runs(history: List[dict],
                  threshold: float = DEFAULT_THRESHOLD) -> dict:
-    """Delta report between the last two runs of every bench.
+    """Delta report between the last two runs of every bench in the
+    latest run (a retired sidecar's old records stay in the append-only
+    history but are no longer reported).
 
     ``findings`` lists every classified metric's change; entries whose
     relative regression exceeds ``threshold`` carry
@@ -153,13 +155,12 @@ def compare_runs(history: List[dict],
     rest ``severity="ok"``.
     """
     findings: List[dict] = []
-    benches = _runs_by_bench(history)
     latest_run = max((r.get("run", 0) for r in history), default=0)
+    benches = {bench: runs for bench, runs in _runs_by_bench(history).items()
+               if latest_run in runs}
     for bench in sorted(benches):
         runs = benches[bench]
         run_ids = sorted(runs)
-        if not run_ids:
-            continue
         current_id = run_ids[-1]
         previous_id = run_ids[-2] if len(run_ids) > 1 else None
         if previous_id is None:

@@ -17,7 +17,10 @@ Layers, bottom-up:
   state machine, and idempotent client-side retries;
 * :mod:`repro.server.server` — :class:`LookupServer`, the facade that
   wires the pieces to :class:`~repro.control.ManagedFib` commits and
-  :class:`~repro.obs.MetricsRegistry` telemetry.
+  :class:`~repro.obs.MetricsRegistry` telemetry;
+* :mod:`repro.server.driver` — :func:`serve_workload`, the traffic +
+  churn loop behind ``repro serve``, and :class:`EpochAudit`, the
+  per-epoch oracle check every serving harness shares.
 
 See ``docs/serving.md`` for the architecture and consistency model,
 ``docs/robustness.md`` for the dataplane fault model, and
@@ -34,6 +37,7 @@ from .coalescer import (
     ServerError,
     WorkerCrash,
 )
+from .driver import EpochAudit, serve_workload
 from .pool import CommitGate, ThreadWorkerPool
 from .procpool import ForkedReplica, ReplicaSource, fib_snapshot
 from .server import SERVER_MODES, SERVER_OVERLOAD_POLICIES, LookupServer
@@ -49,6 +53,7 @@ from .supervisor import (
 __all__ = [
     "CoalescedBatch",
     "CommitGate",
+    "EpochAudit",
     "ForkedReplica",
     "LookupServer",
     "PendingLookup",
@@ -69,4 +74,5 @@ __all__ = [
     "WorkerCrash",
     "WorkerSupervisor",
     "fib_snapshot",
+    "serve_workload",
 ]

@@ -3,7 +3,7 @@
 Covers the plan compiler's error paths, the skew-aware FIB cache
 (hybrid eviction, invalidation, tally seeding), the engine's counters
 and cache wiring, the commit-listener contract with the managed
-runtime, both sharding disciplines, and the ``repro serve`` CLI.
+runtime, VRF-hash sharding, and the ``repro serve`` CLI.
 """
 
 import json
@@ -11,16 +11,12 @@ import json
 import pytest
 
 from repro.algorithms import LogicalTcam, Resail
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.control import ChurnGenerator, FaultPlan, ManagedFib, RuntimePolicy
 from repro.core import PlanError, compile_plan
 from repro.datasets import mixed_addresses, skewed_addresses, small_example_fib
-from repro.engine import (
-    BatchEngine,
-    FibCache,
-    RoundRobinEngine,
-    VrfShardedEngine,
-)
+from repro.engine import BatchEngine, FibCache, VrfShardedEngine
+from repro.obs import DEFAULT_SPAN_SAMPLE_RATE
 from repro.prefix import Fib, Prefix
 
 
@@ -280,44 +276,31 @@ class TestVrfSharding:
             sharded.add_vrf(5, Fib(8))
 
 
-class TestRoundRobin:
-    def test_batches_rotate_and_agree(self, example_fib):
-        rr = RoundRobinEngine(LogicalTcam(example_fib), replicas=3)
-        addresses = list(range(0, 256, 7))
-        expected = [example_fib.lookup(a) for a in addresses]
-        for _ in range(4):  # wraps around the replica ring
-            assert rr.lookup_batch(addresses) == expected
-        dispatch = rr.registry.counter("repro_engine_shard_dispatch_total", "")
-        assert dispatch.value(shard=0) == 2 * len(addresses)
-        assert dispatch.value(shard=1) == len(addresses)
-
-    def test_refresh_fans_out(self, example_fib):
-        rr = RoundRobinEngine(LogicalTcam(example_fib), replicas=2,
-                              cache_size=8)
-        rr.lookup(0xFF)
-        rr.lookup(0xFF)
-        changed = Fib(8, list(example_fib))
-        changed.insert(p(0b1, 1), 9)
-        rr.refresh(LogicalTcam(changed), touched=None)
-        assert rr.lookup(0xFF) == 9
-        assert rr.lookup(0xFF) == 9  # both replicas see the new table
-
-
 # ----------------------------------------------------------------------
 # CLI: repro serve
 # ----------------------------------------------------------------------
 class TestServeCli:
-    def test_smoke_round_robin(self, capsys, tmp_path):
+    def test_defaults_are_the_measured_configuration(self):
+        # bench/workloads.py::SERVING is what bench/ measures; a bare
+        # `repro serve` must be that configuration, not a slower one.
+        args = build_parser().parse_args(["serve"])
+        assert (args.workers, args.max_batch, args.max_wait,
+                args.backend, args.cache) == (2, 512, 2.0, "auto", 0)
+        assert args.sample_rate == DEFAULT_SPAN_SAMPLE_RATE
+
+    def test_smoke_serves_from_the_pool(self, capsys, tmp_path):
         out = tmp_path / "serve.json"
         assert main(["serve", "--smoke", "--algo", "resail", "--seed", "7",
                      "--metrics-out", str(out)]) == 0
         text = capsys.readouterr().out
+        assert text.count(": backend vector") == 2  # one line per worker
         assert "lookups/s" in text
-        assert "spot-checks" in text
+        assert "per-epoch oracle" in text
         doc = json.loads(out.read_text())
         counters = doc["metrics"]["counters"]
+        assert sum(counters["repro_server_requests_total"].values()) == 250
+        assert sum(counters["repro_server_batches_total"].values()) > 0
         assert "repro_engine_lookups_total" in counters
-        assert "repro_engine_plan_recompiles_total" in counters
         assert "repro_serve_batch" in doc["timings"]
 
     def test_smoke_vrf_hash(self, capsys):

@@ -3,10 +3,10 @@
 N producer threads hammer a :class:`~repro.server.LookupServer` while
 the main thread drives managed churn through a scripted capacity guard
 that forces a seeded ~35% of batches to *roll back* — interleaving
-landed commits with genuine rollbacks.  The harness records, at every
-landed commit, the oracle's answer for all 256 toy addresses keyed by
-the serving epoch; afterwards every request is checked against the
-snapshot of the epoch its batch executed under.
+landed commits with genuine rollbacks.  An
+:class:`~repro.server.EpochAudit` snapshots the oracle at every landed
+commit, keyed by the serving epoch; afterwards every request is checked
+against the snapshot of the epoch its batch executed under.
 
 Proved properties:
 
@@ -41,7 +41,13 @@ from repro.control.runtime import Health
 from repro.prefix.prefix import Prefix
 from repro.obs.clock import MonotonicClock
 from repro.prefix.trie import Fib
-from repro.server import LookupServer, ServerError, ServingHealth
+from repro.server import (
+    EpochAudit,
+    LookupServer,
+    ServerError,
+    ServingHealth,
+    serve_workload,
+)
 
 WIDTH = 8
 PRODUCERS = 4
@@ -117,24 +123,20 @@ def start_producers(server, seed):
     return threads, produced, failures
 
 
-def check_produced(produced, snapshots):
+def check_produced(produced, audit):
     """Every request answered exactly once, from its epoch's table."""
-    checked = 0
     for lane_requests in produced:
         assert len(lane_requests) == REQUESTS_PER_PRODUCER
-        for addresses, handle in lane_requests:
+        for _addresses, handle in lane_requests:
             hops = handle.result(timeout=60)
             # Exactly one delivery: nothing lost, nothing duplicated.
             assert handle.deliveries == 1
-            lo, hi = handle.epoch_span
-            assert lo == hi, "request size divides max_batch"
-            expected = snapshots[hi]
-            for address, hop in zip(addresses, hops):
-                assert hop == expected[address], (
-                    f"stale read at epoch {hi}: address {address} "
-                    f"served {hop}, oracle said {expected[address]}")
-                checked += 1
-    assert checked == PRODUCERS * REQUESTS_PER_PRODUCER * REQUEST_SIZE
+            stale = audit.check(handle, hops)
+            assert stale is not None, "request size divides max_batch"
+            assert stale == [], (
+                f"stale reads (epoch, address, served, oracle): {stale}")
+    assert audit.checked == PRODUCERS * REQUESTS_PER_PRODUCER * REQUEST_SIZE
+    assert audit.mismatches == audit.straddled == 0
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])
@@ -146,14 +148,7 @@ def test_serving_is_linearizable_under_churn_and_rollbacks(mode):
     workers = 3 if mode == "thread" else 2
     server = LookupServer(managed=managed, workers=workers, mode=mode,
                           max_batch=MAX_BATCH, max_wait_s=0.001)
-    # Keyed by serving epoch; registered after the server's listener,
-    # so the epoch is already bumped when a snapshot is taken.
-    snapshots = {0: oracle_answers(managed.oracle)}
-
-    def record(outcome, algo, touched):
-        snapshots[server.epoch] = oracle_answers(managed.oracle)
-
-    managed.add_commit_listener(record)
+    audit = EpochAudit(server, managed)
 
     landed = rolled_back = 0
     with server:
@@ -179,12 +174,85 @@ def test_serving_is_linearizable_under_churn_and_rollbacks(mode):
         # The scripted guard really interleaved both outcomes.
         assert rolled_back >= 1, "guard script produced no rollbacks"
         assert landed >= 5, "churn produced too few landed commits"
-        check_produced(produced, snapshots)
+        check_produced(produced, audit)
 
     # Clean drain: everything answered, workers gone, submits refused.
     assert server.drained()
     with pytest.raises(ServerError):
         server.submit([1])
+
+
+# ---------------------------------------------------------------------------
+# serve_workload: the loop behind `repro serve`, and the audit it shares
+# ---------------------------------------------------------------------------
+
+
+def workload(count, seed=400):
+    rng = random.Random(seed)
+    return [[rng.randrange(1 << WIDTH) for _ in range(REQUEST_SIZE)]
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_serve_workload_audits_every_answer_under_churn(mode):
+    base = build_fib()
+    managed = ManagedFib(lambda fib: HiBst(fib), base)
+    server = LookupServer(managed=managed, workers=2, mode=mode,
+                          max_batch=MAX_BATCH, max_wait_s=0.001)
+    generator = ChurnGenerator(base, seed=9)
+    churn = [list(generator.ops(4)) for _ in range(8)]
+    report = serve_workload(server, managed, workload(1000), churn=churn)
+
+    assert not report["interrupted"]
+    assert report["submitted"] == report["requests"] == 1000
+    assert report["shed"] == report["straddled"] == 0
+    assert report["checked"] == 1000 * REQUEST_SIZE
+    assert report["mismatches"] == 0
+    assert report["commits"] == report["epoch"] >= 1
+    assert report["serve_s"] > 0
+    assert server.drained()
+
+
+def test_serve_workload_drains_on_interrupt():
+    base = build_fib()
+    managed = ManagedFib(lambda fib: HiBst(fib), base)
+    server = LookupServer(managed=managed, workers=2, max_batch=MAX_BATCH,
+                          max_wait_s=0.001)
+
+    def churn():
+        yield list(ChurnGenerator(base, seed=9).ops(4))
+        raise KeyboardInterrupt  # what SIGINT/SIGTERM raise mid-run
+
+    report = serve_workload(server, managed, workload(5000), churn=churn())
+
+    assert report["interrupted"]
+    assert server.drained()
+    # Producers stopped early; everything they got accepted was answered
+    # (or refused with a typed error) and audited.
+    assert 0 < report["submitted"] < report["requests"]
+    assert report["checked"] == \
+        (report["submitted"] - report["shed"]) * REQUEST_SIZE
+    assert report["mismatches"] == 0
+
+
+def test_epoch_audit_reports_a_corrupted_snapshot():
+    """The check can fail: a snapshot that disagrees with what was
+    served is reported, address by address."""
+    base = build_fib()
+    managed = ManagedFib(lambda fib: HiBst(fib), base)
+    with LookupServer(managed=managed, workers=1, max_batch=MAX_BATCH,
+                      max_wait_s=0.001) as server:
+        audit = EpochAudit(server, managed)
+        managed.apply_batch(list(ChurnGenerator(base, seed=9).ops(4)))
+        assert server.epoch == 1 and sorted(audit.snapshots) == [0, 1]
+        handle = server.submit(list(range(MAX_BATCH)))
+        hops = handle.result(timeout=60)
+    assert audit.check(handle, hops) == []
+    assert (audit.checked, audit.mismatches) == (MAX_BATCH, 0)
+
+    audit.snapshots[1].insert(Prefix.from_bits(5, WIDTH, WIDTH), 100)
+    assert audit.check(handle, hops) == [(1, 5, hops[5], 100)]
+    assert audit.mismatches == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +273,17 @@ class ProbingGuard(ScriptedGuard):
 
     def __init__(self, seed, rate=0.35):
         super().__init__(seed, rate)
-        self.server = None
-        self.committed = None
+        self.audit = None
         self.probes = self.torn = 0
 
     def inspect(self, algo):
-        if self.server is not None:
-            got = self.server.lookup_batch(list(range(1 << WIDTH)),
-                                           timeout=60)
+        if self.audit is not None:
+            server = self.audit.server
+            got = server.lookup_batch(list(range(1 << WIDTH)), timeout=60)
+            committed = self.audit.snapshots[server.epoch]
             self.probes += 1
-            self.torn += sum(g != w for g, w in zip(got, self.committed))
+            self.torn += sum(g != w for g, w in
+                             zip(got, oracle_answers(committed)))
         return super().inspect(algo)
 
 
@@ -229,17 +298,10 @@ def test_bsic_delta_is_invisible_until_the_commit_gate():
                          policy=RuntimePolicy(check_every=4))
     server = LookupServer(managed=managed, workers=3, mode="thread",
                           max_batch=MAX_BATCH, max_wait_s=0.001)
-    snapshots = {0: oracle_answers(managed.oracle)}
-    guard.committed = snapshots[0]
-
-    def record(outcome, algo, touched):
-        snapshots[server.epoch] = guard.committed = \
-            oracle_answers(managed.oracle)
-
-    managed.add_commit_listener(record)
+    audit = EpochAudit(server, managed)
     outcomes = []
     with server:
-        guard.server = server
+        guard.audit = audit
         threads, produced, failures = start_producers(server, seed=200)
         generator = ChurnGenerator(base, seed=9)
         for _ in range(CHURN_BATCHES):
@@ -247,7 +309,7 @@ def test_bsic_delta_is_invisible_until_the_commit_gate():
         for thread in threads:
             thread.join()
         server.flush()
-        guard.server = None
+        guard.audit = None
 
         assert not failures, failures
         assert managed.health is not Health.FAILED
@@ -255,7 +317,7 @@ def test_bsic_delta_is_invisible_until_the_commit_gate():
         assert outcomes.count("batch_rolled_back") >= 1, outcomes
         assert "batch_rebuilt" not in outcomes  # every commit was a delta
         assert guard.probes >= CHURN_BATCHES and guard.torn == 0
-        check_produced(produced, snapshots)
+        check_produced(produced, audit)
     counters = managed.registry.snapshot()["counters"]
     assert sum(counters["repro_engine_plan_patches_total"].values()) > 0
     assert server.drained()
@@ -325,42 +387,19 @@ def test_blue_green_reload_is_linearizable_under_load(mode, tmp_path):
     workers = 3 if mode == "thread" else 2
     server = LookupServer(managed=managed, workers=workers, mode=mode,
                           max_batch=MAX_BATCH, max_wait_s=0.001)
-    snapshots = {0: oracle_answers(managed.oracle)}
-
-    def record(outcome, algo, touched):
-        snapshots[server.epoch] = oracle_answers(managed.oracle)
-
-    managed.add_commit_listener(record)
-
-    produced = [[] for _ in range(PRODUCERS)]
-    failures = []
-
-    def produce(lane):
-        rng = random.Random(300 + lane)
-        try:
-            for _ in range(REQUESTS_PER_PRODUCER):
-                addresses = [rng.randrange(1 << WIDTH)
-                             for _ in range(REQUEST_SIZE)]
-                produced[lane].append((addresses,
-                                       server.submit(addresses)))
-        except BaseException as exc:  # noqa: BLE001 — surface in the test
-            failures.append(exc)
+    audit = EpochAudit(server, managed)
 
     with server:
-        threads = [threading.Thread(target=produce, args=(lane,),
-                                    name=f"producer-{lane}")
-                   for lane in range(PRODUCERS)]
-        for thread in threads:
-            thread.start()
+        threads, produced, failures = start_producers(server, seed=300)
         reloads = 0
         for cycle, version in enumerate(["v002", "v003", "v001", "v002"]):
             loaded = catalog.load("soak", version)
             epoch = server.reload_artifact(loaded)
             reloads += 1
+            assert server.epoch == epoch
             # reload_artifact does not re-fire commit listeners (it is
             # not a churn commit); record the flipped oracle manually.
-            snapshots[epoch] = oracle_answers(managed.oracle)
-            assert server.epoch == epoch
+            audit.record()
             # Churn lands on the *loaded* base — the managed runtime
             # adopted the artifact's FIB as its new oracle.
             generator = ChurnGenerator(managed.oracle, seed=40 + cycle)
@@ -374,21 +413,7 @@ def test_blue_green_reload_is_linearizable_under_load(mode, tmp_path):
         assert managed.health is not Health.FAILED
         assert reloads == 4
 
-        checked = 0
-        for lane_requests in produced:
-            assert len(lane_requests) == REQUESTS_PER_PRODUCER
-            for addresses, handle in lane_requests:
-                hops = handle.result(timeout=60)
-                assert handle.deliveries == 1
-                lo, hi = handle.epoch_span
-                assert lo == hi, "request size divides max_batch"
-                expected = snapshots[hi]
-                for address, hop in zip(addresses, hops):
-                    assert hop == expected[address], (
-                        f"stale read at epoch {hi}: address {address} "
-                        f"served {hop}, oracle said {expected[address]}")
-                    checked += 1
-        assert checked == PRODUCERS * REQUESTS_PER_PRODUCER * REQUEST_SIZE
+        check_produced(produced, audit)
 
     assert server.drained()
     counters = server.registry.snapshot()["counters"]
@@ -410,9 +435,9 @@ def test_worker_death_mid_reload_restarts_from_new_version(tmp_path):
     loaded_old = catalog.load("chaos", "v001")
 
     managed = ManagedFib(lambda fib: HiBst(fib), old_fib)
-    # Lenient health (as run_bench_serve's faulted pass builds): this
-    # test is about the restart's snapshot version, and host load must
-    # not be able to push the server into BROWNOUT shedding meanwhile.
+    # Lenient health: this test is about the restart's snapshot version,
+    # and host load must not be able to push the server into BROWNOUT
+    # shedding meanwhile.
     lenient = ServingHealth(
         MonotonicClock(), queue_capacity=32,
         degraded_restarts=10, brownout_restarts=20,

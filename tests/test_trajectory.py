@@ -142,6 +142,27 @@ class TestCompare:
         assert [f["metric"] for f in report["findings"]] == \
             ["timings.vector_lookups_per_s"]
 
+    def test_retired_bench_is_not_reported(self):
+        # "gone" stopped writing a sidecar after run 2: its regression
+        # there must not be reported as if it belonged to run 3, and a
+        # bench with one old record is not run 3's baseline either.
+        history = self._history(
+            {"timings.lookups_per_s": 100.0},
+            {"timings.lookups_per_s": 100.0},
+            {"timings.lookups_per_s": 100.0})
+        history += [
+            {"history_version": 1, "run": 1, "bench": "gone",
+             "metrics": {"timings.lookups_per_s": 100.0}},
+            {"history_version": 1, "run": 2, "bench": "gone",
+             "metrics": {"timings.lookups_per_s": 50.0}},
+            {"history_version": 1, "run": 1, "bench": "once",
+             "metrics": {"timings.lookups_per_s": 100.0}},
+        ]
+        report = trajectory.compare_runs(history)
+        assert report["ok"] and report["latest_run"] == 3
+        assert report["benches"] == ["demo"]
+        assert {f["bench"] for f in report["findings"]} == {"demo"}
+
     def test_render_report_mentions_warnings(self):
         report = trajectory.compare_runs(self._history(
             {"timings.lookups_per_s": 100.0},
