@@ -22,6 +22,10 @@ ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	$(PYTHON) -m repro serve --smoke --algo sail --backend vector --seed 7
 	$(PYTHON) -m repro serve --smoke --algo resail --workers 2 \
 	    --max-batch 64 --max-wait 1.0 --seed 7
+	$(PYTHON) -m repro serve --smoke --family v6 --algo bsic --seed 7 \
+	    | tee benchmarks/results/serve_smoke_v6.txt
+	test `grep -c "backend vector" benchmarks/results/serve_smoke_v6.txt` -eq 2
+	grep -q "all consistent" benchmarks/results/serve_smoke_v6.txt
 	$(PYTHON) -m repro artifact save rib --algo resail --scale 0.005 \
 	    --seed 7 --catalog benchmarks/results/artifacts
 	$(PYTHON) -m repro artifact verify rib --deep \

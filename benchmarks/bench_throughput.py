@@ -14,10 +14,11 @@ speed — but the perf trajectory of the serving path.  Three benches:
 * ``test_vector_vs_plan_throughput`` is the lane-compiler acceptance
   gate: every scheme lowers fully, so the vector plan
   (``repro.core.vector``) must serve at least **3x** the lookups/sec
-  of the scalar compiled plan on all nine, with identical answers —
-  and, at the 16-address batches a trickle of traffic flushes, the
-  served scheme (RESAIL) at least **1.5x** (the kernel's fixed cost
-  per batch; reported ungated for the other eight).
+  of the scalar compiled plan on all nine over IPv4 and on the
+  paper's three IPv6 schemes over the width-64 table, with identical
+  answers — and, at the 16-address batches a trickle of traffic
+  flushes, the served scheme (RESAIL) at least **1.5x** (the kernel's
+  fixed cost per batch; reported ungated for the rest).
 
 Every bench emits a machine-readable JSON sidecar via
 ``_bench_utils.emit`` (``benchmarks/results/throughput_*.json``):
@@ -253,89 +254,105 @@ def _ab_ratio(fn_a, fn_b, rounds=TIMING_ROUNDS, calls=2):
     return best_b / best_a
 
 
-def test_vector_vs_plan_throughput(benchmark, small_v4):
-    """The lane-compiler acceptance gate: every scheme now lowers
-    fully, so the vector plan must serve >= 3x the scalar compiled
-    plan on ALL NINE, with identical answers (min-of-N interleaved
-    timings).  A second leg times 16-address batches, where the
-    kernel's fixed cost per call is all there is: RESAIL, the served
-    scheme, must still beat the scalar plan by 1.5x there.  Recorded
-    in a JSON sidecar."""
-    fib, addresses = small_v4
+def _vector_row(algo, addresses, small):
+    """One scheme's gate numbers: ``(plan rate, vector rate, speedup,
+    hop checksum, batch-16 ratio)`` — answers checked first."""
+    n = len(addresses)
+    plan = compile_plan(algo)
+    vplan = compile_vector_plan(algo, plan=plan)
+    assert vplan.fully_lowered, vplan.describe()
+    expected = plan.lookup_batch(addresses)  # warm + reference
+    got = vplan.lookup_batch_hops(addresses)  # warm
+    assert got == expected, f"{algo.name}: vector answers diverge"
+    vector_rate = _best_rate(lambda: vplan.lookup_batch(addresses), n)
+    # The gated speedup is an *interleaved* A/B ratio so clock drift
+    # between the two timing windows can't push a scheme across the 3x
+    # line; the reported plan rate is derived from it.
+    speedup = _ab_ratio(
+        lambda: vplan.lookup_batch(addresses),
+        lambda: plan.lookup_batch(addresses, out=[]),
+        rounds=7, calls=1)
+    # Batch 16, same interleaving: eight 16-address batches a sample,
+    # so a sample is long enough to time.
+    for batch in small:
+        assert vplan.lookup_batch_hops(batch) == plan.lookup_batch(batch)
+    b16 = _ab_ratio(
+        lambda: [vplan.lookup_batch(batch) for batch in small],
+        lambda: [plan.lookup_batch(batch, out=[]) for batch in small],
+        rounds=7, calls=1)
+    return (vector_rate / speedup, vector_rate, speedup,
+            sum(hop for hop in expected if hop is not None), b16)
+
+
+def _vector_rows(fib, addresses, makers, seed):
     # The gate measures *batch* throughput: at the CI bench scale the
     # shared workload shrinks to a few hundred addresses, where kernel
     # dispatch overhead (not lane work) dominates the deep-probe
     # schemes.  Pin this bench to a production-sized batch instead.
     if len(addresses) < 2_000:
-        addresses = mixed_addresses(fib, 2_000, seed=21)
-    gated = [(name, maker(fib)) for name, maker in V4_MAKERS]
-    n = len(addresses)
+        addresses = mixed_addresses(fib, 2_000, seed=seed)
     small = [addresses[i:i + 16] for i in range(0, 128, 16)]
+    return {name: _vector_row(maker(fib), addresses, small)
+            for name, maker in makers}
 
+
+def test_vector_vs_plan_throughput(benchmark, small_v4, small_v6):
+    """The lane-compiler acceptance gate: every scheme lowers fully,
+    so the vector plan must serve >= 3x the scalar compiled plan on
+    ALL NINE over the IPv4 table — and on the paper's three IPv6
+    schemes (BSIC k=24, MASHUP 20-12-16-16, HI-BST) over the width-64
+    table, on ``uint64`` address lanes — with identical answers
+    (min-of-N interleaved timings).  A second leg times 16-address
+    batches, where the kernel's fixed cost per call is all there is:
+    RESAIL, the served scheme, must still beat the scalar plan by 1.5x
+    there; the rest, IPv6 included, is reported ungated.  Recorded in
+    a JSON sidecar."""
     def run():
-        rows = {}
-        for name, algo in gated:
-            plan = compile_plan(algo)
-            vplan = compile_vector_plan(algo, plan=plan)
-            assert vplan.fully_lowered, vplan.describe()
-            expected = plan.lookup_batch(addresses)  # warm + reference
-            got = vplan.lookup_batch_hops(addresses)  # warm
-            assert got == expected, f"{name}: vector answers diverge"
-            vector_rate = _best_rate(
-                lambda: vplan.lookup_batch(addresses), n)
-            # The gated speedup is an *interleaved* A/B ratio so clock
-            # drift between the two timing windows can't push a scheme
-            # across the 3x line; the reported plan rate is derived
-            # from it.
-            speedup = _ab_ratio(
-                lambda: vplan.lookup_batch(addresses),
-                lambda: plan.lookup_batch(addresses, out=[]),
-                rounds=7, calls=1)
-            # Batch 16, same interleaving: eight 16-address batches a
-            # sample, so a sample is long enough to time.
-            for batch in small:
-                assert vplan.lookup_batch_hops(batch) == \
-                    plan.lookup_batch(batch)
-            b16 = _ab_ratio(
-                lambda: [vplan.lookup_batch(batch) for batch in small],
-                lambda: [plan.lookup_batch(batch, out=[])
-                         for batch in small],
-                rounds=7, calls=1)
-            rows[name] = (vector_rate / speedup, vector_rate, speedup,
-                          sum(hop for hop in expected if hop is not None),
-                          b16)
-        return rows
+        return (_vector_rows(*small_v4, V4_MAKERS, seed=21),
+                _vector_rows(*small_v6, V6_MAKERS, seed=22))
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedups = {name: row[2] for name, row in rows.items()}
-    b16 = {name: row[4] for name, row in rows.items()}
+    rows, rows_v6 = benchmark.pedantic(run, rounds=1, iterations=1)
 
     table = Table("Vector lane kernels vs scalar compiled plan",
                   ["Scheme", "Plan lookups/s", "Vector lookups/s", "Speedup",
                    "at batch 16"])
-    for name, (plan_rate, vector_rate, speedup, _checksum, small_x) in sorted(
-            rows.items(), key=lambda kv: -speedups[kv[0]]):
-        table.add_row(name, f"{plan_rate:,.0f}", f"{vector_rate:,.0f}",
-                      f"{speedup:.1f}x", f"{small_x:.2f}x")
+    for family, family_rows in (("", rows), ("IPv6 ", rows_v6)):
+        for name, (plan_rate, vector_rate, speedup, _checksum,
+                   small_x) in sorted(family_rows.items(),
+                                      key=lambda kv: -kv[1][2]):
+            table.add_row(family + name, f"{plan_rate:,.0f}",
+                          f"{vector_rate:,.0f}", f"{speedup:.1f}x",
+                          f"{small_x:.2f}x")
+
+    def column(family_rows, index):
+        return {name: row[index] for name, row in family_rows.items()}
+
     emit("throughput_vector", table.render(),
          values={
-             "addresses": len(addresses),
+             "addresses": 2_000,
              "speedup_threshold_x": 3.0,
              "b16_threshold_x": {"resail": 1.5},
-             "hop_checksums": {name: row[3] for name, row in rows.items()},
+             "hop_checksums": column(rows, 3),
+             "ipv6_hop_checksums": column(rows_v6, 3),
          },
          timings={
-             "plan_lookups_per_s": {name: row[0]
-                                    for name, row in rows.items()},
-             "vector_lookups_per_s": {name: row[1]
-                                      for name, row in rows.items()},
-             "speedup_x": speedups,
-             "vector_b16_over_plan": b16,
+             "plan_lookups_per_s": column(rows, 0),
+             "vector_lookups_per_s": column(rows, 1),
+             "speedup_x": column(rows, 2),
+             "vector_b16_over_plan": column(rows, 4),
+             "ipv6": {
+                 "plan_lookups_per_s": column(rows_v6, 0),
+                 "vector_lookups_per_s": column(rows_v6, 1),
+                 "speedup_x": column(rows_v6, 2),
+                 "vector_b16_over_plan": column(rows_v6, 4),
+             },
              "benchmark": bench_timings(benchmark),
          })
 
-    for name, speedup in speedups.items():
-        assert speedup >= 3.0, \
-            f"{name}: vector only {speedup:.2f}x over the scalar plan"
-    assert b16["resail"] >= 1.5, \
-        f"resail: vector only {b16['resail']:.2f}x the scalar plan at batch 16"
+    for family, family_rows in (("", rows), ("IPv6 ", rows_v6)):
+        for name, row in family_rows.items():
+            assert row[2] >= 3.0, \
+                f"{family}{name}: vector only {row[2]:.2f}x over the scalar plan"
+    b16 = rows["resail"][4]
+    assert b16 >= 1.5, \
+        f"resail: vector only {b16:.2f}x the scalar plan at batch 16"

@@ -309,14 +309,18 @@ class LookupAlgorithm(abc.ABC):
         all-or-nothing: one step without a spec and the vector plan
         holds no kernels, delegating every batch to the scalar plan —
         correct, just not fast.  The default lowers nothing, so every
-        algorithm compiles out of the box.
+        algorithm compiles out of the box.  Kernels keep the dtype
+        contract of :func:`~repro.core.vector.key_dtype`: table keys
+        come out of ``addr`` (``uint64`` at width 64) through
+        :func:`~repro.core.vector.key_slice`; registers are ``int64``.
         """
         return {}
 
     def vector_extract_hop(self, lanes):
         """Array form of :meth:`cram_extract_hop`.
 
-        Returns ``(vals, none)`` int64/bool arrays over the batch.
+        Returns ``(vals, none)`` int64/bool arrays over the batch
+        (never the address lanes' dtype, never ``float64``).
         Algorithms that override :meth:`cram_extract_hop` must also
         override this to count as fully lowered; the base
         implementation is a placeholder the lane compiler detects (by

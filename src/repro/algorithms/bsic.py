@@ -23,6 +23,7 @@ right endpoints are discarded.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -52,17 +53,16 @@ MIN_DEAD_NODES = 64
 _Node = Tuple[int, Optional[int], Optional[int], Optional[int]]
 
 
-def _node_columns(nodes: List[_Node]) -> Tuple[np.ndarray, ...]:
-    """Level nodes as the lane kernels' columns: endpoint, then value
-    and is-None arrays for the hop and the two child indices."""
-    columns = [np.array([n[0] for n in nodes], dtype=np.int64)]
-    for field in (1, 2, 3):
-        columns.append(np.array(
-            [0 if n[field] is None else n[field] for n in nodes],
-            dtype=np.int64))
-        columns.append(np.array([n[field] is None for n in nodes],
-                                dtype=bool))
-    return tuple(columns)
+def _split_rows(rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(m, 4)`` node rows (-1 for ``None``) as the lane kernels'
+    columns, each contiguous: endpoint, then value and is-None arrays
+    for the hop and the two child indices.  The endpoint is a suffix
+    key of fewer than 64 bits, so ``int64`` like the values beside it."""
+    fields = np.ascontiguousarray(rows.T)
+    absent = fields < 0
+    values = np.where(absent, 0, fields)
+    return (values[0], values[1], absent[1],
+            values[2], absent[2], values[3], absent[3])
 
 
 class BstForest:
@@ -86,8 +86,12 @@ class BstForest:
         self.levels: List[List[_Node]] = []
         #: Nodes per level still reachable from a live root.
         self._live: List[int] = []
-        #: level -> its nodes as NumPy columns, as of the last request.
+        #: level -> its nodes as NumPy columns, as of the last request,
+        #: and per level the rows placed since (flat, -1 for ``None``):
+        #: freezing a level converts only those, without a Python pass
+        #: over nodes.
         self._columns: Dict[int, Tuple[np.ndarray, ...]] = {}
+        self._fresh: List[array] = []
 
     @property
     def node_entry_bits(self) -> int:
@@ -120,10 +124,15 @@ class BstForest:
         while len(self.levels) <= depth:
             self.levels.append([])
             self._live.append(0)
+            self._fresh.append(array("q"))
         left = self._place(node.left, depth + 1) if node.left else None
         right = self._place(node.right, depth + 1) if node.right else None
         index = len(self.levels[depth])
-        self.levels[depth].append((node.left_endpoint, node.next_hop, left, right))
+        hop = node.next_hop
+        self.levels[depth].append((node.left_endpoint, hop, left, right))
+        self._fresh[depth].extend((
+            node.left_endpoint, -1 if hop is None else hop,
+            -1 if left is None else left, -1 if right is None else right))
         self._live[depth] += 1
         return index
 
@@ -167,20 +176,21 @@ class BstForest:
         return self.levels[level][index]
 
     def columns(self, level: int) -> Tuple[np.ndarray, ...]:
-        """One level as frozen NumPy columns (see :func:`_node_columns`).
+        """One level as frozen NumPy columns (see :func:`_split_rows`).
 
         The arrays are never written after they are returned; a level
         that grew since the last call gets new arrays — the old ones
-        plus the appended rows — so freezing costs the rows a delta
-        added, not the table.
+        plus the rows placed since, converted without a Python pass —
+        so freezing costs one memcpy of the level, not a rebuild.
         """
-        nodes = self.levels[level]
+        fresh = self._fresh[level]
         columns = self._columns.get(level)
-        have = columns[0].shape[0] if columns is not None else 0
-        if columns is None or have < len(nodes):
-            fresh = _node_columns(nodes[have:])
-            columns = fresh if columns is None else tuple(
-                np.concatenate(pair) for pair in zip(columns, fresh))
+        if fresh or columns is None:
+            parts = _split_rows(
+                np.frombuffer(fresh, dtype=np.int64).reshape(-1, 4))
+            self._fresh[level] = array("q")
+            columns = parts if columns is None else tuple(
+                np.concatenate(pair) for pair in zip(columns, parts))
             self._columns[level] = columns
         return columns
 
@@ -393,12 +403,14 @@ class Bsic(LookupAlgorithm):
     # Compiled plans: frozen snapshot readers + delta patching
     # ------------------------------------------------------------------
     def plan_backings(self):
-        """Frozen readers of the initial table and every level, so an
-        in-place delta never shows through an already-compiled plan."""
+        """A frozen reader of the initial table, and the level tables
+        uncopied: they only append (a compaction starts a new forest),
+        so no frozen root leads to a row written after the plan
+        compiled and an in-place delta cannot show through it."""
         backings = {"initial": self.initial.plan_reader()}
         for level in range(self.forest.depth):
             backings[f"bst_level_{level}"] = \
-                list(self.forest.levels[level]).__getitem__
+                self.forest.levels[level].__getitem__
         return backings
 
     def _fits(self, step_names) -> bool:
@@ -408,10 +420,10 @@ class Bsic(LookupAlgorithm):
 
     def plan_patch(self, delta, plan):
         # A delta repoints initial rows at trees appended to the level
-        # tables (or at a compacted forest), so the initial reader and
-        # the level readers re-freeze together; a level copy is one
-        # pointer memcpy.  Steps below the live depth keep their old
-        # readers: no frozen root leads there.
+        # tables (or at a compacted forest), so the initial reader
+        # re-freezes and the level readers rebind with it.  Steps below
+        # the live depth keep their old readers: no frozen root leads
+        # there.
         if not self._fits(plan.step_names):
             return None  # a tree outgrew the compiled chain: recompile
         return self.plan_backings()
@@ -419,7 +431,9 @@ class Bsic(LookupAlgorithm):
     def vector_patch(self, delta, vector_plan):
         if not self._fits(vector_plan.plan.step_names):
             return None
-        return self.vector_specs() or None
+        # The initial view goes back to its table to replay the rows
+        # the delta wrote; the levels append (see BstForest.columns).
+        return self.vector_specs(vector_plan.step_view("initial")) or None
 
     # ------------------------------------------------------------------
     # Vector lowering (the lane compiler)
@@ -434,7 +448,7 @@ class Bsic(LookupAlgorithm):
             return self._HOP_TAG | int(value)
         return int(value)
 
-    def vector_specs(self):
+    def vector_specs(self, prev_initial=None):
         """Lower Algorithm 2 to lane kernels.
 
         The initial TCAM probes through its own vector view (hop vs
@@ -443,17 +457,18 @@ class Bsic(LookupAlgorithm):
         indices) indexed by the ``ptr`` register, so the walk becomes
         a fancy-indexed compare per level — the PlanB move.
         """
-        from ..core.vector import VectorStepSpec
+        from ..core.vector import VectorStepSpec, key_slice
 
-        initial_view = self.initial.vector_reader(encode=self._encode_initial)
+        initial_view = self.initial.vector_reader(
+            encode=self._encode_initial, prev=prev_initial)
         if initial_view is None:
             return {}
         suffix_mask = (1 << self.suffix_bits) - 1
         hop_tag = self._HOP_TAG
 
         def init_update(lanes, vals, found, active):
-            addr = lanes.values("addr")
-            lanes.assign("key", addr & suffix_mask)
+            lanes.assign("key", key_slice(lanes.values("addr"),
+                                          mask=suffix_mask))
             is_hop = found & (vals >= hop_tag)
             is_bst = found & ~is_hop
             lanes.assign("done", np.where(is_bst, 0, 1), none=is_bst)
@@ -463,8 +478,8 @@ class Bsic(LookupAlgorithm):
 
         specs = {"initial": VectorStepSpec(
             update=init_update,
-            select=lambda lanes: (lanes.values("addr") >> self.suffix_bits,
-                                  None),
+            select=lambda lanes: (
+                key_slice(lanes.values("addr"), self.suffix_bits), None),
             reader=initial_view,
         )}
 

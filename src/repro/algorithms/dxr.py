@@ -454,7 +454,7 @@ class Dxr(LookupAlgorithm):
         return specs
 
     def _vector_initial_spec(self):
-        from ..core.vector import VectorStepSpec
+        from ..core.vector import VectorStepSpec, key_slice
 
         # Initial table as parallel kind/a/b arrays:
         # kind 0 = empty, 1 = ('hop', a), 2 = ('section', a, count=b).
@@ -465,8 +465,9 @@ class Dxr(LookupAlgorithm):
         suffix_mask = (1 << self.suffix_bits) - 1
 
         def init_update(lanes, vals, found, active):
-            slot = lanes.values("addr") >> self.suffix_bits
-            lanes.assign("key", lanes.values("addr") & suffix_mask)
+            addr = lanes.values("addr")
+            slot = key_slice(addr, self.suffix_bits)
+            lanes.assign("key", key_slice(addr, mask=suffix_mask))
             section = kind[slot] == 2
             hop = kind[slot] == 1
             # Non-section lanes finish here; section lanes keep done=None

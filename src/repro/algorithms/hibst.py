@@ -215,12 +215,13 @@ class HiBst(LookupAlgorithm):
         Each level is linearized into flat per-field arrays (prefix
         value, child indices) indexed by the ``ptr`` register; the
         predecessor descent becomes one fancy-indexed compare per
-        level.  Node values are full address width; the lane compiler
-        only asks for specs at widths that fit its int64 lanes.
+        level.  Node values are full-width keys, so their columns have
+        the address lanes' ``key_dtype(width)`` and the endpoint
+        compare stays inside one dtype.
         """
         import numpy as np
 
-        from ..core.vector import VectorStepSpec
+        from ..core.vector import VectorStepSpec, key_dtype
 
         if self.root_index is None:
             return {"empty": VectorStepSpec(
@@ -230,7 +231,7 @@ class HiBst(LookupAlgorithm):
         root = self.root_index
         for depth, level_nodes in enumerate(self.levels):
             values = np.array([n.prefix.value for n in level_nodes],
-                              dtype=np.int64)
+                              dtype=key_dtype(self.width))
             left = np.array(
                 [0 if n.left is None else n.left for n in level_nodes],
                 dtype=np.int64)
@@ -271,13 +272,15 @@ class HiBst(LookupAlgorithm):
         (cached; ``_build`` invalidates)."""
         import numpy as np
 
+        from ..core.vector import key_dtype
+
         if self._vector_arrays is None:
             offsets: List[int] = []
             total = 0
             for level_nodes in self.levels:
                 offsets.append(total)
                 total += len(level_nodes)
-            value = np.zeros(total, dtype=np.int64)
+            value = np.zeros(total, dtype=key_dtype(self.width))
             length = np.zeros(total, dtype=np.int64)
             hop = np.zeros(total, dtype=np.int64)
             anc_start = np.zeros(total + 1, dtype=np.int64)
@@ -316,9 +319,11 @@ class HiBst(LookupAlgorithm):
             pred,
             offsets[np.where(pred, lanes.values("pred_level"), 0)]
             + lanes.values("pred_index"), 0)
-        addr = lanes.values("addr")
-        shift = self.width - length[gid]
-        matches = pred & ((addr >> shift) == (value[gid] >> shift))
+        # The predecessor covers the address when the bits they share
+        # reach its length (a shift by width - length would be by 64).
+        common = self.width - _bit_length_vec(
+            value[gid] ^ lanes.values("addr"))
+        matches = pred & (common >= length[gid])
         np.copyto(vals, hop[gid], where=matches)
         none &= ~matches
         # Non-matching predecessors resolve through the longest covering
@@ -326,7 +331,6 @@ class HiBst(LookupAlgorithm):
         # per-lane binary search over the CSR ancestor chain.
         rest = pred & ~matches
         if rest.any() and anc_hop.size:
-            common = self.width - _bit_length_vec(value[gid] ^ addr)
             lo = np.where(rest, anc_start[gid], 0)
             hi = np.where(rest, anc_start[gid + 1], 0)
             start = lo.copy()
@@ -360,19 +364,21 @@ def _common_bits(a: int, b: int, width: int) -> int:
 
 
 def _bit_length_vec(x):
-    """Per-element ``int.bit_length`` over a non-negative int64 array.
+    """Per-element ``int.bit_length`` of a non-negative key array, as
+    ``int64``.
 
     A shift-halving reduction — exact, unlike a float ``log2`` whose
-    rounding misclassifies values near powers of two.
+    rounding misclassifies values near powers of two.  The scalars
+    take the keys' own dtype: ``uint64 >= int64`` compares as float64.
     """
     import numpy as np
 
-    x = x.copy()
+    key = x.dtype.type
     out = np.zeros(x.shape, dtype=np.int64)
     for shift in (32, 16, 8, 4, 2, 1):
-        big = x >= (np.int64(1) << shift)
+        big = x >= (key(1) << key(shift))
         out += np.where(big, shift, 0)
-        x = np.where(big, x >> shift, x)
+        x = np.where(big, x >> key(shift), x)
     return out + (x != 0)
 
 

@@ -62,14 +62,14 @@ class LogicalTcam(LookupAlgorithm):
         """Lower the single priority match onto the TCAM's own vector
         view: masked compare + priority argmax (or grouped probes past
         ``MATRIX_ROW_LIMIT`` rows), hop register from the result."""
-        from ..core.vector import VectorStepSpec
+        from ..core.vector import VectorStepSpec, key_slice
 
         def match_update(lanes, vals, found, active):
             lanes.assign("hop", vals, none=~found)
 
         return {"match": VectorStepSpec(
             update=match_update,
-            select=lambda lanes: (lanes.values("addr"), None),
+            select=lambda lanes: (key_slice(lanes.values("addr")), None),
         )}
 
     def layout(self) -> Layout:

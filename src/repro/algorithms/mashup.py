@@ -359,7 +359,7 @@ class Mashup(LookupAlgorithm):
         """
         import numpy as np
 
-        from ..core.vector import SparseMapView, VectorStepSpec
+        from ..core.vector import SparseMapView, VectorStepSpec, key_slice
 
         views = []
         for level, stride in enumerate(self.strides):
@@ -433,7 +433,8 @@ class Mashup(LookupAlgorithm):
                     ref_vals, ref_none, _c, _cn = prev_ref(lanes, level)
                     mine = ~ref_none & (
                         (ref_vals >> ref_kind_shift) == side_code)
-                    slot = (lanes.values("addr") >> addr_shift) & slot_mask
+                    slot = key_slice(lanes.values("addr"), addr_shift,
+                                     slot_mask)
                     keys = ((ref_vals & ref_tag_mask) << stride) | slot
                     return keys, mine
 

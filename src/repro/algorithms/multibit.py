@@ -283,7 +283,7 @@ class MultibitTrie(LookupAlgorithm):
     # Lane compiler (repro.core.vector): every level fully lowered
     # ------------------------------------------------------------------
     def vector_specs(self):
-        from ..core.vector import VectorStepSpec
+        from ..core.vector import VectorStepSpec, key_slice
 
         levels = self.nodes_by_level()
         node_ids: Dict[int, Tuple[int, int]] = {}
@@ -323,7 +323,7 @@ class MultibitTrie(LookupAlgorithm):
                        shift=shift, mask=mask, hop_v=hop_v, hop_n=hop_n,
                        child_v=child_v, child_n=child_n):
                 walking = ~lanes.truthy("done") & lanes.present("node")
-                slot = (lanes.values("addr") >> shift) & mask
+                slot = key_slice(lanes.values("addr"), shift, mask)
                 key = np.where(walking,
                                (lanes.values("node") << stride) | slot, 0)
                 lanes.assign_where("best", walking & ~hop_n[key], hop_v[key])

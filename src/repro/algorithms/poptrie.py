@@ -258,7 +258,7 @@ class Poptrie(LookupAlgorithm):
     # Lane compiler (repro.core.vector): every step fully lowered
     # ------------------------------------------------------------------
     def vector_specs(self):
-        from ..core.vector import VectorStepSpec, popcount64
+        from ..core.vector import VectorStepSpec, key_slice, popcount64
 
         specs = {}
 
@@ -269,7 +269,7 @@ class Poptrie(LookupAlgorithm):
         dp_shift = self.width - self.dp_bits
 
         def dp_update(lanes, vals, found, active):
-            slot = lanes.values("addr") >> dp_shift
+            slot = key_slice(lanes.values("addr"), dp_shift)
             is_node = dp_kind[slot]
             value = dp_val[slot]
             routed = ~is_node & (value != 0)
@@ -311,8 +311,8 @@ class Poptrie(LookupAlgorithm):
             def update(lanes, vals, found, active):
                 walking = lanes.present("ptr")
                 ptr = np.where(walking, lanes.values("ptr"), 0)
-                slot = ((lanes.values("addr") >> shift) & mask).astype(
-                    np.uint64)
+                slot = key_slice(lanes.values("addr"), shift,
+                                 mask).astype(np.uint64)
                 # (1 << (slot+1)) - 1 without the slot=63 shift overflow.
                 below = full >> (np.uint64(63) - slot)
                 vec = vector[ptr]

@@ -266,9 +266,9 @@ class Resail(LookupAlgorithm):
         # Arm the freeze logs so adopted views (version-synced to the
         # fresh, empty log) re-freeze via an empty replay instead of a
         # full rebuild on the first vector compile.
-        obj.hash_table._log = []
+        obj.hash_table.log.arm()
         for bitmap in obj.bitmaps.values():
-            bitmap._log = []
+            bitmap.log.arm()
         return obj
 
     def adopt_views(self, views) -> None:

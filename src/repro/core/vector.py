@@ -13,11 +13,15 @@ The execution model:
   pair of arrays: an ``int64`` value vector plus a boolean ``none``
   mask (the sentinel + mask convention for ``None`` lanes — masked
   lanes hold value 0, so scalar truthiness ``state.get(r)`` lowers to
-  ``vals != 0`` and presence to ``~none``).  The file is adopt-on-write:
-  a register costs nothing until a kernel writes it and then *is* the
-  arrays the kernel produced, so a batch costs O(CRAM steps) wide array
-  passes, not O(steps x registers) short ones.  The kernels of one
-  parallel CRAM level can share a lane matrix, one row each.
+  ``vals != 0`` and presence to ``~none``).  One register is a *key*,
+  not a value: ``addr`` has :func:`key_dtype` of the plan's width —
+  ``uint64`` for the 64-bit IPv6 view, ``int64`` for everything
+  narrower — and kernels slice it through :func:`key_slice`.  The file
+  is adopt-on-write: a register costs nothing until a kernel writes it
+  and then *is* the arrays the kernel produced, so a batch costs
+  O(CRAM steps) wide array passes, not O(steps x registers) short
+  ones.  The kernels of one parallel CRAM level can share a lane
+  matrix, one row each.
 * **Vector table views.**  Memory backings grow ``vector_reader()``
   snapshot views alongside ``plan_reader()``: bitmaps as packed
   ``uint8`` arrays gathered by an index vector
@@ -35,14 +39,13 @@ The execution model:
   view's ``gather`` and an ``update`` kernel, or is compute-only
   (``select=None``) and reads the lanes directly.
 * **All-or-nothing lowering.**  A plan runs as kernels only when
-  *every* step has a spec whose table produced a vector view, the hop
-  extraction has an array form, and addresses fit ``int64`` lanes
-  (width <= :data:`MAX_VECTOR_WIDTH`; the IPv6 view is 64).
-  Otherwise it holds **no** kernels (``fully_lowered`` is False) and
-  :meth:`VectorPlan.lookup_batch` hands the whole batch to the
-  embedded scalar plan — one kernel schedule, one fallback, decided
-  once at compile time.  All nine algorithms lower fully at
-  lane-compatible widths.
+  *every* step has a spec whose table produced a vector view and the
+  hop extraction has an array form.  Otherwise it holds **no** kernels
+  (``fully_lowered`` is False) and :meth:`VectorPlan.lookup_batch`
+  hands the whole batch to the embedded scalar plan — one kernel
+  schedule, one fallback, decided once at compile time.  All nine
+  algorithms lower fully at every width they support, the 64-bit
+  IPv6 view included.
 
 Like a :class:`~repro.core.plan.LookupPlan`, a vector plan is a
 **snapshot**: its views freeze the tables at compile time, and it must
@@ -53,6 +56,7 @@ on every committed batch when its ``backend`` is ``"vector"`` or
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -75,6 +79,8 @@ __all__ = [
     "view_state",
     "view_from_state",
     "popcount64",
+    "key_dtype",
+    "key_slice",
     "MISS_HOP",
     "DENSE_LIMIT",
     "MATRIX_ROW_LIMIT",
@@ -95,10 +101,6 @@ DENSE_LIMIT = 1 << 20
 #: Lanes per kernel invocation: bounds the footprint of broadcast
 #: intermediates (TCAM row matrices are ``lanes x rows``).
 DEFAULT_CHUNK = 4096
-
-#: Addresses must fit int64 lanes with headroom for shifts: wider
-#: plans compile no kernels and delegate to the scalar plan.
-MAX_VECTOR_WIDTH = 62
 
 #: Largest TCAM a ``vector_reader()`` renders as one broadcast row
 #: matrix (:class:`TcamMatrixView`); beyond it the per-group
@@ -127,6 +129,39 @@ else:  # numpy < 2.0 (the 3.9 CI cell): 16-bit lookup-table fallback
         for shift in (16, 32, 48):
             total += _POP16[((v >> np.uint64(shift)) & low).astype(np.int64)]
         return total
+
+
+def key_dtype(bits: int):
+    """The lane dtype of a ``bits``-wide key — the one place a width is
+    compared.  A key of fewer than 64 bits is ``int64``, a 64-bit key
+    ``uint64``; values (hops, indices, tagged codes, flags) are always
+    ``int64``.  The two never meet in arithmetic, a compare or a
+    ``searchsorted``: NumPy promotes ``uint64 (+) int64`` to
+    ``float64`` without a word and goes wrong at bit 53."""
+    return np.uint64 if bits >= 64 else np.int64
+
+
+def key_slice(keys: np.ndarray, shift: int = 0,
+              mask: Optional[int] = None) -> np.ndarray:
+    """``(keys >> shift) & mask`` as a key vector of its own width —
+    how every kernel derives its table keys from ``addr``.
+
+    An ``int64`` vector is sliced with plain signed arithmetic.  A
+    ``uint64`` one is shifted logically and comes back as ``int64``
+    when the slice dropped bits (a zero-copy view: the value is below
+    ``2**63``), untouched when it is the whole key — so what a kernel
+    indexes, adds or compares against ``int64`` columns is ``int64``.
+    """
+    if keys.dtype != np.uint64:
+        if shift:
+            keys = keys >> shift
+        return keys if mask is None else keys & mask
+    bits = 64 - shift if mask is None else mask.bit_length()
+    if shift:
+        keys = keys >> np.uint64(shift)
+    if mask is not None:
+        keys = keys & np.uint64(mask)
+    return keys.view(key_dtype(bits))
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +409,10 @@ class TcamMatrixView:
         self.values_ = values
         self.masks = masks
         self.data = data
-        #: The bits every row's mask cares about (0 filters nothing)...
-        self.common = (int(np.bitwise_and.reduce(masks))
-                       if masks.size else 0)
+        #: The bits every row's mask cares about (0 filters nothing),
+        #: as a scalar of the key dtype...
+        self.common = (np.bitwise_and.reduce(masks) if masks.size
+                       else masks.dtype.type(0))
         #: ...and the rows' distinct values under it, sorted.
         self.common_values = np.unique(values & self.common)
 
@@ -415,11 +451,19 @@ class TcamGroupView:
     at most ``key_width + 1`` groups.
     """
 
-    __slots__ = ("groups",)
+    __slots__ = ("groups", "order", "version")
 
-    def __init__(self, groups: Sequence[Tuple[int, "SparseMapView"]]):
-        #: ``(mask, view)`` pairs in frozen group (winning) order.
-        self.groups = tuple(groups)
+    def __init__(self, groups: Sequence[Tuple[int, "SparseMapView"]],
+                 order: Optional[List[Tuple[int, int]]] = None,
+                 version: Optional[int] = None):
+        #: ``(mask, view)`` pairs in frozen group (winning) order, the
+        #: mask a scalar of the view's key dtype.
+        self.groups = [(view.keys.dtype.type(mask), view)
+                       for mask, view in groups]
+        #: Each group's ``(priority, mask)`` and the write-log version
+        #: synced to, for ``TcamTable.vector_reader(prev=view)``.
+        self.order = order
+        self.version = version
 
     def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
@@ -481,12 +525,14 @@ def view_state(view) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         empty = np.zeros(0, dtype=np.int64)
+        keys = (np.concatenate([v.keys for _m, v in view.groups])
+                if view.groups else empty)
         return "tcam_group", {}, {
+            # Masks are keys: a /64 mask does not fit int64.
             "group_masks": np.array([m for m, _v in view.groups],
-                                    dtype=np.int64),
+                                    dtype=keys.dtype),
             "group_offsets": offsets,
-            "keys": (np.concatenate([v.keys for _m, v in view.groups])
-                     if view.groups else empty),
+            "keys": keys,
             "data": (np.concatenate([v.data for _m, v in view.groups])
                      if view.groups else empty),
         }
@@ -527,7 +573,7 @@ def view_from_state(kind: str, meta: Dict[str, Any],
         groups = []
         for g in range(masks.size):
             lo, hi = int(offsets[g]), int(offsets[g + 1])
-            groups.append((int(masks[g]),
+            groups.append((masks[g],
                            SparseMapView(keys[lo:hi], data[lo:hi])))
         return TcamGroupView(groups)
     raise VectorError(f"unknown serialized view kind {kind!r}")
@@ -548,9 +594,11 @@ def _int_items(slots: Dict[int, Any]) -> Optional[List[Tuple[int, int]]]:
     return items
 
 
-def map_view(slots: Dict[int, Any], capacity: Optional[int] = None):
-    """A vector view over a dict: dense when the key space is small
-    enough (``capacity <= DENSE_LIMIT``), sorted-probe otherwise.
+def map_view(slots: Dict[int, Any], key_bits: int,
+             capacity: Optional[int] = None):
+    """A vector view over a dict of ``key_bits``-bit keys: dense when
+    the key space is small enough (``capacity <= DENSE_LIMIT``),
+    sorted-probe with keys in :func:`key_dtype` ``(key_bits)`` otherwise.
 
     Returns ``None`` when the stored values are not int-like — the
     step then has no kernel, so the plan does not lower.
@@ -565,11 +613,8 @@ def map_view(slots: Dict[int, Any], capacity: Optional[int] = None):
             dense[key] = value
             present[key] = True
         return DenseArrayView(dense, present)
-    if not items:
-        empty = np.zeros(0, dtype=np.int64)
-        return SparseMapView(empty, empty)
     items.sort()
-    keys = np.array([k for k, _v in items], dtype=np.int64)
+    keys = np.array([k for k, _v in items], dtype=key_dtype(key_bits))
     data = np.array([v for _k, v in items], dtype=np.int64)
     return SparseMapView(keys, data)
 
@@ -577,24 +622,30 @@ def map_view(slots: Dict[int, Any], capacity: Optional[int] = None):
 def patch_sparse_view(view: SparseMapView,
                       updates: Dict[int, Optional[int]]) -> None:
     """Apply ``key -> value`` updates (``None`` deletes) to a sorted
-    probe view in place: drop every updated key, then merge-insert the
-    survivors.  Pure array surgery — O(rows) memmove, no Python loop —
+    probe view in place.  A key the view already holds is overwritten
+    where it sits — what most of a delta is; only keys that appear or
+    disappear cost array surgery (an O(rows) memmove, no Python loop) —
     so an incremental freeze costs a delta, not a rebuild."""
     if not updates:
         return
     keys, data = view.keys, view.data
-    changed = np.fromiter(sorted(updates), dtype=np.int64, count=len(updates))
-    if keys.size:
-        keep = np.isin(keys, changed, invert=True)
-        keys, data = keys[keep], data[keep]
-    fresh = sorted((k, v) for k, v in updates.items() if v is not None)
-    if fresh:
-        new_keys = np.fromiter((k for k, _v in fresh), np.int64, len(fresh))
-        new_data = np.fromiter((int(v) for _k, v in fresh),
-                               np.int64, len(fresh))
-        pos = np.searchsorted(keys, new_keys)
-        keys = np.insert(keys, pos, new_keys)
-        data = np.insert(data, pos, new_data)
+    items = sorted(updates.items())
+    changed = np.fromiter((k for k, _v in items), keys.dtype, len(items))
+    values = np.fromiter((0 if v is None else v for _k, v in items),
+                         np.int64, len(items))
+    drop = np.fromiter((v is None for _k, v in items), bool, len(items))
+    pos = keys.searchsorted(changed)
+    held = pos < keys.size
+    held[held] = keys[pos[held]] == changed[held]
+    write = held & ~drop
+    data[pos[write]] = values[write]
+    gone, fresh = held & drop, ~held & ~drop
+    if gone.any():
+        keys, data = np.delete(keys, pos[gone]), np.delete(data, pos[gone])
+        pos = keys.searchsorted(changed)
+    if fresh.any():
+        keys = np.insert(keys, pos[fresh], changed[fresh])
+        data = np.insert(data, pos[fresh], values[fresh])
     view.keys, view.data = keys, data
 
 
@@ -696,8 +747,9 @@ class VectorPlan:
         self._extract = None
         #: True when every step and the hop extraction run as kernels.
         self.fully_lowered = False
-        if self.width <= MAX_VECTOR_WIDTH:
-            self._lower()
+        #: ``addr`` is a key of ``width`` bits.
+        self._addr_dtype = key_dtype(self.width)
+        self._lower()
 
     def _lower(self) -> None:
         """Compile every step and the hop extraction to kernels, or
@@ -788,10 +840,12 @@ class VectorPlan:
         """A whole batch through the kernels.
 
         Returns an ``int64`` array of next hops with :data:`MISS_HOP`
-        in no-route lanes.  A plan that did not lower — and any batch
-        whose addresses cannot live in int64 lanes (values >= 2**63) —
-        runs through the embedded scalar plan instead: same snapshot,
-        same answers.
+        in no-route lanes.  A plan that did not lower runs the batch
+        through the embedded scalar plan instead: same snapshot, same
+        answers.  An address the lane dtype cannot hold is outside
+        ``[0, 2**width)``: ``ValueError`` (a non-integer: ``TypeError``).
+        In-dtype but out-of-width values are admission's check
+        (``LookupServer.submit``), not a per-batch array pass.
         """
         out = self._run(addresses)
         if out is None:
@@ -816,13 +870,10 @@ class VectorPlan:
 
     def _run(self, addresses) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """``(vals, none)`` lane vectors for the batch out of the
-        kernels, or ``None`` when it has to run on the scalar plan."""
+        kernels, or ``None`` when the plan did not lower."""
         if not self.fully_lowered:
             return None
-        try:
-            addrs = np.asarray(addresses, dtype=np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return None
+        addrs = self._address_lanes(addresses)
         if addrs.ndim != 1:
             raise VectorError("lookup_batch expects a 1-D address vector")
         n = addrs.shape[0]
@@ -832,6 +883,22 @@ class VectorPlan:
                  for start in range(0, n, self._chunk)]
         return (np.concatenate([vals for vals, _none in parts]),
                 np.concatenate([none for _vals, none in parts]))
+
+    def _address_lanes(self, addresses) -> np.ndarray:
+        """The batch as a key vector of the plan's width, in one strict
+        pass: ``array`` packs integers only (no silent ``3.7 -> 3``)
+        and refuses what the lane dtype cannot hold."""
+        dtype = self._addr_dtype
+        if isinstance(addresses, np.ndarray):
+            if addresses.dtype == dtype:
+                return addresses
+            addresses = addresses.tolist()
+        try:
+            packed = array("Q" if dtype is np.uint64 else "q", addresses)
+        except OverflowError:
+            raise ValueError(
+                f"address outside [0, 2**{self.width})") from None
+        return np.frombuffer(packed, dtype=dtype)
 
     def _run_chunk(self, addrs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         lanes = Lanes(self._registers, addrs.shape[0])

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Generic, List, Optional, Tuple, TypeVar
 
 from ..obs.accounting import AccessStats
-from .sram import FREEZE_LOG_CAP
+from .sram import FreezeLog
 
 V = TypeVar("V")
 
@@ -94,13 +94,10 @@ class DLeftHashTable(Generic[V]):
         ]
         self._overflow: List[Tuple[int, V]] = []
         self._count = 0
-        # Incremental-freeze write log (see Bitmap): armed by the first
-        # snapshot reader; ``(key, data)`` records an insert/overwrite,
-        # ``(key, None)`` a delete.  A flat snapshot handed back as
-        # ``prev`` catches up by replaying the tail instead of
-        # re-flattening every bucket.
-        self._log: Optional[List[Tuple[int, Optional[V]]]] = None
-        self._log_base = 0
+        #: ``(key, data)`` per insert/overwrite, ``(key, None)`` per
+        #: delete: a flat snapshot handed back as ``prev`` replays the
+        #: tail instead of re-flattening every bucket.
+        self.log = FreezeLog()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -108,18 +105,7 @@ class DLeftHashTable(Generic[V]):
 
     @property
     def freeze_version(self) -> int:
-        return self._log_base + (len(self._log) if self._log is not None
-                                 else 0)
-
-    def _record(self, key: int, data: Optional[V]) -> None:
-        log = self._log
-        if log is None:
-            return
-        log.append((key, data))
-        if len(log) > FREEZE_LOG_CAP:
-            drop = len(log) // 2
-            del log[:drop]
-            self._log_base += drop
+        return self.log.version
 
     @property
     def allocated_cells(self) -> int:
@@ -143,7 +129,7 @@ class DLeftHashTable(Generic[V]):
         if not 0 <= key < (1 << self.key_width):
             raise ValueError(f"key {key:#x} exceeds key width {self.key_width}")
         self.stats.writes += 1
-        self._record(key, data)
+        self.log.record((key, data))
         candidates = [
             self._buckets[sub][self._bucket_index(key, sub)] for sub in range(self.d)
         ]
@@ -183,13 +169,8 @@ class DLeftHashTable(Generic[V]):
         ]
         self._overflow = []
         self._count = 0
-        if self._log is not None:
-            # A rehash moves every entry: no log tail can describe it.
-            # Jump the base past every outstanding snapshot's version so
-            # they all take the full re-flatten path on their next
-            # freeze.
-            self._log_base = self.freeze_version + 1
-            self._log = []
+        # A rehash moves every entry: no log tail can describe it.
+        self.log.invalidate()
         for key, data in entries:
             self.insert(key, data)
 
@@ -202,13 +183,6 @@ class DLeftHashTable(Generic[V]):
         for key, data in self._overflow:
             flat[key] = data
         return flat
-
-    def _log_tail(self, synced) -> Optional[List[Tuple[int, Optional[V]]]]:
-        """Log entries past ``synced``, or None when the snapshot is
-        too old (predates the log, a trim, or a rehash)."""
-        if self._log is None or synced is None or synced < self._log_base:
-            return None
-        return self._log[synced - self._log_base:]
 
     def plan_reader(self, prev=None):
         """Uninstrumented snapshot reader for compiled lookup plans.
@@ -223,7 +197,7 @@ class DLeftHashTable(Generic[V]):
         """
         flat = getattr(prev, "__self__", None)
         if isinstance(flat, _FrozenDict):
-            tail = self._log_tail(flat.version)
+            tail = self.log.tail(flat.version)
             if tail is not None:
                 for key, data in tail:
                     if data is None:
@@ -232,8 +206,7 @@ class DLeftHashTable(Generic[V]):
                         flat[key] = data
                 flat.version = self.freeze_version
                 return prev
-        if self._log is None:
-            self._log = []
+        self.log.arm()
         flat = _FrozenDict(self._flatten())
         flat.version = self.freeze_version
         return flat.get
@@ -250,7 +223,7 @@ class DLeftHashTable(Generic[V]):
         from ..core.vector import SparseMapView, map_view, patch_sparse_view
 
         if isinstance(prev, SparseMapView):
-            tail = self._log_tail(prev.version)
+            tail = self.log.tail(prev.version)
             if tail is not None:
                 updates = dict(tail)
                 if all(value is None or isinstance(value, (bool, int))
@@ -258,9 +231,8 @@ class DLeftHashTable(Generic[V]):
                     patch_sparse_view(prev, updates)
                     prev.version = self.freeze_version
                     return prev
-        if self._log is None:
-            self._log = []
-        view = map_view(self._flatten())
+        self.log.arm()
+        view = map_view(self._flatten(), self.key_width)
         if view is not None:
             view.version = self.freeze_version
         return view
@@ -295,14 +267,14 @@ class DLeftHashTable(Generic[V]):
                     del bucket[i]
                     self._count -= 1
                     self.stats.writes += 1
-                    self._record(key, None)
+                    self.log.record((key, None))
                     return
         for i, (existing, _data) in enumerate(self._overflow):
             if existing == key:
                 del self._overflow[i]
                 self._count -= 1
                 self.stats.writes += 1
-                self._record(key, None)
+                self.log.record((key, None))
                 return
         raise KeyError(key)
 

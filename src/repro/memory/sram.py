@@ -31,6 +31,54 @@ V = TypeVar("V")
 FREEZE_LOG_CAP = 1 << 15
 
 
+class FreezeLog:
+    """A table's incremental-freeze write log.
+
+    Armed by the first snapshot reader, then every write lands here
+    too.  A frozen view carries the log ``version`` it is synced to;
+    handed back on the next freeze, it catches up by replaying just the
+    :meth:`tail` instead of re-copying the table.
+    """
+
+    __slots__ = ("entries", "base")
+
+    def __init__(self):
+        self.entries: Optional[list] = None
+        self.base = 0
+
+    @property
+    def version(self) -> int:
+        return self.base + len(self.entries or ())
+
+    def arm(self) -> None:
+        if self.entries is None:
+            self.entries = []
+
+    def record(self, entry) -> None:
+        log = self.entries
+        if log is None:
+            return
+        log.append(entry)
+        if len(log) > FREEZE_LOG_CAP:
+            drop = len(log) // 2
+            del log[:drop]
+            self.base += drop
+
+    def tail(self, synced) -> Optional[list]:
+        """Entries past version ``synced``, or None when the snapshot is
+        too old (predates the log, a trim, or an :meth:`invalidate`)."""
+        if self.entries is None or synced is None or synced < self.base:
+            return None
+        return self.entries[synced - self.base:]
+
+    def invalidate(self) -> None:
+        """No tail can describe what just happened: jump the base past
+        every outstanding snapshot's version so they all rebuild."""
+        if self.entries is not None:
+            self.base = self.version + 1
+            self.entries = []
+
+
 class DirectIndexTable(Generic[V]):
     """SRAM table indexed directly by a ``key_width``-bit key.
 
@@ -100,7 +148,7 @@ class DirectIndexTable(Generic[V]):
         values are not int-like (the plan then does not lower).
         Frozen like :meth:`plan_reader` — recompile after updates.
         """
-        return map_view(self._slots, capacity=self.capacity)
+        return map_view(self._slots, self.key_width, capacity=self.capacity)
 
     def sram_bits(self) -> int:
         """Full directly-indexed footprint, populated or not."""
@@ -159,7 +207,8 @@ class ExactMatchTable(Generic[V]):
 
     def vector_reader(self):
         """Batch-gather snapshot view (see :meth:`DirectIndexTable.vector_reader`)."""
-        return map_view(self._slots, capacity=1 << self.key_width)
+        return map_view(self._slots, self.key_width,
+                        capacity=1 << self.key_width)
 
     def sram_bits(self) -> int:
         return len(self._slots) * (self.key_width + self.data_width)
@@ -175,13 +224,8 @@ class Bitmap:
         self.name = name
         self.stats = AccessStats(name)
         self._bits = np.zeros(1 << index_width, dtype=bool)
-        # Incremental-freeze write log: armed by the first snapshot
-        # reader, then every write lands here too.  A frozen view
-        # carries the log version it is synced to; handed back on the
-        # next freeze, it catches up by replaying just the log tail
-        # instead of re-copying all 2**index_width slots.
-        self._log: Optional[list] = None
-        self._log_base = 0
+        #: ``(index, value)`` per write once a snapshot reader armed it.
+        self.log = FreezeLog()
 
     @classmethod
     def from_bits(cls, index_width: int, bits: np.ndarray,
@@ -208,8 +252,7 @@ class Bitmap:
             obj._bits = arr
         else:
             obj._bits = arr.astype(bool)
-        obj._log = None
-        obj._log_base = 0
+        obj.log = FreezeLog()
         return obj
 
     def __len__(self) -> int:
@@ -221,24 +264,13 @@ class Bitmap:
 
     @property
     def freeze_version(self) -> int:
-        return self._log_base + (len(self._log) if self._log is not None
-                                 else 0)
-
-    def _record(self, index: int, value: int) -> None:
-        log = self._log
-        if log is None:
-            return
-        log.append((index, value))
-        if len(log) > FREEZE_LOG_CAP:
-            drop = len(log) // 2
-            del log[:drop]
-            self._log_base += drop
+        return self.log.version
 
     def set(self, index: int, value: bool = True) -> None:
         self._bits[index] = value
         self.stats.writes += 1
-        if self._log is not None:
-            self._record(int(index), 1 if value else 0)
+        if self.log.entries is not None:
+            self.log.record((int(index), 1 if value else 0))
 
     def test(self, index: int) -> bool:
         result = bool(self._bits[index])
@@ -256,17 +288,18 @@ class Bitmap:
         index_array = np.asarray(list(indices), dtype=np.int64)
         self._bits[index_array] = True
         self.stats.writes += len(index_array)
-        if self._log is not None:
+        if self.log.entries is not None:
             for index in index_array.tolist():
-                self._record(index, 1)
+                self.log.record((index, 1))
 
     def _replay(self, synced: int, apply) -> bool:
         """Replay the log tail past ``synced`` into an old snapshot via
         ``apply(index, value)``; False when the view predates the log
         (or the trimmed tail) and must be rebuilt from scratch."""
-        if self._log is None or synced is None or synced < self._log_base:
+        tail = self.log.tail(synced)
+        if tail is None:
             return False
-        for index, value in self._log[synced - self._log_base:]:
+        for index, value in tail:
             apply(index, value)
         return True
 
@@ -286,8 +319,7 @@ class Bitmap:
                 packed_prev.__setitem__):
             prev.freeze_version = self.freeze_version
             return prev
-        if self._log is None:
-            self._log = []
+        self.log.arm()
         packed = bytearray(self._bits.tobytes())
 
         def reader(index, _packed=packed):
@@ -309,8 +341,7 @@ class Bitmap:
                 prev.version, prev.packed.__setitem__):
             prev.version = self.freeze_version
             return prev
-        if self._log is None:
-            self._log = []
+        self.log.arm()
         return BitmapView(self._bits.astype(np.uint8), self.freeze_version)
 
     def sram_bits(self) -> int:

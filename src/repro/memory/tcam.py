@@ -22,15 +22,17 @@ assigns priorities so longer prefixes win.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from ..core.vector import (MATRIX_ROW_LIMIT, MAX_VECTOR_WIDTH, SparseMapView,
-                           TcamGroupView, TcamMatrixView)
+from ..core.vector import (MATRIX_ROW_LIMIT, SparseMapView, TcamGroupView,
+                           TcamMatrixView, key_dtype, patch_sparse_view)
 from ..obs.accounting import AccessStats
 from ..prefix.prefix import Prefix
+from .sram import FreezeLog
 
 V = TypeVar("V")
 
@@ -63,14 +65,18 @@ class TcamTable(Generic[V]):
         #: a keyed delete or overwrite never scans the table.
         self._entries: Dict[Tuple[int, int], List[TcamEntry[V]]] = {}
         self._size = 0
-        # Search index: entries grouped by (priority, mask); within a
-        # group the masked value is an exact key.  Physical TCAMs match
-        # all rows in parallel; this index gives the simulator
-        # O(#distinct masks) searches instead of O(rows) while
-        # preserving lowest-priority-wins semantics.
+        # Search index, kept by every write: entries grouped by
+        # (priority, mask), the groups in winning order; within a group
+        # the masked value is an exact key and maps to the row that
+        # wins it.  Physical TCAMs match all rows in parallel; this
+        # index gives the simulator O(#distinct masks) searches instead
+        # of O(rows) while preserving lowest-priority-wins semantics.
         self._groups: Dict[Tuple[int, int], Dict[int, TcamEntry[V]]] = {}
         self._group_order: List[Tuple[int, int]] = []
-        self._index_fresh = True
+        #: Every insert/delete records the one group row it can change
+        #: — ``(priority, mask, value)`` — and a group view handed back
+        #: as ``prev`` re-reads just those rows.
+        self.log = FreezeLog()
 
     def __len__(self) -> int:
         return self._size
@@ -85,11 +91,18 @@ class TcamTable(Generic[V]):
             raise ValueError("value/mask exceed key width")
         if (value & ~mask) & (limit - 1):
             raise ValueError("value has set bits outside the mask")
-        self._entries.setdefault((value, mask), []).append(
-            TcamEntry(value, mask, priority, data))
+        entry = TcamEntry(value, mask, priority, data)
+        self._entries.setdefault((value, mask), []).append(entry)
+        group = self._groups.get((priority, mask))
+        if group is None:
+            group = self._groups[(priority, mask)] = {}
+            insort(self._group_order, (priority, mask))
+        # First writer wins within a group: insertion order breaks
+        # priority ties, the usual software-managed TCAM convention.
+        group.setdefault(value, entry)
         self._size += 1
         self.stats.writes += 1
-        self._index_fresh = False
+        self.log.record((priority, mask, value))
 
     def insert_prefix(self, prefix: Prefix, data: V) -> None:
         """Insert a prefix with LPM priority (longer prefix wins).
@@ -120,12 +133,25 @@ class TcamTable(Generic[V]):
         rows = self._entries.get((value, mask))
         if not rows:
             raise KeyError(f"({value:#x}, {mask:#x})")
-        del rows[0]
+        gone = rows.pop(0)
         if not rows:
             del self._entries[(value, mask)]
+        group_key = (gone.priority, mask)
+        group = self._groups[group_key]
+        # ``gone`` held its group's slot (it was the oldest row of its
+        # priority); the next-oldest of the same priority takes it.
+        heir = next((entry for entry in rows
+                     if entry.priority == gone.priority), None)
+        if heir is not None:
+            group[value] = heir
+        else:
+            del group[value]
+            if not group:
+                del self._groups[group_key]
+                self._group_order.remove(group_key)
         self._size -= 1
         self.stats.writes += 1
-        self._index_fresh = False
+        self.log.record((gone.priority, mask, value))
 
     def delete_prefix(self, prefix: Prefix) -> None:
         shift = self.key_width - prefix.width
@@ -142,8 +168,6 @@ class TcamTable(Generic[V]):
         return entry.data if entry is not None else None
 
     def search_entry(self, key: int) -> Optional[TcamEntry[V]]:
-        if not self._index_fresh:
-            self._rebuild_index()
         stats = self.stats
         stats.reads += 1
         for group_key in self._group_order:
@@ -162,10 +186,8 @@ class TcamTable(Generic[V]):
 
         Freezes the (priority, mask) group index: the returned closure
         walks the same lowest-priority-first groups as :meth:`search`
-        but skips freshness checks and access accounting.
+        but skips access accounting.
         """
-        if not self._index_fresh:
-            self._rebuild_index()
         groups = {key: dict(group) for key, group in self._groups.items()}
         order = list(self._group_order)
 
@@ -178,7 +200,7 @@ class TcamTable(Generic[V]):
 
         return search
 
-    def vector_reader(self, encode=None):
+    def vector_reader(self, encode=None, prev=None):
         """Batch-search snapshot view for the lane compiler.
 
         Small tables become one :class:`TcamMatrixView`: rows flattened
@@ -193,66 +215,73 @@ class TcamTable(Generic[V]):
 
         ``encode`` maps each entry's data to its int64 lane encoding
         (return ``None`` to declare the data un-encodable); without it,
-        only int-like data is accepted.  Returns ``None`` — bridging
-        the step — when any data cannot be encoded or the keys are too
-        wide for int64 lanes.  Mutations after the snapshot are
-        invisible, exactly like :meth:`plan_reader`.
-        """
-        if self.key_width > MAX_VECTOR_WIDTH:
-            return None
-        if not self._index_fresh:
-            self._rebuild_index()
-        groups: List[Tuple[int, List[Tuple[int, int]]]] = []
-        total = 0
-        for group_key in self._group_order:
-            _priority, mask = group_key
-            items: List[Tuple[int, int]] = []
-            for masked_value, entry in self._groups[group_key].items():
-                if encode is not None:
-                    coded = encode(entry.data)
-                    if coded is None:
-                        return None
-                elif isinstance(entry.data, (bool, int, np.integer)):
-                    coded = entry.data
-                else:
-                    return None
-                items.append((masked_value, int(coded)))
-                total += 1
-            groups.append((mask, items))
-        if total <= MATRIX_ROW_LIMIT:
-            values: List[int] = []
-            masks: List[int] = []
-            data: List[int] = []
-            for mask, items in groups:
-                for masked_value, coded in items:
-                    values.append(masked_value)
-                    masks.append(mask)
-                    data.append(coded)
-            return TcamMatrixView(
-                np.array(values, dtype=np.int64),
-                np.array(masks, dtype=np.int64),
-                np.array(data, dtype=np.int64),
-            )
-        probes: List[Tuple[int, SparseMapView]] = []
-        for mask, items in groups:
-            items.sort()
-            probes.append((mask, SparseMapView(
-                np.array([k for k, _v in items], dtype=np.int64),
-                np.array([v for _k, v in items], dtype=np.int64),
-            )))
-        return TcamGroupView(probes)
+        only int-like data is accepted.  Returns ``None`` — the step
+        then has no kernel — when any data cannot be encoded.  Keys and
+        masks have the :func:`key_dtype` of ``key_width``.  Mutations
+        after the snapshot are invisible, exactly like
+        :meth:`plan_reader`.
 
-    def _rebuild_index(self) -> None:
-        self._groups = {}
-        for rows in self._entries.values():
-            for entry in rows:
-                group = self._groups.setdefault(
-                    (entry.priority, entry.mask), {})
-                # First writer wins within a group: insertion order breaks
-                # priority ties, the usual software-managed TCAM convention.
-                group.setdefault(entry.value & entry.mask, entry)
-        self._group_order = sorted(self._groups)
-        self._index_fresh = True
+        ``prev`` (the previous freeze's group view) is re-frozen
+        incrementally: the rows the write log names since its version
+        are re-read and patched into its sorted groups — O(delta), not
+        O(rows).  A matrix view (at most ``MATRIX_ROW_LIMIT`` rows) is
+        rebuilt, as is a view the log no longer reaches.
+        """
+        self.log.arm()
+        if isinstance(prev, TcamGroupView) and self._replay(prev, encode):
+            return prev
+        keys = key_dtype(self.key_width)
+        probes: List[Tuple[int, SparseMapView]] = []
+        for _priority, mask in self._group_order:
+            rows = sorted(self._groups[(_priority, mask)].items())
+            coded = [_encoded(entry.data, encode) for _value, entry in rows]
+            if None in coded:
+                return None
+            probes.append((mask, SparseMapView(
+                np.array([value for value, _entry in rows], dtype=keys),
+                np.array(coded, dtype=np.int64))))
+        if sum(len(probe.data) for _mask, probe in probes) > MATRIX_ROW_LIMIT:
+            return TcamGroupView(probes, list(self._group_order),
+                                 self.log.version)
+        probes.append((0, _empty_probe(keys)))  # an empty table stacks too
+        return TcamMatrixView(
+            np.concatenate([probe.keys for _mask, probe in probes]),
+            np.concatenate([np.full(len(probe.data), mask, dtype=keys)
+                            for mask, probe in probes]),
+            np.concatenate([probe.data for _mask, probe in probes]))
+
+    def _replay(self, view: TcamGroupView, encode) -> bool:
+        """Bring ``view`` up to date from the write-log tail; False when
+        it has to be rebuilt instead (see :meth:`vector_reader`)."""
+        tail = self.log.tail(view.version)
+        if view.order is None or tail is None:
+            return False
+        # The log names the group rows written since; the search index
+        # says what each holds now.
+        updates: Dict[Tuple[int, int], Dict[int, Optional[int]]] = {}
+        for priority, mask, value in set(tail):
+            entry = self._groups.get((priority, mask), {}).get(value)
+            coded = None
+            if entry is not None:
+                coded = _encoded(entry.data, encode)
+                if coded is None:
+                    return False
+            updates.setdefault((priority, mask), {})[value] = coded
+        order, groups = view.order, view.groups
+        keys = key_dtype(self.key_width)
+        for group_key in sorted(updates):
+            at = bisect_left(order, group_key)
+            if at == len(order) or order[at] != group_key:
+                order.insert(at, group_key)
+                groups.insert(at, (keys(group_key[1]), _empty_probe(keys)))
+            probe = groups[at][1]
+            patch_sparse_view(probe, updates[group_key])
+            if not probe.keys.size:
+                del order[at], groups[at]
+        if sum(probe.keys.size for _mask, probe in groups) <= MATRIX_ROW_LIMIT:
+            return False
+        view.version = self.log.version
+        return True
 
     # ------------------------------------------------------------------
     # CRAM accounting (§2.1)
@@ -267,6 +296,17 @@ class TcamTable(Generic[V]):
 
     def entries(self) -> List[TcamEntry[V]]:
         return [entry for rows in self._entries.values() for entry in rows]
+
+
+def _empty_probe(keys) -> SparseMapView:
+    return SparseMapView(np.zeros(0, dtype=keys), np.zeros(0, dtype=np.int64))
+
+
+def _encoded(data, encode) -> Optional[int]:
+    """An entry's data as its int64 lane code, or ``None``."""
+    if encode is not None:
+        data = encode(data)
+    return int(data) if isinstance(data, (bool, int, np.integer)) else None
 
 
 def prefix_mask(length: int, width: int) -> int:

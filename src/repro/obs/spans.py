@@ -103,22 +103,28 @@ def batch_trace_id_for(batch_seq: int, epoch: int = 0) -> str:
 
 
 class SpanRecord:
-    """One closed span: a named interval on a trace, plus attributes."""
+    """One closed span: a named interval on a trace, plus attributes.
+    The ring holds tens of thousands, so ``span_id`` — a function of
+    trace, name and retry count — is built on export, not stored."""
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "name",
-                 "start_s", "end_s", "attrs")
+    __slots__ = ("trace_id", "parent_id", "name", "start_s", "end_s",
+                 "attrs")
 
-    def __init__(self, trace_id: str, span_id: str, name: str,
+    def __init__(self, trace_id: str, name: str,
                  start_s: float, end_s: float,
                  parent_id: Optional[str] = None,
                  attrs: Optional[dict] = None):
         self.trace_id = trace_id
-        self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
         self.start_s = start_s
         self.end_s = end_s
         self.attrs = attrs or {}
+
+    @property
+    def span_id(self) -> str:
+        retry = self.attrs.get("retry")
+        return f"{self.trace_id}:{self.name}" + (f":{retry}" if retry else "")
 
     @property
     def dur_s(self) -> float:
@@ -216,11 +222,7 @@ class SpanRecorder:
         """Append one closed span (clamps a negative duration to 0)."""
         if end_s < start_s:
             end_s = start_s
-        span_id = f"{trace_id}:{name}"
-        retry = attrs.get("retry")
-        if retry:
-            span_id = f"{span_id}:{retry}"
-        span = SpanRecord(trace_id, span_id, name, start_s, end_s,
+        span = SpanRecord(trace_id, name, start_s, end_s,
                           parent_id=parent_id, attrs=attrs)
         with self._lock:
             self._spans.append(span)

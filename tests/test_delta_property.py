@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import repro.algorithms.bsic as bsic_module
 import repro.memory.dleft as dleft_module
 import repro.memory.sram as sram_module
+import repro.memory.tcam as tcam_module
 from repro.algorithms import Bsic, Resail
 from repro.chaos import ChaosPlan
 from repro.cli import ALGORITHM_FACTORIES
@@ -40,13 +41,15 @@ from repro.control import (
     UpdateOp,
 )
 from repro.core import compile_plan
-from repro.core.vector import (SparseMapView, compile_vector_plan, map_view,
-                               patch_sparse_view)
+from repro.core.vector import (MATRIX_ROW_LIMIT, SparseMapView, TcamGroupView,
+                               compile_vector_plan, key_dtype, map_view,
+                               patch_sparse_view, view_from_state, view_state)
 from repro.datasets import (matching_addresses, synthesize_as65000,
                             synthesize_as131072, uniform_addresses)
 from repro.engine import BatchEngine
 from repro.memory.dleft import DLeftHashTable
 from repro.memory.sram import Bitmap
+from repro.memory.tcam import TcamTable
 from repro.prefix import Fib, Prefix
 from repro.server import LookupServer
 
@@ -275,8 +278,8 @@ def test_patch_threshold_escape_hatch():
 # BSIC: slice-local deltas behind frozen plan readers
 # ---------------------------------------------------------------------------
 
-#: The paper's two configurations: IPv4 k=16, IPv6 k=24 (where every
-#: batch delegates from the vector plan to the scalar one).
+#: The paper's two configurations: IPv4 k=16, IPv6 k=24 (uint64 address
+#: lanes; every delta there runs a real ``vector_patch``).
 BSIC_SHAPES = [(32, 16), (64, 24)]
 BSIC_IDS = ["w32-k16", "w64-k24"]
 
@@ -312,10 +315,13 @@ def _around(prefixes, width):
 
 
 def _assert_bsic_equals_scratch(managed, engine, k, probes):
-    """Native, interpreter, scalar plan, vector plan (a delegation at
-    width 64) and engine all answer like the trie oracle, and the
-    paper's currency equals a from-scratch build of the same table."""
+    """Native, interpreter, scalar plan, vector plan (patched lane
+    kernels at both widths) and engine all answer like the trie oracle,
+    and the paper's currency equals a from-scratch build of the same
+    table."""
     algo, oracle = managed.algo, managed.oracle
+    assert engine.active_backend == "vector"
+    assert engine.vector_plan.fully_lowered
     expected = [oracle.lookup(a) for a in probes]
     assert [algo.lookup(a) for a in probes] == expected
     assert engine.plan.lookup_batch(probes) == expected
@@ -506,6 +512,55 @@ bit_scripts = st.lists(
     min_size=0, max_size=64)
 
 
+#: TCAM scripts: (op, length, bits, data).  Ops 0/1 write and withdraw
+#: prefixes (LPM priorities); 2/3 insert and delete raw rows whose
+#: priority is unrelated to their mask, including duplicates of one
+#: (value, mask) at several priorities.
+tcam_scripts = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3),
+              st.integers(min_value=0, max_value=4),
+              st.integers(min_value=0, max_value=15),
+              st.integers(min_value=0, max_value=7)),
+    min_size=0, max_size=24)
+
+
+def _tcam_apply(table, width, step):
+    op, length, bits, data = step
+    prefix = Prefix.from_bits(bits & ((1 << length) - 1), length, width)
+    value, mask = prefix.value, tcam_module.prefix_mask(length, width)
+    try:
+        if op == 0:
+            table.insert_prefix(prefix, data)
+        elif op == 1:
+            table.delete_prefix(prefix)
+        elif op == 2:
+            table.insert(value, mask, priority=data % 3, data=data)
+        else:
+            table.delete(value, mask)
+    except KeyError:
+        pass
+
+
+def _tcam_keys(width):
+    """Every 4-bit head (all a script can distinguish), with the tail
+    bits clear, set, and mixed."""
+    tail = width - 4
+    keys = [(head << tail) | fill
+            for head in range(16)
+            for fill in (0, (1 << tail) - 1, (1 << tail) // 3)]
+    return np.array(keys, dtype=key_dtype(width))
+
+
+def _assert_same_gather(view, fresh, keys):
+    active = np.arange(keys.shape[0]) % 3 != 1
+    for mask in (None, active):
+        vals, found = view.gather(keys, mask)
+        want_vals, want_found = fresh.gather(keys, mask)
+        assert vals.dtype == want_vals.dtype == np.int64
+        assert found.tolist() == want_found.tolist()
+        assert vals.tolist() == want_vals.tolist()
+
+
 class TestIncrementalFreeze:
     @given(initial=bit_scripts, churn=bit_scripts)
     @settings(max_examples=30, deadline=None)
@@ -580,6 +635,136 @@ class TestIncrementalFreeze:
         assert {k: resynced(k) for k in range(40)} == \
             {k: expected.get(k) for k in range(40)}
 
+    @pytest.mark.parametrize("width", [8, 64])
+    @given(initial=tcam_scripts, churn=tcam_scripts)
+    @settings(max_examples=40, deadline=None)
+    def test_tcam_replay_equals_full_freeze(self, width, initial, churn):
+        """After every write, each of two outstanding views (two
+        in-thread replicas, synced at different times) re-frozen with
+        ``prev=`` gathers exactly what a from-scratch view gathers —
+        through new and emptied (priority, mask) groups and across the
+        matrix/group row limit in both directions."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tcam_module, "MATRIX_ROW_LIMIT", 6)
+            self._check_tcam_replay(width, initial, churn)
+
+    @staticmethod
+    def _check_tcam_replay(width, initial, churn):
+        table = TcamTable(width)
+        encode = (lambda data: data + 100) if width == 64 else None
+        for step in initial:
+            _tcam_apply(table, width, step)
+        keys = _tcam_keys(width)
+        views = [table.vector_reader(encode=encode), None]
+        for n, step in enumerate(churn):
+            _tcam_apply(table, width, step)
+            # The second view syncs on every other write only.
+            for which in ((0, 1) if n % 2 else (0,)):
+                prev = views[which]
+                views[which] = table.vector_reader(encode=encode, prev=prev)
+                if isinstance(prev, TcamGroupView) and isinstance(
+                        views[which], TcamGroupView):
+                    assert views[which] is prev   # replayed in place
+                _assert_same_gather(
+                    views[which], table.vector_reader(encode=encode), keys)
+        scalar = table.plan_reader()
+        vals, found = table.vector_reader(encode=encode).gather(keys)
+        wrap = encode or (lambda data: data)
+        assert [v if f else None for v, f in
+                zip(vals.tolist(), found.tolist())] == \
+            [None if scalar(k) is None else wrap(scalar(k))
+             for k in keys.tolist()]
+
+    def test_tcam_replay_walks_every_group_transition(self, monkeypatch):
+        """The transitions the fuzzer reaches by chance, by hand: a new
+        (priority, mask) group ahead of, between and behind the frozen
+        ones; a group emptying; a shadowed duplicate taking over; and
+        the row count crossing the matrix limit in both directions."""
+        monkeypatch.setattr(tcam_module, "MATRIX_ROW_LIMIT", 4)
+        table = TcamTable(64)
+        keys = _tcam_keys(64)
+        for head in range(6):
+            table.insert_prefix(Prefix.from_bits(head, 4, 64), head)
+        view = table.vector_reader()
+        assert isinstance(view, TcamGroupView) and len(view.groups) == 1
+
+        def resync(expect_same=True):
+            nonlocal view
+            fresh = table.vector_reader(prev=view)
+            assert (fresh is view) == expect_same
+            view = fresh
+            _assert_same_gather(view, table.vector_reader(), keys)
+
+        table.insert_prefix(Prefix.from_bits(0b10, 2, 64), 20)   # behind
+        table.insert_prefix(Prefix.from_bits(1, 64, 64), 64)     # ahead
+        table.insert_prefix(Prefix.from_bits(0b101, 3, 64), 30)  # between
+        resync()
+        assert view.order == [(0, (1 << 64) - 1), (60, 0xF << 60),
+                              (61, 0x7 << 61), (62, 0x3 << 62)]
+        assert [int(mask) for mask, _probe in view.groups] == \
+            [mask for _priority, mask in view.order]
+        table.delete_prefix(Prefix.from_bits(0b101, 3, 64))      # empties
+        resync()
+        assert len(view.groups) == len(view.order) == 3
+        # Two rows of one (value, mask): the older wins its group, and
+        # deleting it promotes the younger one of the same priority.
+        table.insert(0xA << 60, 0xF << 60, priority=60, data=77)
+        table.insert(0xA << 60, 0xF << 60, priority=60, data=78)
+        resync()
+        assert view.gather(keys[30:31])[0].tolist() == [77]
+        table.delete(0xA << 60, 0xF << 60)
+        resync()
+        assert view.gather(keys[30:31])[0].tolist() == [78]
+        for head in range(6):                     # down through the limit
+            table.delete_prefix(Prefix.from_bits(head, 4, 64))
+        resync(expect_same=False)
+        assert isinstance(view, tcam_module.TcamMatrixView)
+        for head in range(8):                     # and back up
+            table.insert_prefix(Prefix.from_bits(head, 4, 64), head)
+        resync(expect_same=False)
+        assert isinstance(view, TcamGroupView)
+        resync()                                   # nothing written: a no-op
+
+    def test_tcam_log_trim_falls_back_to_full_rebuild(self, monkeypatch):
+        monkeypatch.setattr(sram_module, "FREEZE_LOG_CAP", 4)
+        table = TcamTable(16)
+        for i in range(200):
+            table.insert_prefix(Prefix.from_bits(i, 12, 16), i)
+        stale = table.vector_reader()
+        live = table.vector_reader()
+        table.insert_prefix(Prefix.from_bits(7, 12, 16), 999)
+        assert table.vector_reader(prev=live) is live   # inside the log
+        for i in range(200, 232):   # way past the cap: the tail is gone
+            table.insert_prefix(Prefix.from_bits(i, 12, 16), i)
+        rebuilt = table.vector_reader(prev=stale)
+        assert rebuilt is not stale and isinstance(rebuilt, TcamGroupView)
+        keys = np.arange(0, 1 << 16, 5, dtype=np.int64)
+        _assert_same_gather(rebuilt, table.vector_reader(), keys)
+        # An un-encodable write makes the view unbuildable either way.
+        table.insert_prefix(Prefix.from_bits(1, 3, 16), ("not", "int"))
+        assert table.vector_reader(prev=rebuilt) is None
+        assert table.vector_reader() is None
+
+    def test_wide_tcam_group_view_state_round_trip(self):
+        """A /64 mask does not fit int64: ``group_masks`` travels in
+        the key dtype and comes back as the same probe."""
+        table = TcamTable(64)
+        for i in range(MATRIX_ROW_LIMIT + 8):
+            table.insert_prefix(
+                Prefix.from_bits((1 << 63) | i, 64, 64), i)      # /64s
+            table.insert_prefix(Prefix.from_bits(i, 20, 64), i + 1000)
+        view = table.vector_reader()
+        assert isinstance(view, TcamGroupView)
+        kind, meta, arrays = view_state(view)
+        assert arrays["group_masks"].dtype == np.uint64
+        assert arrays["keys"].dtype == np.uint64
+        assert int(arrays["group_masks"][0]) == (1 << 64) - 1
+        back = view_from_state(kind, meta, arrays)
+        keys = np.array([(1 << 63) | 5, (1 << 63) | 4000, 3 << 44,
+                         (3 << 44) | 77, 0, (1 << 64) - 1], dtype=np.uint64)
+        _assert_same_gather(back, view, keys)
+        assert back.gather(keys)[0].tolist() == [5, 0, 1003, 1003, 1000, 0]
+
     @given(slots=st.dictionaries(
         st.integers(min_value=0, max_value=200),
         st.integers(min_value=0, max_value=63), max_size=24),
@@ -589,7 +774,7 @@ class TestIncrementalFreeze:
         max_size=24))
     @settings(max_examples=50, deadline=None)
     def test_patch_sparse_view_equals_rebuild(self, slots, updates):
-        view = map_view(dict(slots))
+        view = map_view(dict(slots), 8)
         assert isinstance(view, SparseMapView)
         patch_sparse_view(view, updates)
         merged = dict(slots)
@@ -598,7 +783,7 @@ class TestIncrementalFreeze:
                 merged.pop(key, None)
             else:
                 merged[key] = value
-        rebuilt = map_view(merged)
+        rebuilt = map_view(merged, 8)
         assert np.array_equal(view.keys, rebuilt.keys)
         assert np.array_equal(view.data, rebuilt.data)
 

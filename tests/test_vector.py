@@ -186,7 +186,7 @@ class TestViews:
         assert found.tolist() == [True, True, False, True]
 
     def test_dense_view_distinguishes_zero_from_absent(self):
-        view = map_view({0: 0, 2: 5}, capacity=4)
+        view = map_view({0: 0, 2: 5}, 2, capacity=4)
         assert isinstance(view, DenseArrayView)
         vals, found = view.gather(np.array([0, 1, 2, 3]),
                                   np.ones(4, dtype=bool))
@@ -194,20 +194,20 @@ class TestViews:
         assert vals.tolist() == [0, 0, 5, 0]
 
     def test_sparse_view_probe_and_empty(self):
-        view = map_view({1 << 30: 7, 5: 2})  # no capacity: sparse
+        view = map_view({1 << 30: 7, 5: 2}, 32)  # no capacity: sparse
         assert isinstance(view, SparseMapView)
         vals, found = view.gather(np.array([5, 6, 1 << 30]),
                                   np.ones(3, dtype=bool))
         assert vals.tolist() == [2, 0, 7]
         assert found.tolist() == [True, False, True]
-        empty = map_view({}, capacity=DENSE_LIMIT + 1)
+        empty = map_view({}, 32, capacity=DENSE_LIMIT + 1)
         vals, found = empty.gather(np.array([3]), np.ones(1, dtype=bool))
         assert not found.any() and vals.tolist() == [0]
 
     def test_map_view_rejects_non_int_values(self):
-        assert map_view({1: ("obj",)}) is None
+        assert map_view({1: ("obj",)}, 8) is None
         # Stored None means miss and is dropped, like the scalar reader.
-        view = map_view({1: None, 2: 9}, capacity=4)
+        view = map_view({1: None, 2: 9}, 2, capacity=4)
         _vals, found = view.gather(np.array([1, 2]), np.ones(2, dtype=bool))
         assert found.tolist() == [False, True]
 
@@ -262,12 +262,28 @@ class TestViews:
         assert isinstance(table.vector_reader(), TcamMatrixView)
 
     def test_wide_tcam_has_no_vector_view(self):
+        """(Id kept from when it had none.)  A 64-bit table's view
+        holds ``uint64`` keys and masks, ``int64`` data, and answers
+        addresses on both sides of bit 63."""
         from repro.memory.tcam import TcamTable
 
         table = TcamTable(64)
         table.insert_prefix(Prefix.from_bits(0b1, 1, 64), 1)
-        # 64-bit masked values overflow int64 lanes: no view, no kernels.
-        assert table.vector_reader() is None
+        table.insert_prefix(Prefix.from_bits((1 << 64) - 1, 64, 64), 2)
+        view = table.vector_reader()
+        assert isinstance(view, TcamMatrixView)
+        assert view.values_.dtype == view.masks.dtype == np.uint64
+        assert view.data.dtype == np.int64
+        keys = np.array([(1 << 64) - 1, 1 << 63, (1 << 63) - 1, 0],
+                        dtype=np.uint64)
+        vals, found = view.gather(keys)
+        assert vals.dtype == np.int64
+        assert vals.tolist() == [2, 1, 0, 0]
+        assert found.tolist() == [True, True, False, False]
+        # One bit narrower and the keys are signed again.
+        narrow = TcamTable(63)
+        narrow.insert_prefix(Prefix.from_bits(0b1, 1, 63), 1)
+        assert narrow.vector_reader().masks.dtype == np.int64
 
     def test_popcount64_matches_python(self):
         rng = np.random.default_rng(0)
@@ -368,12 +384,34 @@ class TestVectorPlan:
             whole.lookup_batch_hops(addresses)
 
     def test_wide_addresses_delegate_to_scalar_plan(self):
+        """(Id kept from when they did.)  64-bit addresses run on
+        ``uint64`` lanes, and no batch silently switches to the scalar
+        plan: what the lane dtype cannot hold is a ``ValueError``, a
+        non-integer a ``TypeError``."""
         fib = Fib(64)
         fib.insert(Prefix.from_bits(0b1, 1, 64), 3)
         vplan = compile_vector_plan(LogicalTcam(fib))
-        assert not vplan.fully_lowered  # 64-bit lanes cannot enter SoA
-        addresses = [1 << 63, (1 << 63) | 5, 17]
-        assert vplan.lookup_batch_hops(addresses) == [3, 3, None]
+        assert vplan.fully_lowered and len(vplan) == 1
+        addresses = [1 << 63, (1 << 63) | 5, 17, (1 << 64) - 1]
+        assert vplan.lookup_batch_hops(addresses) == [3, 3, None, 3]
+        assert vplan.lookup_batch_hops(
+            np.array(addresses, dtype=np.uint64)) == [3, 3, None, 3]
+        for bad in ([-1], [1 << 64], np.array([-1])):
+            with pytest.raises(ValueError, match="outside"):
+                vplan.lookup_batch_hops(bad)
+        narrow = Fib(32)
+        narrow.insert(Prefix.from_bits(0, 0, 32), 1)  # a default route
+        for algo in (LogicalTcam(narrow), Bsic(narrow)):
+            vplan32 = compile_vector_plan(algo)
+            for bad in ([-(1 << 63) - 1], [1 << 63], [1 << 64]):
+                with pytest.raises(ValueError, match="outside"):
+                    vplan32.lookup_batch_hops(bad)
+                with pytest.raises(ValueError, match="outside"):
+                    vplan32.lookup_batch(bad)
+            for bad in ([3.7], [None], ["7"], np.array([3.0])):
+                with pytest.raises(TypeError):
+                    vplan32.lookup_batch_hops(bad)
+            assert vplan32.lookup_batch_hops([np.int64(7), True]) == [1, 1]
 
     def test_withheld_spec_compiles_no_kernels(self):
         fib = small_v8_fib()
@@ -499,15 +537,16 @@ class TestEngineBackend:
             [fib.lookup(a) for a in addresses]
 
     def test_wide_bsic_compiles_no_kernels_and_skips_vector_patch(self):
-        # A real width-64 table: int64 lanes cannot hold it, so the
-        # compile must not build specs/views that can never execute,
-        # and commits must not ask the algorithm to re-freeze them.
+        """(Id kept from when it did.)  A real width-64 table serves
+        from kernels under ``backend="auto"``, and every delta commit
+        re-freezes them through ``vector_patch`` — one call per commit,
+        the initial view handed back to its table."""
         calls = {"specs": 0, "patch": 0}
 
         class CountingBsic(Bsic):
-            def vector_specs(self):
+            def vector_specs(self, prev_initial=None):
                 calls["specs"] += 1
-                return super().vector_specs()
+                return super().vector_specs(prev_initial)
 
             def vector_patch(self, delta, vector_plan):
                 calls["patch"] += 1
@@ -516,26 +555,28 @@ class TestEngineBackend:
         base = Fib(64)
         for i in range(24):
             base.insert(Prefix.from_bits((0x2001 << 16) | i, 32, 64), i)
+        base.insert(Prefix.from_bits(0xFFFF, 16, 64), 99)  # bit 63 set
         managed = ManagedFib(lambda fib: CountingBsic(fib, k=24), base)
         engine = BatchEngine.over_managed(managed, backend="auto",
                                           name="wide")
-        assert engine.active_backend == "plan"
-        assert not engine.vector_plan.fully_lowered
-        assert len(engine.vector_plan) == 0
-        assert engine.vector_plan.view_map() == {}
+        assert engine.active_backend == "vector"
+        assert engine.vector_plan.fully_lowered
+        assert len(engine.vector_plan) == len(engine.plan.step_names)
+        assert set(engine.vector_plan.view_map()) == {"initial"}
+        assert calls == {"specs": 1, "patch": 0}
         outcomes = [managed.apply_batch(batch) for batch in
                     ChurnGenerator(base, seed=5).batches(6, 4)]
         assert "batch_applied" in outcomes  # the delta (patch) path ran
         patches = engine.registry.get(
             "repro_engine_plan_patches_total").value(engine="wide")
         assert patches > 0
-        assert calls == {"specs": 0, "patch": 0}
+        assert calls["patch"] >= patches
         oracle = managed.oracle
-        addresses = [p.value | 1 for p, _hop in oracle] + [0, (1 << 64) - 1]
+        addresses = [p.value | 1 for p, _hop in oracle] + [
+            0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
         expected = [oracle.lookup(a) for a in addresses]
         assert engine.lookup_batch(addresses) == expected
-        # Forced vector over the same table delegates and agrees.
-        assert engine.vector_plan.lookup_batch_hops(addresses) == expected
+        assert engine.plan.lookup_batch(addresses) == expected
 
     def test_lowering_gauges_published(self):
         fib = small_v8_fib()

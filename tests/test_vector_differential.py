@@ -10,9 +10,10 @@ post-commit and post-rollback.  The address mixes
 deliberately include *adversarial-depth* probes — prefix endpoints and
 their ±1 neighbours, which exercise the deepest tree walks and the
 equal/greater branches of every BST kernel — and the width-62/63/64
-boundary, where int64 lanes run out of headroom and the vector plan
-must compile no kernels and delegate whole batches to its embedded
-scalar plan.
+boundary, where the address lanes change from ``int64`` to ``uint64``
+(``key_dtype``) and a mixed-dtype operation would round through
+``float64``: all seven width-generic schemes must lower and agree with
+the oracle on both sides of it.
 """
 
 import random
@@ -35,7 +36,9 @@ from repro.algorithms import (
 )
 from repro.control import CapacityGuard, ChurnGenerator, ManagedFib
 from repro.core import MISS_HOP, compile_plan, compile_vector_plan
-from repro.core.vector import Lanes, view_state
+from repro.core.vector import (Lanes, SparseMapView, TcamGroupView,
+                               TcamMatrixView, key_dtype, view_state)
+from repro.memory import DLeftHashTable, ExactMatchTable
 from repro.prefix import Fib, Prefix
 
 #: The nine schemes at their fuzzing widths (SAIL/RESAIL are IPv4-only).
@@ -51,15 +54,17 @@ MAKERS = {
     "resail": (32, lambda fib: Resail(fib, min_bmp=13)),
 }
 
-#: Lane-width boundary: 62 is the last width that runs on int64 lanes;
-#: 63 and 64 must transparently delegate to the scalar plan.
+#: Lane-width boundary: 63 is the last width whose keys are int64;
+#: a 64-bit key is uint64.  The seven width-generic schemes.
 BOUNDARY_MAKERS = {
     "ltcam": lambda fib: LogicalTcam(fib),
     "hibst": lambda fib: HiBst(fib),
     "bsic": lambda fib: Bsic(fib, k=16),
+    "dxr": lambda fib: Dxr(fib, k=16),
     "multibit": lambda fib: MultibitTrie(
         fib, [16, 16, 16, fib.width - 48]),
     "mashup": lambda fib: Mashup(fib, [16, 16, 16, fib.width - 48]),
+    "poptrie": lambda fib: Poptrie(fib, dp_bits=16),
 }
 
 entry_lists = st.lists(
@@ -137,10 +142,8 @@ def test_differential_width_boundaries(name, width, entries, extras):
     plan = compile_plan(algo)
     assert [plan.lookup(a) for a in addresses] == expected
     vplan = compile_vector_plan(algo, plan=plan)
-    # Over-wide lanes: no kernels, the whole batch delegates, and the
-    # plan says so instead of silently mis-answering.
-    assert vplan.fully_lowered == (width <= 62)
-    assert (len(vplan) > 0) == (width <= 62)
+    # The real kernels on both sides of the dtype boundary.
+    assert vplan.fully_lowered and len(vplan) > 0
     assert vplan.lookup_batch_hops(addresses) == expected
 
 
@@ -201,22 +204,39 @@ def view_bytes(vplan):
             for field, array in view_state(view)[2].items()}
 
 
-@pytest.mark.parametrize("name", sorted(MAKERS))
-@settings(max_examples=8, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(entries=entry_lists,
-       extras=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
-                       max_size=8))
-def test_register_file_contract_after_every_kernel(name, entries, extras):
-    """``Lanes.assign`` adopts what the kernels hand it, so what it
-    used to enforce is checked here instead, after every kernel of
-    every scheme: int64 lane vectors, 0 under ``none``, and no array
-    owned by two registers or by a table view (a later ``assign_where``
-    would write through)."""
-    width, maker = MAKERS[name]
-    fib = build_fib(width, entries)
-    vplan = compile_vector_plan(maker(fib))
-    addrs = np.asarray(probe_addresses(fib, extras), dtype=np.int64)
+def check_view_dtypes(step, view, keys):
+    """A view's key arrays have the table's key dtype, its data is
+    ``int64`` — the two halves of the contract never share an array."""
+    if isinstance(view, SparseMapView):
+        pairs = [(view.keys, view.data)]
+    elif isinstance(view, TcamGroupView):
+        pairs = [(probe.keys, probe.data) for _mask, probe in view.groups]
+        assert all(mask.dtype == keys for mask, _probe in view.groups), step
+    elif isinstance(view, TcamMatrixView):
+        pairs = [(view.values_, view.data), (view.masks, view.data),
+                 (view.common_values, view.data)]
+        assert view.common.dtype == keys, step
+    else:
+        return  # bitmap / dense views are indexed, not compared
+    for key_array, data in pairs:
+        assert key_array.dtype == keys, (step, key_array.dtype)
+        assert data.dtype == np.int64, (step, data.dtype)
+
+
+def check_register_file_contract(algo, fib, extras):
+    vplan = compile_vector_plan(algo)
+    assert vplan.fully_lowered
+    program = vplan.plan.program
+    views = dict(vplan.view_map())
+    for step in vplan.lowered_steps:   # views the compiler resolved itself
+        backing = getattr(program.step(step).table, "backing", None)
+        if step not in views and hasattr(backing, "vector_reader"):
+            views[step] = backing.vector_reader()
+    for step, view in views.items():
+        check_view_dtypes(step, view,
+                          key_dtype(program.step(step).table.key_width))
+    addrs = np.asarray(probe_addresses(fib, extras),
+                       dtype=key_dtype(fib.width))
     lanes = Lanes(vplan._registers, len(addrs))
     for reg, value in vplan._base_items:
         lanes.fill(reg, value)
@@ -228,8 +248,11 @@ def test_register_file_contract_after_every_kernel(name, entries, extras):
         held = []
         for reg, vals in lanes.vals.items():
             none = lanes.none[reg]
-            assert vals.dtype == np.int64 and vals.shape == addrs.shape, \
-                (step, reg)
+            # ``addr`` is the one key register; a float64 anywhere is
+            # a mixed-dtype operation that rounded at bit 53.
+            want = key_dtype(fib.width) if reg == "addr" else np.int64
+            assert vals.dtype == want and vals.shape == addrs.shape, \
+                (step, reg, vals.dtype)
             held.append((reg, vals))
             if none is not None:
                 assert none.dtype == np.bool_ and none.shape == addrs.shape
@@ -241,8 +264,66 @@ def test_register_file_contract_after_every_kernel(name, entries, extras):
             for array2 in owned_by_views:
                 assert not np.shares_memory(array, array2), (step, reg)
     vals, none = vplan._extract(lanes)
+    assert vals.dtype == np.int64 and none.dtype == np.bool_
     assert np.where(none, None, vals).tolist() == \
         [fib.lookup(a) for a in addrs.tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS))
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entries=entry_lists,
+       extras=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                       max_size=8))
+def test_register_file_contract_after_every_kernel(name, entries, extras):
+    """``Lanes.assign`` adopts what the kernels hand it, so what it
+    used to enforce is checked here instead, after every kernel of
+    every scheme: ``addr`` in the key dtype and every other register an
+    int64 lane vector, 0 under ``none``, and no array owned by two
+    registers or by a table view (a later ``assign_where`` would write
+    through)."""
+    width, maker = MAKERS[name]
+    fib = build_fib(width, entries)
+    check_register_file_contract(maker(fib), fib, extras)
+
+
+@pytest.mark.parametrize("width", (63, 64))
+@pytest.mark.parametrize("name", sorted(BOUNDARY_MAKERS))
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entries=entry_lists,
+       extras=st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                       max_size=8))
+def test_register_file_contract_at_the_key_dtype_boundary(name, width,
+                                                          entries, extras):
+    """The same contract where it splits: at width 64 ``addr`` and the
+    full-width key columns are ``uint64``, at 63 they are still
+    ``int64``, and everything derived from them is ``int64`` at both."""
+    fib = build_fib(width, entries)
+    check_register_file_contract(BOUNDARY_MAKERS[name](fib), fib, extras)
+
+
+@pytest.mark.parametrize("width", (63, 64))
+def test_exact_match_views_carry_the_key_dtype(width):
+    """No width-generic scheme puts a 64-bit key in a hash table, so the
+    ``map_view`` half of the contract is checked on the tables directly:
+    a probe for ``2**width - 1`` finds it, through ``prev=`` too."""
+    top = (1 << width) - 1
+    probe = np.array([top, top - 1, 0], dtype=key_dtype(width))
+    exact = ExactMatchTable(width, 8)
+    dleft = DLeftHashTable(width, 8, capacity=16)
+    for table, put in ((exact, exact.store), (dleft, dleft.insert)):
+        put(top, 7)
+        put(5, 2)
+        view = table.vector_reader()
+        check_view_dtypes(table.name, view, key_dtype(width))
+        vals, found = view.gather(probe)
+        assert (vals.tolist(), found.tolist()) == \
+            ([7, 0, 0], [True, False, False])
+    dleft.insert(top - 1, 9)
+    assert dleft.vector_reader(prev=view) is view
+    check_view_dtypes(dleft.name, view, key_dtype(width))
+    assert view.gather(probe)[0].tolist() == [7, 9, 0]
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
