@@ -19,13 +19,19 @@ ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	$(PYTHON) -m repro trace --smoke
 	$(PYTHON) -m repro serve --smoke --algo resail --seed 7 \
 	    --metrics-out benchmarks/results/serve_smoke_metrics.json
-	$(PYTHON) -m repro serve --smoke --algo sail --backend vector --seed 7
+	$(PYTHON) -m repro serve --smoke --algo sail --seed 7
 	$(PYTHON) -m repro serve --smoke --algo resail --workers 2 \
 	    --max-batch 64 --max-wait 1.0 --seed 7
 	$(PYTHON) -m repro serve --smoke --family v6 --algo bsic --seed 7 \
 	    | tee benchmarks/results/serve_smoke_v6.txt
 	test `grep -c "backend vector" benchmarks/results/serve_smoke_v6.txt` -eq 2
 	grep -q "all consistent" benchmarks/results/serve_smoke_v6.txt
+	$(PYTHON) -m repro serve --smoke --family v6 --vrfs 4 --algo bsic \
+	    --seed 7 | tee benchmarks/results/serve_smoke_v6_vrf.txt
+	grep -q "all consistent" benchmarks/results/serve_smoke_v6_vrf.txt
+	grep -q "backend plan" benchmarks/results/serve_smoke_v6_vrf.txt
+	test `grep -c "^  shard " benchmarks/results/serve_smoke_v6_vrf.txt` -eq \
+	    `grep -c "lookups, backend plan$$" benchmarks/results/serve_smoke_v6_vrf.txt`
 	$(PYTHON) -m repro artifact save rib --algo resail --scale 0.005 \
 	    --seed 7 --catalog benchmarks/results/artifacts
 	$(PYTHON) -m repro artifact verify rib --deep \

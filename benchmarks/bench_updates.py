@@ -194,7 +194,7 @@ def _churn_legs(factory, base, probes, tag, batches, batch_size, seed):
     for leg, (policy, threshold) in legs.items():
         managed = ManagedFib(factory, base, policy=policy, check_seed=seed)
         engine = BatchEngine.over_managed(
-            managed, backend="auto", patch_threshold=threshold,
+            managed, patch_threshold=threshold,
             name=f"{tag}-{leg}")
         commit_s, serve_s = [], []
         generator = ChurnGenerator(base, seed=seed, profile=CALM)

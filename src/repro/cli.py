@@ -132,7 +132,7 @@ def cmd_lookup(args: argparse.Namespace) -> int:
         hops = [algo.lookup(address) for address in addresses]
     elif backend == "plan":
         hops = algo.compile_plan().lookup_batch(addresses)
-    else:  # vector | auto: a plan that did not lower delegates itself
+    else:  # vector: a plan that did not lower delegates itself
         hops = algo.compile_vector_plan().lookup_batch_hops(addresses)
     status = 0
     for address, hop in zip(addresses, hops):
@@ -421,7 +421,7 @@ def _serve_vrfs(args: argparse.Namespace, base: Fib) -> int:
     sharded = VrfShardedEngine(
         base.width, lambda fib: _build(algo, fib), shards=args.shards,
         max_vrfs=args.vrfs, cache_size=args.cache, registry=registry,
-        name="serve", backend=args.backend)
+        name="serve")
     for vrf_id in range(args.vrfs):
         sharded.add_vrf(vrf_id, base.copy())
     addresses = skewed_addresses(base, args.requests, seed=args.seed)
@@ -440,8 +440,8 @@ def _serve_vrfs(args: argparse.Namespace, base: Fib) -> int:
         "repro_serve_batch", {}).get("total_s", 0.0)
     lookups = registry.counter("repro_engine_lookups_total")
     print(f"serve: algo={algo} vrfs={args.vrfs} shards={args.shards} "
-          f"backend={args.backend} requests={len(addresses)} "
-          f"batch={args.max_batch} cache={args.cache} seed={args.seed}")
+          f"requests={len(addresses)} batch={args.max_batch} "
+          f"cache={args.cache} seed={args.seed}")
     for eng in sharded.shard_engines():
         if eng is not None:
             print(f"  shard {eng.name}: {lookups.value(engine=eng.name)} "
@@ -504,19 +504,15 @@ def cmd_serve(args: argparse.Namespace) -> int:
         algo=loaded.algorithm() if loaded is not None else None)
     if args.save:
         name, version = _artifact_ref(args.save)
-        try:
-            vplan = managed.algo.compile_vector_plan()
-        except Exception:
-            vplan = None  # scalar-only schemes still snapshot their state
         version = ArtifactCatalog(args.catalog).save(
             name, managed.algo, managed.oracle, version=version,
-            vector_plan=vplan)
+            vector_plan=managed.algo.compile_vector_plan())
         print(f"serve: saved artifact {name}:{version} to {args.catalog}")
     server = LookupServer(
         managed=managed, workers=args.workers, max_batch=args.max_batch,
         max_wait_s=args.max_wait / 1000.0, overload=args.overload,
-        mode=args.mode, cache_size=args.cache, backend=args.backend,
-        name="serve", chaos=chaos_plan, ship_deltas=args.delta,
+        mode=args.mode, cache_size=args.cache, name="serve",
+        chaos=chaos_plan, ship_deltas=args.delta,
         request_deadline_s=args.deadline / 1000.0 if args.deadline else None,
         sample_rate=args.sample_rate, span_seed=args.seed,
         ack_timeout_s=(2.0 if any(n.startswith("ack") for n in chaos_names)
@@ -552,10 +548,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     batches = sum(registry.snapshot()["counters"].get(
         "repro_server_batches_total", {}).values())
-    print(f"serve: algo={args.algo} mode={args.mode} backend={args.backend} "
-          f"workers={args.workers} requests={len(addresses)} "
-          f"request_size={request_size} max_batch={args.max_batch} "
-          f"max_wait={args.max_wait}ms cache={args.cache} seed={args.seed}")
+    print(f"serve: algo={args.algo} mode={args.mode} workers={args.workers} "
+          f"requests={len(addresses)} request_size={request_size} "
+          f"max_batch={args.max_batch} max_wait={args.max_wait}ms "
+          f"cache={args.cache} seed={args.seed}")
     for eng in server.engines():
         print(f"  worker {eng.name}: backend {eng.active_backend}")
     print(f"  coalesced: {len(requests)} requests into {batches} batches, "
@@ -619,12 +615,7 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     if args.artifact_cmd == "save":
         fib = _base_fib(args, seed=args.seed)
         algo = _build(args.algo, fib)
-        vplan = None
-        if not args.no_vector:
-            try:
-                vplan = algo.compile_vector_plan()
-            except Exception:
-                vplan = None  # scalar-only schemes still snapshot state
+        vplan = None if args.no_vector else algo.compile_vector_plan()
         version = catalog.save(args.name, algo, fib, version=args.version,
                                vector_plan=vplan, overwrite=args.overwrite)
         path = catalog.path(args.name, version)
@@ -896,11 +887,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "skew for the queried addresses (native backend "
                         "only; compiled plans bypass the accounting)")
     p.add_argument("--backend",
-                   choices=["native", "plan", "vector", "auto"],
+                   choices=["native", "plan", "vector"],
                    default="native",
                    help="execution path: the native walk (default), the "
-                        "compiled plan, the lane-compiled vector plan, or "
-                        "auto (vector when fully lowered)")
+                        "compiled plan, or the lane-compiled vector plan "
+                        "(which runs the compiled plan when it did not "
+                        "lower)")
     p.add_argument("--explain", action="store_true",
                    help="print the lane compiler's lowering report "
                         "(whether the program lowered, and its kernel "
@@ -1033,11 +1025,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coalescer batch-size flush trigger")
     p.add_argument("--max-wait", type=float, default=2.0,
                    help="coalescer deadline flush trigger in milliseconds")
-    p.add_argument("--backend", choices=["plan", "vector", "auto"],
-                   default="auto",
-                   help="engine execution backend: auto (default; the "
-                        "lane-compiled NumPy vector plan when fully "
-                        "lowered), vector, or the scalar compiled plan")
     p.add_argument("--cache", type=int, default=0,
                    help="FIB-cache capacity per engine (0 disables)")
     p.add_argument("--mode", choices=["thread", "process"],

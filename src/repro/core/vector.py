@@ -38,20 +38,20 @@ The execution model:
   ``select`` (keys + active mask, ``None`` = every lane) to a table
   view's ``gather`` and an ``update`` kernel, or is compute-only
   (``select=None``) and reads the lanes directly.
-* **All-or-nothing lowering.**  A plan runs as kernels only when
-  *every* step has a spec whose table produced a vector view and the
-  hop extraction has an array form.  Otherwise it holds **no** kernels
+* **All-or-nothing lowering.**  A plan runs as kernels only when its
+  key has a lane dtype (:func:`key_dtype`: at most 64 bits), *every*
+  step has a spec whose table produced a vector view, and the hop
+  extraction has an array form.  Otherwise it holds **no** kernels
   (``fully_lowered`` is False) and :meth:`VectorPlan.lookup_batch`
   hands the whole batch to the embedded scalar plan — one kernel
   schedule, one fallback, decided once at compile time.  All nine
-  algorithms lower fully at every width they support, the 64-bit
-  IPv6 view included.
+  algorithms lower fully at every width up to 64, the IPv6 view
+  included; a VRF-tagged IPv6 key (idiom I5) is wider and delegates.
 
 Like a :class:`~repro.core.plan.LookupPlan`, a vector plan is a
 **snapshot**: its views freeze the tables at compile time, and it must
 be recompiled after updates (:class:`repro.engine.BatchEngine` does so
-on every committed batch when its ``backend`` is ``"vector"`` or
-``"auto"``).
+on every committed batch).
 """
 
 from __future__ import annotations
@@ -134,11 +134,14 @@ else:  # numpy < 2.0 (the 3.9 CI cell): 16-bit lookup-table fallback
 def key_dtype(bits: int):
     """The lane dtype of a ``bits``-wide key — the one place a width is
     compared.  A key of fewer than 64 bits is ``int64``, a 64-bit key
-    ``uint64``; values (hops, indices, tagged codes, flags) are always
+    ``uint64``, a wider one has none (``None``: a plan that wide does
+    not lower); values (hops, indices, tagged codes, flags) are always
     ``int64``.  The two never meet in arithmetic, a compare or a
     ``searchsorted``: NumPy promotes ``uint64 (+) int64`` to
     ``float64`` without a word and goes wrong at bit 53."""
-    return np.uint64 if bits >= 64 else np.int64
+    if bits > 64:
+        return None
+    return np.uint64 if bits == 64 else np.int64
 
 
 def key_slice(keys: np.ndarray, shift: int = 0,
@@ -719,9 +722,10 @@ class VectorPlan:
     in ``None`` lanes; ``lookup_batch_hops`` converts to the familiar
     ``List[Optional[int]]``.  Lowering is all-or-nothing:
     ``fully_lowered`` is True when every step *and* the final hop
-    extraction run as kernels — the condition under which the engine's
-    ``backend="auto"`` picks this plan.  Otherwise the plan holds no
-    kernels and every batch runs through the embedded scalar plan.
+    extraction run as kernels — what the engine reports as its
+    ``active_backend``.  Otherwise (a step without an array form, a key
+    wider than 64 bits) the plan holds no kernels and every batch runs
+    through the embedded scalar plan.
     """
 
     MISS = MISS_HOP
@@ -747,13 +751,16 @@ class VectorPlan:
         self._extract = None
         #: True when every step and the hop extraction run as kernels.
         self.fully_lowered = False
-        #: ``addr`` is a key of ``width`` bits.
+        #: ``addr`` is a key of ``width`` bits (``None``: no lane holds it).
         self._addr_dtype = key_dtype(self.width)
         self._lower()
 
     def _lower(self) -> None:
         """Compile every step and the hop extraction to kernels, or
-        leave the plan empty if any of them has no array form."""
+        leave the plan empty if the key or any of them has no array
+        form."""
+        if self._addr_dtype is None:
+            return  # wider than any lane: nothing lowers
         extract = self._bind_extract()
         if extract is None or not all(
                 isinstance(value, _BOOL_TYPES + _INT_TYPES)

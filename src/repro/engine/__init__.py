@@ -1,6 +1,6 @@
 """repro.engine — the batch dataplane.
 
-Compiled lookup plans (:mod:`repro.core.plan`) served through
+Lane-compiled lookup plans (:mod:`repro.core.vector`) served through
 :class:`BatchEngine` (plan + skew-aware :class:`FibCache` + metrics),
 with multi-VRF sharding via :class:`VrfShardedEngine` (VRF-hash).  See
 ``docs/engine.md``.
@@ -9,7 +9,7 @@ with multi-VRF sharding via :class:`VrfShardedEngine` (VRF-hash).  See
 from ..core.plan import LookupPlan, PlanError, compile_plan
 from ..core.vector import VectorError, VectorPlan, compile_vector_plan
 from .cache import FibCache
-from .engine import ENGINE_BACKENDS, ENGINE_BATCH_BUCKETS, BatchEngine
+from .engine import ENGINE_BATCH_BUCKETS, BatchEngine
 from .shard import VrfShardedEngine
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "VectorPlan",
     "compile_vector_plan",
     "FibCache",
-    "ENGINE_BACKENDS",
     "ENGINE_BATCH_BUCKETS",
     "BatchEngine",
     "VrfShardedEngine",

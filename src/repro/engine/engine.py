@@ -1,13 +1,14 @@
-"""The batch dataplane engine: compiled plan + cache + telemetry.
+"""The batch dataplane engine: vector plan + cache + telemetry.
 
 :class:`BatchEngine` is the serving layer over one lookup structure:
 
-* packets run through a compiled :class:`~repro.core.plan.LookupPlan`
-  (one flat step array, no per-packet interpretation) — or, with
-  ``backend="vector"``/``"auto"``, through its lane-compiled
-  :class:`~repro.core.vector.VectorPlan`, where each step executes
-  once per batch as a NumPy kernel (``auto`` picks the vector plan
-  exactly when every step lowered);
+* packets run through its lane-compiled
+  :class:`~repro.core.vector.VectorPlan`, where each step executes once
+  per batch as a NumPy kernel.  The plan alone decides kernels vs
+  scalar: one that did not lower (a step without an array form, or a
+  key wider than 64 bits) hands every batch to the
+  :class:`~repro.core.plan.LookupPlan` it embeds, and
+  :attr:`BatchEngine.active_backend` reports which of the two it is;
 * an optional :class:`~repro.engine.cache.FibCache` answers hot
   addresses before the plan runs at all;
 * every lookup, batch, cache hit/miss, invalidation, and plan
@@ -27,24 +28,25 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.plan import LookupPlan, PlanError, compile_plan
+from ..core.plan import LookupPlan, PlanError
 from ..core.vector import VectorError, VectorPlan, compile_vector_plan
 from ..obs import MetricsRegistry
 from ..prefix.prefix import Prefix
 from .cache import FibCache
 
-__all__ = ["BatchEngine", "ENGINE_BATCH_BUCKETS", "ENGINE_BACKENDS"]
+__all__ = ["BatchEngine", "ENGINE_BATCH_BUCKETS"]
 
 #: Deterministic batch-size histogram bounds (packets per batch).
 ENGINE_BATCH_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096, 16384)
 
-#: Valid ``backend=`` values: the scalar plan, the lane-compiled
-#: vector plan, or "vector when fully lowered, plan otherwise".
-ENGINE_BACKENDS = ("plan", "vector", "auto")
-
 
 class BatchEngine:
-    """Compiled batch lookups over one algorithm, with a FIB cache."""
+    """Compiled batch lookups over one algorithm, with a FIB cache.
+
+    ``backend`` is not a choice: the vector plan decides kernels vs
+    scalar itself.  ``"auto"`` (what ``bench/`` passes) is the only
+    legal value; anything else raises ``ValueError``.
+    """
 
     def __init__(
         self,
@@ -54,16 +56,14 @@ class BatchEngine:
         registry: Optional[MetricsRegistry] = None,
         name: str = "engine",
         cache_sample: int = 8,
-        backend: str = "plan",
+        backend: str = "auto",
         patch_threshold: int = 256,
     ):
-        if backend not in ENGINE_BACKENDS:
-            raise ValueError(
-                f"backend {backend!r} not one of {ENGINE_BACKENDS}")
+        if backend != "auto":
+            raise ValueError(f"backend {backend!r}: only 'auto' is accepted")
         self.name = name
         self.registry = registry or MetricsRegistry()
         self._algo = algo
-        self.backend = backend
         #: Largest committed delta (route count) eligible for plan
         #: patching; bigger batches take the full-recompile path, where
         #: one rebuild beats many per-step regenerations.  ``0``
@@ -112,20 +112,17 @@ class BatchEngine:
         self._batches_series = self._batches.labels(engine=name)
         self._batch_size_series = self._batch_size.labels()
         self._lookups_series = self._lookups.labels(engine=name)
-        self._plan: LookupPlan
-        self._vector: Optional[VectorPlan] = None
+        self._vector: VectorPlan
         self._compile()
 
     def _compile(self) -> None:
-        """(Re)compile the scalar plan — and the vector plan when the
-        backend can use it — then refresh the lowering gauges."""
-        self._plan = compile_plan(self._algo)
-        if self.backend != "plan":
-            self._vector = compile_vector_plan(self._algo, plan=self._plan)
-            self._lowered_gauge.set(len(self._vector.lowered_steps),
-                                    engine=self.name)
+        """(Re)compile the vector plan (and the scalar plan it embeds),
+        then refresh the lowering gauges."""
+        self._vector = compile_vector_plan(self._algo)
+        self._lowered_gauge.set(len(self._vector.lowered_steps),
+                                engine=self.name)
         active = self.active_backend
-        for backend in ENGINE_BACKENDS:
+        for backend in ("plan", "vector"):
             self._backend_gauge.set(1 if backend == active else 0,
                                     engine=self.name, backend=backend)
 
@@ -137,24 +134,20 @@ class BatchEngine:
 
     @property
     def plan(self) -> LookupPlan:
-        return self._plan
+        """The scalar plan the vector plan embeds (and delegates to
+        when it did not lower)."""
+        return self._vector.plan
 
     @property
-    def vector_plan(self) -> Optional[VectorPlan]:
-        """The lane-compiled plan (None when ``backend="plan"``)."""
+    def vector_plan(self) -> VectorPlan:
+        """The lane-compiled plan every lookup runs through."""
         return self._vector
 
     @property
     def active_backend(self) -> str:
-        """Which plan cache misses actually run through: ``"vector"``
-        when forced or when ``auto`` found every step lowered,
-        ``"plan"`` otherwise."""
-        if self.backend == "vector":
-            return "vector"
-        if self.backend == "auto" and self._vector is not None \
-                and self._vector.fully_lowered:
-            return "vector"
-        return "plan"
+        """A read-only report: ``"vector"`` when the plan lowered to
+        kernels, ``"plan"`` when it delegates to its scalar plan."""
+        return "vector" if self._vector.fully_lowered else "plan"
 
     # ------------------------------------------------------------------
     # Data path
@@ -168,10 +161,7 @@ class BatchEngine:
                 self._cache_hits.inc(1, engine=self.name)
                 return hop
             self._cache_misses.inc(1, engine=self.name)
-        if self.active_backend == "vector":
-            hop = self._vector.lookup(address)
-        else:
-            hop = self._plan.lookup(address)
+        hop = self._vector.lookup(address)
         if cache is not None:
             cache.put(address, hop)
             self._cache_entries.set(len(cache), engine=self.name)
@@ -184,45 +174,29 @@ class BatchEngine:
         self._lookups_series.inc(n)
         cache = self.cache
         if cache is None:
-            if self.active_backend == "vector":
-                return self._vector.lookup_batch_hops(addresses)
-            return self._plan.lookup_batch(addresses)
+            return self._vector.lookup_batch_hops(addresses)
+        # Probe the cache first, then run every miss through the plan
+        # as ONE batch and scatter the answers back.
         probe = cache.probe
         put = cache.put
-        if self.active_backend == "vector":
-            # Probe the cache first, then run every miss through the
-            # lane kernels as ONE batch and scatter the answers back.
-            results: List[Optional[int]] = [None] * n
-            miss_slots: List[int] = []
-            miss_addrs: List[int] = []
-            hits = 0
-            for i, address in enumerate(addresses):
-                hit, hop = probe(address)
-                if hit:
-                    results[i] = hop
-                    hits += 1
-                else:
-                    miss_slots.append(i)
-                    miss_addrs.append(address)
-            if miss_addrs:
-                for i, address, hop in zip(
-                        miss_slots, miss_addrs,
-                        self._vector.lookup_batch_hops(miss_addrs)):
-                    put(address, hop)
-                    results[i] = hop
-        else:
-            plan_lookup = self._plan.lookup
-            results = []
-            append = results.append
-            hits = 0
-            for address in addresses:
-                hit, hop = probe(address)
-                if not hit:
-                    hop = plan_lookup(address)
-                    put(address, hop)
-                else:
-                    hits += 1
-                append(hop)
+        results: List[Optional[int]] = [None] * n
+        miss_slots: List[int] = []
+        miss_addrs: List[int] = []
+        hits = 0
+        for i, address in enumerate(addresses):
+            hit, hop = probe(address)
+            if hit:
+                results[i] = hop
+                hits += 1
+            else:
+                miss_slots.append(i)
+                miss_addrs.append(address)
+        if miss_addrs:
+            for i, address, hop in zip(
+                    miss_slots, miss_addrs,
+                    self._vector.lookup_batch_hops(miss_addrs)):
+                put(address, hop)
+                results[i] = hop
         self._cache_hits.inc(hits, engine=self.name)
         self._cache_misses.inc(n - hits, engine=self.name)
         self._cache_entries.set(len(cache), engine=self.name)
@@ -276,22 +250,22 @@ class BatchEngine:
         if delta is None or not self.patch_threshold \
                 or len(delta) > self.patch_threshold:
             return False
-        algo = self._algo
+        algo, vector = self._algo, self._vector
         try:
-            readers = algo.plan_patch(delta, self._plan)
+            readers = algo.plan_patch(delta, vector.plan)
             if readers is None:
                 return False
             # A vector plan that did not lower holds no kernels: it
             # delegates to the (patched) scalar plan, nothing to re-freeze.
-            lowered = self._vector is not None and self._vector.fully_lowered
+            lowered = vector.fully_lowered
             specs = None
             if lowered:
-                specs = algo.vector_patch(delta, self._vector)
+                specs = algo.vector_patch(delta, vector)
                 if specs is None:
                     return False
-            self._plan.patch(readers)
+            vector.plan.patch(readers)
             if lowered:
-                self._vector.patch(specs)
+                vector.patch(specs)
         except (PlanError, VectorError):
             return False
         return True
@@ -306,7 +280,7 @@ class BatchEngine:
         (addresses -> counts); see :meth:`FibCache.seed`."""
         if self.cache is None:
             return 0
-        seeded = self.cache.seed(tally, self._plan.lookup, limit=limit)
+        seeded = self.cache.seed(tally, self._vector.lookup, limit=limit)
         self._cache_entries.set(len(self.cache), engine=self.name)
         return seeded
 

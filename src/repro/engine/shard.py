@@ -6,7 +6,9 @@ tag-widened FIB (idiom I5, exactly as
 :class:`repro.algorithms.vrf.VrfRouter` does) and serves it through
 its own independent :class:`~repro.engine.BatchEngine` — its own
 compiled plan, its own cache, its own counters.  A lookup touches
-exactly one shard.  (Replicas of *one* table are the worker pool's
+exactly one shard.  The tag widens the key: an IPv6 shard is wider
+than 64 bits, where no lane dtype exists, so its vector plan hands
+every batch to its scalar plan (``active_backend == "plan"``).  (Replicas of *one* table are the worker pool's
 job: see :class:`repro.server.LookupServer`.)
 
 The shards share one :class:`~repro.obs.MetricsRegistry`; per-shard
@@ -40,7 +42,6 @@ class VrfShardedEngine:
         cache_size: int = 0,
         registry: Optional[MetricsRegistry] = None,
         name: str = "vrf-engine",
-        backend: str = "plan",
     ):
         if shards < 1:
             raise ValueError("need at least one shard")
@@ -54,7 +55,6 @@ class VrfShardedEngine:
         self.registry = registry or MetricsRegistry()
         self._factory = factory
         self._cache_size = cache_size
-        self._backend = backend
         self._vrfs: Dict[int, Fib] = {}
         # Per shard: the coalesced tag-widened FIB and its engine
         # (None until the shard has a VRF).
@@ -101,7 +101,6 @@ class VrfShardedEngine:
                 cache_size=self._cache_size,
                 registry=self.registry,
                 name=f"{self.name}-s{shard}",
-                backend=self._backend,
             )
         else:
             # Unknown extent (a whole VRF changed): full invalidation.

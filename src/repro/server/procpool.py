@@ -77,7 +77,7 @@ def fib_snapshot(fib) -> Snapshot:
 
 
 def _build_engine(width: int, factory, snapshot: Snapshot,
-                  backend: str, cache_size: int):
+                  cache_size: int):
     from ..engine.engine import BatchEngine
     from ..prefix.prefix import Prefix
     from ..prefix.trie import Fib
@@ -85,8 +85,7 @@ def _build_engine(width: int, factory, snapshot: Snapshot,
     fib = Fib(width)
     for bits, length, hop in snapshot:
         fib.insert(Prefix.from_bits(bits, length, width), hop)
-    return BatchEngine(factory(fib), backend=backend,
-                       cache_size=cache_size), fib
+    return BatchEngine(factory(fib), cache_size=cache_size), fib
 
 
 def _apply_wire(fib, wire: WireDelta, width: int):
@@ -112,7 +111,7 @@ def _apply_wire(fib, wire: WireDelta, width: int):
 
 
 def _artifact_engine(width: int, factory, path: str, resync: WireDelta,
-                     backend: str, cache_size: int):
+                     cache_size: int):
     """Child-side warm start: mmap the catalog snapshot instead of
     rebuilding from pickled triples, then land the resync delta (the
     commits shipped since the artifact was written) on the loaded base.
@@ -135,11 +134,11 @@ def _artifact_engine(width: int, factory, path: str, resync: WireDelta,
             algo.apply_delta(delta)
         else:
             algo = factory(fib.copy())
-    return BatchEngine(algo, backend=backend, cache_size=cache_size), fib
+    return BatchEngine(algo, cache_size=cache_size), fib
 
 
 def _replica_main(conn, worker_idx: int, width: int, factory,
-                  snapshot: Snapshot, backend: str, cache_size: int,
+                  snapshot: Snapshot, cache_size: int,
                   ship_seq0: int = 0, artifact=None, chaos=None,
                   batch_seq0: int = 0, commit_seq0: int = 0) -> None:
     """Child body: rebuild from snapshots, answer address batches.
@@ -166,23 +165,23 @@ def _replica_main(conn, worker_idx: int, width: int, factory,
     artifact path so the supervisor's restart falls back to a plain
     snapshot fork, instead of crash-looping on a bad file.
 
-    Replies: ``ready`` (once, with the engine's ``active_backend``),
-    then per message ``hops`` with the child's own execute duration
-    (parent and child monotonic clocks are not comparable, so only the
-    duration ships) or ``error`` for a batch, ``ack`` for a commit.
+    Replies: ``ready`` (once, with the engine's ``active_backend``:
+    ``"vector"`` unless its plan did not lower), then per message
+    ``hops`` with the child's own execute duration (parent and child
+    monotonic clocks are not comparable, so only the duration ships)
+    or ``error`` for a batch, ``ack`` for a commit.
     """
     from ..engine.engine import BatchEngine
 
     if artifact is not None:
         try:
             engine, fib = _artifact_engine(width, factory, artifact[0],
-                                           artifact[1], backend, cache_size)
+                                           artifact[1], cache_size)
         except Exception as exc:  # noqa: BLE001 — report, fall back
             conn.send(("artifact_fail", repr(exc)))
             return
     else:
-        engine, fib = _build_engine(width, factory, snapshot, backend,
-                                    cache_size)
+        engine, fib = _build_engine(width, factory, snapshot, cache_size)
     conn.send(("ready", engine.active_backend))
     batch_seq, commit_seq = batch_seq0, commit_seq0
     ship_seq = ship_seq0
@@ -223,15 +222,14 @@ def _replica_main(conn, worker_idx: int, width: int, factory,
         commit_seq += 1
         seq, payload = message[1], message[2]
         if kind == "snapshot":
-            engine, fib = _build_engine(width, factory, payload,
-                                        backend, cache_size)
+            engine, fib = _build_engine(width, factory, payload, cache_size)
         elif kind == "reload":
             # Blue/green: become the new catalog version wholesale.
             # Like "snapshot", a reload is a full resync — it resets
             # the ship chain rather than extending it.
             try:
                 engine, fib = _artifact_engine(width, factory, payload,
-                                               [], backend, cache_size)
+                                               [], cache_size)
             except Exception as exc:  # noqa: BLE001 — report, don't ack
                 conn.send(("artifact_fail", repr(exc)))
                 return
@@ -248,13 +246,12 @@ def _replica_main(conn, worker_idx: int, width: int, factory,
                     engine.refresh(algo, delta.prefixes(), delta=delta)
                 else:
                     engine = BatchEngine(factory(fib.copy()),
-                                         backend=backend,
                                          cache_size=cache_size)
             except Exception:  # noqa: BLE001 — resync, don't diverge
                 # Any delta-apply failure: rebuild from the (already
                 # updated) local FIB mirror — correct by construction.
                 engine = BatchEngine(factory(fib.copy()),
-                                     backend=backend, cache_size=cache_size)
+                                     cache_size=cache_size)
         ship_seq = seq
         if action is not None:
             delay_s, drop = action
@@ -283,7 +280,6 @@ class ReplicaSource:
         fib,
         factory: Callable,
         *,
-        backend: str = "plan",
         cache_size: int = 0,
         artifact: Optional[str] = None,
         committed: Optional[Callable[[], Tuple]] = None,
@@ -306,7 +302,6 @@ class ReplicaSource:
         self.ship_deltas = ship_deltas
         self._width = fib.width
         self._factory = factory
-        self._backend = backend
         self._cache_size = cache_size
         self._committed = committed or (lambda: (None, None))
         #: ``on_ship(kind, nbytes)`` — observer for shipped payload
@@ -364,8 +359,8 @@ class ReplicaSource:
             snapshot = sorted((bits, length, hop) for (bits, length), hop
                               in self._table.items())
             artifact = None
-        return (self._width, self._factory, snapshot, self._backend,
-                self._cache_size, self.seq, artifact)
+        return (self._width, self._factory, snapshot, self._cache_size,
+                self.seq, artifact)
 
     def step(self, seq: int, outcome: str, delta) -> bytes:
         """The pickled message taking a replica from ship sequence
@@ -432,8 +427,9 @@ class ForkedReplica:
         self.source = source
         self.worker = worker
         self.name = name if name is not None else f"replica-{worker}"
-        #: The backend the child's engine runs, as its ``ready`` said
-        #: (``None`` until a round trip has read one).
+        #: What the child's vector plan runs on (``"vector"`` or
+        #: ``"plan"``), as its ``ready`` said (``None`` until a round
+        #: trip has read one).
         self.active_backend: Optional[str] = None
         #: The child's own execute duration for the last batch it
         #: answered, seconds (its clock, so a duration only).

@@ -32,10 +32,11 @@ Fault tolerance (``docs/robustness.md`` has the full fault model):
 * **degradation** — a :class:`~repro.server.supervisor.ServingHealth`
   state machine (HEALTHY → DEGRADED → BROWNOUT) driven by queue depth,
   restart rate, and deadline-miss rate.  DEGRADED is a health signal
-  on the way to BROWNOUT, not a backend switch: the scalar plan costs
-  8.2 vs 0.95 µs/lookup, so falling back to it under load would only
-  deepen the queue.  BROWNOUT serves answer-cache hits at the current
-  epoch and sheds the rest;
+  on the way to BROWNOUT, not a dataplane switch: every replica runs
+  its vector plan, and the scalar plan it embeds costs 8.2 vs 0.95
+  µs/lookup, so falling back to it under load would only deepen the
+  queue.  BROWNOUT serves answer-cache hits at the current epoch and
+  sheds the rest;
 * **chaos** — a seeded :class:`~repro.chaos.ChaosPlan` injects
   scripted dataplane faults (worker kills, in-batch exceptions,
   delayed/dropped snapshot-acks, commit-gate stalls) for the
@@ -164,7 +165,7 @@ class LookupServer:
         overload: str = "block",
         mode: str = "thread",
         cache_size: int = 0,
-        backend: str = "plan",
+        backend: str = "auto",
         registry: Optional[MetricsRegistry] = None,
         name: str = "server",
         clock: Optional[Clock] = None,
@@ -183,6 +184,8 @@ class LookupServer:
         span_seed: int = 0,
         slo: Optional[SloConfig] = None,
     ):
+        if backend != "auto":  # kept for bench/; nothing to choose
+            raise ValueError(f"backend {backend!r}: only 'auto' is accepted")
         if mode not in SERVER_MODES:
             raise ValueError(f"mode {mode!r} not one of {SERVER_MODES}")
         if overload not in SERVER_OVERLOAD_POLICIES:
@@ -201,7 +204,6 @@ class LookupServer:
         if algo is None:
             raise ValueError("need an algorithm (or managed=) to serve")
         self.name = name
-        self.backend = backend
         #: Path of the catalog snapshot the served table was last
         #: loaded from (the ``artifact=`` warm start, then every
         #: :meth:`reload_artifact`); ``None`` when built from scratch.
@@ -317,7 +319,7 @@ class LookupServer:
         if mode == "thread":
             engines = [
                 BatchEngine(algo, cache_size=cache_size, registry=reg,
-                            name=f"{name}-w{i}", backend=backend)
+                            name=f"{name}-w{i}")
                 for i in range(workers)
             ]
             if chaos is not None:
@@ -329,7 +331,7 @@ class LookupServer:
                 raise ServerError(
                     "process mode needs factory= and base_fib= (or managed=)")
             source = ReplicaSource(
-                base_fib, factory, backend=backend, cache_size=cache_size,
+                base_fib, factory, cache_size=cache_size,
                 artifact=artifact, committed=self._committed,
                 ship_deltas=ship_deltas, ack_timeout_s=ack_timeout_s,
                 chaos=chaos, on_ship=self._note_ship,
@@ -375,8 +377,9 @@ class LookupServer:
 
     @property
     def active_backend(self) -> Optional[str]:
-        """The backend worker 0's engine actually runs (a forked
-        replica reports its child's; ``None`` before it has forked)."""
+        """What worker 0's vector plan runs on, ``"vector"`` or
+        ``"plan"`` (a forked replica reports its child's; ``None``
+        before it has forked)."""
         return self._pool.engines[0].active_backend
 
     @property

@@ -196,8 +196,7 @@ def test_delta_built_equals_scratch_built(name, factory, seed):
     base = synthesize_as65000(scale=0.001)
     managed = ManagedFib(factory, base, policy=RuntimePolicy(**QUIET),
                          check_seed=seed)
-    engine = BatchEngine.over_managed(managed, backend="auto",
-                                      name=f"delta-prop-{name}")
+    engine = BatchEngine.over_managed(managed, name=f"delta-prop-{name}")
     probes = uniform_addresses(32, 96, seed=seed)
     commits = 0
     for batch in ChurnGenerator(base, seed=seed).batches(32, 8):
@@ -233,8 +232,7 @@ def test_delta_built_equals_scratch_after_rollback(name, factory, seed):
     base = synthesize_as65000(scale=0.001)
     managed = ManagedFib(factory, base, guard=guard,
                          policy=RuntimePolicy(**QUIET), check_seed=seed)
-    engine = BatchEngine.over_managed(managed, backend="auto",
-                                      name=f"rollback-prop-{name}")
+    engine = BatchEngine.over_managed(managed, name=f"rollback-prop-{name}")
     probes = uniform_addresses(32, 96, seed=seed)
     for batch in ChurnGenerator(base, seed=seed).batches(24, 8):
         managed.apply_batch(batch)
@@ -252,7 +250,7 @@ def test_patch_threshold_escape_hatch():
                              base, policy=RuntimePolicy(**QUIET),
                              check_seed=5)
         engine = BatchEngine.over_managed(
-            managed, backend="auto", patch_threshold=threshold,
+            managed, patch_threshold=threshold,
             name=f"threshold-{threshold}")
         for batch in ChurnGenerator(base, seed=5).batches(24, 8):
             assert managed.apply_batch(batch) == "batch_applied"
@@ -292,7 +290,7 @@ def _bsic_base(width):
 def _bsic_runtime(k, base, name, **kwargs):
     kwargs.setdefault("policy", RuntimePolicy(**QUIET))
     managed = ManagedFib(lambda fib: Bsic(fib, k=k), base, **kwargs)
-    engine = BatchEngine.over_managed(managed, backend="auto", name=name)
+    engine = BatchEngine.over_managed(managed, name=name)
     return managed, engine
 
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.algorithms import LogicalTcam, Resail
+from repro.algorithms import Bsic, Dxr, HiBst, LogicalTcam, Poptrie, Resail
 from repro.cli import build_parser, main
 from repro.control import ChurnGenerator, FaultPlan, ManagedFib, RuntimePolicy
 from repro.core import PlanError, compile_plan
@@ -136,14 +136,17 @@ class TestBatchEngine:
     def test_cache_serves_repeats_and_counts(self, example_fib):
         engine = BatchEngine(LogicalTcam(example_fib), cache_size=16,
                              name="t")
-        addresses = [1, 2, 1, 1, 2, 3]
+        # A batch probes the cache first and runs its misses as one plan
+        # batch, so repeats hit from the next batch on.
+        engine.lookup_batch([1, 2, 3])
+        addresses = [1, 2, 1, 1, 2, 3, 4]
         hops = engine.lookup_batch(addresses)
         assert hops == [example_fib.lookup(a) for a in addresses]
         reg = engine.registry
-        assert reg.counter("repro_engine_lookups_total", "").value(engine="t") == 6
-        assert reg.counter("repro_engine_cache_hits_total", "").value(engine="t") == 3
-        assert reg.counter("repro_engine_cache_misses_total", "").value(engine="t") == 3
-        assert reg.counter("repro_engine_batches_total", "").value(engine="t") == 1
+        assert reg.counter("repro_engine_lookups_total", "").value(engine="t") == 10
+        assert reg.counter("repro_engine_cache_hits_total", "").value(engine="t") == 6
+        assert reg.counter("repro_engine_cache_misses_total", "").value(engine="t") == 4
+        assert reg.counter("repro_engine_batches_total", "").value(engine="t") == 2
 
     def test_refresh_rebinds_and_invalidates_scoped(self, example_fib):
         engine = BatchEngine(LogicalTcam(example_fib), cache_size=16)
@@ -275,6 +278,31 @@ class TestVrfSharding:
         with pytest.raises(ValueError):
             sharded.add_vrf(5, Fib(8))
 
+    @pytest.mark.parametrize("make", [
+        Bsic, lambda f: Dxr(f, k=16), HiBst,
+        lambda f: Poptrie(f, dp_bits=16), LogicalTcam,
+    ], ids=["bsic", "dxr", "hibst", "poptrie", "ltcam"])
+    def test_vrf_tagged_ipv6_serves_from_the_scalar_plan(self, make):
+        # Idiom I5 widens a 64-bit key by the VRF tag: no lane dtype
+        # holds 66 bits, so every shard's vector plan delegates.
+        base = Fib(64)
+        for i in range(24):
+            base.insert(Prefix.from_bits((0x2001 << 16) | i, 32, 64), i)
+        base.insert(Prefix.from_bits(0xFFFF, 16, 64), 99)  # bit 63 set
+        base.insert(Prefix.from_bits(0x20010000AB, 40, 64), 7)
+        sharded = VrfShardedEngine(64, make, shards=2, max_vrfs=4)
+        for vrf_id in range(4):
+            sharded.add_vrf(vrf_id, base.copy())
+        for engine in sharded.shard_engines():
+            assert engine.active_backend == "plan"
+            assert not engine.vector_plan.fully_lowered
+        addresses = [p.value | 1 for p, _hop in base] + [
+            0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+        requests = [(i % 4, a) for i, a in enumerate(addresses)]
+        assert sharded.lookup_batch(requests) == [
+            base.lookup(a) for a in addresses]
+        assert sharded.lookup(3, addresses[0]) == base.lookup(addresses[0])
+
 
 # ----------------------------------------------------------------------
 # CLI: repro serve
@@ -283,9 +311,12 @@ class TestServeCli:
     def test_defaults_are_the_measured_configuration(self):
         # bench/workloads.py::SERVING is what bench/ measures; a bare
         # `repro serve` must be that configuration, not a slower one.
+        # There is no backend flag: the vector plan decides kernels vs
+        # scalar itself.
         args = build_parser().parse_args(["serve"])
         assert (args.workers, args.max_batch, args.max_wait,
-                args.backend, args.cache) == (2, 512, 2.0, "auto", 0)
+                args.cache) == (2, 512, 2.0, 0)
+        assert not hasattr(args, "backend")
         assert args.sample_rate == DEFAULT_SPAN_SAMPLE_RATE
 
     def test_smoke_serves_from_the_pool(self, capsys, tmp_path):
@@ -307,3 +338,9 @@ class TestServeCli:
         assert main(["serve", "--smoke", "--algo", "ltcam", "--vrfs", "3",
                      "--shards", "2", "--seed", "7"]) == 0
         assert "shard" in capsys.readouterr().out
+        # VRF-tagged IPv6 is 66 bits wide: the shard serves from its
+        # scalar plan and answers the oracle.
+        assert main(["serve", "--smoke", "--family", "v6", "--vrfs", "4",
+                     "--algo", "bsic", "--seed", "7"]) == 0
+        text = capsys.readouterr().out
+        assert "backend plan" in text and "all consistent" in text

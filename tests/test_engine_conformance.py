@@ -112,7 +112,7 @@ class TestConformance:
             assert algo.cram_lookup(address) == fib.lookup(address)
         # The lane compiler must agree whole-batch — and every scheme
         # lowers fully at lane-compatible widths (every step a kernel,
-        # vector hop extraction), so "auto" picks vector for all nine.
+        # vector hop extraction), so all nine serve from kernels.
         vplan = compile_vector_plan(algo, plan=plan)
         expected = [fib.lookup(a) for a in addresses]
         assert vplan.lookup_batch_hops(addresses) == expected
@@ -133,15 +133,8 @@ class TestConformance:
         assert cached.lookup_batch(addresses) == expected
         assert cached.lookup_batch(addresses) == expected
         assert cached.cache.stats.hits > 0
-        # Same matrix through the vector backend.
-        vec_plain = BatchEngine(MAKERS[name](fib), backend="vector")
-        vec_cached = BatchEngine(MAKERS[name](fib), backend="vector",
-                                 cache_size=len(addresses))
-        assert vec_plain.active_backend == "vector"
-        assert vec_plain.lookup_batch(addresses) == expected
-        assert vec_cached.lookup_batch(addresses) == expected
-        assert vec_cached.lookup_batch(addresses) == expected
-        assert vec_cached.cache.stats.hits > 0
+        # Both serve from kernels: every scheme lowers at these widths.
+        assert plain.active_backend == cached.active_backend == "vector"
 
     def test_post_churn_conformance(self, name, width):
         base = random_fib(width, FIB_SIZES[width], seed=width + 13)
@@ -153,8 +146,7 @@ class TestConformance:
                               dleft_overflow_limit=1 << 30)
         managed = ManagedFib(MAKERS[name], base, guard=guard)
         engine = BatchEngine.over_managed(managed, cache_size=64,
-                                          name=f"conf-{name}",
-                                          backend="auto")
+                                          name=f"conf-{name}")
         addresses = addresses_for(base, seed=width + 14)
         engine.lookup_batch(addresses)  # populate the cache pre-churn
         landed = 0
@@ -173,7 +165,7 @@ class TestConformance:
         for address, hop in engine.cache.items():
             assert hop == oracle.lookup(address), hex(address)
         # A freshly lane-compiled plan sees the post-churn snapshot too
-        # (the engine's auto backend recompiled its own on every commit).
+        # (the engine recompiled or patched its own on every commit).
         vplan = compile_vector_plan(managed.algo)
         expected = [oracle.lookup(a) for a in addresses]
         assert vplan.lookup_batch_hops(addresses) == expected
@@ -187,8 +179,7 @@ class TestConformance:
         addresses = addresses_for(fib, seed=width + 22)
         expected = [fib.lookup(a) for a in addresses]
         with LookupServer(MAKERS[name](fib), workers=2, max_batch=32,
-                          max_wait_s=0.001, backend="auto",
-                          name=f"conf-{name}") as server:
+                          max_wait_s=0.001, name=f"conf-{name}") as server:
             handles = [server.submit(addresses[i:i + 7])
                        for i in range(0, len(addresses), 7)]
             server.flush()

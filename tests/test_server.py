@@ -876,7 +876,7 @@ class TestLookupServer:
         good[3][-1] = (1 << 32) - 1          # the last servable address
         registry = MetricsRegistry()
         with LookupServer(managed=managed, workers=2, mode=mode,
-                          max_batch=512, max_wait_s=60.0, backend="auto",
+                          max_batch=512, max_wait_s=60.0,
                           registry=registry, name="adm") as server:
             for bad, error in (([1 << 32], ValueError), ([-5], ValueError),
                                ([1.7], TypeError)):
@@ -931,8 +931,8 @@ class TestProcessMode:
             # entry per worker, the backend is what the child reported.
             replicas = server.engines()
             assert [r.name for r in replicas] == ["server-w0", "server-w1"]
-            assert {r.active_backend for r in replicas} == {"plan"}
-            assert server.active_backend == "plan"
+            assert {r.active_backend for r in replicas} == {"vector"}
+            assert server.active_backend == "vector"
 
     def test_idle_child_death_costs_the_next_batch_one_retry(self):
         fib = small_fib(seed=17, size=25)

@@ -435,7 +435,7 @@ class TestServerRobustness:
         # (8.2 vs 0.95 us/lookup): the execution path is fixed at
         # compile time and answers stay correct.
         fib = small_fib()
-        server = LookupServer(HiBst(fib), workers=1, backend="auto")
+        server = LookupServer(HiBst(fib), workers=1)
         addresses = list(range(0, 256, 7))
         expected = [fib.lookup(a) for a in addresses]
         with server:

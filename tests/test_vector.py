@@ -6,7 +6,7 @@ Conformance of the vector plan against the oracle is covered by
 of each view, snapshot isolation (a compiled vector plan must keep
 answering from its frozen tables until recompiled), the ``MISS_HOP``
 sentinel convention, scalar delegation for over-wide addresses, and
-the engine's ``backend`` knob.
+what the engine reports as its ``active_backend``.
 """
 
 import numpy as np
@@ -37,14 +37,15 @@ from repro.core.vector import (
 )
 from repro.engine import BatchEngine
 from repro.prefix import Fib, Prefix
+from repro.server import LookupServer
 
 
 class UnloweredTcam(LogicalTcam):
     """LogicalTcam with its lowering withheld: nothing lowers.
 
     All nine real algorithms lower fully at lane-compatible widths, so
-    the delegation and auto-fallback paths need a synthetic algorithm
-    (or an over-wide table) to stay covered.
+    the delegation path needs a synthetic algorithm (or an over-wide
+    table) to stay covered.
     """
 
     def vector_specs(self):
@@ -425,6 +426,29 @@ class TestVectorPlan:
         with pytest.raises(VectorError, match="un-lowered"):
             vplan.patch(LogicalTcam(fib).vector_specs())
 
+    @pytest.mark.parametrize("base", [LogicalTcam, HiBst, Bsic])
+    def test_over_wide_key_compiles_no_kernels(self, base):
+        # Past 64 bits no lane dtype exists (key_dtype is None): the
+        # plan never asks for specs and delegates every batch.
+        calls = []
+
+        class Counting(base):
+            def vector_specs(self, *args):
+                calls.append("specs")
+                return super().vector_specs(*args)
+
+        fib = Fib(66)
+        fib.insert(Prefix.from_bits(0b1, 1, 66), 3)
+        fib.insert(Prefix.from_bits(0x2001 << 32, 48, 66), 4)
+        vplan = compile_vector_plan(Counting(fib))
+        assert calls == []
+        assert not vplan.fully_lowered and len(vplan) == 0
+        addresses = [0, 1 << 65, (1 << 66) - 1, (0x2001 << 50) | 9]
+        assert vplan.lookup_batch_hops(addresses) == \
+            [fib.lookup(a) for a in addresses]
+        assert vplan.lookup_batch(addresses).tolist() == \
+            [MISS_HOP, 3, 3, 4]
+
     def test_custom_scalar_extractor_compiles_no_kernels(self):
         class OddExtract(LogicalTcam):
             def cram_extract_hop(self, state):
@@ -502,43 +526,48 @@ def test_delegated_vector_masks_match_oracle(entries):
 
 
 # ---------------------------------------------------------------------------
-# The engine's backend knob
+# The engine runs its vector plan; the plan decides kernels vs scalar
 # ---------------------------------------------------------------------------
 
 
 class TestEngineBackend:
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            BatchEngine(LogicalTcam(small_v8_fib()), backend="simd")
+        # Only "auto" is accepted: the two paths it used to choose
+        # between are the vector plan's own decision.
+        for backend in ("plan", "vector", "simd"):
+            with pytest.raises(ValueError, match="backend"):
+                BatchEngine(LogicalTcam(small_v8_fib()), backend=backend)
+            with pytest.raises(ValueError, match="backend"):
+                LookupServer(LogicalTcam(small_v8_fib()), backend=backend)
+        engine = BatchEngine(LogicalTcam(small_v8_fib()), backend="auto")
+        assert engine.active_backend == "vector"
 
     def test_backend_gauge_and_auto_fallback(self):
         fib = small_v8_fib()
-        vec = BatchEngine(MultibitTrie(fib, [4, 4]), backend="vector",
-                          name="vec")
+        vec = BatchEngine(MultibitTrie(fib, [4, 4]), name="vec")
         assert vec.active_backend == "vector"
         gauge = vec.registry.gauge("repro_engine_backend")
         assert gauge.value(engine="vec", backend="vector") == 1
         assert gauge.value(engine="vec", backend="plan") == 0
-        # auto drops to the scalar plan when the program did not lower...
-        auto = BatchEngine(UnloweredTcam(fib), backend="auto", name="auto")
-        assert auto.active_backend == "plan"
-        assert auto.vector_plan is not None
-        assert not auto.vector_plan.fully_lowered
-        # ...while a fully-lowered tree scheme stays on vector...
-        tree = BatchEngine(HiBst(fib), backend="auto", name="tree")
-        assert tree.active_backend == "vector"
-        # ...and a forced vector backend still answers the oracle, by
-        # delegating whole batches to the embedded scalar plan.
-        forced = BatchEngine(UnloweredTcam(fib), backend="vector")
-        assert forced.active_backend == "vector"
-        assert len(forced.vector_plan) == 0
+        # An unlowered program reports the scalar plan it delegates
+        # to, and still answers the oracle...
+        unlowered = BatchEngine(UnloweredTcam(fib), name="unlowered",
+                                registry=vec.registry)
+        assert unlowered.active_backend == "plan"
+        assert not unlowered.vector_plan.fully_lowered
+        assert len(unlowered.vector_plan) == 0
+        assert gauge.value(engine="unlowered", backend="plan") == 1
+        assert gauge.value(engine="unlowered", backend="vector") == 0
         addresses = list(range(256))
-        assert forced.lookup_batch(addresses) == \
+        assert unlowered.lookup_batch(addresses) == \
             [fib.lookup(a) for a in addresses]
+        # ...and only the two series an engine can be on exist.
+        assert {dict(key)["backend"] for key, _value in gauge.items()} \
+            == {"plan", "vector"}
 
     def test_wide_bsic_compiles_no_kernels_and_skips_vector_patch(self):
         """(Id kept from when it did.)  A real width-64 table serves
-        from kernels under ``backend="auto"``, and every delta commit
+        from kernels, and every delta commit
         re-freezes them through ``vector_patch`` — one call per commit,
         the initial view handed back to its table."""
         calls = {"specs": 0, "patch": 0}
@@ -557,8 +586,7 @@ class TestEngineBackend:
             base.insert(Prefix.from_bits((0x2001 << 16) | i, 32, 64), i)
         base.insert(Prefix.from_bits(0xFFFF, 16, 64), 99)  # bit 63 set
         managed = ManagedFib(lambda fib: CountingBsic(fib, k=24), base)
-        engine = BatchEngine.over_managed(managed, backend="auto",
-                                          name="wide")
+        engine = BatchEngine.over_managed(managed, name="wide")
         assert engine.active_backend == "vector"
         assert engine.vector_plan.fully_lowered
         assert len(engine.vector_plan) == len(engine.plan.step_names)
@@ -580,21 +608,19 @@ class TestEngineBackend:
 
     def test_lowering_gauges_published(self):
         fib = small_v8_fib()
-        engine = BatchEngine(MultibitTrie(fib, [4, 4]), backend="vector",
-                             name="low")
+        engine = BatchEngine(MultibitTrie(fib, [4, 4]), name="low")
         reg = engine.registry
         lowered = reg.gauge("repro_engine_vector_lowered_steps")
         assert lowered.value(engine="low") == \
             len(engine.vector_plan.lowered_steps) > 0
-        BatchEngine(UnloweredTcam(fib), backend="auto", name="none",
-                    registry=reg)
+        BatchEngine(UnloweredTcam(fib), name="none", registry=reg)
         assert lowered.value(engine="none") == 0
 
     def test_commit_recompiles_vector_plan(self):
         base = small_v8_fib()
         managed = ManagedFib(lambda fib: LogicalTcam(fib), base)
         engine = BatchEngine.over_managed(managed, cache_size=16,
-                                          backend="vector", name="churned")
+                                          name="churned")
         addresses = list(range(256))
         engine.lookup_batch(addresses)  # warm the cache pre-churn
         before = engine.vector_plan

@@ -412,7 +412,7 @@ def test_resail_kernels_read_patched_and_replaced_views(monkeypatch):
 
     base = resail_edge_fib()
     managed = ManagedFib(lambda fib: Resail(fib, min_bmp=13), base)
-    engine = BatchEngine.over_managed(managed, backend="vector", name="e")
+    engine = BatchEngine.over_managed(managed, name="e")
 
     def check(extra):
         oracle = managed.oracle
