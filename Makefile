@@ -9,7 +9,7 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	$(PYTHON) -m pytest tests/ --durations=15
 
 ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	$(PYTHON) -m repro churn --smoke --algo resail --seed 7 \

@@ -12,7 +12,13 @@ HI-BST, logical TCAM) — implements :class:`LookupAlgorithm`:
 * :meth:`~LookupAlgorithm.layout` — the chip-independent table layout
   that the ideal-RMT and Tofino-2 mappers consume (§6.2);
 * :meth:`~LookupAlgorithm.insert` / :meth:`~LookupAlgorithm.delete` —
-  incremental updates where the paper describes them (Appendix A.3).
+  incremental updates where the paper describes them (Appendix A.3);
+* :meth:`~LookupAlgorithm.compile_plan` /
+  :meth:`~LookupAlgorithm.compile_vector_plan` — the program compiled
+  for serving.  The scalar plan binds each table's live read, so it
+  needs no hook; the lane compiler freezes views, which
+  :meth:`~LookupAlgorithm.vector_specs` builds and
+  :meth:`~LookupAlgorithm.vector_patch` re-freezes per delta.
 """
 
 from __future__ import annotations
@@ -109,8 +115,9 @@ class LookupAlgorithm(abc.ABC):
     #: instead of requiring a rebuild.  Algorithms that set this must
     #: guarantee every ``apply_delta_op`` either applies fully or
     #: raises (so the managed runtime can undo via inverse ops), and
-    #: that their compiled plans read *frozen* snapshots — an in-place
-    #: mutation must never be visible through an already-compiled plan.
+    #: that their vector views are *frozen* snapshots — an in-place
+    #: mutation must never be visible through an already-compiled
+    #: kernel.  (The scalar plan reads the live tables by design.)
     supports_delta: bool = False
 
     def apply_delta_op(self, op: "DeltaOp") -> None:
@@ -139,41 +146,28 @@ class LookupAlgorithm(abc.ABC):
         finally:
             self.end_update_batch()
 
-    def plan_patch(self, delta: "FibDelta", plan) -> Optional[Dict[str, Callable]]:
-        """Frozen readers for the plan steps ``delta`` invalidates.
-
-        ``None`` (the default) means "not patchable — recompile"; an
-        empty dict means the delta touches no table the compiled plan
-        reads (extraction state may still be refreshed).  Keys must be
-        step names the plan knows, values the replacement readers
-        (same contract as :meth:`plan_backings`).
-        """
-        return None
-
     def vector_patch(self, delta: "FibDelta",
                      vector_plan) -> Optional[Dict[str, "VectorStepSpec"]]:
         """Fresh lowering specs for the kernels ``delta`` invalidates.
 
-        Same contract as :meth:`plan_patch` but for the lane compiler:
-        ``None`` means recompile, a dict maps step names to new
-        :class:`~repro.core.vector.VectorStepSpec` instances.
-        """
-        return None
-
-    def plan_extract_factory(self) -> Optional[Callable]:
-        """A *frozen* replacement for :meth:`cram_extract_hop`.
-
-        Algorithms whose extraction reads live mutable state (e.g.
-        SAIL's ``default_hop``) return a closure over a snapshot of
-        that state; the plan compiler re-evaluates the factory at
-        compile and patch time, so in-place deltas never leak through
-        a compiled plan's extraction.  ``None`` keeps the bound method.
+        ``None`` (the default) means "not patchable — recompile"; a
+        dict maps step names the plan knows to new
+        :class:`~repro.core.vector.VectorStepSpec` instances (empty:
+        the delta touches no frozen view, though extraction is still
+        re-frozen).
         """
         return None
 
     def vector_extract_factory(self) -> Optional[Callable]:
-        """Frozen replacement for :meth:`vector_extract_hop` (see
-        :meth:`plan_extract_factory`)."""
+        """A *frozen* replacement for :meth:`vector_extract_hop`.
+
+        Algorithms whose extraction reads live mutable state (e.g.
+        SAIL's ``default_hop``) return a closure over a snapshot of
+        that state; the lane compiler re-evaluates the factory at
+        compile and patch time, so in-place deltas never leak through
+        a compiled kernel's extraction.  ``None`` keeps the bound
+        method.
+        """
         return None
 
     # ------------------------------------------------------------------
@@ -276,20 +270,6 @@ class LookupAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # Compiled plans (repro.core.plan / repro.engine)
     # ------------------------------------------------------------------
-    def plan_backings(self) -> Dict[str, Callable]:
-        """Uninstrumented table readers for the plan compiler.
-
-        Keyed by *step name*; each value replaces that step's table
-        backing in the compiled plan (see
-        :meth:`repro.core.plan.LookupPlan`).  Algorithms whose CRAM
-        programs bind instrumented bound methods (``Bitmap.test``,
-        ``DirectIndexTable.load``, …) override this to hand the
-        planner their memory simulators' ``plan_reader()`` snapshot
-        views instead.  The default exposes nothing; the compiler then
-        falls back to each table's live backing.
-        """
-        return {}
-
     def compile_plan(self):
         """This algorithm as a compiled :class:`~repro.core.plan.LookupPlan`."""
         from ..core.plan import LookupPlan
@@ -302,13 +282,12 @@ class LookupAlgorithm(abc.ABC):
     def vector_specs(self) -> Dict[str, "VectorStepSpec"]:
         """Per-step lowering specs for the lane compiler.
 
-        Keyed by *step name* (unknown names raise ``VectorError``, as
-        ``plan_backings`` does for the plan compiler); each value is a
-        :class:`~repro.core.vector.VectorStepSpec` describing the
-        step's selector/action as array kernels.  Lowering is
-        all-or-nothing: one step without a spec and the vector plan
-        holds no kernels, delegating every batch to the scalar plan —
-        correct, just not fast.  The default lowers nothing, so every
+        Keyed by *step name* (unknown names raise ``VectorError``);
+        each value is a :class:`~repro.core.vector.VectorStepSpec`
+        describing the step's selector/action as array kernels.
+        Lowering is all-or-nothing: one step without a spec and the
+        vector plan holds no kernels, delegating every batch to the
+        scalar plan — correct, just not fast.  The default lowers nothing, so every
         algorithm compiles out of the box.  Kernels keep the dtype
         contract of :func:`~repro.core.vector.key_dtype`: table keys
         come out of ``addr`` (``uint64`` at width 64) through

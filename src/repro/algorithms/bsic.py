@@ -320,7 +320,7 @@ class Bsic(LookupAlgorithm):
 
     def _compact(self) -> None:
         """Move the live trees into a fresh forest, repointing every
-        BST row.  Compiled plans keep their frozen readers of the old
+        BST row.  Compiled kernels keep their frozen columns of the old
         one until they are patched."""
         old = self.forest
         self.forest = BstForest(self.suffix_bits)
@@ -373,7 +373,7 @@ class Bsic(LookupAlgorithm):
                 f"bst_level_{level}", 0, size, self.forest.node_entry_bits,
                 key_selector=lambda s: None if s.get("done") or s.get("ptr") is None
                 else s["ptr"],
-                backing=lambda i, level=level: self.forest.node(level, i),
+                backing=lambda i, level=level: self.forest.levels[level][i],
             )
 
             def act(state: dict, result) -> None:
@@ -400,33 +400,12 @@ class Bsic(LookupAlgorithm):
         return state.get("best")
 
     # ------------------------------------------------------------------
-    # Compiled plans: frozen snapshot readers + delta patching
+    # Incremental commit pipeline: which kernels a delta invalidates
     # ------------------------------------------------------------------
-    def plan_backings(self):
-        """A frozen reader of the initial table, and the level tables
-        uncopied: they only append (a compaction starts a new forest),
-        so no frozen root leads to a row written after the plan
-        compiled and an in-place delta cannot show through it."""
-        backings = {"initial": self.initial.plan_reader()}
-        for level in range(self.forest.depth):
-            backings[f"bst_level_{level}"] = \
-                self.forest.levels[level].__getitem__
-        return backings
-
     def _fits(self, step_names) -> bool:
         """Whether a compiled step chain still reaches every level."""
         chain = sum(name.startswith("bst_level_") for name in step_names)
         return self.forest.depth <= chain
-
-    def plan_patch(self, delta, plan):
-        # A delta repoints initial rows at trees appended to the level
-        # tables (or at a compacted forest), so the initial reader
-        # re-freezes and the level readers rebind with it.  Steps below
-        # the live depth keep their old readers: no frozen root leads
-        # there.
-        if not self._fits(plan.step_names):
-            return None  # a tree outgrew the compiled chain: recompile
-        return self.plan_backings()
 
     def vector_patch(self, delta, vector_plan):
         if not self._fits(vector_plan.plan.step_names):

@@ -405,33 +405,10 @@ class Dxr(LookupAlgorithm):
         return state.get("best")
 
     # ------------------------------------------------------------------
-    # Compiled plans: frozen snapshot readers + delta patching
+    # Incremental commit pipeline: which kernels a delta invalidates
     # ------------------------------------------------------------------
-    def plan_backings(self):
-        """Frozen list snapshots of the initial and range tables, so an
-        in-place delta never leaks into an already-compiled plan."""
-        initial = list(self.initial)
-        ranges = list(self.ranges)
-        backings = {"initial": initial.__getitem__}
-        for level in range(self.search_depth):
-            backings[f"probe_{level}"] = ranges.__getitem__
-        return backings
-
     def _probe_steps(self, step_names):
         return [name for name in step_names if name.startswith("probe_")]
-
-    def plan_patch(self, delta, plan):
-        probes = self._probe_steps(plan.step_names)
-        if self.search_depth > len(probes):
-            return None  # the compiled probe chain is too shallow now
-        # Sections append (and compaction rewrites pointers), so every
-        # probe level and the initial table refresh together.
-        initial = list(self.initial)
-        ranges = list(self.ranges)
-        readers = {"initial": initial.__getitem__}
-        for name in probes:
-            readers[name] = ranges.__getitem__
-        return readers
 
     def vector_patch(self, delta, vector_plan):
         probes = self._probe_steps(vector_plan.plan.step_names)

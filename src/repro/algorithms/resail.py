@@ -326,7 +326,7 @@ class Resail(LookupAlgorithm):
             table = direct_index_table(
                 f"B{i}", i, 1,
                 key_selector=lambda s, i=i: s["addr"] >> (IPV4_WIDTH - i),
-                backing=self.bitmaps[i].test, default=False,
+                backing=self.bitmaps[i], default=False,
             )
 
             def act(state: dict, result, i=i) -> None:
@@ -349,7 +349,7 @@ class Resail(LookupAlgorithm):
 
         hash_spec = exact_table(
             "next-hop hash", HASH_KEY_BITS, self.hash_table.allocated_cells,
-            NEXT_HOP_BITS, key_selector=hash_key, backing=self.hash_table.lookup,
+            NEXT_HOP_BITS, key_selector=hash_key, backing=self.hash_table,
         )
 
         def resolve(state: dict, result) -> None:
@@ -366,18 +366,8 @@ class Resail(LookupAlgorithm):
         )
         return prog
 
-    def plan_backings(self):
-        """Snapshot readers for the plan compiler, one per CRAM step:
-        the frozen look-aside TCAM index, byte-packed bitmaps, and the
-        d-left table flattened to a single hash probe."""
-        backings = {"look-aside": self.look_aside.plan_reader(),
-                    "hash": self.hash_table.plan_reader()}
-        for i in range(self.min_bmp, PIVOT_LEVEL + 1):
-            backings[f"bitmap_{i}"] = self.bitmaps[i].plan_reader()
-        return backings
-
     # ------------------------------------------------------------------
-    # Incremental commit pipeline: which plan steps a delta invalidates
+    # Incremental commit pipeline: which kernels a delta invalidates
     # ------------------------------------------------------------------
     def _delta_steps(self, delta):
         steps = set()
@@ -396,21 +386,6 @@ class Resail(LookupAlgorithm):
                 steps.add("hash")
                 steps.add(f"bitmap_{self.min_bmp}")
         return steps
-
-    def plan_patch(self, delta, plan):
-        # Handing each step's previous reader back re-freezes it from
-        # the backing's write log — O(delta), not O(table).
-        readers = {}
-        for step in self._delta_steps(delta):
-            prev = plan.step_reader(step) if plan is not None else None
-            if step == "look-aside":
-                readers[step] = self.look_aside.plan_reader()
-            elif step == "hash":
-                readers[step] = self.hash_table.plan_reader(prev)
-            else:
-                level = int(step.rsplit("_", 1)[1])
-                readers[step] = self.bitmaps[level].plan_reader(prev)
-        return readers
 
     def vector_patch(self, delta, vector_plan):
         specs = {}

@@ -211,7 +211,7 @@ class Sail(LookupAlgorithm):
             table = direct_index_table(
                 f"B{i}", i, 1,
                 key_selector=lambda s, i=i: s["addr"] >> (IPV4_WIDTH - i),
-                backing=self.bitmaps[i].test,
+                backing=self.bitmaps[i],
                 default=False,
             )
 
@@ -229,7 +229,7 @@ class Sail(LookupAlgorithm):
 
             table = direct_index_table(
                 f"N{i}", i, NEXT_HOP_BITS,
-                key_selector=select, backing=self.arrays[i].load,
+                key_selector=select, backing=self.arrays[i],
             )
 
             def act(state: dict, result, i=i) -> None:
@@ -242,10 +242,8 @@ class Sail(LookupAlgorithm):
                         writes=["hop", "done"], action=act)
 
         def chunk_step() -> Step:
-            # Membership lives in the *reader*, not the selector: the
-            # backing answers None for un-chunked slots, so the compiled
-            # plan can swap in a frozen chunk snapshot without any live
-            # `in self.chunks` check leaking through the key selector.
+            # Membership lives in the reader, not the selector: the
+            # backing answers None for un-chunked slots.
             def select(s: dict):
                 if not s.get(f"hit_{PIVOT_LEVEL}"):
                     return None
@@ -288,45 +286,6 @@ class Sail(LookupAlgorithm):
         hop = state.get("hop")
         return hop if hop is not None else self.default_hop
 
-    def plan_backings(self):
-        """Snapshot readers for the plan compiler: byte-packed bitmaps,
-        plain dict views of the next-hop arrays, and a frozen chunk
-        snapshot (so in-place deltas never leak into compiled plans)."""
-        backings = {}
-        for i in range(1, PIVOT_LEVEL + 1):
-            backings[f"bitmap_{i}"] = self.bitmaps[i].plan_reader()
-            backings[f"array_{i}"] = self.arrays[i].plan_reader()
-        backings["chunk_24"] = self._chunk_reader()
-        return backings
-
-    def _chunk_reader(self):
-        """A frozen reader over the current chunk store.
-
-        A shallow dict copy freezes it: :meth:`_rebuild_chunk` always
-        assigns a *new* hop list, never mutates one in place.
-        """
-        chunks = dict(self.chunks)
-        shift = IPV4_WIDTH - PIVOT_LEVEL
-        mask = CHUNK_SIZE - 1
-
-        def load(address: int):
-            chunk = chunks.get(address >> shift)
-            if chunk is None:
-                return None
-            return chunk[address & mask]
-
-        return load
-
-    def plan_extract_factory(self):
-        """Extraction frozen over the current default hop."""
-        default = self.default_hop
-
-        def extract(state: dict):
-            hop = state.get("hop")
-            return hop if hop is not None else default
-
-        return extract
-
     def vector_extract_factory(self):
         default = self.default_hop
 
@@ -341,7 +300,7 @@ class Sail(LookupAlgorithm):
         return extract
 
     # ------------------------------------------------------------------
-    # Incremental commit pipeline: which plan steps a delta invalidates
+    # Incremental commit pipeline: which kernels a delta invalidates
     # ------------------------------------------------------------------
     def _delta_steps(self, delta):
         """Step names whose backings ``delta`` may have changed."""
@@ -359,23 +318,6 @@ class Sail(LookupAlgorithm):
                 steps.add(f"bitmap_{length}")
                 steps.add(f"array_{length}")
         return steps
-
-    def plan_patch(self, delta, plan):
-        readers = {}
-        for step in self._delta_steps(delta):
-            if step == "chunk_24":
-                readers[step] = self._chunk_reader()
-            else:
-                kind, level = step.rsplit("_", 1)
-                if kind == "bitmap":
-                    # Incremental re-freeze: replay the bitmap's write
-                    # log into the previous compile's reader.
-                    prev = plan.step_reader(step) if plan is not None \
-                        else None
-                    readers[step] = self.bitmaps[int(level)].plan_reader(prev)
-                else:
-                    readers[step] = self.arrays[int(level)].plan_reader()
-        return readers
 
     def vector_patch(self, delta, vector_plan):
         specs = {}

@@ -10,8 +10,8 @@ the currency of the incremental commit pipeline:
   undoing partial progress via :meth:`DeltaOp.inverse` when a fault
   interrupts the batch;
 * :class:`~repro.engine.BatchEngine` hands it to the algorithm's
-  ``plan_patch`` / ``vector_patch`` hooks so compiled plans re-derive
-  only the touched steps;
+  ``vector_patch`` hook so a compiled vector plan re-freezes only the
+  touched steps;
 * :class:`~repro.server.procpool.ForkedReplica` ships its
   :meth:`FibDelta.wire_ops` net effect to its child instead of a
   whole-FIB snapshot.

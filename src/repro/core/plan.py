@@ -16,10 +16,9 @@ schedule, and its table bindings are all fixed between route updates.
   ``(key_selector, reader, action)`` triple.  The reader bypasses the
   :meth:`~repro.core.table.TableSpec.lookup` backing dispatch (and its
   per-access :class:`~repro.obs.AccessStats` bookkeeping): memory
-  backings expose an uninstrumented ``plan_reader()`` view —
-  bit-packed ``bytes`` for bitmaps, flat dict views for SRAM/d-left,
-  a frozen group index for TCAM — and algorithms may override readers
-  per step via :meth:`~repro.algorithms.base.LookupAlgorithm.plan_backings`.
+  backings expose ``plan_reader()``, their live, uninstrumented read —
+  a ``memoryview`` index for bitmaps, ``dict.get`` for SRAM, the
+  bucket walk for d-left, the group walk for TCAM.  Nothing is copied.
 * The register file is a single dict, reset from a precomputed base
   state (all registers ``None`` plus ``cram_initial_state()``) and
   reused across a batch, so the steady-state loop allocates nothing
@@ -32,10 +31,15 @@ the same guarantee the interpreter itself leans on.  The conformance
 suite (``tests/test_engine_conformance.py``) pins plan == interpreter
 == trie oracle for every algorithm in the package.
 
-A plan is a *snapshot*: it binds the tables as they are at compile
-time.  After any route update, recompile (``compile_plan(algo)``);
-:class:`repro.engine.BatchEngine` does this automatically on every
-committed :class:`~repro.control.ManagedFib` batch.
+A plan reads the *live* tables: an in-place delta shows through at
+once, so a plan stays exact across the deltas that keep its step list
+(every delta of SAIL and RESAIL; DXR's and BSIC's unless a search
+chain outgrew it).  Anything else — a rebuilt structure, a deeper
+chain — needs a recompile (``compile_plan(algo)``), which
+:class:`repro.engine.BatchEngine` does whenever it cannot patch.  A
+live read is not a consistent one under a concurrent writer, so a
+thread-mode :class:`repro.server.LookupServer` refuses a plan that did
+not lower to the frozen lane kernels (:mod:`repro.core.vector`).
 """
 
 from __future__ import annotations
@@ -58,8 +62,8 @@ def _raw_reader(table) -> Callable[[Any], Any]:
 
     Mirrors :meth:`TableSpec.lookup`'s dispatch order (search / load /
     lookup / test / callable) but resolves it once, at compile time,
-    and prefers the backing's ``plan_reader()`` snapshot view when the
-    memory simulator provides one.
+    and prefers the backing's ``plan_reader()`` when the memory
+    simulator provides one.
     """
     backing = table.backing
     if backing is None:
@@ -76,7 +80,7 @@ def _raw_reader(table) -> Callable[[Any], Any]:
     raise PlanError(f"table {table.name!r} backing is not executable")
 
 
-def _compile_step(step: Step, reader_override) -> Callable[[dict], None]:
+def _compile_step(step: Step) -> Callable[[dict], None]:
     """One step as a single ``runner(state)`` callable."""
     action = step.action
     if action is None:
@@ -90,7 +94,7 @@ def _compile_step(step: Step, reader_override) -> Callable[[dict], None]:
     select = step.table.key_selector
     if select is None:
         raise PlanError(f"step {step.name!r} has a table but no key selector")
-    raw = reader_override if reader_override is not None else _raw_reader(step.table)
+    raw = _raw_reader(step.table)
     default = step.table.default
     if default is None:
         def run_table(state, _select=select, _raw=raw, _action=action):
@@ -115,21 +119,8 @@ class LookupPlan:
     def __init__(self, algo, program: Optional[CramProgram] = None):
         program = program if program is not None else algo.cram_program()
         program.validate()
-        backings: Dict[str, Callable] = dict(algo.plan_backings())
-        step_names: List[str] = []
-        runners: List[Callable[[dict], None]] = []
-        readers: Dict[str, Optional[Callable]] = {}
         waves = program.parallel_schedule()
-        for wave in waves:
-            for name in wave:
-                step_names.append(name)
-                reader = backings.pop(name, None)
-                readers[name] = reader
-                runners.append(_compile_step(program.step(name), reader))
-        if backings:
-            raise PlanError(
-                f"plan_backings for unknown steps: {sorted(backings)}"
-            )
+        step_names = [name for wave in waves for name in wave]
         if "addr" not in program.registers:
             raise PlanError("program declares no 'addr' register")
         base: Dict[str, Any] = {name: None for name in program.registers}
@@ -148,44 +139,9 @@ class LookupPlan:
         #: Wave count of the source schedule (depth, not work).
         self.wave_count = len(waves)
         self._base = base
-        self._runners = list(runners)
-        self._index = {name: i for i, name in enumerate(step_names)}
-        self._readers = readers
-        self._algo = algo
-        self._bind_extract()
-
-    def _bind_extract(self) -> None:
-        """Bind extraction, preferring the algorithm's frozen factory."""
-        frozen = self._algo.plan_extract_factory()
-        self._extract = frozen if frozen is not None \
-            else self._algo.cram_extract_hop
-
-    def patch(self, readers: Dict[str, Callable]) -> None:
-        """Rebind the named steps' table readers in place.
-
-        ``readers`` comes from the algorithm's ``plan_patch(delta)``
-        hook: frozen snapshot readers for exactly the steps a committed
-        delta invalidated.  Every other runner (and the schedule, base
-        state, and register layout — none of which a route update can
-        change) is reused as-is, making a patch O(touched steps)
-        instead of O(program).  Extraction is re-frozen too, since
-        factory-frozen state (e.g. SAIL's default hop) may have moved.
-        """
-        program = self.program
-        for name, reader in readers.items():
-            index = self._index.get(name)
-            if index is None:
-                raise PlanError(f"plan_patch for unknown step: {name!r}")
-            self._runners[index] = _compile_step(program.step(name), reader)
-            self._readers[name] = reader
-        self._bind_extract()
-
-    def step_reader(self, name: str):
-        """The snapshot reader ``name`` was compiled against, or
-        ``None`` when the step compiled against its raw backing.
-        ``plan_patch`` hooks hand it back to the backing's
-        ``plan_reader(prev=...)`` for an incremental re-freeze."""
-        return self._readers.get(name)
+        self._runners = [_compile_step(program.step(name))
+                         for name in step_names]
+        self._extract = algo.cram_extract_hop
 
     def __len__(self) -> int:
         return len(self._runners)

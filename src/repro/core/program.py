@@ -78,12 +78,12 @@ class CramProgram:
             raise KeyError(f"unknown step {missing!r}")
         if first == then:
             raise ValueError("a step cannot depend on itself")
+        # The graph is acyclic, so the new edge closes a cycle exactly
+        # when ``then`` already reaches ``first``.
+        if self._path_exists(then, first):
+            raise DependencyError(f"edge {first} -> {then} creates a cycle")
         self._succ[first].add(then)
         self._pred[then].add(first)
-        if self._has_cycle():
-            self._succ[first].discard(then)
-            self._pred[then].discard(first)
-            raise DependencyError(f"edge {first} -> {then} creates a cycle")
 
     def infer_dependencies(self) -> None:
         """Order conflicting steps by insertion order (compiler default)."""
@@ -204,13 +204,6 @@ class CramProgram:
         if len(out) != len(self._steps):
             raise DependencyError("dependency graph contains a cycle")
         return out
-
-    def _has_cycle(self) -> bool:
-        try:
-            self._topological_order()
-        except DependencyError:
-            return True
-        return False
 
     def _path_exists(self, src: str, dst: str) -> bool:
         frontier = [src]

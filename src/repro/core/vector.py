@@ -23,7 +23,8 @@ The execution model:
   ones.  The kernels of one parallel CRAM level can share a lane
   matrix, one row each.
 * **Vector table views.**  Memory backings grow ``vector_reader()``
-  snapshot views alongside ``plan_reader()``: bitmaps as packed
+  snapshot views beside the scalar plan's live ``plan_reader()``:
+  bitmaps as packed
   ``uint8`` arrays gathered by an index vector
   (:class:`BitmapView`), SRAM/d-left dict views densified into
   index → value arrays (:class:`DenseArrayView`, with a sorted-key
@@ -48,10 +49,13 @@ The execution model:
   algorithms lower fully at every width up to 64, the IPv6 view
   included; a VRF-tagged IPv6 key (idiom I5) is wider and delegates.
 
-Like a :class:`~repro.core.plan.LookupPlan`, a vector plan is a
-**snapshot**: its views freeze the tables at compile time, and it must
-be recompiled after updates (:class:`repro.engine.BatchEngine` does so
-on every committed batch).
+Unlike the :class:`~repro.core.plan.LookupPlan` it embeds, which reads
+the live tables, a lowered vector plan is a **snapshot**: its views
+freeze the tables at compile time, and an update reaches it only
+through :meth:`VectorPlan.patch` or a recompile
+(:class:`repro.engine.BatchEngine` does one or the other on every
+committed batch).  That is what makes it safe to serve while a commit
+mutates the tables on another thread.
 """
 
 from __future__ import annotations
@@ -848,8 +852,7 @@ class VectorPlan:
 
         Returns an ``int64`` array of next hops with :data:`MISS_HOP`
         in no-route lanes.  A plan that did not lower runs the batch
-        through the embedded scalar plan instead: same snapshot, same
-        answers.  An address the lane dtype cannot hold is outside
+        through the embedded scalar plan instead, on the live tables.  An address the lane dtype cannot hold is outside
         ``[0, 2**width)``: ``ValueError`` (a non-integer: ``TypeError``).
         In-dtype but out-of-width values are admission's check
         (``LookupServer.submit``), not a per-batch array pass.

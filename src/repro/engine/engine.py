@@ -4,11 +4,12 @@
 
 * packets run through its lane-compiled
   :class:`~repro.core.vector.VectorPlan`, where each step executes once
-  per batch as a NumPy kernel.  The plan alone decides kernels vs
-  scalar: one that did not lower (a step without an array form, or a
-  key wider than 64 bits) hands every batch to the
-  :class:`~repro.core.plan.LookupPlan` it embeds, and
-  :attr:`BatchEngine.active_backend` reports which of the two it is;
+  per batch as a NumPy kernel over frozen table views.  The plan alone
+  decides kernels vs scalar: one that did not lower (a step without an
+  array form, or a key wider than 64 bits) hands every batch to the
+  :class:`~repro.core.plan.LookupPlan` it embeds, which reads the live
+  tables, and :attr:`BatchEngine.active_backend` reports which of the
+  two it is;
 * an optional :class:`~repro.engine.cache.FibCache` answers hot
   addresses before the plan runs at all;
 * every lookup, batch, cache hit/miss, invalidation, and plan
@@ -18,17 +19,17 @@ The engine stays correct under churn by *subscribing to commits*:
 :meth:`over_managed` registers a commit listener on a
 :class:`~repro.control.ManagedFib`, and every landed batch (applied or
 rebuilt) triggers :meth:`refresh` — rebind to the newly committed
-structure, recompile the plan, and invalidate exactly the cache
-entries covered by the batch's touched prefixes.  Rolled-back batches
-leave the committed structure untouched, so no listener fires and the
-cache stays valid by construction.
+structure, patch or recompile the vector plan, and invalidate exactly
+the cache entries covered by the batch's touched prefixes.  Rolled-back
+batches leave the committed structure untouched, so no listener fires
+and the cache stays valid by construction.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.plan import LookupPlan, PlanError
+from ..core.plan import LookupPlan
 from ..core.vector import VectorError, VectorPlan, compile_vector_plan
 from ..obs import MetricsRegistry
 from ..prefix.prefix import Prefix
@@ -216,12 +217,13 @@ class BatchEngine:
 
         ``delta`` is the committed :class:`~repro.control.FibDelta`
         when the runtime applied the batch in place.  If the algorithm
-        can localise it (``plan_patch``/``vector_patch`` return step
-        readers/specs), the existing plans are patched instead of
+        can localise it (``vector_patch`` returns step specs), the
+        lowered plan's kernels are re-frozen in place instead of
         recompiled — O(touched steps), not O(program) — counted in
         ``repro_engine_plan_patches_total``.  Any ``None`` hook answer,
         a delta over :attr:`patch_threshold`, a rebuilt (new) structure,
-        or a patch failure falls back to the full recompile.
+        a plan that did not lower, or a patch failure falls back to the
+        full recompile.
         """
         same_structure = algo is None or algo is self._algo
         if algo is not None:
@@ -241,32 +243,25 @@ class BatchEngine:
             self._cache_entries.set(len(cache), engine=self.name)
 
     def _try_patch(self, delta) -> bool:
-        """Patch the compiled plans in place for ``delta`` if possible.
+        """Patch the vector plan in place for ``delta`` if possible.
 
-        Returns True only when every active plan was patched.  On a
-        mid-patch failure the plans are left to the caller's full
+        The scalar plan inside needs nothing: it reads the live tables.
+        So a plan that did not lower has no frozen state to patch, and
+        recompiles instead — its step chain may have to grow.  On a
+        mid-patch failure the plan is left to the caller's full
         recompile, which overwrites any partial state.
         """
-        if delta is None or not self.patch_threshold \
+        vector = self._vector
+        if delta is None or not vector.fully_lowered \
+                or not self.patch_threshold \
                 or len(delta) > self.patch_threshold:
             return False
-        algo, vector = self._algo, self._vector
         try:
-            readers = algo.plan_patch(delta, vector.plan)
-            if readers is None:
+            specs = self._algo.vector_patch(delta, vector)
+            if specs is None:
                 return False
-            # A vector plan that did not lower holds no kernels: it
-            # delegates to the (patched) scalar plan, nothing to re-freeze.
-            lowered = vector.fully_lowered
-            specs = None
-            if lowered:
-                specs = algo.vector_patch(delta, vector)
-                if specs is None:
-                    return False
-            vector.plan.patch(readers)
-            if lowered:
-                vector.patch(specs)
-        except (PlanError, VectorError):
+            vector.patch(specs)
+        except VectorError:
             return False
         return True
 

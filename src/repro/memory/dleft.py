@@ -23,12 +23,6 @@ from .sram import FreezeLog
 V = TypeVar("V")
 
 
-class _FrozenDict(dict):
-    """A flat snapshot dict stamped with the write-log version it is
-    synced to (see :meth:`DLeftHashTable.plan_reader`)."""
-
-    __slots__ = ("version",)
-
 #: The paper's provisioning rule: 25% more cells than entries.
 DLEFT_OVERHEAD = 0.25
 
@@ -95,7 +89,7 @@ class DLeftHashTable(Generic[V]):
         self._overflow: List[Tuple[int, V]] = []
         self._count = 0
         #: ``(key, data)`` per insert/overwrite, ``(key, None)`` per
-        #: delete: a flat snapshot handed back as ``prev`` replays the
+        #: delete: a vector view handed back as ``prev`` replays the
         #: tail instead of re-flattening every bucket.
         self.log = FreezeLog()
 
@@ -184,41 +178,23 @@ class DLeftHashTable(Generic[V]):
             flat[key] = data
         return flat
 
-    def plan_reader(self, prev=None):
-        """Uninstrumented snapshot reader for compiled lookup plans.
-
-        Flattens the d sub-tables and the overflow area into one plain
-        dict (keys are unique across cells, so order does not matter):
-        a compiled plan then pays one hash probe instead of walking d
-        candidate buckets with accounting on each.  ``prev`` (the
-        previous compile's reader) is re-frozen incrementally by
-        replaying the write log into its dict — O(delta), not
-        O(entries).
+    def plan_reader(self):
+        """The live read a compiled lookup plan binds: :meth:`lookup`'s
+        bucket walk without its accounting.  It walks whatever buckets
+        the table holds when called, so an auto-grow rehash shows
+        through like any other write.
         """
-        flat = getattr(prev, "__self__", None)
-        if isinstance(flat, _FrozenDict):
-            tail = self.log.tail(flat.version)
-            if tail is not None:
-                for key, data in tail:
-                    if data is None:
-                        flat.pop(key, None)
-                    else:
-                        flat[key] = data
-                flat.version = self.freeze_version
-                return prev
-        self.log.arm()
-        flat = _FrozenDict(self._flatten())
-        flat.version = self.freeze_version
-        return flat.get
+        return self._find
 
     def vector_reader(self, prev=None):
         """Batch-gather snapshot view for the lane compiler.
 
-        Flattens the sub-tables like :meth:`plan_reader`, then builds a
-        sorted-key probe view (d-left key spaces are far too wide to
-        densify).  ``None`` when stored data is not int-like.  ``prev``
-        re-freezes the previous compile's view by patching its sorted
-        arrays with the write log's net effect.
+        Flattens the sub-tables and the overflow area (keys are unique
+        across cells), then builds a sorted-key probe view (d-left key
+        spaces are far too wide to densify).  ``None`` when stored data
+        is not int-like.  ``prev`` re-freezes the previous compile's
+        view by patching its sorted arrays with the write log's net
+        effect.
         """
         from ..core.vector import SparseMapView, map_view, patch_sparse_view
 
@@ -237,26 +213,32 @@ class DLeftHashTable(Generic[V]):
             view.version = self.freeze_version
         return view
 
-    def lookup(self, key: int) -> Optional[V]:
-        """Exact-match lookup across the d candidate buckets."""
-        stats = self.stats
-        stats.reads += 1
-        for sub in range(self.d):
-            bucket = self._buckets[sub][self._bucket_index(key, sub)]
-            for existing, data in bucket:
+    def _find(self, key: int) -> Optional[V]:
+        """The d candidate buckets, then the overflow area."""
+        buckets = self.buckets_per_subtable
+        for sub, subtable in enumerate(self._buckets):
+            # _bucket_index, inlined: this is the scalar plan's probe.
+            mixed = (key + sub + 1) * _MIXERS[sub] & 0xFFFFFFFFFFFFFFFF
+            for existing, data in subtable[(mixed >> 17) % buckets]:
                 if existing == key:
-                    stats.hits += 1
-                    if stats.hit_tally is not None:
-                        stats.hit_tally[key] += 1
                     return data
         for existing, data in self._overflow:
             if existing == key:
-                stats.hits += 1
-                if stats.hit_tally is not None:
-                    stats.hit_tally[key] += 1
                 return data
-        stats.misses += 1
         return None
+
+    def lookup(self, key: int) -> Optional[V]:
+        """Exact-match lookup across the d candidate buckets."""
+        result = self._find(key)
+        stats = self.stats
+        stats.reads += 1
+        if result is None:
+            stats.misses += 1
+        else:
+            stats.hits += 1
+            if stats.hit_tally is not None:
+                stats.hit_tally[key] += 1
+        return result
 
     def delete(self, key: int) -> None:
         """Remove ``key``; raises ``KeyError`` if absent."""

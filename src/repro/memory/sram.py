@@ -34,7 +34,7 @@ FREEZE_LOG_CAP = 1 << 15
 class FreezeLog:
     """A table's incremental-freeze write log.
 
-    Armed by the first snapshot reader, then every write lands here
+    Armed by the first vector view, then every write lands here
     too.  A frozen view carries the log ``version`` it is synced to;
     handed back on the next freeze, it catches up by replaying just the
     :meth:`tail` instead of re-copying the table.
@@ -132,21 +132,19 @@ class DirectIndexTable(Generic[V]):
         return iter(sorted(self._slots.items()))
 
     def plan_reader(self):
-        """An uninstrumented snapshot reader for compiled lookup plans.
-
-        Returns a plain ``dict.get`` over a copy of the slots: no
-        bounds check, no :class:`AccessStats` accounting, and no view
-        of later mutations — plans recompile after updates.
+        """The live read a compiled lookup plan binds: ``dict.get`` on
+        the slots themselves — no copy, no bounds check, no
+        :class:`AccessStats` accounting.  Later writes show through.
         """
-        return dict(self._slots).get
+        return self._slots.get
 
     def vector_reader(self):
         """A batch-gather snapshot view for the lane compiler.
 
         Dense index → value arrays when the key space is small enough,
         a sorted-key probe view otherwise; ``None`` when the stored
-        values are not int-like (the plan then does not lower).
-        Frozen like :meth:`plan_reader` — recompile after updates.
+        values are not int-like (the plan then does not lower).  A
+        copy: later writes need a recompile or a patch.
         """
         return map_view(self._slots, self.key_width, capacity=self.capacity)
 
@@ -202,8 +200,8 @@ class ExactMatchTable(Generic[V]):
         return iter(sorted(self._slots.items()))
 
     def plan_reader(self):
-        """Uninstrumented snapshot reader (see :meth:`DirectIndexTable.plan_reader`)."""
-        return dict(self._slots).get
+        """The live read (see :meth:`DirectIndexTable.plan_reader`)."""
+        return self._slots.get
 
     def vector_reader(self):
         """Batch-gather snapshot view (see :meth:`DirectIndexTable.vector_reader`)."""
@@ -224,7 +222,7 @@ class Bitmap:
         self.name = name
         self.stats = AccessStats(name)
         self._bits = np.zeros(1 << index_width, dtype=bool)
-        #: ``(index, value)`` per write once a snapshot reader armed it.
+        #: ``(index, value)`` per write once a vector view armed it.
         self.log = FreezeLog()
 
     @classmethod
@@ -292,55 +290,29 @@ class Bitmap:
             for index in index_array.tolist():
                 self.log.record((index, 1))
 
-    def _replay(self, synced: int, apply) -> bool:
-        """Replay the log tail past ``synced`` into an old snapshot via
-        ``apply(index, value)``; False when the view predates the log
-        (or the trimmed tail) and must be rebuilt from scratch."""
-        tail = self.log.tail(synced)
-        if tail is None:
-            return False
-        for index, value in tail:
-            apply(index, value)
-        return True
+    def plan_reader(self):
+        """The live read a compiled lookup plan binds: a
+        ``memoryview`` over the bit buffer itself, indexed at C speed
+        into a Python ``bool`` — no copy, no accounting.  Later writes
+        show through.
+        """
+        return memoryview(self._bits).__getitem__
 
-    def plan_reader(self, prev=None):
-        """Uninstrumented snapshot reader over a flat byte copy.
-
-        One byte per slot: indexing a ``bytearray`` is a plain C-speed
-        int load, far cheaper than a numpy scalar read, and the copy
-        freezes the bitmap for the lifetime of the compiled plan.
-        Passing the previous compile's reader as ``prev`` re-freezes it
+    def vector_reader(self, prev=None):
+        """Batch-gather snapshot view: a ``uint8`` copy, one per slot,
+        which the lane compiler gathers whole index vectors from in one
+        fancy-index.  ``prev`` (the previous compile's view) re-freezes
         incrementally: the write log since its version is replayed into
         its buffer — O(delta), not O(capacity).
         """
-        packed_prev = getattr(prev, "packed", None)
-        if packed_prev is not None and self._replay(
-                getattr(prev, "freeze_version", None),
-                packed_prev.__setitem__):
-            prev.freeze_version = self.freeze_version
-            return prev
-        self.log.arm()
-        packed = bytearray(self._bits.tobytes())
-
-        def reader(index, _packed=packed):
-            return _packed[index] != 0
-
-        reader.packed = packed
-        reader.freeze_version = self.freeze_version
-        return reader
-
-    def vector_reader(self, prev=None):
-        """Batch-gather snapshot view: one ``uint8`` per slot.
-
-        The copy freezes the bitmap like :meth:`plan_reader`; the lane
-        compiler gathers whole index vectors from it in one fancy-index.
-        ``prev`` re-freezes the previous compile's view incrementally,
-        like :meth:`plan_reader`.
-        """
-        if isinstance(prev, BitmapView) and self._replay(
-                prev.version, prev.packed.__setitem__):
-            prev.version = self.freeze_version
-            return prev
+        if isinstance(prev, BitmapView):
+            tail = self.log.tail(prev.version)
+            if tail is not None:
+                packed = prev.packed
+                for index, value in tail:
+                    packed[index] = value
+                prev.version = self.freeze_version
+                return prev
         self.log.arm()
         return BitmapView(self._bits.astype(np.uint8), self.freeze_version)
 

@@ -182,14 +182,12 @@ class TcamTable(Generic[V]):
         return None
 
     def plan_reader(self):
-        """Uninstrumented snapshot search for compiled lookup plans.
-
-        Freezes the (priority, mask) group index: the returned closure
-        walks the same lowest-priority-first groups as :meth:`search`
-        but skips access accounting.
+        """The live search a compiled lookup plan binds: the walk of
+        :meth:`search` without its accounting, over the group index
+        itself — every write maintains it in place, so nothing is
+        copied and later writes show through.
         """
-        groups = {key: dict(group) for key, group in self._groups.items()}
-        order = list(self._group_order)
+        groups, order = self._groups, self._group_order
 
         def search(key: int):
             for group_key in order:
@@ -218,8 +216,7 @@ class TcamTable(Generic[V]):
         only int-like data is accepted.  Returns ``None`` — the step
         then has no kernel — when any data cannot be encoded.  Keys and
         masks have the :func:`key_dtype` of ``key_width``.  Mutations
-        after the snapshot are invisible, exactly like
-        :meth:`plan_reader`.
+        after the snapshot are invisible until it is re-frozen.
 
         ``prev`` (the previous freeze's group view) is re-frozen
         incrementally: the rows the write log names since its version

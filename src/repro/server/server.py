@@ -18,7 +18,12 @@ replica (recompile/patch + targeted cache invalidation in-thread, a
 shipped delta or FIB snapshot to a forked child), and releases.  Every
 batch therefore executes entirely within one epoch: no lookup can
 observe a half-applied update, and rolled-back batches — which never
-notify — leave the serving plan untouched.
+notify — leave the serving plan untouched.  The rule leans on the
+replicas reading frozen kernel views: an in-place delta mutates the
+live tables *before* the gate is taken, so thread mode refuses (with
+``ValueError``) a plan that did not lower, whose scalar plan reads
+those tables directly.  A forked child applies its deltas between its
+own batches and serves such a plan.
 
 Fault tolerance (``docs/robustness.md`` has the full fault model):
 
@@ -322,6 +327,14 @@ class LookupServer:
                             name=f"{name}-w{i}")
                 for i in range(workers)
             ]
+            if not engines[0].vector_plan.fully_lowered:
+                # Its scalar plan would read the tables a commit is
+                # mutating on another thread; a forked child applies
+                # its deltas between batches.
+                raise ValueError(
+                    f"{algo.name}: the plan did not lower to lane kernels, "
+                    "and thread replicas would read live tables under "
+                    "concurrent commits; serve it with mode='process'")
             if chaos is not None:
                 from ..chaos.plan import ChaosEngine
                 engines = [ChaosEngine(engine, chaos, i)

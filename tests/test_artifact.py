@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import Dxr, Resail, Sail
-from repro.algorithms.base import UpdateUnsupported
 from repro.artifact import (
     ArtifactCatalog,
     ArtifactCorruptError,
@@ -42,6 +41,7 @@ from repro.artifact import (
     ArtifactVersionError,
 )
 from repro.artifact.format import MAGIC, _align, _PREFIX
+from repro.control import ANNOUNCE, ManagedFib, RuntimePolicy, UpdateOp
 from repro.datasets import small_example_fib
 from repro.prefix.prefix import Prefix
 from repro.prefix.trie import Fib
@@ -117,25 +117,25 @@ def test_round_trip_bit_exact(tmp_path_factory, label, width, factory,
         vplan.lookup_batch(probes).tolist()
 
     # Churn on top of the loaded base: the warm structure must keep
-    # absorbing updates exactly like the cold one.  DXR has no
-    # in-place insert (the managed runtime rebuilds it), so churn
-    # there goes through a rebuild from the updated FIB instead.
-    churn = data.draw(fib_triples(width), label="churn")
-    for bits, length, hop in churn:
-        prefix = Prefix.from_bits(bits % (1 << length) if length else 0,
-                                  length, width)
-        fib.insert(prefix, hop)
-        try:
-            algo.insert(prefix, hop)
-            warm.insert(prefix, hop)
-        except UpdateUnsupported:
-            algo = factory(fib)
-            warm = factory(fib)
-    probes = _probes(fib)
-    want = [fib.lookup(a) for a in probes]
-    assert list(warm.compile_plan().lookup_batch(probes)) == want
-    assert warm.compile_vector_plan().lookup_batch_hops(probes) == want
-    assert list(algo.compile_plan().lookup_batch(probes)) == want
+    # absorbing updates exactly like the cold one, through the delta
+    # path a served warm start takes (DXR has no per-route insert; its
+    # deltas re-derive slices in place).
+    churn = [
+        UpdateOp(ANNOUNCE, Prefix.from_bits(
+            bits % (1 << length) if length else 0, length, width), hop)
+        for bits, length, hop in data.draw(fib_triples(width),
+                                           label="churn")]
+    for structure in (algo, warm):
+        managed = ManagedFib(factory, fib, algo=structure,
+                             policy=RuntimePolicy(check_every=0,
+                                                  guard_every=0))
+        assert managed.apply_batch(churn) in ("batch_applied",
+                                              "batch_rebuilt")
+        probes = _probes(managed.oracle)
+        want = [managed.oracle.lookup(a) for a in probes]
+        assert list(managed.algo.compile_plan().lookup_batch(probes)) == want
+        assert managed.algo.compile_vector_plan().lookup_batch_hops(
+            probes) == want
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import repro.algorithms.bsic as bsic_module
 import repro.memory.dleft as dleft_module
 import repro.memory.sram as sram_module
 import repro.memory.tcam as tcam_module
-from repro.algorithms import Bsic, Resail
+from repro.algorithms import Bsic, Dxr, Resail, Sail
 from repro.chaos import ChaosPlan
 from repro.cli import ALGORITHM_FACTORIES
 from repro.control import (
@@ -179,6 +179,7 @@ def _assert_delta_equals_scratch(managed, engine, factory, probes):
     oracle = managed.oracle
     expected = [oracle.lookup(a) for a in probes]
     assert engine.lookup_batch(probes) == expected
+    assert engine.plan.lookup_batch(probes) == expected  # live reads
     scratch = factory(oracle.copy())
     scratch_plan = compile_plan(scratch)
     assert [scratch_plan.lookup(a) for a in probes] == expected
@@ -273,7 +274,7 @@ def test_patch_threshold_escape_hatch():
 
 
 # ---------------------------------------------------------------------------
-# BSIC: slice-local deltas behind frozen plan readers
+# BSIC: slice-local deltas behind frozen kernel views
 # ---------------------------------------------------------------------------
 
 #: The paper's two configurations: IPv4 k=16, IPv6 k=24 (uint64 address
@@ -462,13 +463,14 @@ def test_bsic_depth_growth_declines_the_patch(width, k, extra):
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_bsic_compaction_and_frozen_plans(width, k, seed):
-    """Dead nodes are shed once they outnumber the live ones, and no
-    plan compiled earlier — scalar or vector — ever sees a later
-    delta, the compaction included."""
+    """Dead nodes are shed once they outnumber the live ones.  No
+    vector plan compiled earlier ever sees a later delta, the
+    compaction included; a scalar plan compiled earlier reads the live
+    tables, so it answers the post-compaction oracle."""
     base = _bsic_base(width)
     managed, engine = _bsic_runtime(k, base, "bsic-compact",
                                     check_seed=seed)
-    frozen_plan = compile_plan(managed.algo)
+    live_plan = compile_plan(managed.algo)
     frozen_vector = compile_vector_plan(managed.algo)
     groups = managed.algo._slices.groups
     busiest = max(groups, key=lambda s: len(groups[s]))
@@ -496,9 +498,73 @@ def test_bsic_compaction_and_frozen_plans(width, k, seed):
     assert len(forests) > 1, "compaction never ran"
     assert managed.algo.forest.dead_nodes() == 0
     _assert_bsic_equals_scratch(managed, engine, k, probes)
-    assert [managed.oracle.lookup(a) for a in probes] != before
-    assert frozen_plan.lookup_batch(probes) == before
+    after = [managed.oracle.lookup(a) for a in probes]
+    assert after != before
+    assert live_plan.lookup_batch(probes) == after
     assert frozen_vector.lookup_batch_hops(probes) == before
+
+
+# ---------------------------------------------------------------------------
+# The scalar plan reads the live tables
+# ---------------------------------------------------------------------------
+
+
+def _v4(bits, length):
+    return Prefix.from_bits(bits, length, 32)
+
+
+def _commit_under_one_plan(factory, base, batches):
+    """Commit ``batches`` as in-place deltas under one scalar plan,
+    compiled before the first: after every commit that plan answers
+    the committed oracle.  Returns the structure for a witness check."""
+    managed = ManagedFib(factory, base, policy=RuntimePolicy(**QUIET))
+    algo = managed.algo
+    plan = compile_plan(algo)
+    seen = [prefix for prefix, _hop in base] + [
+        op.prefix for batch in batches for op in batch]
+    probes = _around(seen, 32) + [0, 0xC0000001, (1 << 32) - 1]
+    for batch in batches:
+        assert managed.apply_batch(batch) == "batch_applied"
+        assert managed.algo is algo  # applied in place, not rebuilt
+        oracle = managed.oracle
+        assert plan.lookup_batch(probes) == [oracle.lookup(a) for a in probes]
+    return algo
+
+
+def test_live_plan_follows_sail_chunks_and_default_route():
+    base = Fib(32, [(_v4(0x0A0102, 24), 3), (_v4(0x0A, 8), 1)])
+    chunk = _v4(0x0A010280 >> 7, 25)
+    algo = _commit_under_one_plan(Sail, base, [
+        [UpdateOp(ANNOUNCE, chunk, 7)],          # pivot-pushes a chunk
+        [UpdateOp(ANNOUNCE, _v4(0, 0), 9)],      # the default route
+        [UpdateOp(ANNOUNCE, chunk, 8),           # the chunk rebuilt, and
+         UpdateOp(WITHDRAW, _v4(0x0A0102, 24))],  # its /24 withdrawn
+    ])
+    assert 0x0A0102 in algo.chunks and algo.default_hop == 9
+
+
+def test_live_plan_follows_resail_through_dleft_growth():
+    base = Fib(32, [(_v4(0x0A00 | i, 16), i + 1) for i in range(40)])
+    algo = _commit_under_one_plan(
+        lambda fib: Resail(fib, hash_capacity=64), base, [
+            [UpdateOp(ANNOUNCE, _v4(0xB000 | i, 20), 50 + i)
+             for i in range(40)],
+            [UpdateOp(ANNOUNCE, _v4(0x0A000180 >> 7, 25), 99),  # look-aside
+             UpdateOp(WITHDRAW, _v4(0x0A03, 16))],
+        ])
+    assert algo.hash_table.capacity > 64  # auto-grow rehashed every key
+
+
+def test_live_plan_follows_dxr_across_compaction():
+    rows = [_v4((0x0A01 << 8) | i, 24) for i in range(0, 64, 4)]
+    base = Fib(32, [(row, 1) for row in rows])
+    depth = Dxr(base, k=16).search_depth
+    # Each op re-derives slice 10.1's section and strands the old one,
+    # so every batch ends in a compaction that reassigns `ranges`.
+    algo = _commit_under_one_plan(lambda fib: Dxr(fib, k=16), base, [
+        [UpdateOp(ANNOUNCE, row, hop) for row in rows[:4]]
+        for hop in (2, 3, 4)])
+    assert algo._dead_ranges == 0 and algo.search_depth == depth
 
 
 # ---------------------------------------------------------------------------
@@ -566,31 +632,25 @@ class TestIncrementalFreeze:
         bitmap = Bitmap(8)
         for index, value in initial:
             bitmap.set(index, value)
-        reader = bitmap.plan_reader()
         view = bitmap.vector_reader()
         for index, value in churn:
             bitmap.set(index, value)
-        resynced = bitmap.plan_reader(prev=reader)
-        assert resynced is reader  # caught up in place, not re-copied
-        fresh = bitmap.plan_reader()
-        assert [resynced(i) for i in range(256)] == \
-            [fresh(i) for i in range(256)] == \
-            [bitmap.test(i) for i in range(256)]
         revived = bitmap.vector_reader(prev=view)
-        assert revived is view
-        assert np.array_equal(revived.packed,
-                              bitmap.vector_reader().packed)
+        assert revived is view  # caught up in place, not re-copied
+        assert revived.packed.tolist() == \
+            bitmap.vector_reader().packed.tolist() == \
+            [int(bitmap.test(i)) for i in range(256)]
 
     def test_bitmap_log_trim_falls_back_to_full_copy(self, monkeypatch):
         monkeypatch.setattr(sram_module, "FREEZE_LOG_CAP", 4)
         bitmap = Bitmap(8)
-        stale = bitmap.plan_reader()
+        stale = bitmap.vector_reader()
         for index in range(32):  # way past the cap: the tail is gone
             bitmap.set(index)
-        resynced = bitmap.plan_reader(prev=stale)
+        resynced = bitmap.vector_reader(prev=stale)
         assert resynced is not stale  # full copy, not a replay
-        assert [resynced(i) for i in range(256)] == \
-            [bitmap.test(i) for i in range(256)]
+        assert resynced.packed.tolist() == \
+            [int(bitmap.test(i)) for i in range(256)]
 
     @given(script=st.lists(
         st.tuples(st.integers(min_value=0, max_value=63),
@@ -601,7 +661,6 @@ class TestIncrementalFreeze:
         table = DLeftHashTable(key_width=16, data_width=8, capacity=128)
         for key in (1, 2, 3):
             table.insert(key, key)
-        reader = table.plan_reader()
         view = table.vector_reader()
         for key, data in script:
             if data == 0:
@@ -612,10 +671,6 @@ class TestIncrementalFreeze:
             else:
                 table.insert(key, data)
         expected = table._flatten()
-        resynced = table.plan_reader(prev=reader)
-        assert resynced is reader
-        assert {k: resynced(k) for k in range(64)} == \
-            {k: expected.get(k) for k in range(64)}
         revived = table.vector_reader(prev=view)
         assert revived is view
         assert dict(zip(revived.keys.tolist(),
@@ -625,13 +680,13 @@ class TestIncrementalFreeze:
         table = DLeftHashTable(key_width=16, data_width=8, capacity=8,
                                auto_grow=True)
         table.insert(1, 1)
-        reader = table.plan_reader()
+        stale = table.vector_reader()
         for key in range(2, 40):  # trips auto-grow (rehash) mid-churn
             table.insert(key, key & 0xFF or 1)
-        resynced = table.plan_reader(prev=reader)
-        expected = table._flatten()
-        assert {k: resynced(k) for k in range(40)} == \
-            {k: expected.get(k) for k in range(40)}
+        resynced = table.vector_reader(prev=stale)
+        assert resynced is not stale  # no tail describes a rehash
+        assert dict(zip(resynced.keys.tolist(), resynced.data.tolist())) \
+            == table._flatten() == {k: k for k in range(1, 40)}
 
     @pytest.mark.parametrize("width", [8, 64])
     @given(initial=tcam_scripts, churn=tcam_scripts)

@@ -7,14 +7,17 @@ runtime, VRF-hash sharding, and the ``repro serve`` CLI.
 """
 
 import json
+import tracemalloc
 
 import pytest
 
-from repro.algorithms import Bsic, Dxr, HiBst, LogicalTcam, Poptrie, Resail
+from repro.algorithms import (Bsic, Dxr, HiBst, LogicalTcam, Poptrie, Resail,
+                              Sail)
 from repro.cli import build_parser, main
 from repro.control import ChurnGenerator, FaultPlan, ManagedFib, RuntimePolicy
 from repro.core import PlanError, compile_plan
-from repro.datasets import mixed_addresses, skewed_addresses, small_example_fib
+from repro.datasets import (mixed_addresses, skewed_addresses,
+                            small_example_fib, synthesize_as65000)
 from repro.engine import BatchEngine, FibCache, VrfShardedEngine
 from repro.obs import DEFAULT_SPAN_SAMPLE_RATE
 from repro.prefix import Fib, Prefix
@@ -107,10 +110,10 @@ class TestFibCache:
 # Plan compiler error paths (happy paths live in test_engine_conformance)
 # ----------------------------------------------------------------------
 class TestPlanErrors:
-    def test_unknown_backing_step_is_rejected(self, example_fib):
+    def test_unknown_initial_register_is_rejected(self, example_fib):
         algo = LogicalTcam(example_fib)
-        algo.plan_backings = lambda: {"no-such-step": lambda key: None}
-        with pytest.raises(PlanError, match="no-such-step"):
+        algo.cram_initial_state = lambda: {"no-such-register": 1}
+        with pytest.raises(PlanError, match="no-such-register"):
             compile_plan(algo)
 
     def test_describe_reports_schedule(self, example_fib):
@@ -119,6 +122,25 @@ class TestPlanErrors:
         assert doc["algorithm"] and doc["width"] == example_fib.width
         assert doc["steps"] == len(plan) == len(doc["step_names"])
         assert doc["waves"] >= 1
+
+
+class TestLiveReads:
+    @pytest.mark.parametrize("make", [Sail, Resail], ids=["sail", "resail"])
+    def test_compile_copies_no_table(self, make):
+        """The scalar plan binds each table's live read: compiling it
+        over SAIL's 24 bitmaps and arrays, or RESAIL's bitmaps 13-24
+        and d-left table, allocates steps, not tables (a bitmap copy
+        alone is 2 MB at /21, 16 MB at /24)."""
+        algo = make(synthesize_as65000(scale=0.01))
+        tracemalloc.start()
+        try:
+            plan = compile_plan(algo)
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(plan) > 0
+        assert retained < 1 << 20, \
+            f"{algo.name}: compile_plan retained {retained:,} bytes"
 
 
 # ----------------------------------------------------------------------

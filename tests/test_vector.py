@@ -5,9 +5,12 @@ Conformance of the vector plan against the oracle is covered by
 :class:`~repro.core.vector.Lanes` invariants, the ``gather`` contract
 of each view, snapshot isolation (a compiled vector plan must keep
 answering from its frozen tables until recompiled), the ``MISS_HOP``
-sentinel convention, scalar delegation for over-wide addresses, and
-what the engine reports as its ``active_backend``.
+sentinel convention, scalar delegation for over-wide addresses, what
+the engine reports as its ``active_backend``, and the thread server's
+refusal of a plan that did not lower.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -316,7 +319,8 @@ def test_plan_lookup_batch_out_does_not_accumulate():
 
 
 # ---------------------------------------------------------------------------
-# Snapshot isolation: plans freeze their tables at compile time
+# Snapshot isolation: vector plans freeze their tables at compile time
+# (the scalar plan reads them live)
 # ---------------------------------------------------------------------------
 
 
@@ -332,7 +336,7 @@ class TestSnapshotIsolation:
         algo.insert(Prefix.from_bits(0x0A02, 16, 32), 7)
         algo.insert(Prefix.from_bits(addr >> 4, 28, 32), 8)
         assert algo.lookup(addr) == 8          # native sees the update
-        assert plan.lookup(addr) == 1          # scalar snapshot is stale
+        assert plan.lookup(addr) == 8          # so does the live scalar plan
         assert vplan.lookup(addr) == 1         # vector snapshot is stale
         assert compile_vector_plan(algo).lookup(addr) == 8
 
@@ -605,6 +609,23 @@ class TestEngineBackend:
         expected = [oracle.lookup(a) for a in addresses]
         assert engine.lookup_batch(addresses) == expected
         assert engine.plan.lookup_batch(addresses) == expected
+
+    def test_thread_server_refuses_an_unlowered_plan(self):
+        # Its scalar plan reads the live tables, which an in-place
+        # delta mutates before the commit gate quiesces the workers.
+        fib = small_v8_fib()
+        with pytest.raises(ValueError, match=re.escape(
+                UnloweredTcam(fib).name)):
+            LookupServer(UnloweredTcam(fib), mode="thread")
+
+    def test_process_server_serves_an_unlowered_plan(self):
+        # A forked child applies its deltas between its own batches.
+        fib = small_v8_fib()
+        addresses = list(range(256))
+        with LookupServer(UnloweredTcam(fib), mode="process", workers=1,
+                          factory=UnloweredTcam, base_fib=fib) as server:
+            assert server.lookup_batch(addresses, timeout=60) == \
+                [fib.lookup(a) for a in addresses]
 
     def test_lowering_gauges_published(self):
         fib = small_v8_fib()
