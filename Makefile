@@ -38,6 +38,15 @@ ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	    --catalog benchmarks/results/artifacts
 	$(PYTHON) -m repro serve --smoke --algo resail --seed 7 \
 	    --load rib --catalog benchmarks/results/artifacts
+	$(PYTHON) -m repro artifact save sailrib --algo sail --scale 0.005 \
+	    --seed 7 --catalog benchmarks/results/artifacts
+	$(PYTHON) -m repro artifact verify sailrib --deep \
+	    --catalog benchmarks/results/artifacts
+	$(PYTHON) -m repro serve --smoke --algo sail --seed 7 \
+	    --load sailrib --catalog benchmarks/results/artifacts
+	$(PYTHON) -m repro serve --smoke --algo sail --workers 2 \
+	    --mode process --max-batch 64 --max-wait 1.0 --seed 7 \
+	    --load sailrib --catalog benchmarks/results/artifacts
 	$(PYTHON) -m repro chaos-soak --mode both --seed 7 \
 	    --out benchmarks/results/chaos_soak.json
 	$(PYTHON) -m repro chaos-soak --mode both --seed 7 --rate 0 \

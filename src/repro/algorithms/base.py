@@ -16,16 +16,17 @@ HI-BST, logical TCAM) — implements :class:`LookupAlgorithm`:
 * :meth:`~LookupAlgorithm.compile_plan` /
   :meth:`~LookupAlgorithm.compile_vector_plan` — the program compiled
   for serving.  The scalar plan binds each table's live read, so it
-  needs no hook; the lane compiler freezes views, which
-  :meth:`~LookupAlgorithm.vector_specs` builds and
-  :meth:`~LookupAlgorithm.vector_patch` re-freezes per delta.
+  needs no hook; the lane compiler freezes one view per step, which
+  :meth:`~LookupAlgorithm.vector_specs` builds.  There is no patch
+  hook: a delta commit is a compile handed the old views as ``prev``,
+  and each table replays its write log into its own view.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     import numpy as np
@@ -146,27 +147,15 @@ class LookupAlgorithm(abc.ABC):
         finally:
             self.end_update_batch()
 
-    def vector_patch(self, delta: "FibDelta",
-                     vector_plan) -> Optional[Dict[str, "VectorStepSpec"]]:
-        """Fresh lowering specs for the kernels ``delta`` invalidates.
-
-        ``None`` (the default) means "not patchable — recompile"; a
-        dict maps step names the plan knows to new
-        :class:`~repro.core.vector.VectorStepSpec` instances (empty:
-        the delta touches no frozen view, though extraction is still
-        re-frozen).
-        """
-        return None
-
     def vector_extract_factory(self) -> Optional[Callable]:
         """A *frozen* replacement for :meth:`vector_extract_hop`.
 
         Algorithms whose extraction reads live mutable state (e.g.
         SAIL's ``default_hop``) return a closure over a snapshot of
-        that state; the lane compiler re-evaluates the factory at
-        compile and patch time, so in-place deltas never leak through
-        a compiled kernel's extraction.  ``None`` keeps the bound
-        method.
+        that state; the lane compiler re-evaluates the factory on
+        every compile (a patch included), so in-place deltas never leak
+        through a compiled kernel's extraction.  ``None`` keeps the
+        bound method.
         """
         return None
 
@@ -225,18 +214,27 @@ class LookupAlgorithm(abc.ABC):
         raise NotImplementedError(
             f"{cls.__name__} does not support artifact state import")
 
-    def adopt_views(self, views: Dict[str, "np.ndarray"]) -> None:
+    def adopt_views(self, views: Dict[str, Any]) -> None:
         """Accept persisted vector-table views after a state import.
 
         ``views`` maps step name → the view object a previous
         ``VectorPlan`` compile was frozen against (reconstructed
-        zero-copy over an mmapped artifact).  Implementations may
-        stash them as the ``prev`` snapshots their spec builders hand
-        to ``vector_reader(prev)``, so the first warm compile replays
-        an empty log tail instead of re-flattening every table.  The
-        default ignores them — adoption is an optimisation, never a
-        correctness requirement.
+        zero-copy over an mmapped artifact), which holds exactly what
+        the imported tables hold.  Each view whose step's declared
+        backing keeps a write log is synced to that log, and the lot
+        becomes the next :meth:`compile_vector_plan`'s ``prev``: that
+        compile replays only the writes made since (a warm start's
+        resync delta) into the mapped buffers instead of re-flattening
+        every table.  Views of tables without a log are dropped —
+        adoption is an optimisation, never a correctness requirement.
         """
+        program = self.cram_program()
+        adopted = {}
+        for name, view in views.items():
+            log = getattr(program.step(name).table.backing, "log", None)
+            if log is not None:
+                adopted[name] = log.stamp(view)
+        self._adopted_views = adopted
 
     # ------------------------------------------------------------------
     # Executing the CRAM program (model-vs-native equivalence checks)
@@ -279,12 +277,18 @@ class LookupAlgorithm(abc.ABC):
     # ------------------------------------------------------------------
     # Lane compiler (repro.core.vector)
     # ------------------------------------------------------------------
-    def vector_specs(self) -> Dict[str, "VectorStepSpec"]:
+    def vector_specs(self, prev: Dict[str, Any]
+                     ) -> Dict[str, "VectorStepSpec"]:
         """Per-step lowering specs for the lane compiler.
 
         Keyed by *step name* (unknown names raise ``VectorError``);
         each value is a :class:`~repro.core.vector.VectorStepSpec`
         describing the step's selector/action as array kernels.
+        ``prev`` maps step names to the views the previous compile
+        froze (empty on a first compile): a builder freezes each step's
+        table as ``vector_reader(prev=prev.get(step))``, which replays
+        the table's write log into the old view instead of copying it,
+        and records the view as the spec's ``reader``.
         Lowering is all-or-nothing: one step without a spec and the
         vector plan holds no kernels, delegating every batch to the
         scalar plan — correct, just not fast.  The default lowers nothing, so every
@@ -308,10 +312,16 @@ class LookupAlgorithm(abc.ABC):
         raise NotImplementedError  # pragma: no cover - sentinel, never called
 
     def compile_vector_plan(self, plan=None):
-        """This algorithm lowered to a :class:`~repro.core.vector.VectorPlan`."""
+        """This algorithm lowered to a :class:`~repro.core.vector.VectorPlan`.
+
+        The views :meth:`adopt_views` took are the first compile's
+        ``prev`` and no other's: a later compile freezes views of its
+        own, so no two plans share one.
+        """
         from ..core.vector import VectorPlan
 
-        return VectorPlan(self, plan=plan)
+        return VectorPlan(self, plan=plan,
+                          prev=self.__dict__.pop("_adopted_views", None))
 
     # ------------------------------------------------------------------
     def lookup_batch(self, addresses) -> List[Optional[int]]:

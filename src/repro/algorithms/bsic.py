@@ -400,21 +400,6 @@ class Bsic(LookupAlgorithm):
         return state.get("best")
 
     # ------------------------------------------------------------------
-    # Incremental commit pipeline: which kernels a delta invalidates
-    # ------------------------------------------------------------------
-    def _fits(self, step_names) -> bool:
-        """Whether a compiled step chain still reaches every level."""
-        chain = sum(name.startswith("bst_level_") for name in step_names)
-        return self.forest.depth <= chain
-
-    def vector_patch(self, delta, vector_plan):
-        if not self._fits(vector_plan.plan.step_names):
-            return None
-        # The initial view goes back to its table to replay the rows
-        # the delta wrote; the levels append (see BstForest.columns).
-        return self.vector_specs(vector_plan.step_view("initial")) or None
-
-    # ------------------------------------------------------------------
     # Vector lowering (the lane compiler)
     # ------------------------------------------------------------------
     #: Tag bit distinguishing ("hop", h) from ("bst", root) in the
@@ -427,19 +412,23 @@ class Bsic(LookupAlgorithm):
             return self._HOP_TAG | int(value)
         return int(value)
 
-    def vector_specs(self, prev_initial=None):
+    def vector_specs(self, prev):
         """Lower Algorithm 2 to lane kernels.
 
         The initial TCAM probes through its own vector view (hop vs
-        BST-root results told apart by a tag bit); each BST level is
+        BST-root results told apart by a tag bit), re-frozen from
+        ``prev`` by replaying the rows written since; each BST level is
         linearized into flat per-field arrays (endpoint, hop, child
         indices) indexed by the ``ptr`` register, so the walk becomes
-        a fancy-indexed compare per level — the PlanB move.
+        a fancy-indexed compare per level — the PlanB move.  The
+        levels only append (see :meth:`BstForest.columns`); a tree
+        deeper than the compiled chain grows the program, and the
+        engine recompiles.
         """
         from ..core.vector import VectorStepSpec, key_slice
 
         initial_view = self.initial.vector_reader(
-            encode=self._encode_initial, prev=prev_initial)
+            encode=self._encode_initial, prev=prev.get("initial"))
         if initial_view is None:
             return {}
         suffix_mask = (1 << self.suffix_bits) - 1

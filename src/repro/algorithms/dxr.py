@@ -405,32 +405,12 @@ class Dxr(LookupAlgorithm):
         return state.get("best")
 
     # ------------------------------------------------------------------
-    # Incremental commit pipeline: which kernels a delta invalidates
+    # Lane compiler (repro.core.vector): every step fully lowered.
+    # The mirrors are no table simulator's, so every compile copies
+    # them; a delta that deepens the search outgrows the compiled
+    # probe chain, and the engine recompiles.
     # ------------------------------------------------------------------
-    def _probe_steps(self, step_names):
-        return [name for name in step_names if name.startswith("probe_")]
-
-    def vector_patch(self, delta, vector_plan):
-        probes = self._probe_steps(vector_plan.plan.step_names)
-        if self.search_depth > len(probes):
-            return None
-        specs = {"initial": self._vector_initial_spec()}
-        make_probe = self._vector_probe_spec_factory()
-        for name in probes:
-            specs[name] = make_probe()
-        return specs
-
-    # ------------------------------------------------------------------
-    # Lane compiler (repro.core.vector): every step fully lowered
-    # ------------------------------------------------------------------
-    def vector_specs(self):
-        specs = {"initial": self._vector_initial_spec()}
-        make_probe = self._vector_probe_spec_factory()
-        for level in range(self.search_depth):
-            specs[f"probe_{level}"] = make_probe()
-        return specs
-
-    def _vector_initial_spec(self):
+    def vector_specs(self, prev):
         from ..core.vector import VectorStepSpec, key_slice
 
         # Initial table as parallel kind/a/b arrays:
@@ -455,13 +435,8 @@ class Dxr(LookupAlgorithm):
             lanes.assign("hi", np.where(section, a[slot] + b[slot] - 1, 0),
                          none=~section)
 
-        return VectorStepSpec(init_update)
-
-    def _vector_probe_spec_factory(self):
-        from ..core.vector import VectorStepSpec
-
         # The global range table as left-endpoint / hop columns; one
-        # shared update closure drives every binary-search level.
+        # shared spec drives every binary-search level.
         n = len(self.ranges)
         left = self._mirror_left[:n].copy()
         hops = self._mirror_hops[:n].copy()
@@ -478,7 +453,11 @@ class Dxr(LookupAlgorithm):
             lanes.assign_where("lo", le, mid + 1)
             lanes.assign_where("hi", searching & ~le, mid - 1)
 
-        return lambda: VectorStepSpec(probe_update)
+        probe = VectorStepSpec(probe_update)
+        specs = {"initial": VectorStepSpec(init_update)}
+        for level in range(self.search_depth):
+            specs[f"probe_{level}"] = probe
+        return specs
 
     def vector_extract_hop(self, lanes):
         return lanes.values("best"), lanes.is_none("best")

@@ -209,7 +209,7 @@ class HiBst(LookupAlgorithm):
     # ------------------------------------------------------------------
     # Vector lowering (the lane compiler)
     # ------------------------------------------------------------------
-    def vector_specs(self):
+    def vector_specs(self, prev):
         """Lower the balanced-tree walk to lane kernels.
 
         Each level is linearized into flat per-field arrays (prefix

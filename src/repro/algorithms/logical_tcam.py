@@ -58,7 +58,7 @@ class LogicalTcam(LookupAlgorithm):
                            action=lambda s, r: s.__setitem__("hop", r)))
         return prog
 
-    def vector_specs(self):
+    def vector_specs(self, prev):
         """Lower the single priority match onto the TCAM's own vector
         view: masked compare + priority argmax (or grouped probes past
         ``MATRIX_ROW_LIMIT`` rows), hop register from the result."""

@@ -347,7 +347,7 @@ class Mashup(LookupAlgorithm):
         kind, tag = ref
         return (self._KIND_CODE[kind] << self._REF_KIND_SHIFT) | tag
 
-    def vector_specs(self):
+    def vector_specs(self, prev):
         """Lower Algorithm 3 to lane kernels, all levels or nothing.
 
         NodeRefs and (hop, child) results live as packed int64 codes;
@@ -364,7 +364,7 @@ class Mashup(LookupAlgorithm):
         views = []
         for level, stride in enumerate(self.strides):
             tcam_view = self.tcam_levels[level].vector_reader(
-                encode=self._encode_result)
+                encode=self._encode_result, prev=prev.get(f"tcam_L{level}"))
             if tcam_view is None:
                 return {}
             items = []

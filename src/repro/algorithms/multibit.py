@@ -282,7 +282,7 @@ class MultibitTrie(LookupAlgorithm):
     # ------------------------------------------------------------------
     # Lane compiler (repro.core.vector): every level fully lowered
     # ------------------------------------------------------------------
-    def vector_specs(self):
+    def vector_specs(self, prev):
         from ..core.vector import VectorStepSpec, key_slice
 
         levels = self.nodes_by_level()

@@ -257,7 +257,7 @@ class Poptrie(LookupAlgorithm):
     # ------------------------------------------------------------------
     # Lane compiler (repro.core.vector): every step fully lowered
     # ------------------------------------------------------------------
-    def vector_specs(self):
+    def vector_specs(self, prev):
         from ..core.vector import VectorStepSpec, key_slice, popcount64
 
         specs = {}

@@ -97,9 +97,6 @@ class Resail(LookupAlgorithm):
         self._shorts = BinaryTrie(IPV4_WIDTH)
         #: For each expanded slot of B_min_bmp: the originating length.
         self._slot_origin: Dict[int, int] = {}
-        #: Imported vector views (artifact warm starts); spec builders
-        #: hand them to ``vector_reader(prev=...)`` as re-freeze bases.
-        self._artifact_views: Dict[str, object] = {}
 
         for prefix, hop in fib:
             self.insert(prefix, hop)
@@ -262,33 +259,7 @@ class Resail(LookupAlgorithm):
         obj._slot_origin = {
             int(s): int(l) for s, l in zip(arrays["slot_origin_slots"],
                                            arrays["slot_origin_lens"])}
-        obj._artifact_views = {}
-        # Arm the freeze logs so adopted views (version-synced to the
-        # fresh, empty log) re-freeze via an empty replay instead of a
-        # full rebuild on the first vector compile.
-        obj.hash_table.log.arm()
-        for bitmap in obj.bitmaps.values():
-            bitmap.log.arm()
         return obj
-
-    def adopt_views(self, views) -> None:
-        """Stash imported vector views as warm re-freeze bases.
-
-        The imported backings carry fresh (empty) write logs, and the
-        views were saved against exactly this content, so syncing each
-        view's version to the backing's current freeze version makes
-        the next ``vector_reader(prev=view)`` a no-op replay over the
-        mmapped buffers."""
-        for step, view in views.items():
-            if step == "hash":
-                view.version = self.hash_table.freeze_version
-            elif step.startswith("bitmap_"):
-                level = int(step[len("bitmap_"):])
-                if level in self.bitmaps:
-                    view.version = self.bitmaps[level].freeze_version
-            else:
-                continue  # look-aside TCAM views rebuild cheaply
-            self._artifact_views[step] = view
 
     # ------------------------------------------------------------------
     # Lookup (Algorithm 1)
@@ -367,66 +338,29 @@ class Resail(LookupAlgorithm):
         return prog
 
     # ------------------------------------------------------------------
-    # Incremental commit pipeline: which kernels a delta invalidates
-    # ------------------------------------------------------------------
-    def _delta_steps(self, delta):
-        steps = set()
-        for op in delta:
-            length = op.prefix.length
-            if length > PIVOT_LEVEL:
-                steps.add("look-aside")
-            elif length >= self.min_bmp:
-                steps.add("hash")
-                steps.add(f"bitmap_{length}")
-                if length == self.min_bmp:
-                    # _refill_slot can flip B_min_bmp on deletions.
-                    steps.add(f"bitmap_{self.min_bmp}")
-            else:
-                # Short prefixes fold into B_min_bmp by expansion.
-                steps.add("hash")
-                steps.add(f"bitmap_{self.min_bmp}")
-        return steps
-
-    def vector_patch(self, delta, vector_plan):
-        specs = {}
-        for step in self._delta_steps(delta):
-            prev = (vector_plan.step_view(step)
-                    if vector_plan is not None else None)
-            if step == "look-aside":
-                specs[step] = self._vector_laside_spec()
-            elif step == "hash":
-                specs[step] = self._vector_hash_spec(prev)
-            else:
-                specs[step] = self._vector_bitmap_spec(
-                    int(step.rsplit("_", 1)[1]), prev)
-        return specs
-
-    # ------------------------------------------------------------------
     # Lane compiler (repro.core.vector): every step fully lowered
     # ------------------------------------------------------------------
-    def vector_specs(self):
+    def vector_specs(self, prev):
         specs = {"look-aside": self._vector_laside_spec(),
-                 "hash": self._vector_hash_spec()}
+                 "hash": self._vector_hash_spec(prev.get("hash"))}
         for i in range(self.min_bmp, PIVOT_LEVEL + 1):
-            specs[f"bitmap_{i}"] = self._vector_bitmap_spec(i)
+            specs[f"bitmap_{i}"] = self._vector_bitmap_spec(
+                i, prev.get(f"bitmap_{i}"))
         return specs
 
     def _vector_laside_spec(self):
         from ..core.vector import VectorStepSpec
 
-        # Look-aside TCAM: one broadcast masked compare for the batch.
-        # (The step's backing is the TcamTable itself, so the compiler
-        # could resolve the view — passing it keeps the freeze explicit.)
+        # Look-aside TCAM: one broadcast masked compare for the batch,
+        # over the view the compiler freezes from the step's backing.
         def laside_update(lanes, vals, found, active):
             lanes.assign("laside_hop", vals, none=~found)
 
         return VectorStepSpec(
             laside_update,
-            select=lambda lanes: (lanes.values("addr"), None),
-            reader=self.look_aside.vector_reader(),
-        )
+            select=lambda lanes: (lanes.values("addr"), None))
 
-    def _vector_bitmap_spec(self, i, prev=None):
+    def _vector_bitmap_spec(self, i, prev):
         from ..core.vector import VectorStepSpec
 
         # The parallel level shares one (levels, n) uint8 lane matrix:
@@ -434,8 +368,6 @@ class Resail(LookupAlgorithm):
         # view into its own row.  The key_i registers of the CRAM
         # program stay unwritten — the hash step marks the one key it
         # needs.
-        if prev is None:
-            prev = self._artifact_views.get(f"bitmap_{i}")
         view = self.bitmaps[i].vector_reader(prev)
         levels = len(self.bitmaps)
         row = i - self.min_bmp
@@ -445,12 +377,11 @@ class Resail(LookupAlgorithm):
             lanes.matrix("bitmaps", levels, np.uint8)[row] = view.packed[
                 lanes.values("addr") >> shift]
 
-        # Compute-only (the kernel gathers into its row itself);
-        # recording the view as the spec's reader lets the compiled
-        # plan hand it back for an incremental re-freeze on a patch.
+        # Compute-only (the kernel gathers into its row itself), so the
+        # view is recorded as the reader to reach the next compile.
         return VectorStepSpec(update, reader=view)
 
-    def _vector_hash_spec(self, prev=None):
+    def _vector_hash_spec(self, prev):
         from ..core.vector import VectorStepSpec
 
         # Final step: weigh each row of the lane matrix by its rank
@@ -458,8 +389,6 @@ class Resail(LookupAlgorithm):
         # the longest hit level per lane, 0 where no bitmap hit; mark
         # that one key, probe the flattened d-left view once, resolve
         # against the look-aside hop.
-        if prev is None:
-            prev = self._artifact_views.get("hash")
         hash_view = self.hash_table.vector_reader(prev)
         levels = len(self.bitmaps)
         ranks = np.arange(1, levels + 1, dtype=np.uint8)[:, None]
@@ -480,9 +409,8 @@ class Resail(LookupAlgorithm):
                                   lanes.values("laside_hop")),
                          none=no_laside & ~hit)
 
-        # No select (the step marks its own key), but recording the
-        # view as the spec's reader lets the compiled plan hand it
-        # back here for an incremental re-freeze on the next patch.
+        # No select (the step marks its own key): the view is recorded
+        # as the reader to reach the next compile.
         return VectorStepSpec(hash_update, reader=hash_view)
 
     # ------------------------------------------------------------------

@@ -300,57 +300,21 @@ class Sail(LookupAlgorithm):
         return extract
 
     # ------------------------------------------------------------------
-    # Incremental commit pipeline: which kernels a delta invalidates
-    # ------------------------------------------------------------------
-    def _delta_steps(self, delta):
-        """Step names whose backings ``delta`` may have changed."""
-        steps = set()
-        for op in delta:
-            length = op.prefix.length
-            if length == 0:
-                continue  # default hop: extraction refresh only
-            if length >= PIVOT_LEVEL:
-                # /24 and pivot-pushed routes interact through the
-                # chunk store, so the whole 24-level trio refreshes.
-                steps.update((f"bitmap_{PIVOT_LEVEL}",
-                              f"array_{PIVOT_LEVEL}", "chunk_24"))
-            else:
-                steps.add(f"bitmap_{length}")
-                steps.add(f"array_{length}")
-        return steps
-
-    def vector_patch(self, delta, vector_plan):
-        specs = {}
-        touched = self._delta_steps(delta)
-        # chunk_24 and array_24 share one frozen chunk snapshot; they
-        # regenerate together or not at all.
-        if "chunk_24" in touched or f"array_{PIVOT_LEVEL}" in touched:
-            specs.update(self._vector_chunk_specs())
-            touched.discard("chunk_24")
-            touched.discard(f"array_{PIVOT_LEVEL}")
-        for step in touched:
-            kind, level = step.rsplit("_", 1)
-            if kind == "bitmap":
-                prev = (vector_plan.step_view(step)
-                        if vector_plan is not None else None)
-                specs[step] = self._vector_bitmap_spec(int(level), prev)
-            else:
-                specs[step] = self._vector_array_spec(int(level))
-        return specs
-
-    # ------------------------------------------------------------------
     # Lane compiler (repro.core.vector): every step fully lowered
     # ------------------------------------------------------------------
-    def vector_specs(self):
+    def vector_specs(self, prev):
         specs = {}
         for i in range(1, PIVOT_LEVEL + 1):
-            specs[f"bitmap_{i}"] = self._vector_bitmap_spec(i)
-        specs.update(self._vector_chunk_specs())
+            specs[f"bitmap_{i}"] = self._vector_bitmap_spec(
+                i, prev.get(f"bitmap_{i}"))
         for i in range(1, PIVOT_LEVEL):
-            specs[f"array_{i}"] = self._vector_array_spec(i)
+            specs[f"array_{i}"] = self._vector_array_spec(
+                i, prev.get(f"array_{i}"))
+        specs.update(self._vector_chunk_specs(
+            prev.get(f"array_{PIVOT_LEVEL}")))
         return specs
 
-    def _vector_bitmap_spec(self, i, prev=None):
+    def _vector_bitmap_spec(self, i, prev):
         from ..core.vector import VectorStepSpec
 
         shift = IPV4_WIDTH - i
@@ -364,11 +328,11 @@ class Sail(LookupAlgorithm):
         return VectorStepSpec(update, select=select,
                               reader=self.bitmaps[i].vector_reader(prev))
 
-    def _vector_array_spec(self, i):
+    def _vector_array_spec(self, i, prev):
         from ..core.vector import VectorStepSpec
 
         shift = IPV4_WIDTH - i
-        view = self.arrays[i].vector_reader()
+        view = self.arrays[i].vector_reader(prev)
 
         def update(lanes, vals, found, active, i=i, shift=shift, view=view):
             probe = lanes.truthy(f"hit_{i}") & ~lanes.truthy("done")
@@ -376,14 +340,16 @@ class Sail(LookupAlgorithm):
             lanes.assign_where("hop", hit, hops)
             lanes.assign_where("done", hit, 1)
 
-        return VectorStepSpec(update)
+        # Compute-only (the probe mask is the kernel's own), so the
+        # view is recorded as the reader to reach the next compile.
+        return VectorStepSpec(update, reader=view)
 
-    def _vector_chunk_specs(self):
+    def _vector_chunk_specs(self, prev24):
         """The chunk_24 + array_24 spec pair over one frozen chunk view.
 
         They share the membership probe (array_24 must skip lanes the
-        chunk store owns), so a delta that touches the chunk store
-        regenerates both together — never one without the other.
+        chunk store owns).  The chunk store has no table simulator to
+        log its writes, so every compile rebuilds its matrix.
         """
         from ..core.vector import VectorStepSpec
 
@@ -420,7 +386,7 @@ class Sail(LookupAlgorithm):
             lanes.assign_where("hop", take, chunk_hops[row, offset])
             lanes.assign_where("done", take, 1)
 
-        view = self.arrays[PIVOT_LEVEL].vector_reader()
+        view = self.arrays[PIVOT_LEVEL].vector_reader(prev24)
         shift = IPV4_WIDTH - PIVOT_LEVEL
 
         def array_update(lanes, vals, found, active):
@@ -433,15 +399,8 @@ class Sail(LookupAlgorithm):
             lanes.assign_where("done", hit, 1)
 
         return {"chunk_24": VectorStepSpec(chunk_update),
-                f"array_{PIVOT_LEVEL}": VectorStepSpec(array_update)}
-
-    def vector_extract_hop(self, lanes):
-        vals = lanes.values("hop").copy()
-        none = lanes.is_none("hop").copy()
-        if self.default_hop is not None:
-            vals[none] = self.default_hop
-            none[:] = False
-        return vals, none
+                f"array_{PIVOT_LEVEL}": VectorStepSpec(array_update,
+                                                       reader=view)}
 
     # ------------------------------------------------------------------
     # Chip layout

@@ -204,10 +204,10 @@ class LoadedArtifact:
             algo = factory(self.fib())
         if state and self.header.get("views"):
             # Hand the persisted vector views to the imported structure:
-            # its spec builders use them as ``prev`` snapshots, so the
-            # next vector compile re-freezes them (an empty log replay)
-            # instead of re-flattening every table — the mmap'd buffers
-            # back the lane kernels zero-copy.
+            # they are its next vector compile's ``prev``, so that
+            # compile re-freezes them (a replay of the log since the
+            # import) instead of re-flattening every table — the mmap'd
+            # buffers back the lane kernels zero-copy.
             try:
                 algo.adopt_views(self.views())
             except ArtifactError:
@@ -356,8 +356,7 @@ class ArtifactCatalog:
         if vector_plan is not None:
             from ..core.vector import view_state
             views: Dict[str, Any] = {}
-            for step in sorted(vector_plan.view_map()):
-                view = vector_plan.step_view(step)
+            for step, view in sorted(vector_plan.view_map().items()):
                 kind, vmeta, fields = view_state(view)
                 views[step] = {"kind": kind, "meta": vmeta}
                 for field in sorted(fields):

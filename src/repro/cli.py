@@ -615,9 +615,9 @@ def cmd_artifact(args: argparse.Namespace) -> int:
     if args.artifact_cmd == "save":
         fib = _base_fib(args, seed=args.seed)
         algo = _build(args.algo, fib)
-        vplan = None if args.no_vector else algo.compile_vector_plan()
         version = catalog.save(args.name, algo, fib, version=args.version,
-                               vector_plan=vplan, overwrite=args.overwrite)
+                               vector_plan=algo.compile_vector_plan(),
+                               overwrite=args.overwrite)
         path = catalog.path(args.name, version)
         print(f"artifact: saved {args.name}:{version} "
               f"({len(fib):,} prefixes, {os.path.getsize(path):,} bytes) "
@@ -1120,8 +1120,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--catalog", default=".repro-artifacts")
     sp.add_argument("--overwrite", action="store_true",
                     help="replace an existing version (normally immutable)")
-    sp.add_argument("--no-vector", action="store_true",
-                    help="skip persisting the vector plan's view backings")
     sp.set_defaults(func=cmd_artifact)
 
     sp = asub.add_parser("list", help="list catalog names and versions")

@@ -9,9 +9,9 @@ the currency of the incremental commit pipeline:
   applies it through ``algo.apply_delta_op`` instead of rebuilding,
   undoing partial progress via :meth:`DeltaOp.inverse` when a fault
   interrupts the batch;
-* :class:`~repro.engine.BatchEngine` hands it to the algorithm's
-  ``vector_patch`` hook so a compiled vector plan re-freezes only the
-  touched steps;
+* :class:`~repro.engine.BatchEngine` takes it as the signal to patch
+  its vector plan — a compile handed the old views, into which each
+  table replays the writes the delta logged — instead of recompiling;
 * :class:`~repro.server.procpool.ForkedReplica` ships its
   :meth:`FibDelta.wire_ops` net effect to its child instead of a
   whole-FIB snapshot.

@@ -52,10 +52,12 @@ The execution model:
 Unlike the :class:`~repro.core.plan.LookupPlan` it embeds, which reads
 the live tables, a lowered vector plan is a **snapshot**: its views
 freeze the tables at compile time, and an update reaches it only
-through :meth:`VectorPlan.patch` or a recompile
-(:class:`repro.engine.BatchEngine` does one or the other on every
-committed batch).  That is what makes it safe to serve while a commit
-mutates the tables on another thread.
+through a new compile.  That is what makes it safe to serve while a
+commit mutates the tables on another thread.  A compile handed the
+previous one's views (``prev=``, its :meth:`VectorPlan.view_map`)
+re-freezes each table by replaying its write log into the old view —
+O(delta), not O(table) — which is how
+:class:`repro.engine.BatchEngine` patches a plan on a delta commit.
 """
 
 from __future__ import annotations
@@ -353,11 +355,13 @@ class DenseArrayView:
     ``dense`` holds 0 wherever ``present`` is clear.
     """
 
-    __slots__ = ("dense", "present")
+    __slots__ = ("dense", "present", "version")
 
-    def __init__(self, dense: np.ndarray, present: np.ndarray):
+    def __init__(self, dense: np.ndarray, present: np.ndarray,
+                 version: int = 0):
         self.dense = dense
         self.present = present
+        self.version = version
 
     def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
                ) -> Tuple[np.ndarray, np.ndarray]:
@@ -409,13 +413,15 @@ class TcamMatrixView:
     look-aside table of long prefixes rejects nearly all traffic there.
     """
 
-    __slots__ = ("values_", "masks", "data", "common", "common_values")
+    __slots__ = ("values_", "masks", "data", "common", "common_values",
+                 "version")
 
     def __init__(self, values: np.ndarray, masks: np.ndarray,
-                 data: np.ndarray):
+                 data: np.ndarray, version: int = 0):
         self.values_ = values
         self.masks = masks
         self.data = data
+        self.version = version
         #: The bits every row's mask cares about (0 filters nothing),
         #: as a scalar of the key dtype...
         self.common = (np.bitwise_and.reduce(masks) if masks.size
@@ -520,13 +526,14 @@ def view_state(view) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
         return "bitmap", {"version": int(view.version)}, {
             "packed": view.packed}
     if isinstance(view, DenseArrayView):
-        return "dense", {}, {"dense": view.dense, "present": view.present}
+        return "dense", {"version": int(view.version)}, {
+            "dense": view.dense, "present": view.present}
     if isinstance(view, SparseMapView):
         return "sparse", {"version": int(view.version)}, {
             "keys": view.keys, "data": view.data}
     if isinstance(view, TcamMatrixView):
-        return "tcam_matrix", {}, {"values": view.values_,
-                                   "masks": view.masks, "data": view.data}
+        return "tcam_matrix", {"version": int(view.version)}, {
+            "values": view.values_, "masks": view.masks, "data": view.data}
     if isinstance(view, TcamGroupView):
         sizes = [view_.keys.size for _mask, view_ in view.groups]
         offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -561,7 +568,8 @@ def view_from_state(kind: str, meta: Dict[str, Any],
         return DenseArrayView(np.asarray(arrays["dense"]),
                               np.asarray(arrays["present"]).view(np.bool_)
                               if arrays["present"].dtype == np.uint8
-                              else np.asarray(arrays["present"]))
+                              else np.asarray(arrays["present"]),
+                              int(meta.get("version", 0)))
     if kind == "sparse":
         return SparseMapView(np.asarray(arrays["keys"]),
                              np.asarray(arrays["data"]),
@@ -569,7 +577,8 @@ def view_from_state(kind: str, meta: Dict[str, Any],
     if kind == "tcam_matrix":
         return TcamMatrixView(np.asarray(arrays["values"]),
                               np.asarray(arrays["masks"]),
-                              np.asarray(arrays["data"]))
+                              np.asarray(arrays["data"]),
+                              int(meta.get("version", 0)))
     if kind == "tcam_group":
         masks = np.asarray(arrays["group_masks"])
         offsets = np.asarray(arrays["group_offsets"])
@@ -674,7 +683,10 @@ class VectorStepSpec:
     reads/gathers from the lanes itself.  What ``update`` hands
     :meth:`Lanes.assign` the register file adopts — see the contract
     there.  ``reader`` overrides the view otherwise obtained from the
-    table backing's ``vector_reader()``.
+    table backing's ``vector_reader()``; a compute-only spec that
+    gathers from a table view records it here too, so the view reaches
+    :meth:`VectorPlan.view_map` — the next compile's ``prev`` and what
+    an artifact persists.
     """
 
     update: Callable[[Lanes, Optional[np.ndarray], Optional[np.ndarray],
@@ -684,27 +696,20 @@ class VectorStepSpec:
     reader: Optional[Any] = None
 
 
-def _resolve_view(step) -> Optional[Any]:
-    table = getattr(step, "table", None)
-    backing = getattr(table, "backing", None)
+def _table_view(step, prev) -> Optional[Any]:
+    """The step's table frozen by its backing's ``vector_reader``, or
+    ``None`` when the backing has none."""
+    backing = getattr(getattr(step, "table", None), "backing", None)
     vector_reader = getattr(backing, "vector_reader", None)
-    if callable(vector_reader):
-        return vector_reader()
-    return None
+    return vector_reader(prev=prev) if callable(vector_reader) else None
 
 
-def _compile_spec(step, spec: VectorStepSpec) -> Callable[[Lanes], None]:
+def _compile_spec(spec: VectorStepSpec, view) -> Callable[[Lanes], None]:
     update = spec.update
     if spec.select is None:
         def run_compute(lanes: Lanes) -> None:
             update(lanes, None, None, None)
         return run_compute
-    view = spec.reader if spec.reader is not None else _resolve_view(step)
-    if view is None:
-        raise VectorError(
-            f"step {step.name!r}: spec needs a table view but the backing "
-            "has no vector_reader()"
-        )
     select = spec.select
 
     def run_table(lanes: Lanes) -> None:
@@ -735,7 +740,8 @@ class VectorPlan:
     MISS = MISS_HOP
 
     def __init__(self, algo, plan: Optional[LookupPlan] = None,
-                 chunk: int = DEFAULT_CHUNK):
+                 chunk: int = DEFAULT_CHUNK,
+                 prev: Optional[Dict[str, Any]] = None):
         if chunk <= 0:
             raise VectorError("chunk must be positive")
         self.plan = plan if plan is not None else LookupPlan(algo)
@@ -757,12 +763,14 @@ class VectorPlan:
         self.fully_lowered = False
         #: ``addr`` is a key of ``width`` bits (``None``: no lane holds it).
         self._addr_dtype = key_dtype(self.width)
-        self._lower()
+        self._lower(prev)
 
-    def _lower(self) -> None:
+    def _lower(self, prev: Optional[Dict[str, Any]]) -> None:
         """Compile every step and the hop extraction to kernels, or
         leave the plan empty if the key or any of them has no array
-        form."""
+        form.  ``prev`` maps step names to the views an earlier compile
+        froze; the spec builders hand each back to its table's
+        ``vector_reader(prev=)``."""
         if self._addr_dtype is None:
             return  # wider than any lane: nothing lowers
         extract = self._bind_extract()
@@ -770,22 +778,28 @@ class VectorPlan:
                 isinstance(value, _BOOL_TYPES + _INT_TYPES)
                 for _reg, value in self._base_items):
             return
-        specs: Dict[str, VectorStepSpec] = dict(self._algo.vector_specs())
+        prev = prev or {}
+        specs: Dict[str, VectorStepSpec] = dict(self._algo.vector_specs(prev))
         names = self.plan.step_names
         unknown = sorted(set(specs) - set(names))
         if unknown:
             raise VectorError(f"vector_specs for unknown steps: {unknown}")
         if len(specs) < len(names):
             return  # a step without a spec: nothing lowers
-        program = self.plan.program
-        try:
-            kernels = [_compile_spec(program.step(name), specs[name])
-                       for name in names]
-        except VectorError:
-            return  # a table with no vector view: nothing lowers
+        views = {}
+        for name in names:
+            spec = specs[name]
+            view = spec.reader
+            if view is None and spec.select is not None:
+                view = _table_view(self.plan.program.step(name),
+                                   prev.get(name))
+                if view is None:
+                    return  # a table with no vector view: nothing lowers
+            views[name] = view
         self.lowered_steps = tuple(names)
-        self._kernels = kernels
-        self._views = {name: specs[name].reader for name in names}
+        self._kernels = [_compile_spec(specs[name], views[name])
+                         for name in names]
+        self._views = views
         self._extract = extract
         self.fully_lowered = True
 
@@ -804,35 +818,10 @@ class VectorPlan:
             return _extract_hop_register
         return None
 
-    def patch(self, specs: Dict[str, VectorStepSpec]) -> None:
-        """Swap the named steps' kernels for freshly-frozen ones.
-
-        ``specs`` comes from the algorithm's ``vector_patch(delta)``
-        hook.  A plan that did not lower has nothing to patch and
-        raises :class:`VectorError`, as does an unknown step name (the
-        engine then falls back to a full recompile).  Extraction
-        re-freezes, so a patched plan is indistinguishable from a
-        recompiled one.
-        """
-        program = self.plan.program
-        for name, spec in specs.items():
-            if name not in self.lowered_steps:
-                raise VectorError(
-                    f"vector_patch for un-lowered or unknown step {name!r}")
-            self._kernels[self.lowered_steps.index(name)] = _compile_spec(
-                program.step(name), spec)
-            self._views[name] = spec.reader
-        self._extract = self._bind_extract()
-
-    def step_view(self, name: str):
-        """The table view ``name``'s kernel was compiled against, or
-        ``None``.  ``vector_patch`` hooks hand it back to the backing's
-        ``vector_reader(prev=...)`` for an incremental re-freeze."""
-        return self._views.get(name)
-
     def view_map(self) -> Dict[str, Any]:
-        """Every step with a compiled table view, name → view object.
-        The artifact store serializes these via :func:`view_state`."""
+        """Every step with a recorded table view, name → view object:
+        the next compile's ``prev``, and what the artifact store
+        serializes via :func:`view_state`."""
         return {name: view for name, view in self._views.items()
                 if view is not None}
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..core.plan import LookupPlan
-from ..core.vector import VectorError, VectorPlan, compile_vector_plan
+from ..core.vector import VectorError, VectorPlan
 from ..obs import MetricsRegistry
 from ..prefix.prefix import Prefix
 from .cache import FibCache
@@ -119,7 +119,7 @@ class BatchEngine:
     def _compile(self) -> None:
         """(Re)compile the vector plan (and the scalar plan it embeds),
         then refresh the lowering gauges."""
-        self._vector = compile_vector_plan(self._algo)
+        self._vector = self._algo.compile_vector_plan()
         self._lowered_gauge.set(len(self._vector.lowered_steps),
                                 engine=self.name)
         active = self.active_backend
@@ -216,14 +216,14 @@ class BatchEngine:
         whole cache (the only safe answer without that information).
 
         ``delta`` is the committed :class:`~repro.control.FibDelta`
-        when the runtime applied the batch in place.  If the algorithm
-        can localise it (``vector_patch`` returns step specs), the
-        lowered plan's kernels are re-frozen in place instead of
-        recompiled — O(touched steps), not O(program) — counted in
-        ``repro_engine_plan_patches_total``.  Any ``None`` hook answer,
-        a delta over :attr:`patch_threshold`, a rebuilt (new) structure,
-        a plan that did not lower, or a patch failure falls back to the
-        full recompile.
+        when the runtime applied the batch in place.  The lowered plan
+        is then *patched*: compiled again over the same scalar plan with
+        the old views as ``prev``, so each table replays just its write
+        log into its view — O(delta), not O(table) — counted in
+        ``repro_engine_plan_patches_total``.  A delta over
+        :attr:`patch_threshold`, a rebuilt (new) structure, a plan that
+        did not lower, or a patch that does not lower over exactly the
+        old steps falls back to the full recompile.
         """
         same_structure = algo is None or algo is self._algo
         if algo is not None:
@@ -243,26 +243,28 @@ class BatchEngine:
             self._cache_entries.set(len(cache), engine=self.name)
 
     def _try_patch(self, delta) -> bool:
-        """Patch the vector plan in place for ``delta`` if possible.
+        """Patch the vector plan for ``delta`` if possible.
 
-        The scalar plan inside needs nothing: it reads the live tables.
-        So a plan that did not lower has no frozen state to patch, and
-        recompiles instead — its step chain may have to grow.  On a
-        mid-patch failure the plan is left to the caller's full
-        recompile, which overwrites any partial state.
+        The scalar plan inside needs nothing: it reads the live tables,
+        so the patch keeps it and re-freezes only the views.  A plan
+        that did not lower has none and recompiles instead.  The patch
+        must lower over exactly the old step names: a delta that grew
+        the program (a deeper search) names a step the old scalar plan
+        lacks, one that shrank it leaves a step without a spec, and
+        either way the caller's full recompile takes over.
         """
-        vector = self._vector
-        if delta is None or not vector.fully_lowered \
+        old = self._vector
+        if delta is None or not old.fully_lowered \
                 or not self.patch_threshold \
                 or len(delta) > self.patch_threshold:
             return False
         try:
-            specs = self._algo.vector_patch(delta, vector)
-            if specs is None:
-                return False
-            vector.patch(specs)
+            new = VectorPlan(self._algo, plan=old.plan, prev=old.view_map())
         except VectorError:
             return False
+        if not new.fully_lowered:
+            return False
+        self._vector = new
         return True
 
     def warm(self, addresses: Sequence[int]) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Generic, List, Optional, Tuple, TypeVar
 
 from ..obs.accounting import AccessStats
-from .sram import FreezeLog
+from .sram import FreezeLog, freeze_map
 
 V = TypeVar("V")
 
@@ -96,10 +96,6 @@ class DLeftHashTable(Generic[V]):
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def freeze_version(self) -> int:
-        return self.log.version
 
     @property
     def allocated_cells(self) -> int:
@@ -194,24 +190,9 @@ class DLeftHashTable(Generic[V]):
         spaces are far too wide to densify).  ``None`` when stored data
         is not int-like.  ``prev`` re-freezes the previous compile's
         view by patching its sorted arrays with the write log's net
-        effect.
+        effect (see :func:`~repro.memory.sram.freeze_map`).
         """
-        from ..core.vector import SparseMapView, map_view, patch_sparse_view
-
-        if isinstance(prev, SparseMapView):
-            tail = self.log.tail(prev.version)
-            if tail is not None:
-                updates = dict(tail)
-                if all(value is None or isinstance(value, (bool, int))
-                       for value in updates.values()):
-                    patch_sparse_view(prev, updates)
-                    prev.version = self.freeze_version
-                    return prev
-        self.log.arm()
-        view = map_view(self._flatten(), self.key_width)
-        if view is not None:
-            view.version = self.freeze_version
-        return view
+        return freeze_map(self.log, prev, self._flatten, self.key_width)
 
     def _find(self, key: int) -> Optional[V]:
         """The d candidate buckets, then the overflow area."""

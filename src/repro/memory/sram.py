@@ -20,7 +20,8 @@ from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from ..core.vector import BitmapView, map_view
+from ..core.vector import (BitmapView, DenseArrayView, SparseMapView,
+                           map_view, patch_sparse_view)
 from ..obs.accounting import AccessStats
 
 V = TypeVar("V")
@@ -32,12 +33,14 @@ FREEZE_LOG_CAP = 1 << 15
 
 
 class FreezeLog:
-    """A table's incremental-freeze write log.
+    """A table's incremental-freeze write log — the one freeze path of
+    all five table simulators.
 
     Armed by the first vector view, then every write lands here
     too.  A frozen view carries the log ``version`` it is synced to;
-    handed back on the next freeze, it catches up by replaying just the
-    :meth:`tail` instead of re-copying the table.
+    handed back on the next freeze (``vector_reader(prev=view)``), it
+    catches up by replaying just the :meth:`tail` instead of re-copying
+    the table.
     """
 
     __slots__ = ("entries", "base")
@@ -78,6 +81,43 @@ class FreezeLog:
             self.base = self.version + 1
             self.entries = []
 
+    def stamp(self, view):
+        """Arm the log and sync ``view`` — which must hold the table as
+        it stands now — to the current version; returns ``view``."""
+        self.arm()
+        if view is not None:
+            view.version = self.version
+        return view
+
+
+def freeze_map(log: FreezeLog, prev, slots, key_bits: int,
+               capacity: Optional[int] = None):
+    """The vector view of a dict-shaped table whose writes ``log``
+    records as ``(key, value)`` (``None`` deletes).
+
+    ``prev`` — a view this table froze earlier — catches up in place
+    (a dense view slot by slot, a sorted probe through
+    :func:`~repro.core.vector.patch_sparse_view`) when the log still
+    reaches back to it and every value written since is int-like;
+    otherwise ``slots()`` (the table as a dict) is frozen afresh
+    through :func:`~repro.core.vector.map_view`.
+    """
+    if isinstance(prev, (DenseArrayView, SparseMapView)):
+        tail = log.tail(prev.version)
+        if tail is not None:
+            updates = dict(tail)
+            if all(value is None or isinstance(value, (int, np.integer))
+                   for value in updates.values()):
+                if isinstance(prev, SparseMapView):
+                    patch_sparse_view(prev, updates)
+                else:
+                    for key, value in updates.items():
+                        prev.dense[key] = 0 if value is None else value
+                        prev.present[key] = value is not None
+                prev.version = log.version
+                return prev
+    return log.stamp(map_view(slots(), key_bits, capacity=capacity))
+
 
 class DirectIndexTable(Generic[V]):
     """SRAM table indexed directly by a ``key_width``-bit key.
@@ -96,6 +136,9 @@ class DirectIndexTable(Generic[V]):
         self.name = name
         self.stats = AccessStats(name)
         self._slots: Dict[int, V] = {}
+        #: ``(index, data)`` per store, ``(index, None)`` per clear,
+        #: once a vector view armed it.
+        self.log = FreezeLog()
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -109,10 +152,14 @@ class DirectIndexTable(Generic[V]):
             raise IndexError(f"index {index} outside table of 2^{self.key_width}")
         self._slots[index] = data
         self.stats.writes += 1
+        if self.log.entries is not None:
+            self.log.record((index, data))
 
     def clear_slot(self, index: int) -> None:
         self._slots.pop(index, None)
         self.stats.writes += 1
+        if self.log.entries is not None:
+            self.log.record((index, None))
 
     def load(self, index: int) -> Optional[V]:
         if not 0 <= index < self.capacity:
@@ -138,15 +185,17 @@ class DirectIndexTable(Generic[V]):
         """
         return self._slots.get
 
-    def vector_reader(self):
+    def vector_reader(self, prev=None):
         """A batch-gather snapshot view for the lane compiler.
 
         Dense index → value arrays when the key space is small enough,
         a sorted-key probe view otherwise; ``None`` when the stored
         values are not int-like (the plan then does not lower).  A
-        copy: later writes need a recompile or a patch.
+        copy: later writes show only in the next freeze, which replays
+        the write log into ``prev`` (see :func:`freeze_map`).
         """
-        return map_view(self._slots, self.key_width, capacity=self.capacity)
+        return freeze_map(self.log, prev, lambda: self._slots,
+                          self.key_width, self.capacity)
 
     def sram_bits(self) -> int:
         """Full directly-indexed footprint, populated or not."""
@@ -170,6 +219,8 @@ class ExactMatchTable(Generic[V]):
         self.name = name
         self.stats = AccessStats(name)
         self._slots: Dict[int, V] = {}
+        #: ``(key, data)`` per store, ``(key, None)`` per delete.
+        self.log = FreezeLog()
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -179,10 +230,14 @@ class ExactMatchTable(Generic[V]):
             raise ValueError(f"key {key:#x} exceeds key width {self.key_width}")
         self._slots[key] = data
         self.stats.writes += 1
+        if self.log.entries is not None:
+            self.log.record((key, data))
 
     def delete(self, key: int) -> None:
         del self._slots[key]
         self.stats.writes += 1
+        if self.log.entries is not None:
+            self.log.record((key, None))
 
     def load(self, key: int) -> Optional[V]:
         result = self._slots.get(key)
@@ -203,10 +258,10 @@ class ExactMatchTable(Generic[V]):
         """The live read (see :meth:`DirectIndexTable.plan_reader`)."""
         return self._slots.get
 
-    def vector_reader(self):
+    def vector_reader(self, prev=None):
         """Batch-gather snapshot view (see :meth:`DirectIndexTable.vector_reader`)."""
-        return map_view(self._slots, self.key_width,
-                        capacity=1 << self.key_width)
+        return freeze_map(self.log, prev, lambda: self._slots,
+                          self.key_width, 1 << self.key_width)
 
     def sram_bits(self) -> int:
         return len(self._slots) * (self.key_width + self.data_width)
@@ -260,10 +315,6 @@ class Bitmap:
     def capacity(self) -> int:
         return 1 << self.index_width
 
-    @property
-    def freeze_version(self) -> int:
-        return self.log.version
-
     def set(self, index: int, value: bool = True) -> None:
         self._bits[index] = value
         self.stats.writes += 1
@@ -311,10 +362,9 @@ class Bitmap:
                 packed = prev.packed
                 for index, value in tail:
                     packed[index] = value
-                prev.version = self.freeze_version
+                prev.version = self.log.version
                 return prev
-        self.log.arm()
-        return BitmapView(self._bits.astype(np.uint8), self.freeze_version)
+        return self.log.stamp(BitmapView(self._bits.astype(np.uint8)))
 
     def sram_bits(self) -> int:
         """One bit per slot, populated or not."""

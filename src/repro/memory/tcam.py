@@ -222,10 +222,14 @@ class TcamTable(Generic[V]):
         incrementally: the rows the write log names since its version
         are re-read and patched into its sorted groups — O(delta), not
         O(rows).  A matrix view (at most ``MATRIX_ROW_LIMIT`` rows) is
-        rebuilt, as is a view the log no longer reaches.
+        kept while nothing was written since it froze and rebuilt
+        otherwise, as is a view the log no longer reaches.
         """
         self.log.arm()
         if isinstance(prev, TcamGroupView) and self._replay(prev, encode):
+            return prev
+        if isinstance(prev, TcamMatrixView) and \
+                self.log.tail(prev.version) == []:
             return prev
         keys = key_dtype(self.key_width)
         probes: List[Tuple[int, SparseMapView]] = []
@@ -245,7 +249,8 @@ class TcamTable(Generic[V]):
             np.concatenate([probe.keys for _mask, probe in probes]),
             np.concatenate([np.full(len(probe.data), mask, dtype=keys)
                             for mask, probe in probes]),
-            np.concatenate([probe.data for _mask, probe in probes]))
+            np.concatenate([probe.data for _mask, probe in probes]),
+            self.log.version)
 
     def _replay(self, view: TcamGroupView, encode) -> bool:
         """Bring ``view`` up to date from the write-log tail; False when

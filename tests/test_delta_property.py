@@ -41,14 +41,15 @@ from repro.control import (
     UpdateOp,
 )
 from repro.core import compile_plan
-from repro.core.vector import (MATRIX_ROW_LIMIT, SparseMapView, TcamGroupView,
-                               compile_vector_plan, key_dtype, map_view,
-                               patch_sparse_view, view_from_state, view_state)
+from repro.core.vector import (MATRIX_ROW_LIMIT, DenseArrayView, SparseMapView,
+                               TcamGroupView, compile_vector_plan, key_dtype,
+                               map_view, patch_sparse_view, view_from_state,
+                               view_state)
 from repro.datasets import (matching_addresses, synthesize_as65000,
                             synthesize_as131072, uniform_addresses)
 from repro.engine import BatchEngine
 from repro.memory.dleft import DLeftHashTable
-from repro.memory.sram import Bitmap
+from repro.memory.sram import Bitmap, DirectIndexTable, ExactMatchTable
 from repro.memory.tcam import TcamTable
 from repro.prefix import Fib, Prefix
 from repro.server import LookupServer
@@ -458,6 +459,40 @@ def test_bsic_depth_growth_declines_the_patch(width, k, extra):
     _assert_bsic_equals_scratch(managed, engine, k, probes)
 
 
+def test_dxr_depth_growth_declines_the_patch():
+    """DXR's companion: a delta that deepens ``search_depth`` past the
+    compiled probe chain names a probe step the old scalar plan lacks,
+    so the engine recompiles once; the next shallow batch patches
+    again, and the answers follow the oracle throughout."""
+    slice_bits = 0x0A01
+    base = Fib(32, [(_v4((slice_bits << 8) | i, 24), 1 + i)
+                    for i in (1, 5, 9)])
+    managed = ManagedFib(lambda fib: Dxr(fib, k=16), base,
+                         policy=RuntimePolicy(**QUIET))
+    engine = BatchEngine.over_managed(managed, name="dxr-deep")
+    depth = managed.algo.search_depth
+    bits = depth + 1
+    grow = [UpdateOp(ANNOUNCE, _v4((slice_bits << bits) | i, 16 + bits),
+                     10 + i % 5)
+            for i in range(0, 1 << bits, 2)]
+    probes = _around([p for p, _hop in base] + [op.prefix for op in grow], 32)
+
+    def check():
+        expected = [managed.oracle.lookup(a) for a in probes]
+        assert engine.lookup_batch(probes) == expected
+        assert engine.plan.lookup_batch(probes) == expected
+
+    assert managed.apply_batch(grow) == "batch_applied"
+    assert managed.algo.search_depth > depth
+    assert _engine_counts(managed, "dxr-deep") == (0, 1)
+    assert len(engine.plan.step_names) == 1 + managed.algo.search_depth
+    check()
+    modify = [UpdateOp(ANNOUNCE, op.prefix, 99) for op in grow[:3]]
+    assert managed.apply_batch(modify) == "batch_applied"
+    assert _engine_counts(managed, "dxr-deep") == (1, 1)
+    check()
+
+
 @pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
 @given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=3, deadline=None,
@@ -615,6 +650,39 @@ def _tcam_keys(width):
     return np.array(keys, dtype=key_dtype(width))
 
 
+#: The dict-shaped SRAM tables and the view each freezes to: a
+#: direct-index key space small enough to densify, one past
+#: ``DENSE_LIMIT``, and an exact-match table.
+MAP_TABLES = {
+    "direct-dense": (lambda: DirectIndexTable(12, 8), DenseArrayView),
+    "direct-sparse": (lambda: DirectIndexTable(24, 8), SparseMapView),
+    "exact": (lambda: ExactMatchTable(24, 8), SparseMapView),
+}
+
+#: Slot scripts: (key index, value); value 0 clears or deletes the slot.
+slot_scripts = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=63),
+              st.integers(min_value=0, max_value=15)),
+    min_size=0, max_size=48)
+
+
+def _slot_keys(table):
+    """The 64 keys a script can name, spread over the whole key space."""
+    return np.array([i * 2654435761 % (1 << table.key_width)
+                     for i in range(64)], dtype=np.int64)
+
+
+def _slot_apply(table, script):
+    keys = _slot_keys(table).tolist()
+    for index, value in script:
+        if value:
+            table.store(keys[index], value)
+        elif isinstance(table, DirectIndexTable):
+            table.clear_slot(keys[index])
+        elif table.load(keys[index]) is not None:
+            table.delete(keys[index])
+
+
 def _assert_same_gather(view, fresh, keys):
     active = np.arange(keys.shape[0]) % 3 != 1
     for mask in (None, active):
@@ -687,6 +755,43 @@ class TestIncrementalFreeze:
         assert resynced is not stale  # no tail describes a rehash
         assert dict(zip(resynced.keys.tolist(), resynced.data.tolist())) \
             == table._flatten() == {k: k for k in range(1, 40)}
+
+    @pytest.mark.parametrize("kind", sorted(MAP_TABLES))
+    @given(initial=slot_scripts, churn=slot_scripts)
+    @settings(max_examples=30, deadline=None)
+    def test_map_table_replay_equals_full_freeze(self, kind, initial,
+                                                 churn):
+        make, view_type = MAP_TABLES[kind]
+        table = make()
+        _slot_apply(table, initial)
+        view = table.vector_reader()
+        assert isinstance(view, view_type)
+        _slot_apply(table, churn)
+        revived = table.vector_reader(prev=view)
+        assert revived is view  # caught up in place, not re-copied
+        keys = _slot_keys(table)
+        _assert_same_gather(revived, table.vector_reader(), keys)
+        vals, found = revived.gather(keys)
+        assert [v if f else None for v, f in
+                zip(vals.tolist(), found.tolist())] == \
+            [table.load(k) for k in keys.tolist()]
+
+    @pytest.mark.parametrize("kind", sorted(MAP_TABLES))
+    @given(churn=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=63),
+                  st.integers(min_value=1, max_value=15)),
+        min_size=8, max_size=48))
+    @settings(max_examples=10, deadline=None)
+    def test_map_table_log_trim_falls_back_to_full_copy(self, kind, churn):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sram_module, "FREEZE_LOG_CAP", 4)
+            table = MAP_TABLES[kind][0]()
+            stale = table.vector_reader()
+            _slot_apply(table, churn)  # past the cap: the tail is gone
+            resynced = table.vector_reader(prev=stale)
+        assert resynced is not stale  # full copy, not a replay
+        _assert_same_gather(resynced, table.vector_reader(),
+                            _slot_keys(table))
 
     @pytest.mark.parametrize("width", [8, 64])
     @given(initial=tcam_scripts, churn=tcam_scripts)

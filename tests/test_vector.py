@@ -51,7 +51,7 @@ class UnloweredTcam(LogicalTcam):
     table) to stay covered.
     """
 
-    def vector_specs(self):
+    def vector_specs(self, prev):
         return {}
 
 
@@ -426,9 +426,6 @@ class TestVectorPlan:
         assert len(vplan) == 0
         assert vplan.describe()["lowered_steps"] == []
         assert vplan.view_map() == {}
-        # A plan with no kernels has nothing to patch.
-        with pytest.raises(VectorError, match="un-lowered"):
-            vplan.patch(LogicalTcam(fib).vector_specs())
 
     @pytest.mark.parametrize("base", [LogicalTcam, HiBst, Bsic])
     def test_over_wide_key_compiles_no_kernels(self, base):
@@ -474,7 +471,7 @@ class TestVectorPlan:
 
     def test_unknown_spec_names_raise(self):
         class BadTcam(LogicalTcam):
-            def vector_specs(self):
+            def vector_specs(self, prev):
                 return {"no_such_step": VectorStepSpec(
                     lambda lanes, vals, found, active: None)}
 
@@ -570,39 +567,41 @@ class TestEngineBackend:
             == {"plan", "vector"}
 
     def test_wide_bsic_compiles_no_kernels_and_skips_vector_patch(self):
-        """(Id kept from when it did.)  A real width-64 table serves
-        from kernels, and every delta commit
-        re-freezes them through ``vector_patch`` — one call per commit,
-        the initial view handed back to its table."""
-        calls = {"specs": 0, "patch": 0}
-
-        class CountingBsic(Bsic):
-            def vector_specs(self, prev_initial=None):
-                calls["specs"] += 1
-                return super().vector_specs(prev_initial)
-
-            def vector_patch(self, delta, vector_plan):
-                calls["patch"] += 1
-                return super().vector_patch(delta, vector_plan)
-
+        """(Id kept from when it did, and from when patches went
+        through a ``vector_patch`` hook.)  A real width-64 table serves
+        from kernels, and a delta commit is one patch: a compile over
+        the same scalar plan and step chain, the old initial view
+        handed back to its table as ``prev``."""
         base = Fib(64)
         for i in range(24):
             base.insert(Prefix.from_bits((0x2001 << 16) | i, 32, 64), i)
         base.insert(Prefix.from_bits(0xFFFF, 16, 64), 99)  # bit 63 set
-        managed = ManagedFib(lambda fib: CountingBsic(fib, k=24), base)
+        managed = ManagedFib(lambda fib: Bsic(fib, k=24), base)
         engine = BatchEngine.over_managed(managed, name="wide")
         assert engine.active_backend == "vector"
         assert engine.vector_plan.fully_lowered
         assert len(engine.vector_plan) == len(engine.plan.step_names)
         assert set(engine.vector_plan.view_map()) == {"initial"}
-        assert calls == {"specs": 1, "patch": 0}
-        outcomes = [managed.apply_batch(batch) for batch in
-                    ChurnGenerator(base, seed=5).batches(6, 4)]
-        assert "batch_applied" in outcomes  # the delta (patch) path ran
-        patches = engine.registry.get(
-            "repro_engine_plan_patches_total").value(engine="wide")
-        assert patches > 0
-        assert calls["patch"] >= patches
+
+        def count(metric):
+            return engine.registry.get(metric).value(engine="wide")
+
+        landed = 0
+        for batch in ChurnGenerator(base, seed=5).batches(6, 4):
+            plan = engine.plan
+            patches = count("repro_engine_plan_patches_total")
+            landed += managed.apply_batch(batch) in ("batch_applied",
+                                                     "batch_rebuilt")
+            if count("repro_engine_plan_patches_total") > patches:
+                assert count("repro_engine_plan_patches_total") \
+                    == patches + 1
+                assert engine.plan is plan
+                assert engine.vector_plan.lowered_steps == \
+                    tuple(plan.step_names)
+        # One refresh per landed commit, and the delta path patched.
+        assert count("repro_engine_plan_patches_total") \
+            + count("repro_engine_plan_recompiles_total") == landed
+        assert count("repro_engine_plan_patches_total") > 0
         oracle = managed.oracle
         addresses = [p.value | 1 for p, _hop in oracle] + [
             0, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]

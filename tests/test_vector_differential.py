@@ -423,10 +423,12 @@ def test_resail_kernels_read_patched_and_replaced_views(monkeypatch):
     def count(name):
         return engine.registry.get(name).value(engine="e")
 
+    def views():
+        return engine.vector_plan.view_map()
+
     check([])
-    view24 = engine.vector_plan.step_view("bitmap_24")
-    view20 = engine.vector_plan.step_view("bitmap_20")
-    hash_view = engine.vector_plan.step_view("hash")
+    view24, view20, hash_view = (views()[step] for step in
+                                 ("bitmap_24", "bitmap_20", "hash"))
     new24 = Prefix.from_bits(0x0C0102, 24, 32)
     assert managed.apply_batch(
         [UpdateOp(ANNOUNCE, new24, 21),
@@ -434,8 +436,8 @@ def test_resail_kernels_read_patched_and_replaced_views(monkeypatch):
         == "batch_applied"
     assert count("repro_engine_plan_patches_total") == 1
     # Replayed in place: same view objects, the kernels see the bits.
-    assert engine.vector_plan.step_view("bitmap_24") is view24
-    assert engine.vector_plan.step_view("hash") is hash_view
+    assert views()["bitmap_24"] is view24
+    assert views()["hash"] is hash_view
     assert view24.packed[0x0C0102] == 1 and view24.packed[0xC0A801] == 0
     assert engine.vector_plan.lookup(0x0C010203) == 21
     assert engine.vector_plan.lookup(0xC0A801C0) == 4   # the /16 again
@@ -449,31 +451,47 @@ def test_resail_kernels_read_patched_and_replaced_views(monkeypatch):
     assert managed.apply_batch(batch) == "batch_applied"
     assert count("repro_engine_plan_patches_total") == 2
     assert count("repro_engine_plan_recompiles_total") == 0
-    fresh20 = engine.vector_plan.step_view("bitmap_20")
+    fresh20 = views()["bitmap_20"]
     assert fresh20 is not view20                     # a new view object
-    assert engine.vector_plan.step_view("bitmap_24") is view24  # untouched
+    assert views()["bitmap_24"] is view24            # untouched
     assert view20.packed[0x0D005] == 0 and fresh20.packed[0x0D005] == 1
     assert engine.vector_plan.lookup(0x0D005123) == 35
     check([0x0D000000, 0x0D00B999, 0x0D00C000])
 
 
-def test_resail_kernels_over_read_only_mapped_views(tmp_path):
-    """Warm start: the views are adopted from the mapped artifact.  The
-    kernels only ever read them — shown by serving with every adopted
-    array marked read-only."""
+#: Warm-start legs: each scheme, and views its artifact must persist.
+MAPPED_VIEWS = {
+    "resail": (lambda fib: Resail(fib, min_bmp=13),
+               {"hash", "bitmap_13", "bitmap_24"}),
+    "sail": (Sail, {"bitmap_1", "bitmap_24", "array_8", "array_24"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAPPED_VIEWS))
+def test_kernels_over_read_only_mapped_views(tmp_path, name):
+    """Warm start: the first compile adopts its views from the mapped
+    artifact — every array of every view *is* a mapped section, not a
+    re-flattened copy.  The kernels only ever read them, shown by
+    serving with every adopted array marked read-only."""
     from repro.artifact import ArtifactCatalog
 
+    factory, expect = MAPPED_VIEWS[name]
     fib = resail_edge_fib()
-    algo = Resail(fib, min_bmp=13)
+    algo = factory(fib)
     catalog = ArtifactCatalog(str(tmp_path))
     catalog.save("edge", algo, fib, vector_plan=algo.compile_vector_plan())
-    warm = catalog.load("edge").algorithm()
-    adopted = dict(warm._artifact_views)
-    assert {"hash", "bitmap_13", "bitmap_24"} <= set(adopted)
+    loaded = catalog.load("edge")
+    warm = loaded.algorithm()
     vplan = warm.compile_vector_plan()
+    adopted = vplan.view_map()
+    assert expect <= set(adopted)
+    # Adopted by the first compile only: no two plans share a view.
+    again = warm.compile_vector_plan().view_map()
+    assert all(again[step] is not view for step, view in adopted.items())
     for step, view in adopted.items():
-        assert vplan.step_view(step) is view         # no re-flatten
-        for array in view_state(view)[2].values():
+        for field, array in view_state(view)[2].items():
+            assert not array.size or np.shares_memory(
+                array, loaded.arrays[f"view/{step}/{field}"]), (step, field)
             array.flags.writeable = False
     before = view_bytes(vplan)
     addresses = probe_addresses(fib, [])
