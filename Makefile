@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test ci conformance bench bench-smoke bench-vector \
-        bench-updates bench-history chaos spans examples clean
+        bench-updates chaos spans examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -55,16 +55,15 @@ ci: test          ## what .github/workflows/ci.yml runs: tests + smokes
 	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
 	    benchmarks/bench_tab04_ipv4_cram.py benchmarks/bench_updates.py \
 	    benchmarks/bench_throughput.py benchmarks/bench_coldstart.py -q
-	$(PYTHON) -m repro bench-history --check
 
 conformance:      ## wide-width engine conformance sweep (CI's slow job)
 	$(PYTHON) -m pytest tests/test_engine_conformance.py -q -m slow
 
 bench:            ## full paper reproduction (~6 min, full BGP scale)
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m pytest benchmarks/
 
 bench-smoke:      ## fast shape check on 2%-scale databases (~30 s)
-	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest benchmarks/
 
 bench-vector:     ## lane-compiler gate: vector >= 3x scalar plan
 	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
@@ -73,9 +72,6 @@ bench-vector:     ## lane-compiler gate: vector >= 3x scalar plan
 bench-updates:    ## churn gate: delta commits >= 5x full recompiles
 	REPRO_BENCH_SCALE=0.02 $(PYTHON) -m pytest \
 	    benchmarks/bench_updates.py -q
-
-bench-history:    ## benchmark trajectory: append sidecars + regression report
-	$(PYTHON) -m repro bench-history --check
 
 chaos:            ## chaos soak: thread + process pools under fault injection
 	$(PYTHON) -m repro chaos-soak --mode both --seed 7 \

@@ -1,23 +1,20 @@
 """Helpers shared by the benchmark files (kept out of conftest so the
 import works regardless of pytest's conftest handling).
 
-``emit`` persists the human-readable table exactly as before; pass
-``values``/``timings``/``registry`` and it also writes a ``.json``
-sidecar next to the ``.txt`` so the bench trajectory is
-machine-readable (CI uploads ``benchmarks/results/*.json`` as
-artifacts).  Sidecar layout::
+``emit`` persists the human-readable table; pass ``values`` and/or
+``timings`` and it also writes a ``.json`` sidecar next to the
+``.txt`` for CI's ratio gates to read (CI uploads
+``benchmarks/results/*.json`` as artifacts).  Sidecar layout::
 
     {
       "bench": "<name>",
       "values": {...},     # deterministic numbers the bench asserts on
-      "timings": {...},    # wall-clock measurements (non-deterministic)
-      "metrics": {...},    # MetricsRegistry.snapshot(), if one was used
-      "wall_timings": {...}  # registry.timings_snapshot(), ditto
+      "timings": {...}     # wall-clock measurements (non-deterministic)
     }
 
-Only ``values`` and ``metrics`` are stable across same-seed runs;
-anything wall-clock lives in the timing sections, mirroring the
-determinism split in :mod:`repro.obs.registry`.
+Only ``values`` is stable across same-seed runs; anything wall-clock
+lives in ``timings``, mirroring the determinism split in
+:mod:`repro.obs.registry`.
 """
 
 import json
@@ -26,39 +23,26 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def emit(name: str, text: str, *, values=None, timings=None,
-         registry=None) -> pathlib.Path:
+def emit(name: str, text: str, *, values=None, timings=None) -> pathlib.Path:
     """Print a reproduced table and persist it under benchmarks/results/.
 
-    Returns the path of the written ``.txt``.  When any of ``values``
-    (deterministic result numbers), ``timings`` (wall-clock seconds),
-    or ``registry`` (a :class:`repro.obs.MetricsRegistry`) is given, a
-    ``<name>.json`` sidecar is written as well.
+    Returns the path of the written ``.txt``.  When ``values``
+    (deterministic result numbers) or ``timings`` (wall-clock seconds)
+    is given, a ``<name>.json`` sidecar is written as well.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     print(f"\n{text}\n")
-    if values is not None or timings is not None or registry is not None:
-        emit_json(name, values=values, timings=timings, registry=registry)
-    return path
-
-
-def emit_json(name: str, *, values=None, timings=None,
-              registry=None) -> pathlib.Path:
-    """Write the machine-readable sidecar; returns its path."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    doc = {"bench": name}
-    if values is not None:
-        doc["values"] = values
-    if timings is not None:
-        doc["timings"] = timings
-    if registry is not None:
-        doc["metrics"] = registry.snapshot()
-        doc["wall_timings"] = registry.timings_snapshot()
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                               default=_jsonable) + "\n")
+    if values is not None or timings is not None:
+        doc = {"bench": name}
+        if values is not None:
+            doc["values"] = values
+        if timings is not None:
+            doc["timings"] = timings
+        (RESULTS_DIR / f"{name}.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True, default=_jsonable)
+            + "\n")
     return path
 
 
@@ -66,20 +50,3 @@ def _jsonable(value):
     if isinstance(value, (set, frozenset)):
         return sorted(value, key=str)
     return str(value)
-
-
-def bench_timings(benchmark) -> dict:
-    """Wall-clock stats from a pytest-benchmark fixture, JSON-safe.
-
-    Returns ``{}`` when the fixture has not run yet (or benchmarking
-    is disabled), so callers can pass the result straight to ``emit``.
-    """
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    if stats is None:
-        return {}
-    return {
-        "mean_s": stats.mean,
-        "min_s": stats.min,
-        "max_s": stats.max,
-        "rounds": stats.rounds,
-    }

@@ -9,7 +9,7 @@ reproduce in shape.
 
 import pytest
 
-from _bench_utils import bench_timings, emit
+from _bench_utils import emit
 
 from repro.analysis import cram_metrics_table, select_best
 from repro.core import KB, MB
@@ -28,8 +28,7 @@ def test_tab04_ipv4_cram_metrics(benchmark, resail_v4, bsic_v4, mashup_v4,
              name: {"tcam_bits": m.tcam_bits, "sram_bits": m.sram_bits,
                     "steps": m.steps}
              for name, m in rows
-         },
-         timings=bench_timings(benchmark))
+         })
 
     metrics = dict(rows)
     mashup = metrics[mashup_v4.name]

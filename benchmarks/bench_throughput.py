@@ -1,16 +1,13 @@
-"""Lookup throughput: native simulators vs the batch engine.
+"""Lookup throughput ratio gates: interpreter vs plan vs lane kernels.
 
 Not a paper table — the paper measures hardware resources, not Python
-speed — but the perf trajectory of the serving path.  Three benches:
+speed — but the scale-free ratios CI asserts on the serving path's
+execution tiers.  Two benches:
 
-* ``test_ipv4_lookup_throughput`` / ``test_ipv6_lookup_throughput``
-  sweep every behavioural simulator (plus the reference trie) over one
-  mixed workload and record lookups/sec per scheme.
 * ``test_engine_vs_interpreter_throughput`` is the engine acceptance
   gate: the compiled plan (``repro.core.plan``) must serve at least
   **3x** the lookups/sec of the per-packet CRAM interpreter on the
-  same FIB, and the cached engine is measured on a Zipf-skewed
-  workload on top.
+  same FIB.
 * ``test_vector_vs_plan_throughput`` is the lane-compiler acceptance
   gate: every scheme lowers fully, so the vector plan
   (``repro.core.vector``) must serve at least **3x** the lookups/sec
@@ -20,16 +17,16 @@ speed — but the perf trajectory of the serving path.  Three benches:
   flushes, the served scheme (RESAIL) at least **1.5x** (the kernel's
   fixed cost per batch; reported ungated for the rest).
 
-Every bench emits a machine-readable JSON sidecar via
-``_bench_utils.emit`` (``benchmarks/results/throughput_*.json``):
-deterministic numbers (hit counts, checksums, cache hit/miss counts)
-in ``values``, wall-clock rates in ``timings``.
+Both emit a machine-readable JSON sidecar via ``_bench_utils.emit``
+(``benchmarks/results/throughput_*.json``): deterministic numbers
+(checksums, thresholds) in ``values``, wall-clock rates and the
+gated ratios in ``timings``.
 """
 
 import os
 import time
 
-from _bench_utils import bench_timings, emit
+from _bench_utils import emit
 
 from repro.algorithms import (
     Bsic,
@@ -46,11 +43,9 @@ from repro.analysis import Table
 from repro.core import compile_plan, compile_vector_plan
 from repro.datasets import (
     mixed_addresses,
-    skewed_addresses,
     synthesize_as65000,
     synthesize_as131072,
 )
-from repro.engine import BatchEngine
 
 import pytest
 
@@ -91,71 +86,12 @@ def small_v6():
     return fib, mixed_addresses(fib, N_ADDRESSES, seed=22)
 
 
-def run_lookups(lookup, addresses):
-    total = 0
-    for address in addresses:
-        if lookup(address) is not None:
-            total += 1
-    return total
-
-
-def _sweep(fib, addresses, makers):
-    """(hits, rates): per-scheme hit counts and native lookups/sec."""
-    hits = {}
-    rates = {}
-    for name, maker in makers:
-        algo = maker(fib)
-        start = time.perf_counter()
-        hits[name] = run_lookups(algo.lookup, addresses)
-        rates[name] = len(addresses) / (time.perf_counter() - start)
-    start = time.perf_counter()
-    hits["trie"] = run_lookups(fib.lookup, addresses)
-    rates["trie"] = len(addresses) / (time.perf_counter() - start)
-    return hits, rates
-
-
-def _emit_sweep(name, title, hits, rates, benchmark):
-    table = Table(title, ["Scheme", "Lookups/s", "Hits"])
-    for scheme, rate in sorted(rates.items(), key=lambda kv: -kv[1]):
-        table.add_row(scheme, f"{rate:,.0f}", str(hits[scheme]))
-    emit(name, table.render(),
-         values={"addresses": N_ADDRESSES, "hits": hits},
-         timings={"lookups_per_s": rates,
-                  "benchmark": bench_timings(benchmark)})
-
-
-def test_ipv4_lookup_throughput(benchmark, small_v4):
-    fib, addresses = small_v4
-    result = benchmark.pedantic(
-        lambda: _sweep(fib, addresses, V4_MAKERS), rounds=1, iterations=1)
-    hits, rates = result
-    _emit_sweep("throughput_ipv4",
-                f"IPv4 native lookup throughput ({N_ADDRESSES} addresses)",
-                hits, rates, benchmark)
-    # Every simulator answers the same workload identically.
-    assert all(h == hits["trie"] for h in hits.values())
-    assert hits["trie"] > 0
-
-
-def test_ipv6_lookup_throughput(benchmark, small_v6):
-    fib, addresses = small_v6
-    result = benchmark.pedantic(
-        lambda: _sweep(fib, addresses, V6_MAKERS), rounds=1, iterations=1)
-    hits, rates = result
-    _emit_sweep("throughput_ipv6",
-                f"IPv6 native lookup throughput ({N_ADDRESSES} addresses)",
-                hits, rates, benchmark)
-    assert all(h == hits["trie"] for h in hits.values())
-    assert hits["trie"] > 0
-
-
 def test_engine_vs_interpreter_throughput(benchmark, small_v4):
     """The engine acceptance gate: compiled plan >= 3x the per-packet
     CRAM interpreter on the same FIB, recorded in a JSON sidecar."""
     fib, addresses = small_v4
     algo = Resail(fib, min_bmp=13)
     plan = compile_plan(algo)
-    skewed = skewed_addresses(fib, N_ADDRESSES, seed=23)
 
     def run():
         # Per-packet interpreter dispatch: the pre-engine serving path.
@@ -170,29 +106,18 @@ def test_engine_vs_interpreter_throughput(benchmark, small_v4):
         for _ in range(rounds):
             out = plan.lookup_batch(addresses, out=[])
         plan_rate = rounds * len(addresses) / (time.perf_counter() - start)
-        # Engine with the skew-aware cache on a Zipf workload.
-        engine = BatchEngine(algo, cache_size=1024, name="bench")
-        engine.lookup_batch(skewed)  # warm the cache with real traffic
-        start = time.perf_counter()
-        served = engine.lookup_batch(skewed)
-        engine_rate = len(skewed) / (time.perf_counter() - start)
         checksum = sum(hop for hop in out if hop is not None)
-        # A cache hit must answer exactly like the compiled plan.
-        assert served == [plan.lookup(a) for a in skewed]
-        return interp_rate, plan_rate, engine_rate, checksum, engine
+        return interp_rate, plan_rate, checksum
 
-    interp_rate, plan_rate, engine_rate, checksum, engine = benchmark.pedantic(
+    interp_rate, plan_rate, checksum = benchmark.pedantic(
         run, rounds=1, iterations=1)
     speedup = plan_rate / interp_rate
-    cache = engine.cache.stats
 
     table = Table("Batched engine vs per-packet interpreter",
                   ["Serving path", "Lookups/s", "vs interpreter"])
     table.add_row("CRAM interpreter (per packet)", f"{interp_rate:,.0f}", "1.0x")
     table.add_row("compiled plan (batched)", f"{plan_rate:,.0f}",
                   f"{speedup:.1f}x")
-    table.add_row("engine + FIB cache (skewed)", f"{engine_rate:,.0f}",
-                  f"{engine_rate / interp_rate:.1f}x")
     emit("throughput_engine", table.render(),
          values={
              "addresses": len(addresses),
@@ -200,15 +125,11 @@ def test_engine_vs_interpreter_throughput(benchmark, small_v4):
              "plan_hop_checksum": checksum,
              "plan_steps": len(plan),
              "speedup_threshold_x": 3.0,
-             "cache": {"hits": cache.hits, "misses": cache.misses,
-                       "hit_ratio": round(engine.cache_hit_ratio(), 4)},
          },
          timings={
              "interpreter_lookups_per_s": interp_rate,
              "plan_lookups_per_s": plan_rate,
-             "engine_cached_lookups_per_s": engine_rate,
              "speedup_x": speedup,
-             "benchmark": bench_timings(benchmark),
          })
 
     # Correctness before speed: the plan answers like the trie oracle.
@@ -346,7 +267,6 @@ def test_vector_vs_plan_throughput(benchmark, small_v4, small_v6):
                  "speedup_x": column(rows_v6, 2),
                  "vector_b16_over_plan": column(rows_v6, 4),
              },
-             "benchmark": bench_timings(benchmark),
          })
 
     for family, family_rows in (("", rows), ("IPv6 ", rows_v6)):

@@ -25,7 +25,7 @@ benches check that ranking:
 import os
 import time
 
-from _bench_utils import bench_timings, emit
+from _bench_utils import emit
 
 from repro.algorithms import Bsic, Mashup, Resail
 from repro.analysis import Table
@@ -90,8 +90,7 @@ def test_update_costs(benchmark):
         table.add_row(name, f"{seconds:.3f}", f"{seconds / len(trace) * 1e3:.2f}")
     emit("update_costs", table.render(),
          values={"churn_ops": len(trace), "probes": len(probes)},
-         timings={"per_scheme_total_s": times,
-                  "benchmark": bench_timings(benchmark)})
+         timings={"per_scheme_total_s": times})
 
     # Appendix A.3's ordering: RESAIL's in-place writes are cheapest;
     # BSIC re-derives one slice's BST per route, MASHUP re-hybridizes.
@@ -155,7 +154,6 @@ def test_managed_churn_fault_ranking(benchmark):
              for name, managed in results.items()
          },
          timings={
-             "benchmark": bench_timings(benchmark),
              "per_scheme": {
                  name: managed.registry.timings_snapshot()
                  for name, managed in results.items()
@@ -293,8 +291,7 @@ def test_churn_under_serving(benchmark):
                  "speedup_threshold_x": 5.0, "legs": counters,
                  "bsic_v6": {"fib_routes": len(schemes["bsic_v6"][1]),
                              "legs": v6_counters}},
-         timings={**timings, "bsic_v6": v6_timings,
-                  "benchmark": bench_timings(benchmark)})
+         timings={**timings, "bsic_v6": v6_timings})
 
     # The delta legs really took the incremental path...
     assert counters["delta"]["applied"] == batches

@@ -3,8 +3,9 @@
 Each benchmark file regenerates one table or figure from the paper's
 evaluation (see DESIGN.md's per-experiment index).  The reproduced
 tables are printed and also written to ``benchmarks/results/`` so a
-``pytest benchmarks/ --benchmark-only`` run leaves the full set of
-artifacts behind.
+``pytest benchmarks/`` run leaves the full set of artifacts behind.
+Run it without ``--benchmark-only``: that flag skips the benches that
+take no ``benchmark`` fixture, the warm-start ratio gate among them.
 
 Set ``REPRO_BENCH_SCALE`` (default 1.0) to run against smaller
 synthetic databases for a quick smoke pass; paper-comparison

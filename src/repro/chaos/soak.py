@@ -175,7 +175,8 @@ def run_chaos_soak(
         final_alive = server.pool.alive_workers()
         unresolved = sum(1 for h in submitted if not h.done())
 
-    request_pcts = server.slo.percentiles("request")
+    request_window = server.slo.report()["phases"].get("request", {})
+    samples = request_window.get("window_n", 0)
     supervisor = server.supervisor
     report = {
         "mode": mode,
@@ -204,10 +205,13 @@ def run_chaos_soak(
         "final_health": str(server.health_state),
         "final_alive_workers": final_alive,
         "slo_breaches": server.slo.breaches,
+        # A nearest-rank quantile q over fewer than 1/(1-q) samples is
+        # just the maximum, so it is published only past that count.
         "latency": {
-            "request_p50_s": request_pcts.get("p50"),
-            "request_p99_s": request_pcts.get("p99"),
-            "request_p999_s": request_pcts.get("p999"),
+            "samples": samples,
+            **{f"request_{q}_s": (request_window.get(f"{q}_s")
+                                  if samples >= need else None)
+               for q, need in (("p50", 2), ("p99", 100), ("p999", 1000))},
         },
         "ok": True,
     }

@@ -289,7 +289,7 @@ def cmd_results(args: argparse.Namespace) -> int:
     files = sorted(results_dir.glob("*.txt"))
     if not files:
         print(f"no results in {results_dir} - run: "
-              "pytest benchmarks/ --benchmark-only")
+              "pytest benchmarks/")
         return 1
     wanted = set(args.only or [])
     shown = 0
@@ -722,11 +722,12 @@ def cmd_chaos_soak(args: argparse.Namespace) -> int:
               f"restarts={report.get('worker_restarts')} "
               f"health={report.get('final_health')}")
         latency = report.get("latency") or {}
-        if latency.get("request_p50_s") is not None:
-            print(f"  latency: "
-                  f"p50={latency['request_p50_s'] * 1e3:.2f}ms "
-                  f"p99={(latency.get('request_p99_s') or 0.0) * 1e3:.2f}ms "
-                  f"p999={(latency.get('request_p999_s') or 0.0) * 1e3:.2f}ms "
+        if latency.get("samples"):
+            shown = " ".join(
+                f"{q}=" + ("n/a" if latency.get(f"request_{q}_s") is None
+                           else f"{latency[f'request_{q}_s'] * 1e3:.2f}ms")
+                for q in ("p50", "p99", "p999"))
+            print(f"  latency: n={latency.get('samples')} {shown} "
                   f"(slo breaches: {report.get('slo_breaches', 0)})")
         for failure in report.get("failures", []):
             print(f"  violation: {failure}")
@@ -738,54 +739,12 @@ def cmd_chaos_soak(args: argparse.Namespace) -> int:
                    "script": [list(event) for event in script],
                    "seed": args.seed, "requests": args.requests,
                    "workers": args.workers},
-        # Per-mode tail latency under "timings" so the trajectory
-        # tracker's flattener picks it up for regression checking.
-        "timings": {
-            str(run.get("mode", f"run{i}")): dict(run.get("latency") or {})
-            for i, run in enumerate(runs)
-        },
         "runs": runs,
         "ok": ok,
     }
     out.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(f"  wrote {out}")
     return 0 if ok else 1
-
-
-def cmd_bench_history(args: argparse.Namespace) -> int:
-    """Benchmark trajectory: append sidecars to the versioned history
-    and report regressions against the previous recorded run."""
-    from .obs import trajectory
-
-    appended = 0
-    if not args.no_append:
-        run, records = trajectory.append_run(args.results_dir, args.history)
-        appended = len(records)
-        if appended:
-            print(f"bench-history: appended {appended} sidecar record(s) "
-                  f"as run {run} -> {args.history}")
-        else:
-            print(f"bench-history: no bench sidecars under "
-                  f"{args.results_dir} — nothing appended")
-    history = trajectory.load_history(args.history)
-    if not history:
-        print("bench-history: history is empty — run some benches first")
-        return 0
-    report = trajectory.compare_runs(history, threshold=args.threshold)
-    print(trajectory.render_report(report))
-    if args.report_out:
-        import json as _json
-        with open(args.report_out, "w", encoding="utf-8") as handle:
-            _json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"  report written to {args.report_out}")
-    if args.check and not report["ok"]:
-        if args.strict:
-            print("bench-history: regressions above threshold (strict)")
-            return 1
-        print("bench-history: regressions above threshold (soft gate — "
-              "pass --strict to fail)")
-    return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -1176,34 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="benchmarks/results/chaos_soak.json",
                    help="JSON sidecar path")
     p.set_defaults(func=cmd_chaos_soak)
-
-    p = sub.add_parser(
-        "bench-history",
-        help="append bench sidecars to the trajectory history and "
-             "report regressions",
-        description="Read the bench JSON sidecars, append them to a "
-                    "versioned BENCH_history.jsonl keyed by run index, "
-                    "and compare the last two runs: warn on a >10%% "
-                    "throughput drop or p99/p999 latency inflation.",
-    )
-    p.add_argument("--results-dir", default="benchmarks/results",
-                   help="directory holding the bench *.json sidecars")
-    p.add_argument("--history",
-                   default="benchmarks/results/BENCH_history.jsonl",
-                   help="trajectory history file (JSONL, appended)")
-    p.add_argument("--threshold", type=float, default=0.10,
-                   help="relative regression that trips a warning "
-                        "(default 0.10 = 10%%)")
-    p.add_argument("--no-append", action="store_true",
-                   help="only compare the existing history; do not "
-                        "record the current sidecars as a new run")
-    p.add_argument("--check", action="store_true",
-                   help="evaluate the regression gate (soft by default)")
-    p.add_argument("--strict", action="store_true",
-                   help="with --check: exit non-zero on warnings")
-    p.add_argument("--report-out", metavar="FILE",
-                   help="write the full delta report as JSON to FILE")
-    p.set_defaults(func=cmd_bench_history)
 
     p = sub.add_parser("growth", help="BGP growth projections (Figure 1)")
     p.add_argument("--year", type=int, default=2033)

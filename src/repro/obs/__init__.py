@@ -17,9 +17,7 @@ totals.  Three pieces, used by every layer:
 * :mod:`repro.obs.slo` — sliding-window p50/p99/p999 latency
   estimators over the span phases, with SLO breach detection;
 * :mod:`repro.obs.status` — a stdlib-only HTTP status surface
-  (``/metrics``, ``/health``, ``/epoch``, ``/slo``, ``/spans``);
-* :mod:`repro.obs.trajectory` — the benchmark trajectory tracker
-  (``BENCH_history.jsonl`` + regression report).
+  (``/metrics``, ``/health``, ``/epoch``, ``/slo``, ``/spans``).
 
 Determinism contract: this is the **only** package under ``repro``
 allowed to touch ``time.*`` (see ``tests/test_telemetry_audit.py``).

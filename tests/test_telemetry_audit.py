@@ -151,7 +151,6 @@ def test_audit_covers_the_serving_stack():
         "obs/spans.py",
         "obs/slo.py",
         "obs/status.py",
-        "obs/trajectory.py",
     ):
         assert required in covered, f"{required} missing from the audit"
 
