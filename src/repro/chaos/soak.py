@@ -44,6 +44,9 @@ DEFAULT_CHAOS = ("worker_kill", "batch_exception", "commit_stall")
 
 _WIDTH = 8  # a 30-route table: the per-epoch oracle copies are cheap
 
+#: Rounds of ``requests`` the soak may send for its scripted kills.
+_MAX_ROUNDS = 20
+
 
 class SoakFailure(AssertionError):
     """A robustness invariant did not survive the chaos soak."""
@@ -84,6 +87,10 @@ def run_chaos_soak(
     ``(kind, worker, seq)`` triggers.  ``request_size`` must divide
     ``max_batch`` so no request spans batches (single-delivery and
     single-epoch assertions stay exact).
+
+    The soak sends ``requests`` requests, and with scripted kills more
+    rounds of as many (at most ``_MAX_ROUNDS`` in all) until each kill
+    has landed; the report's ``requests`` counts what was sent.
     """
     if max_batch % request_size:
         raise ValueError("request_size must divide max_batch")
@@ -113,21 +120,39 @@ def run_chaos_soak(
 
     rng = random.Random(f"chaos-traffic:{seed}")
     generator = ChurnGenerator(base, seed=seed + 1)
+    scripted_kills = sum(1 for kind, *_ in script if kind == "kill")
     submitted = []
     landed = rolled_back = 0
     with server:
-        for i in range(requests):
-            addresses = [rng.randrange(1 << _WIDTH)
-                         for _ in range(request_size)]
-            submitted.append(server.submit(addresses))
-            if churn_every and (i + 1) % churn_every == 0:
-                server.flush()
-                outcome = managed.apply_batch(list(generator.ops(churn_ops)))
-                if outcome == "batch_rolled_back":
-                    rolled_back += 1
-                else:
-                    landed += 1
-        server.flush()
+        # A kill at a worker's batch K lands only once that worker has
+        # taken K batches, which depends on how the traffic happened to
+        # be cut and shared out.  So the soak sends rounds of it, each
+        # resolved before the next, until every scripted kill is a
+        # death — or ``_MAX_ROUNDS`` rounds have gone out.
+        for _round in range(_MAX_ROUNDS):
+            first = len(submitted)
+            for i in range(first, first + requests):
+                addresses = [rng.randrange(1 << _WIDTH)
+                             for _ in range(request_size)]
+                submitted.append(server.submit(addresses))
+                if churn_every and (i + 1) % churn_every == 0:
+                    server.flush()
+                    outcome = managed.apply_batch(
+                        list(generator.ops(churn_ops)))
+                    if outcome == "batch_rolled_back":
+                        rolled_back += 1
+                    else:
+                        landed += 1
+            server.flush()
+            if not scripted_kills:
+                break
+            # Once the round has resolved, every death it caused is
+            # counted: the supervisor counts a death before it requeues
+            # the dead worker's batch.
+            for handle in submitted[first:]:
+                handle.wait(timeout=60)
+            if server.supervisor.deaths >= scripted_kills:
+                break
 
         answered = shed = timeouts = crash_failures = 0
         errors: Dict[str, int] = {}
@@ -230,7 +255,6 @@ def run_chaos_soak(
         failures.append(
             f"only {final_alive}/{workers} workers alive after recovery "
             f"window with no budget give-ups")
-    scripted_kills = sum(1 for kind, *_ in script if kind == "kill")
     if supervisor.deaths < scripted_kills:
         failures.append(f"{scripted_kills} scripted kill(s) but only "
                         f"{supervisor.deaths} worker death(s)")

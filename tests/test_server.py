@@ -2,13 +2,20 @@
 
 The coalescer is driven with a :class:`repro.obs.FakeClock`, so every
 deadline-trigger assertion is deterministic — no test here sleeps on
-the wall clock to make a timer fire.
+the wall clock to make a timer fire, except the contract tests of
+:class:`repro.obs.MonotonicClock` itself (``TestClocks``), which wait
+at most a fraction of a second each for real deadlines.
 """
 
+import collections
+import functools
+import gc
 import multiprocessing
 import random
 import sys
 import threading
+import time
+import weakref
 
 import pytest
 
@@ -61,6 +68,39 @@ class RecordingSink:
     def __call__(self, batch):
         self.batches.append(batch)
         return self.accept
+
+
+def _exit_zero_if_a_timer_fires():
+    fired = threading.Event()
+    clock = MonotonicClock()
+    clock.call_at(clock.now() + 0.01, fired.set)
+    sys.exit(0 if fired.wait(10) else 1)
+
+
+class _TimerOwner:
+    def __init__(self):
+        self.fired = threading.Event()
+
+    def fire(self):
+        self.fired.set()
+
+
+def _exit_zero_if_timers_release_their_callbacks():
+    # Run in a fresh fork, so the fired timer is the first job of the
+    # child's first runner thread.
+    clock = MonotonicClock()
+    fired, cancelled = _TimerOwner(), _TimerOwner()
+    clock.call_at(clock.now(), fired.fire)
+    clock.call_at(clock.now() + 30.0, cancelled.fire).cancel()
+    ok = fired.fired.wait(10)
+    refs = [weakref.ref(fired), weakref.ref(cancelled)]
+    del fired, cancelled
+    for _ in range(200):    # the runner drops its reference just after
+        gc.collect()
+        if all(ref() is None for ref in refs):
+            break
+        threading.Event().wait(0.01)
+    sys.exit(0 if ok and all(ref() is None for ref in refs) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +157,136 @@ class TestClocks:
         handle = clock.call_at(clock.now() + 30.0, fired.set)
         handle.cancel()
         assert not fired.wait(0.01)
+
+    def test_monotonic_clock_earlier_deadline_armed_later_fires_first(self):
+        clock = MonotonicClock()
+        fired, done = [], threading.Event()
+        now = clock.now()
+        clock.call_at(now + 0.2, lambda: (fired.append("late"), done.set()))
+        clock.call_at(now + 0.05, lambda: fired.append("early"))
+        assert done.wait(10)
+        assert fired == ["early", "late"]
+
+    def test_monotonic_clock_callback_rearms_itself(self):
+        clock = MonotonicClock()
+        seen, done = [], threading.Event()
+
+        def tick():
+            seen.append(clock.now())
+            if len(seen) < 3:
+                clock.call_at(clock.now() + 0.01, tick)
+            else:
+                done.set()
+
+        clock.call_at(clock.now(), tick)
+        assert done.wait(10)
+        assert len(seen) == 3 and seen == sorted(seen)
+
+    def test_monotonic_clock_blocked_callback_delays_no_other_timer(self):
+        clock = MonotonicClock()
+        release, done, fired_at = threading.Event(), threading.Event(), []
+        now = clock.now()
+        clock.call_at(now, lambda: release.wait(10))
+        due = now + 0.1
+        clock.call_at(due, lambda: (fired_at.append(clock.now()),
+                                    done.set()))
+        try:
+            assert done.wait(10)
+        finally:
+            release.set()
+        assert fired_at[0] - due < 0.05
+
+    def test_monotonic_clock_raising_callback_reaches_excepthook(
+            self, monkeypatch):
+        clock = MonotonicClock()
+        hooked, done, seen = threading.Event(), threading.Event(), []
+
+        def hook(args):
+            seen.append(args.exc_type)
+            hooked.set()
+
+        def boom():
+            raise ValueError("boom")
+
+        monkeypatch.setattr(threading, "excepthook", hook)
+        now = clock.now()
+        clock.call_at(now, boom)
+        clock.call_at(now + 0.01, done.set)
+        assert hooked.wait(10) and done.wait(10)
+        assert seen == [ValueError]
+
+    def test_monotonic_clock_under_concurrent_arming(self):
+        clock = MonotonicClock()
+        threads, per_thread = 8, 100
+        fired, lock, all_fired = collections.Counter(), threading.Lock(), \
+            threading.Event()
+        expected = {(seed, i) for seed in range(threads)
+                    for i in range(0, per_thread, 2)}
+
+        def fire(key):
+            with lock:
+                fired[key] += 1
+                if len(fired) == len(expected):
+                    all_fired.set()
+
+        def arm(seed):
+            rng = random.Random(seed)
+            for i in range(per_thread):
+                if i % 2:   # cancelled well before it is due
+                    clock.call_at(clock.now() + rng.uniform(0.05, 0.1),
+                                  functools.partial(fire, (seed, i))).cancel()
+                else:
+                    clock.call_at(clock.now() + rng.uniform(0.0, 0.1),
+                                  functools.partial(fire, (seed, i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=arm, args=(seed,))
+                       for seed in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+            assert not any(worker.is_alive() for worker in workers)
+            assert all_fired.wait(30)
+        finally:
+            sys.setswitchinterval(interval)
+        time.sleep(0.15)    # past every cancelled deadline
+        assert set(fired) == expected
+        assert set(fired.values()) == {1}
+
+    def test_monotonic_clock_arms_no_thread_per_deadline(self):
+        clock = MonotonicClock()
+        before = threading.active_count()
+        handles = [clock.call_at(clock.now() + 30.0, lambda: None)
+                   for _ in range(200)]
+        try:
+            assert threading.active_count() - before <= 2
+        finally:
+            for handle in handles:
+                handle.cancel()
+
+    def test_monotonic_clock_fires_in_a_forked_child(self):
+        clock = MonotonicClock()
+        # A timer thread (with a deadline pending) exists before the fork.
+        handle = clock.call_at(clock.now() + 30.0, lambda: None)
+        try:
+            child = multiprocessing.get_context("fork").Process(
+                target=_exit_zero_if_a_timer_fires)
+            child.start()
+            child.join(30)
+        finally:
+            handle.cancel()
+        assert child.exitcode == 0
+
+    def test_monotonic_clock_keeps_no_fired_or_cancelled_callback_alive(
+            self):
+        child = multiprocessing.get_context("fork").Process(
+            target=_exit_zero_if_timers_release_their_callbacks)
+        child.start()
+        child.join(30)
+        assert child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,24 @@ calls per request  submit  complete  total
 PR 16 (5056a8c)      69.3      42.5  111.8
 PR 17                19.5      13.6   33.1
 PR 19                20.6      13.8   34.3
+7ea8f18              20.5      13.6   34.1
 =================  ======  ========  =====
+
+Those legs run over a ``FakeClock`` and never see the real one, so
+``test_monotonic_call_at_and_cancel_stay_in_budget`` counts it alone:
+1,000 ``MonotonicClock.call_at`` + ``cancel`` pairs armed 30 s out,
+on the arming thread.
+
+=======================================  ====================
+clock                                    calls per arm+cancel
+=======================================  ====================
+a ``threading.Timer`` each (7ea8f18)                     57.7
+one timer thread over a deadline heap                     8.0
+=======================================  ====================
+
+The coalescer arms one deadline per batch, and a 512-address batch of
+16-address requests is 32 requests: the Timer was ~1.8 calls per
+request on top of the first table's total, the heap push is ~0.25.
 
 (ISSUE 17 quotes 70.9 + 42.4 = 113.3 for PR 16 from a harness that also
 counted its own ``list.append`` and the real pool's ``queue.put``.
@@ -47,7 +64,7 @@ import sys
 import pytest
 
 from repro.algorithms.hibst import HiBst
-from repro.obs import FakeClock, MetricsRegistry
+from repro.obs import FakeClock, MetricsRegistry, MonotonicClock
 from repro.obs.spans import SPAN_PHASES, check_span_metrics_consistency
 from repro.prefix.prefix import Prefix
 from repro.prefix.trie import Fib
@@ -60,6 +77,14 @@ BATCHES = REQUESTS * REQUEST_SIZE // MAX_BATCH
 #: The measured figures above plus ~15 % headroom (a different CPython
 #: minor reports a few builtins differently); PR 16 is 3x over them.
 SUBMIT_BUDGET, COMPLETE_BUDGET, TOTAL_BUDGET = 22.5, 15.5, 38.0
+
+#: ``MonotonicClock.call_at`` + ``cancel`` pairs, and the budget per
+#: pair (measured 8.0; a ``threading.Timer`` start and stop was 57.7).
+TIMER_PAIRS, TIMER_BUDGET = 1000, 15.0
+
+
+def _noop():
+    pass
 
 
 def small_fib(seed=3, size=40):
@@ -165,6 +190,22 @@ def test_frontend_calls_per_request_stay_in_budget():
     assert submitted <= SUBMIT_BUDGET
     assert completed <= COMPLETE_BUDGET
     assert submitted + completed <= TOTAL_BUDGET
+
+
+def test_monotonic_call_at_and_cancel_stay_in_budget():
+    """The real clock's share, which the FakeClock legs cannot see: the
+    coalescer arms one deadline per batch and cancels almost all of
+    them."""
+    clock = MonotonicClock()
+    clock.call_at(clock.now() + 30.0, _noop).cancel()  # starts the thread
+
+    def arm_and_cancel():
+        for _ in range(TIMER_PAIRS):
+            clock.call_at(clock.now() + 30.0, _noop).cancel()
+
+    per_pair = count_calls(arm_and_cancel) / TIMER_PAIRS
+    print(f"calls per call_at + cancel: {per_pair:.1f}")
+    assert per_pair <= TIMER_BUDGET
 
 
 @pytest.mark.parametrize("sample_rate", [0.0625, 1.0])

@@ -10,12 +10,14 @@ enforces it:
   :class:`repro.obs.MetricsRegistry` timer;
 * ``print`` may only be called from ``repro.cli`` (the user interface)
   — library code reports through the registry, event log, or tracer;
-* ``threading.Timer`` and the anonymous-event sleep idiom
-  (``threading.Event().wait(delay)``) may only appear inside
-  ``repro.obs`` — both are covert wall-clock timing that bypasses the
-  :class:`repro.obs.Clock` abstraction, which is what keeps the
-  serving stack (``repro.server``, ``repro.chaos``) drivable by a
-  :class:`repro.obs.FakeClock` in tests.
+* the anonymous-event sleep idiom (``threading.Event().wait(delay)``)
+  may only appear inside ``repro.obs`` — it is covert wall-clock
+  timing that bypasses the :class:`repro.obs.Clock` abstraction, which
+  is what keeps the serving stack (``repro.server``, ``repro.chaos``)
+  drivable by a :class:`repro.obs.FakeClock` in tests;
+* ``threading.Timer`` may appear nowhere, ``repro.obs`` included: it
+  is covert timing as well, and a thread per deadline — the real clock
+  serves every deadline from one timer thread.
 
 Docstring examples don't count (the AST walk sees only real calls).
 """
@@ -103,9 +105,8 @@ def _is_threading_event_call(node: ast.AST) -> bool:
     return isinstance(func, ast.Name) and func.id == "Event"
 
 
-def _covert_timing_calls(tree: ast.AST):
-    """``threading.Timer(...)`` constructions and anonymous
-    ``threading.Event().wait(...)`` sleeps."""
+def _timer_calls(tree: ast.AST):
+    """``threading.Timer(...)`` / ``Timer(...)`` constructions."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -116,8 +117,15 @@ def _covert_timing_calls(tree: ast.AST):
             yield node.lineno, "threading.Timer"
         elif isinstance(func, ast.Name) and func.id == "Timer":
             yield node.lineno, "Timer"
-        elif (isinstance(func, ast.Attribute) and func.attr == "wait"
-                and _is_threading_event_call(func.value)):
+
+
+def _event_sleeps(tree: ast.AST):
+    """Anonymous ``threading.Event().wait(...)`` sleeps."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "wait"
+                and _is_threading_event_call(node.func.value)):
             yield node.lineno, "threading.Event().wait"
 
 
@@ -127,11 +135,24 @@ def test_no_covert_timing_outside_obs(relative, path):
     if relative.startswith(TIME_ALLOWED_PREFIXES):
         pytest.skip("repro.obs owns the clock")
     tree = ast.parse(path.read_text(), filename=str(path))
-    offenders = list(_covert_timing_calls(tree))
+    offenders = list(_event_sleeps(tree))
     assert not offenders, (
         f"{relative} uses covert wall-clock timing {offenders}; sleeps "
         "and timers must go through the repro.obs Clock abstraction "
         "(clock.sleep / clock.call_at) so FakeClock tests stay exact"
+    )
+
+
+@pytest.mark.parametrize("relative,path", MODULES,
+                         ids=[rel for rel, _ in MODULES])
+def test_no_thread_per_timer(relative, path):
+    """Not even ``repro.obs`` starts a ``threading.Timer``: the real
+    clock serves every deadline from one timer thread."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = list(_timer_calls(tree))
+    assert not offenders, (
+        f"{relative} starts a thread per deadline {offenders}; arm "
+        "deadlines with clock.call_at (one timer thread per process)"
     )
 
 
