@@ -462,6 +462,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (churn commits land meanwhile; answers are spot-checked against the
     oracle of their serving epoch).  SIGINT/SIGTERM drain and exit 130;
     ``--chaos`` arms a seeded :class:`~repro.chaos.ChaosPlan`."""
+    import collections
     import contextlib
 
     from .artifact import ArtifactCatalog
@@ -554,7 +555,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"cache={args.cache} seed={args.seed}")
     for eng in server.engines():
         print(f"  worker {eng.name}: backend {eng.active_backend}")
-    print(f"  coalesced: {len(requests)} requests into {batches} batches, "
+    cuts = collections.Counter()
+    for key, count in registry.get("repro_server_flush_total").items():
+        reason = dict(key)["reason"]
+        cuts[reason if reason in ("size", "idle", "deadline") else "other"] \
+            += count
+    print(f"  coalesced: {len(requests)} requests into {batches} batches "
+          f"(cut by size {cuts['size']}, idle {cuts['idle']}, deadline "
+          f"{cuts['deadline']}, other {cuts['other']}), "
           f"{report['shed']} shed, {report['straddled']} commit-straddled")
     print(f"  churn: {report['commits']} batches committed, "
           f"serving epoch {report['epoch']}, health={managed.health}")
@@ -983,7 +991,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-batch", type=int, default=512,
                    help="coalescer batch-size flush trigger")
     p.add_argument("--max-wait", type=float, default=2.0,
-                   help="coalescer deadline flush trigger in milliseconds")
+                   help="longest a coalesced batch waits, in milliseconds "
+                        "(it is cut sooner when it fills, or when a worker "
+                        "is idle and it would not fill in time)")
     p.add_argument("--cache", type=int, default=0,
                    help="FIB-cache capacity per engine (0 disables)")
     p.add_argument("--mode", choices=["thread", "process"],

@@ -2,8 +2,9 @@
 
 Layers, bottom-up:
 
-* :mod:`repro.server.coalescer` — FIFO request coalescing with a
-  size-or-deadline flush trigger and future-like per-request handles;
+* :mod:`repro.server.coalescer` — FIFO request coalescing with size,
+  idle-worker and deadline flush triggers and future-like per-request
+  handles;
 * :mod:`repro.server.pool` — the :class:`CommitGate` readers/writer
   gate plus :class:`ThreadWorkerPool`: the one worker pool, N engine
   replicas over one bounded queue with block/shed backpressure, orphan

@@ -3,13 +3,25 @@
 The serving frontend's traffic shaper.  Logical clients submit single
 addresses or small batches; the coalescer packs them — in strict FIFO
 order — into batches of at most ``max_batch`` addresses and hands each
-batch to a ``sink`` (the worker pool) when either trigger fires:
+batch to a ``sink`` (the worker pool) when one of three triggers fires:
 
 * **size** — the open batch reached ``max_batch`` addresses;
+* **idle** — a worker is waiting on an empty queue, and at the current
+  arrival rate the open batch would not reach ``max_batch`` before its
+  deadline (with ``FILL_MARGIN`` to spare), so waiting would only add
+  latency.  Checked when a request leaves a batch open and when a
+  worker finds the queue empty (:meth:`RequestCoalescer.worker_idle`);
 * **deadline** — ``max_wait_s`` elapsed since the first address
   entered the open batch (armed through a :class:`repro.obs.Clock`,
   so tests drive it with a :class:`repro.obs.FakeClock` and never
-  sleep on the wall clock).
+  sleep on the wall clock).  ``max_wait_s`` is the longest a batch
+  waits; the idle trigger only ever cuts sooner.
+
+The arrival rate is a moving average of the seconds between requests
+per address they carry, taken from the ``submitted_at`` stamps every
+request gets anyway.  It is unknown until the second request, and
+unknown means wait: requests submitted back to back coalesce by size
+exactly as they would without the idle trigger.
 
 Each submission returns a :class:`PendingLookup` — a future-like
 handle that resolves once every address it carried has been answered.
@@ -27,9 +39,32 @@ once: answered, shed, or — on a non-draining close — failed with
 from __future__ import annotations
 
 import threading
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..obs.clock import Clock, MonotonicClock, TimerHandle
+
+#: Weight of the newest request in the arrival-rate moving average of
+#: seconds between requests per address.  Measured on a 2-core host
+#: with ``bench/`` traffic: the saturate closed loop submits its
+#: 16-address requests ~80 µs apart (~5 µs per address), and the pause
+#: between two rounds is one sample clamped to ``max_wait_s`` (125 µs
+#: per address).  At 1/32 that pause lifts the average by ~4 µs, far
+#: below the ~16 µs per address a fresh batch needs to read sparse
+#: under ``FILL_MARGIN``; the trickle workload's steady 125 µs per
+#: address reads sparse from its second request on.
+ARRIVAL_WEIGHT = 1 / 32
+
+#: The idle trigger calls the open batch sparse only when its missing
+#: addresses would take more than this many times the time left to its
+#: deadline to arrive.  A closed loop's arrival rate follows its service
+#: rate: on a 2-core host the saturate workload fills a 512-address
+#: batch in ~1.5–2.5 ms, at the 2 ms deadline, and with no margin one
+#: early cut shrank batches, slowed service and thinned arrivals until
+#: one-request batches followed one another (batch fill 0.77–0.79
+#: against 0.985 at 4, three rounds each).  Trickle batches would take
+#: ~60 ms to fill, 30 deadlines.
+FILL_MARGIN = 4
 
 __all__ = [
     "ServerError",
@@ -263,7 +298,11 @@ class CoalescedBatch:
 
 
 class RequestCoalescer:
-    """FIFO size-or-deadline batching in front of a batch sink."""
+    """FIFO size/idle/deadline batching in front of a batch sink.
+
+    ``idle`` reports whether a worker is waiting on an empty queue; the
+    idle trigger is off without it.
+    """
 
     def __init__(
         self,
@@ -273,6 +312,7 @@ class RequestCoalescer:
         max_wait_s: float = 0.002,
         clock: Optional[Clock] = None,
         sampler: Optional[Callable[[int], bool]] = None,
+        idle: Optional[Callable[[], bool]] = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -283,6 +323,7 @@ class RequestCoalescer:
         self.clock = clock if clock is not None else MonotonicClock()
         self._sink = sink
         self._sampler = sampler
+        self._idle = idle
         self._lock = threading.Lock()
         # The open batch being packed.
         self._addresses: List[int] = []
@@ -291,6 +332,10 @@ class RequestCoalescer:
         self._batch_seq = 0
         self._opened_at: Optional[float] = None
         self._timer: Optional[TimerHandle] = None
+        # Arrival rate: the last request's stamp and the moving average
+        # of seconds between requests per address (None: unknown).
+        self._last_at: Optional[float] = None
+        self._gap: Optional[float] = None
         # Cut batches awaiting dispatch, drained FIFO under _out_lock
         # so sink order matches cut order even with many submitters.
         self._outbox: List[CoalescedBatch] = []
@@ -324,11 +369,12 @@ class RequestCoalescer:
         Raises :class:`ServerClosed` (before accepting anything) once
         the coalescer is closed.
         """
-        handle = PendingLookup(addresses, self.clock.now())
+        now = self.clock.now()
+        handle = PendingLookup(addresses, now)
         if handle._done:
             return handle  # trivially complete
         addresses, n = handle.addresses, handle._size
-        max_batch = self.max_batch
+        max_batch, max_wait = self.max_batch, self.max_wait_s
         cut = False
         with self._lock:
             if self._closed:
@@ -337,11 +383,24 @@ class RequestCoalescer:
             self._seq += 1
             if self._sampler is not None:
                 handle.sampled = self._sampler(handle.seq)
+            last, self._last_at = self._last_at, now
+            if last is not None:
+                # A pause longer than the deadline says no more than
+                # that the batch would not fill; stamps of concurrent
+                # submitters may land out of order.
+                elapsed = now - last
+                if elapsed > max_wait:
+                    elapsed = max_wait
+                elif elapsed < 0.0:
+                    elapsed = 0.0
+                gap = self._gap
+                self._gap = elapsed / n if gap is None \
+                    else gap + ARRIVAL_WEIGHT * (elapsed / n - gap)
             offset = 0
             while offset < n:
                 used = len(self._addresses)
                 if not used:
-                    self._opened_at = handle.submitted_at
+                    self._opened_at = now
                 take = n - offset
                 if take > max_batch - used:
                     take = max_batch - used
@@ -352,14 +411,55 @@ class RequestCoalescer:
                 if used + take >= max_batch:
                     self._cut("size")
                     cut = True
-            if self._timer is None and self._addresses:
-                self._timer = self.clock.call_at(
-                    self.clock.now() + self.max_wait_s, self._on_deadline)
+            left = max_batch - used - take  # missing from the open batch
+            if left:
+                # The rate check first: a batch that fills by size
+                # never asks the pool.
+                gap = self._gap
+                if (gap is not None and self._idle is not None
+                        and left * gap
+                        > FILL_MARGIN * (self._opened_at + max_wait - now)
+                        and self._idle()):
+                    self._cut("idle")
+                    cut = True
+                elif self._timer is None:
+                    self._timer = self.clock.call_at(
+                        self.clock.now() + max_wait,
+                        partial(self._on_deadline, self._batch_seq))
         if cut:
             # Nothing else can have filled the outbox: every cut is
             # followed by its own drain.
             self._drain_outbox()
         return handle
+
+    def worker_idle(self) -> None:
+        """A worker found the queue empty: cut the open batch if it
+        will not fill by size before its deadline.
+
+        Runs on the worker's thread, so it never waits: when another
+        thread is dispatching, the worker is about to get that batch.
+        Otherwise the queue is empty under ``_out_lock``, which every
+        dispatch holds, so the put below finds room — unless a dead
+        worker's batch is re-queued in between, and then the put waits
+        for a worker to take it, as a submitter's would.
+        """
+        if not self._out_lock.acquire(False):
+            return
+        try:
+            with self._lock:
+                if self._closed or self._outbox or not self._addresses:
+                    return
+                gap = self._gap
+                if (gap is None or self._idle is None
+                        or (self.max_batch - len(self._addresses)) * gap
+                        <= FILL_MARGIN * (self._opened_at + self.max_wait_s
+                                          - self.clock.now())
+                        or not self._idle()):
+                    return
+                self._cut("idle")
+            self._dispatch_outbox()
+        finally:
+            self._out_lock.release()
 
     def flush(self, reason: str = "manual") -> None:
         """Cut the open batch now, regardless of size or deadline."""
@@ -409,8 +509,13 @@ class RequestCoalescer:
             self._timer.cancel()
             self._timer = None
 
-    def _on_deadline(self) -> None:
+    def _on_deadline(self, batch: int) -> None:
         with self._lock:
+            if batch != self._batch_seq:
+                # A late timer: cancel() cannot stop a callback that
+                # already started, and its batch was cut meanwhile.
+                # The timer armed for the open batch is not this one.
+                return
             self._timer = None
             if self._closed:
                 return
@@ -425,11 +530,15 @@ class RequestCoalescer:
         blocks the flusher, which is exactly the backpressure we want.
         """
         with self._out_lock:
-            while True:
-                with self._lock:
-                    if not self._outbox:
-                        return
-                    batch = self._outbox.pop(0)
-                if not self._sink(batch):
-                    batch.fail(RequestShed(
-                        f"overloaded: batch of {len(batch)} shed"))
+            self._dispatch_outbox()
+
+    def _dispatch_outbox(self) -> None:
+        """Hand the outbox to the sink (``_out_lock`` held by caller)."""
+        while True:
+            with self._lock:
+                if not self._outbox:
+                    return
+                batch = self._outbox.pop(0)
+            if not self._sink(batch):
+                batch.fail(RequestShed(
+                    f"overloaded: batch of {len(batch)} shed"))

@@ -26,6 +26,13 @@ and ``on_commit``.  There are two replica kinds and one pool:
   interpreter lock altogether.  The worker thread blocks on the round
   trip.
 
+A worker that finds the queue empty marks itself waiting before it
+blocks on it and calls ``on_idle`` (the coalescer's
+:meth:`~repro.server.coalescer.RequestCoalescer.worker_idle`);
+:meth:`ThreadWorkerPool.has_idle_worker` reads those marks.  Both
+replica kinds sit behind the same worker threads, so a forked replica's
+worker waits and reports the same way.
+
 A replica may also offer ``restart()`` (called before its worker
 thread is started or replaced) and ``close()`` (called once the
 threads are joined); the pool looks both up outside the serving loop.
@@ -170,6 +177,7 @@ class ThreadWorkerPool:
         on_worker_exit: Optional[Callable[[int, BaseException,
                                            List[CoalescedBatch]],
                                           None]] = None,
+        on_idle: Optional[Callable[[], None]] = None,
         clock=None,
     ):
         if not engines:
@@ -186,11 +194,15 @@ class ThreadWorkerPool:
         self._on_depth = on_depth
         self._on_error = on_error
         self._on_worker_exit = on_worker_exit
+        self._on_idle = on_idle
         #: Optional clock for span phase marks; ``None`` keeps the hot
         #: loop free of per-batch clock reads entirely.
         self._clock = clock
         self._queue: "queue.Queue" = queue.Queue(maxsize=queue_depth)
         self._threads: Dict[int, threading.Thread] = {}
+        #: Per worker: blocked (or about to block) on an empty queue.
+        #: Each worker writes only its own slot, so no lock.
+        self._waiting = [False] * len(self.engines)
         self._lifecycle = threading.Lock()
         self._started = False
         self._closed = False
@@ -205,6 +217,10 @@ class ThreadWorkerPool:
 
     def alive(self) -> bool:
         return any(t.is_alive() for t in self._threads.values())
+
+    def has_idle_worker(self) -> bool:
+        """Whether some worker is waiting on an empty queue."""
+        return True in self._waiting and not self._queue.qsize()
 
     def alive_workers(self) -> int:
         """How many worker threads are currently running."""
@@ -367,9 +383,18 @@ class ThreadWorkerPool:
 
     def _run(self, worker: int, engine) -> None:
         batch: Optional[CoalescedBatch] = None
+        get_nowait, get = self._queue.get_nowait, self._queue.get
+        waiting, on_idle = self._waiting, self._on_idle
         try:
             while True:
-                batch = self._queue.get()
+                try:
+                    batch = get_nowait()
+                except queue.Empty:
+                    waiting[worker] = True
+                    if on_idle is not None:
+                        on_idle()
+                    batch = get()
+                    waiting[worker] = False
                 if batch is _STOP:
                     return
                 self._note_depth()
@@ -408,6 +433,7 @@ class ThreadWorkerPool:
                         self._on_error(batch, exc)
                 batch = None
         except BaseException as exc:  # noqa: BLE001 — worker death
+            waiting[worker] = False
             orphans = [batch] if batch is not None and batch is not _STOP \
                 else []
             if self._on_error is not None:

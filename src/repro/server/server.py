@@ -3,8 +3,8 @@
 :class:`LookupServer` is what ``repro serve --workers N`` runs: many
 logical clients submit single addresses or small batches; a
 :class:`~repro.server.coalescer.RequestCoalescer` packs them into
-engine-sized batches on a size-or-deadline trigger; the worker pool
-runs each batch through one of its engine replicas (in-thread
+engine-sized batches on a size, idle or deadline trigger; the worker
+pool runs each batch through one of its engine replicas (in-thread
 :class:`~repro.engine.BatchEngine` replicas by default, forked children
 behind pipes with ``mode="process"``) and scatters the answers back to
 the per-request futures.
@@ -245,9 +245,13 @@ class LookupServer:
             "repro_server_addresses_total", "Addresses accepted by the server.")
         self._batches = counter(
             "repro_server_batches_total", "Coalesced batches dispatched.")
+        # The help text predates the "idle" trigger; it is left as it
+        # was so the rendered metrics stay byte-identical.
         self._flushes = reg.counter(
             "repro_server_flush_total",
             "Coalescer flushes by trigger (size/deadline/drain/manual).")
+        #: This server's flush series by trigger, each resolved once.
+        self._flushes_by_reason: Dict[str, object] = {}
         self._batch_size = reg.histogram(
             "repro_server_batch_size", ENGINE_BATCH_BUCKETS,
             "Addresses per coalesced batch.").labels()
@@ -356,7 +360,7 @@ class LookupServer:
             gate=self.gate, epoch_of=lambda: self._epoch,
             on_done=self._on_done, on_depth=self._on_depth,
             on_error=self._on_error, on_worker_exit=on_worker_exit,
-            clock=self.clock)
+            on_idle=self._worker_idle, clock=self.clock)
         if supervise:
             policy = restart_policy if restart_policy is not None \
                 else RestartPolicy(self.clock)
@@ -367,7 +371,8 @@ class LookupServer:
                 on_requeue=self._note_requeue)
         self.coalescer = RequestCoalescer(
             self._sink, max_batch=max_batch, max_wait_s=max_wait_s,
-            clock=self.clock, sampler=self.spans.decide)
+            clock=self.clock, sampler=self.spans.decide,
+            idle=self._pool.has_idle_worker)
         if managed is not None:
             managed.add_commit_listener(self._on_commit)
 
@@ -718,8 +723,16 @@ class LookupServer:
     # ------------------------------------------------------------------
     # Pool/coalescer callbacks
     # ------------------------------------------------------------------
+    def _worker_idle(self) -> None:
+        self.coalescer.worker_idle()
+
     def _sink(self, batch: CoalescedBatch) -> bool:
-        self._flushes.inc(1, server=self.name, reason=batch.reason)
+        try:
+            flushes = self._flushes_by_reason[batch.reason]
+        except KeyError:
+            flushes = self._flushes_by_reason[batch.reason] = \
+                self._flushes.labels(server=self.name, reason=batch.reason)
+        flushes.inc()
         # Admission is counted here, a batch at a time: a request with
         # the batch its first address went into (so once), an address
         # with its own batch — whether or not the pool then takes it.

@@ -547,6 +547,127 @@ class TestCoalescer:
         with pytest.raises(RequestShed):
             handle.result(0)
 
+    def test_late_deadline_timer_cuts_nothing(self):
+        # cancel() cannot stop a callback that already started: batch
+        # 0's timer may be waiting on the lock while a submitter cuts
+        # batch 0 by size and opens batch 1.  When it gets the lock it
+        # must leave batch 1 (and batch 1's timer) alone.
+        sink = RecordingSink()
+        clock = RecordingClock()
+        box = RequestCoalescer(sink, max_batch=2, max_wait_s=1.0, clock=clock)
+        box.submit([1])          # opens batch 0, arms its deadline
+        box.submit([2])          # size cut; batch 0's timer is cancelled
+        box.submit([3])          # opens batch 1, arms its deadline
+        late, _ = clock.callbacks
+        late()                   # batch 0's timer, run late by hand
+        assert [b.reason for b in sink.batches] == ["size"]
+        assert box.pending_addresses == 1
+        assert clock.pending_timers() == 1
+        clock.advance(1.0)       # batch 1's own deadline still fires
+        assert [b.reason for b in sink.batches] == ["size", "deadline"]
+        assert sink.batches[1].addresses == [3]
+
+
+class RecordingClock(FakeClock):
+    """A :class:`FakeClock` that also keeps every callback armed on it,
+    cancelled or not, so a test can run one late by hand."""
+
+    def __init__(self):
+        super().__init__()
+        self.callbacks = []
+
+    def call_at(self, when, callback):
+        self.callbacks.append(callback)
+        return super().call_at(when, callback)
+
+
+class TestIdleTrigger:
+    """The third cut rule: a worker waits on an empty queue and the
+    open batch would not fill by size before its deadline."""
+
+    def box(self, idle, max_batch=100, max_wait_s=1.0):
+        sink, clock = RecordingSink(), FakeClock()
+        box = RequestCoalescer(sink, max_batch=max_batch,
+                               max_wait_s=max_wait_s, clock=clock, idle=idle)
+        return box, sink, clock
+
+    def test_sparse_arrivals_with_an_idle_worker_cut_at_submit(self):
+        box, sink, clock = self.box(lambda: True)
+        first = box.submit([1])
+        assert sink.batches == []    # rate unknown until the second request
+        clock.advance(0.5)
+        second = box.submit([2])     # 98 more at 0.5 s each: never in time
+        assert [b.reason for b in sink.batches] == ["idle"]
+        assert sink.batches[0].addresses == [1, 2]
+        assert clock.pending_timers() == 0
+        sink.batches[0].complete([7, 8], epoch=0)
+        assert first.result(0) == [7] and second.result(0) == [8]
+        clock.advance(0.5)
+        box.submit([3])              # still sparse: cut at once
+        assert [b.reason for b in sink.batches] == ["idle", "idle"]
+
+    def test_all_workers_busy_waits_for_the_deadline(self):
+        box, sink, clock = self.box(lambda: False)
+        box.submit([1])
+        clock.advance(0.5)
+        box.submit([2])
+        assert sink.batches == []
+        clock.advance(0.5)
+        assert [b.reason for b in sink.batches] == ["deadline"]
+        assert sink.batches[0].addresses == [1, 2]
+
+    def test_back_to_back_arrivals_wait_for_size_without_asking(self):
+        # The saturate shape: requests microseconds apart fill the batch
+        # by size, and the rate check keeps the pool out of it.
+        asked = []
+
+        def idle():
+            asked.append(True)
+            return True
+
+        box, sink, clock = self.box(idle, max_batch=8)
+        for i in range(4):
+            box.submit([2 * i, 2 * i + 1])
+        assert [b.reason for b in sink.batches] == ["size"]
+        for i in range(3):
+            clock.advance(1e-6)
+            box.submit([i])
+        assert box.pending_addresses == 3
+        assert asked == []
+
+    def test_a_worker_going_idle_cuts_the_sparse_batch(self):
+        busy = [True]
+        box, sink, clock = self.box(lambda: not busy[0])
+        box.submit([1])
+        clock.advance(0.25)
+        box.submit([2])
+        assert sink.batches == []    # sparse, but every worker is busy
+        box.worker_idle()            # a spurious call: still all busy
+        assert sink.batches == []
+        busy[0] = False
+        box.worker_idle()
+        assert [b.reason for b in sink.batches] == ["idle"]
+        assert sink.batches[0].addresses == [1, 2]
+        assert clock.pending_timers() == 0
+        box.worker_idle()            # nothing open: nothing to cut
+        assert len(sink.batches) == 1
+
+    def test_a_worker_going_idle_leaves_a_filling_batch_alone(self):
+        box, sink, clock = self.box(lambda: True, max_batch=8)
+        for i in range(3):
+            box.submit([i])
+        box.worker_idle()
+        assert sink.batches == [] and box.pending_addresses == 3
+        clock.advance(1.0)
+        assert [b.reason for b in sink.batches] == ["deadline"]
+
+    def test_no_idle_cut_after_close(self):
+        box, sink, clock = self.box(lambda: True)
+        box.submit([1])
+        box.close(drain=False)
+        box.worker_idle()
+        assert sink.batches == []
+
 
 # ---------------------------------------------------------------------------
 # CommitGate
@@ -738,6 +859,23 @@ class TestThreadWorkerPool:
 
     def answer(self, address):
         return [None]
+
+    def test_a_worker_waiting_on_an_empty_queue_reports_idle(self):
+        calls = []
+        pool, engine = self.pool_of("block", on_idle=lambda: calls.append(1))
+        try:
+            wait_until(lambda: calls)    # told the coalescer, then
+            assert pool.has_idle_worker()  # blocked on the queue
+            pool.submit(lookup_of(1)[1])
+            assert engine.entered.wait(10)
+            assert not pool.has_idle_worker()  # busy on the batch
+            pool.submit(lookup_of(2)[1])
+            assert not pool.has_idle_worker()
+        finally:
+            engine.release.set()
+        wait_until(pool.has_idle_worker)  # both served, waiting again
+        pool.close(drain=True)
+        assert len(calls) >= 2
 
     def test_shed_policy_refuses_when_queue_full(self):
         pool, engine = self.pool_of("block", queue_depth=1, overload="shed")

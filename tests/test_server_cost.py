@@ -28,7 +28,27 @@ PR 16 (5056a8c)      69.3      42.5  111.8
 PR 17                19.5      13.6   33.1
 PR 19                20.6      13.8   34.3
 7ea8f18              20.5      13.6   34.1
+idle trigger         20.3      13.6   33.9
 =================  ======  ========  =====
+
+The idle trigger's rate check runs before it asks the pool, so these
+back-to-back arrivals never ask; the row's 0.2 fewer calls are the
+flush counter's series, resolved once per trigger instead of per batch.
+
+``test_idle_path_calls_per_request_stay_in_budget`` counts the other
+shape: sparse arrivals (half a deadline apart) with an idle worker, so
+every request is cut the moment it lands and is a batch of one.
+
+=================  ======  ========  =====
+calls per request  submit  complete  total
+=================  ======  ========  =====
+idle path            52.0      98.7  150.7
+=================  ======  ========  =====
+
+Here a request pays a whole batch's dispatch and booking (six timing
+series and six SLO windows) alone, where on the saturate path 32
+requests share it, so the first table's budgets cannot apply; this leg
+is gated on its own figures.
 
 Those legs run over a ``FakeClock`` and never see the real one, so
 ``test_monotonic_call_at_and_cancel_stay_in_budget`` counts it alone:
@@ -78,6 +98,9 @@ BATCHES = REQUESTS * REQUEST_SIZE // MAX_BATCH
 #: minor reports a few builtins differently); PR 16 is 3x over them.
 SUBMIT_BUDGET, COMPLETE_BUDGET, TOTAL_BUDGET = 22.5, 15.5, 38.0
 
+#: The idle path's figures above plus the same ~15 % headroom.
+IDLE_SUBMIT_BUDGET, IDLE_COMPLETE_BUDGET = 60.0, 113.5
+
 #: ``MonotonicClock.call_at`` + ``cancel`` pairs, and the budget per
 #: pair (measured 8.0; a ``threading.Timer`` start and stop was 57.7).
 TIMER_PAIRS, TIMER_BUDGET = 1000, 15.0
@@ -104,6 +127,10 @@ class HeldPool:
     def __init__(self, engines):
         self.engines = engines
         self.batches = []
+        self.idle = False
+
+    def has_idle_worker(self):
+        return self.idle
 
     def start(self):
         pass
@@ -127,6 +154,7 @@ class Frontend:
             max_wait_s=1.0, registry=self.registry, clock=self.clock,
             **kwargs)
         self.pool = self.server._pool = HeldPool(self.server._pool.engines)
+        self.server.coalescer._idle = self.pool.has_idle_worker
         self.requests = [
             [(i * REQUEST_SIZE + j) % (1 << WIDTH)
              for j in range(REQUEST_SIZE)] for i in range(REQUESTS)]
@@ -190,6 +218,40 @@ def test_frontend_calls_per_request_stay_in_budget():
     assert submitted <= SUBMIT_BUDGET
     assert completed <= COMPLETE_BUDGET
     assert submitted + completed <= TOTAL_BUDGET
+
+
+def test_idle_path_calls_per_request_stay_in_budget():
+    front = Frontend()
+    front.pool.idle = True
+    advance, submit, requests = (front.clock.advance, front.server.submit,
+                                 front.requests)
+    for request in requests[:64]:   # untimed first touches, as above
+        advance(0.5)
+        submit(request)
+    front.serve(front.take_batches())
+    handles = [None] * len(requests)
+
+    def admit_sparse():
+        for i, request in enumerate(requests):
+            advance(0.5)
+            handles[i] = submit(request)
+
+    def advance_only():
+        for _ in enumerate(requests):
+            advance(0.5)
+
+    submitted = (count_calls(admit_sparse)
+                 - count_calls(advance_only)) / REQUESTS
+    batches = front.take_batches()
+    assert len(batches) == REQUESTS
+    assert {batch.reason for batch in batches} == {"idle"}
+    assert front.clock.pending_timers() == 0
+    completed = count_calls(lambda: front.serve(batches)) / REQUESTS
+    assert all(handle.result(0) == [7] * REQUEST_SIZE for handle in handles)
+    print(f"idle path calls/request: submit {submitted:.1f} + complete "
+          f"{completed:.1f} = {submitted + completed:.1f}")
+    assert submitted <= IDLE_SUBMIT_BUDGET
+    assert completed <= IDLE_COMPLETE_BUDGET
 
 
 def test_monotonic_call_at_and_cancel_stay_in_budget():

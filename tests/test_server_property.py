@@ -13,7 +13,10 @@ deadline-advance / commit (epoch bump) / batch completion / shutdown:
   * the epoch recorded on a handle stays within the window of epochs
     its batches executed under;
   * the deadline trigger (driven through ``FakeClock.advance``, never
-    the wall clock) flushes a non-empty open batch after ``max_wait``.
+    the wall clock) flushes a non-empty open batch after ``max_wait``;
+  * with an idle-worker predicate that flips at random, all of the
+    above still hold, and no batch is cut for ``"idle"`` while the
+    predicate says every worker is busy.
 
 The driver is single-threaded on purpose: hypothesis explores the
 *interleaving space* deterministically and shrinks failures; the
@@ -47,10 +50,31 @@ def scripts(draw):
     return ops
 
 
-class Driver:
-    """Runs a script against a coalescer with a recording sink."""
+@st.composite
+def idle_scripts(draw):
+    """An interleaving that also flips the idle-worker predicate and
+    tells the coalescer a worker went idle."""
+    return draw(st.lists(
+        st.one_of(
+            st.tuples(st.just("submit"), st.integers(0, 4)),
+            st.tuples(st.just("flush"), st.just(0)),
+            st.tuples(st.just("advance"), st.integers(1, 4)),
+            st.tuples(st.just("tick"), st.integers(1, 4)),
+            st.tuples(st.just("flip"), st.just(0)),
+            st.tuples(st.just("worker_idle"), st.just(0)),
+            st.tuples(st.just("complete"), st.just(0)),
+        ),
+        min_size=1, max_size=40,
+    ))
 
-    def __init__(self, max_batch, accept=None):
+
+class Driver:
+    """Runs a script against a coalescer with a recording sink.
+
+    ``idle`` (a bool) turns on the idle trigger, over a predicate that
+    reads :attr:`idle` and that ``flip`` ops toggle."""
+
+    def __init__(self, max_batch, accept=None, idle=None):
         self.clock = FakeClock()
         self.accept = accept  # None: accept all; else per-batch pattern
         self.dispatched = []
@@ -59,13 +83,19 @@ class Driver:
         self.epoch = 0
         #: epoch window each dispatched batch was completed under
         self.batch_epochs = []
-        self.box = RequestCoalescer(self._sink, max_batch=max_batch,
-                                    max_wait_s=MAX_WAIT_S, clock=self.clock)
+        self.idle = idle
+        self.idle_cuts_while_busy = 0
+        self.box = RequestCoalescer(
+            self._sink, max_batch=max_batch, max_wait_s=MAX_WAIT_S,
+            clock=self.clock,
+            idle=None if idle is None else lambda: self.idle)
         self.handles = []
         self.submitted = []  # addresses in accepted submission order
         self._next_address = 0
 
     def _sink(self, batch):
+        if batch.reason == "idle" and not self.idle:
+            self.idle_cuts_while_busy += 1
         index = len(self.dispatched) + len(self.refused)
         ok = True if self.accept is None else self.accept(index)
         if ok:
@@ -86,6 +116,12 @@ class Driver:
                 self.box.flush()
             elif op == "advance":
                 self.clock.advance(arg * MAX_WAIT_S / 2)
+            elif op == "tick":
+                self.clock.advance(arg * MAX_WAIT_S / 8)
+            elif op == "flip":
+                self.idle = not self.idle
+            elif op == "worker_idle":
+                self.box.worker_idle()
             elif op == "commit":
                 self.epoch += 1
             elif op == "complete":
@@ -116,7 +152,8 @@ class TestCoalescerProperties:
         # Bounded batches with sensible flush reasons.
         for batch in driver.dispatched:
             assert 0 < len(batch.addresses) <= max_batch
-            assert batch.reason in ("size", "deadline", "manual", "drain")
+            assert batch.reason in ("size", "deadline", "idle", "manual",
+                                    "drain")
 
         # Global FIFO: dispatched order == accepted submission order.
         flat = [a for b in driver.dispatched for a in b.addresses]
@@ -126,6 +163,28 @@ class TestCoalescerProperties:
         for handle in driver.handles:
             assert handle.done()
             assert handle.result(0) == handle.addresses
+
+    # Batches up to 64 wide: a batch reads sparse only when it misses
+    # FILL_MARGIN times more addresses than arrive before its deadline.
+    @given(idle_scripts(), st.integers(1, 64), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_a_flipping_idle_predicate_keeps_fifo_exactly_once(
+            self, ops, max_batch, idle):
+        driver = Driver(max_batch, idle=idle)
+        driver.run(ops)
+        driver.finish()
+
+        for batch in driver.dispatched:
+            assert 0 < len(batch.addresses) <= max_batch
+        assert driver.idle_cuts_while_busy == 0
+        flat = [a for b in driver.dispatched for a in b.addresses]
+        assert flat == driver.submitted
+        for handle in driver.handles:
+            assert handle.done()
+            assert handle.result(0) == handle.addresses
+        # Exactly once: one delivery per part of every dispatched batch.
+        assert sum(handle.deliveries for handle in driver.handles) == \
+            sum(len(batch.parts) for batch in driver.dispatched)
 
     @given(scripts(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)

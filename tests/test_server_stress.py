@@ -27,6 +27,7 @@ in CI, the conftest SIGALRM shim offline).
 """
 
 import random
+import sys
 import threading
 import time
 
@@ -508,3 +509,54 @@ def test_shed_overload_never_hangs_a_caller():
     counters = server.registry.snapshot()["counters"]
     shed_total = sum(counters.get("repro_server_shed_total", {}).values())
     assert (shed_total > 0) == (shed > 0)
+
+
+def test_idle_cuts_race_submitters_without_loss():
+    """The idle trigger cuts from submitters and from workers going
+    idle.  Four workers (more than the cores) over a one-slot blocking
+    queue, four producers alternating pauses and bursts, a 1 µs switch
+    interval: every request is answered from the table exactly once,
+    and some batches were cut idle."""
+    base = build_fib(seed=9)
+    server = LookupServer(HiBst(base), workers=4, max_batch=512,
+                          max_wait_s=0.002, queue_depth=1, overload="block")
+    produced = [[] for _ in range(PRODUCERS)]
+    failures = []
+
+    def produce(lane):
+        rng = random.Random(90 + lane)
+        pause = threading.Event()
+        try:
+            for i in range(REQUESTS_PER_PRODUCER * 2):
+                if i % 10 < 5:   # five sparse requests, then a burst
+                    pause.wait(rng.uniform(0.0, 0.002))
+                addresses = [rng.randrange(1 << WIDTH)
+                             for _ in range(REQUEST_SIZE)]
+                produced[lane].append((addresses,
+                                       server.submit(addresses)))
+        except BaseException as exc:  # noqa: BLE001 — surface in the test
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with server:
+            threads = [threading.Thread(target=produce, args=(lane,))
+                       for lane in range(PRODUCERS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            for lane_requests in produced:
+                for addresses, handle in lane_requests:
+                    assert handle.result(timeout=60) == \
+                        [base.lookup(a) for a in addresses]
+                    assert handle.deliveries == 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert not failures
+    assert sum(map(len, produced)) == PRODUCERS * REQUESTS_PER_PRODUCER * 2
+    flushes = server.registry.get("repro_server_flush_total")
+    assert flushes.value(server="server", reason="idle") > 0
+    assert not server.pool.alive()
