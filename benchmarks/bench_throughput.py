@@ -14,8 +14,10 @@ execution tiers.  Two benches:
   of the scalar compiled plan on all nine over IPv4 and on the
   paper's three IPv6 schemes over the width-64 table, with identical
   answers — and, at the 16-address batches a trickle of traffic
-  flushes, the served scheme (RESAIL) at least **1.5x** (the kernel's
-  fixed cost per batch; reported ungated for the rest).
+  flushes (the kernel's fixed cost per batch), the served scheme
+  (RESAIL) at least **1.5x**, DXR at least **1.2x** and IPv6 BSIC at
+  least **1.0x**, whose range searches are one ``searchsorted`` each
+  (reported ungated for the rest).
 
 Both emit a machine-readable JSON sidecar via ``_bench_utils.emit``
 (``benchmarks/results/throughput_*.json``): deterministic numbers
@@ -72,6 +74,11 @@ V6_MAKERS = [
     ("mashup", lambda fib: Mashup(fib)),
     ("hibst", lambda fib: HiBst(fib)),
 ]
+
+
+#: Batch-16 gates, vector over scalar plan, per family.
+B16_THRESHOLD_X = {"resail": 1.5, "dxr": 1.2}
+IPV6_B16_THRESHOLD_X = {"bsic": 1.0}
 
 
 @pytest.fixture(scope="module")
@@ -226,8 +233,8 @@ def test_vector_vs_plan_throughput(benchmark, small_v4, small_v6):
     (min-of-N interleaved timings).  A second leg times 16-address
     batches, where the kernel's fixed cost per call is all there is:
     RESAIL, the served scheme, must still beat the scalar plan by 1.5x
-    there; the rest, IPv6 included, is reported ungated.  Recorded in
-    a JSON sidecar."""
+    there, DXR by 1.2x and IPv6 BSIC must match it; the rest is
+    reported ungated.  Recorded in a JSON sidecar."""
     def run():
         return (_vector_rows(*small_v4, V4_MAKERS, seed=21),
                 _vector_rows(*small_v6, V6_MAKERS, seed=22))
@@ -252,7 +259,8 @@ def test_vector_vs_plan_throughput(benchmark, small_v4, small_v6):
          values={
              "addresses": 2_000,
              "speedup_threshold_x": 3.0,
-             "b16_threshold_x": {"resail": 1.5},
+             "b16_threshold_x": B16_THRESHOLD_X,
+             "ipv6_b16_threshold_x": IPV6_B16_THRESHOLD_X,
              "hop_checksums": column(rows, 3),
              "ipv6_hop_checksums": column(rows_v6, 3),
          },
@@ -273,6 +281,10 @@ def test_vector_vs_plan_throughput(benchmark, small_v4, small_v6):
         for name, row in family_rows.items():
             assert row[2] >= 3.0, \
                 f"{family}{name}: vector only {row[2]:.2f}x over the scalar plan"
-    b16 = rows["resail"][4]
-    assert b16 >= 1.5, \
-        f"resail: vector only {b16:.2f}x the scalar plan at batch 16"
+    for family, family_rows, gates in (
+            ("", rows, B16_THRESHOLD_X),
+            ("IPv6 ", rows_v6, IPV6_B16_THRESHOLD_X)):
+        for name, gate in gates.items():
+            b16 = family_rows[name][4]
+            assert b16 >= gate, (f"{family}{name}: vector only {b16:.2f}x "
+                                 "the scalar plan at batch 16")

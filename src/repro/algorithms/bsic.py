@@ -23,7 +23,6 @@ right endpoints are discarded.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -33,6 +32,7 @@ from ..core.idioms import Idiom, IdiomApplication
 from ..core.program import CramProgram
 from ..core.step import Step
 from ..core.table import exact_table, ternary_table
+from ..memory.sram import RangeSections
 from ..memory.tcam import TcamTable
 from ..prefix.prefix import Prefix
 from ..prefix.ranges import BstNode, SliceIndex, ranges_to_bst
@@ -51,18 +51,6 @@ INITIAL_DATA_BITS = 1 + POINTER_BITS
 MIN_DEAD_NODES = 64
 
 _Node = Tuple[int, Optional[int], Optional[int], Optional[int]]
-
-
-def _split_rows(rows: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """``(m, 4)`` node rows (-1 for ``None``) as the lane kernels'
-    columns, each contiguous: endpoint, then value and is-None arrays
-    for the hop and the two child indices.  The endpoint is a suffix
-    key of fewer than 64 bits, so ``int64`` like the values beside it."""
-    fields = np.ascontiguousarray(rows.T)
-    absent = fields < 0
-    values = np.where(absent, 0, fields)
-    return (values[0], values[1], absent[1],
-            values[2], absent[2], values[3], absent[3])
 
 
 class BstForest:
@@ -86,12 +74,6 @@ class BstForest:
         self.levels: List[List[_Node]] = []
         #: Nodes per level still reachable from a live root.
         self._live: List[int] = []
-        #: level -> its nodes as NumPy columns, as of the last request,
-        #: and per level the rows placed since (flat, -1 for ``None``):
-        #: freezing a level converts only those, without a Python pass
-        #: over nodes.
-        self._columns: Dict[int, Tuple[np.ndarray, ...]] = {}
-        self._fresh: List[array] = []
 
     @property
     def node_entry_bits(self) -> int:
@@ -124,15 +106,11 @@ class BstForest:
         while len(self.levels) <= depth:
             self.levels.append([])
             self._live.append(0)
-            self._fresh.append(array("q"))
         left = self._place(node.left, depth + 1) if node.left else None
         right = self._place(node.right, depth + 1) if node.right else None
         index = len(self.levels[depth])
         hop = node.next_hop
         self.levels[depth].append((node.left_endpoint, hop, left, right))
-        self._fresh[depth].extend((
-            node.left_endpoint, -1 if hop is None else hop,
-            -1 if left is None else left, -1 if right is None else right))
         self._live[depth] += 1
         return index
 
@@ -175,25 +153,6 @@ class BstForest:
     def node(self, level: int, index: int):
         return self.levels[level][index]
 
-    def columns(self, level: int) -> Tuple[np.ndarray, ...]:
-        """One level as frozen NumPy columns (see :func:`_split_rows`).
-
-        The arrays are never written after they are returned; a level
-        that grew since the last call gets new arrays — the old ones
-        plus the rows placed since, converted without a Python pass —
-        so freezing costs one memcpy of the level, not a rebuild.
-        """
-        fresh = self._fresh[level]
-        columns = self._columns.get(level)
-        if fresh or columns is None:
-            parts = _split_rows(
-                np.frombuffer(fresh, dtype=np.int64).reshape(-1, 4))
-            self._fresh[level] = array("q")
-            columns = parts if columns is None else tuple(
-                np.concatenate(pair) for pair in zip(columns, parts))
-            self._columns[level] = columns
-        return columns
-
 
 class Bsic(LookupAlgorithm):
     """Behavioural BSIC for IPv4 (k=16) and IPv6 (k=24)."""
@@ -230,6 +189,9 @@ class Bsic(LookupAlgorithm):
 
         self.initial: TcamTable[Tuple] = TcamTable(self.k, name="initial")
         self.forest = BstForest(self.suffix_bits)
+        #: Each live slice's range table, the one the lane kernels
+        #: search (its BST, flattened back).
+        self._sections = RangeSections(self.width, self.suffix_bits)
         # The build is the update path with everything dirty.
         self._dirty_slices.update(self._slices.groups)
         for prefix, _hop in self._slices.shorts.items():
@@ -246,6 +208,7 @@ class Bsic(LookupAlgorithm):
         if old is not None:
             self.forest.drop_tree(old)
         section = self._slices.section(slice_bits)
+        self._sections.set(slice_bits, section)
         if section is None:
             # No long prefix left: the row is the exact /k route's, if any.
             self._refresh_row(
@@ -320,8 +283,8 @@ class Bsic(LookupAlgorithm):
 
     def _compact(self) -> None:
         """Move the live trees into a fresh forest, repointing every
-        BST row.  Compiled kernels keep their frozen columns of the old
-        one until they are patched."""
+        BST row.  The range sections do not move: a walk of a moved
+        tree still searches the same table."""
         old = self.forest
         self.forest = BstForest(self.suffix_bits)
         for slice_bits, root in sorted(self._roots.items()):
@@ -417,32 +380,26 @@ class Bsic(LookupAlgorithm):
 
         The initial TCAM probes through its own vector view (hop vs
         BST-root results told apart by a tag bit), re-frozen from
-        ``prev`` by replaying the rows written since; each BST level is
-        linearized into flat per-field arrays (endpoint, hop, child
-        indices) indexed by the ``ptr`` register, so the walk becomes
-        a fancy-indexed compare per level — the PlanB move.  The
-        levels only append (see :meth:`BstForest.columns`); a tree
-        deeper than the compiled chain grows the program, and the
-        engine recompiles.
+        ``prev``.  A walk down a BST built from a sorted range table is
+        a binary search of it, so the levels lower to one floor search
+        over every live slice's table (the PlanB move): ``bst_level_0``
+        resolves each lane sent to a tree, the deeper levels are no-ops.
+        A deeper tree grows the program, and the engine recompiles.
         """
-        from ..core.vector import VectorStepSpec, key_slice
+        from ..core.vector import VectorStepSpec, key_slice, range_search_specs
 
         initial_view = self.initial.vector_reader(
             encode=self._encode_initial, prev=prev.get("initial"))
         if initial_view is None:
             return {}
-        suffix_mask = (1 << self.suffix_bits) - 1
         hop_tag = self._HOP_TAG
 
         def init_update(lanes, vals, found, active):
-            lanes.assign("key", key_slice(lanes.values("addr"),
-                                          mask=suffix_mask))
             is_hop = found & (vals >= hop_tag)
             is_bst = found & ~is_hop
             lanes.assign("done", np.where(is_bst, 0, 1), none=is_bst)
             lanes.assign("best", np.where(is_hop, vals & (hop_tag - 1), 0),
                          none=~is_hop)
-            lanes.assign("ptr", np.where(is_bst, vals, 0), none=~is_bst)
 
         specs = {"initial": VectorStepSpec(
             update=init_update,
@@ -450,34 +407,9 @@ class Bsic(LookupAlgorithm):
                 key_slice(lanes.values("addr"), self.suffix_bits), None),
             reader=initial_view,
         )}
-
-        for depth in range(self.forest.depth):
-            (ep, hops, hop_none, left, left_none,
-             right, right_none) = self.forest.columns(depth)
-
-            def level_update(lanes, _vals, _found, _active, ep=ep,
-                             hops=hops, hop_none=hop_none, left=left,
-                             left_none=left_none, right=right,
-                             right_none=right_none):
-                walking = lanes.present("ptr") & ~lanes.truthy("done")
-                idx = np.where(walking, lanes.values("ptr"), 0)
-                node_ep = ep[idx]
-                key = lanes.values("key")
-                eq = walking & (key == node_ep)
-                gt = walking & (key > node_ep)
-                lt = walking & ~eq & ~gt
-                lanes.assign_where("best", eq | gt, hops[idx],
-                                   none=hop_none[idx])
-                lanes.assign_where("done", eq, 1)
-                ptr_vals = np.zeros(lanes.n, dtype=np.int64)
-                ptr_none = np.ones(lanes.n, dtype=bool)
-                np.copyto(ptr_vals, right[idx], where=gt)
-                np.copyto(ptr_none, right_none[idx], where=gt)
-                np.copyto(ptr_vals, left[idx], where=lt)
-                np.copyto(ptr_none, left_none[idx], where=lt)
-                lanes.assign("ptr", ptr_vals, none=ptr_none)
-
-            specs[f"bst_level_{depth}"] = VectorStepSpec(update=level_update)
+        specs.update(range_search_specs(
+            self._sections.freeze(prev.get("bst_level_0")),
+            [f"bst_level_{depth}" for depth in range(self.forest.depth)]))
         return specs
 
     def vector_extract_hop(self, lanes):

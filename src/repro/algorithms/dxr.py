@@ -26,6 +26,7 @@ from ..chip.layout import Layout, LogicalTable, MemoryKind, Phase
 from ..core.program import CramProgram
 from ..core.step import Step
 from ..core.table import direct_index_table, exact_table
+from ..memory.sram import RangeSections
 from ..prefix.prefix import Prefix
 from ..prefix.ranges import RangeEntry, SliceIndex
 from ..prefix.trie import Fib
@@ -74,6 +75,8 @@ class Dxr(LookupAlgorithm):
         self.initial: List[Optional[Tuple]] = [None] * (1 << self.k)
         #: Rows in self.ranges no slice points at any more.
         self._dead_ranges = 0
+        #: Each live section keyed by its slice, for the lane kernels.
+        self._sections = RangeSections(self.width, self.suffix_bits)
         for slice_bits in range(1 << self.k):
             section = self._slices.section(slice_bits)
             if section is None:
@@ -84,6 +87,7 @@ class Dxr(LookupAlgorithm):
             start = len(self.ranges)
             self.ranges.extend(section)
             self.initial[slice_bits] = ("section", start, len(section))
+            self._sections.set(slice_bits, section)
 
         self.max_section = max(
             (entry[2] for entry in self.initial if entry and entry[0] == "section"),
@@ -171,9 +175,9 @@ class Dxr(LookupAlgorithm):
             # Monotone: search_depth never shrinks mid-flight, so an
             # already-compiled probe chain stays deep enough.
             self.max_section = max(self.max_section, len(section))
-            self._mirror_extend(section)
         self.initial[slice_bits] = entry
         self._mirror_initial_slot(slice_bits)
+        self._sections.set(slice_bits, section)
 
     def _compact_ranges(self) -> None:
         """Drop unreachable rows, rewriting every section pointer."""
@@ -190,8 +194,8 @@ class Dxr(LookupAlgorithm):
         self._build_mirrors()
 
     # ------------------------------------------------------------------
-    # NumPy mirrors of the initial and range tables, maintained
-    # incrementally so vector patching is O(delta), not O(table)
+    # NumPy mirror of the initial table, maintained incrementally so a
+    # delta touches O(delta) slots, not O(table)
     # ------------------------------------------------------------------
     def _build_mirrors(self) -> None:
         size = 1 << self.k
@@ -201,15 +205,6 @@ class Dxr(LookupAlgorithm):
         for slot, entry in enumerate(self.initial):
             if entry is not None:
                 self._mirror_initial_slot(slot)
-        n = len(self.ranges)
-        cap = max(64, n)
-        self._mirror_left = np.zeros(cap, dtype=np.int64)
-        self._mirror_hops = np.zeros(cap, dtype=np.int64)
-        self._mirror_hopnone = np.zeros(cap, dtype=bool)
-        for row, r in enumerate(self.ranges):
-            self._mirror_left[row] = r.left
-            self._mirror_hops[row] = 0 if r.next_hop is None else r.next_hop
-            self._mirror_hopnone[row] = r.next_hop is None
 
     def _mirror_initial_slot(self, slot: int) -> None:
         entry = self.initial[slot]
@@ -223,24 +218,6 @@ class Dxr(LookupAlgorithm):
         self._mirror_a[slot] = a
         self._mirror_b[slot] = b
 
-    def _mirror_extend(self, section: List[RangeEntry]) -> None:
-        n = len(self.ranges)  # section already appended
-        cap = self._mirror_left.size
-        if n > cap:
-            while cap < n:
-                cap *= 2
-            for attr in ("_mirror_left", "_mirror_hops", "_mirror_hopnone"):
-                old = getattr(self, attr)
-                grown = np.zeros(cap, dtype=old.dtype)
-                grown[:old.size] = old
-                setattr(self, attr, grown)
-        start = n - len(section)
-        for offset, r in enumerate(section):
-            row = start + offset
-            self._mirror_left[row] = r.left
-            self._mirror_hops[row] = 0 if r.next_hop is None else r.next_hop
-            self._mirror_hopnone[row] = r.next_hop is None
-
     # ------------------------------------------------------------------
     # Artifact state (repro.artifact warm starts)
     # ------------------------------------------------------------------
@@ -249,7 +226,7 @@ class Dxr(LookupAlgorithm):
         delta-maintenance sources (shorts trie + suffix groups).
         Importing skips the per-slice ``expand_to_ranges`` sweep over
         all ``2**k`` slices."""
-        n = len(self.ranges)
+        hops = [r.next_hop for r in self.ranges]
         groups = []
         for slice_bits, group in sorted(self._slices.groups.items()):
             for (sbits, slen), (_suffix, hop) in sorted(group.items()):
@@ -258,9 +235,9 @@ class Dxr(LookupAlgorithm):
             "mirror_kind": self._mirror_kind,
             "mirror_a": self._mirror_a,
             "mirror_b": self._mirror_b,
-            "range_left": self._mirror_left[:n],
-            "range_hops": self._mirror_hops[:n],
-            "range_hopnone": self._mirror_hopnone[:n],
+            "range_left": np.array([r.left for r in self.ranges], np.int64),
+            "range_hops": np.array([h or 0 for h in hops], np.int64),
+            "range_hopnone": np.array([h is None for h in hops], bool),
             "shorts": np.array(
                 sorted((p.bits, p.length, h)
                        for p, h in self._slices.shorts.items()),
@@ -306,20 +283,15 @@ class Dxr(LookupAlgorithm):
             for slot in range(1 << obj.k)]
         obj._dead_ranges = int(meta["dead_ranges"])
         obj.max_section = int(meta["max_section"])
-        # Adopt the mapped mirrors (copy-on-write pages) directly; the
-        # range mirrors re-pad to the growth capacity _build_mirrors
-        # would have picked.
+        obj._sections = RangeSections(obj.width, obj.suffix_bits)
+        for slot, entry in enumerate(obj.initial):
+            if entry is not None and entry[0] == "section":
+                _tag, start, count = entry
+                obj._sections.set(slot, obj.ranges[start:start + count])
+        # Adopt the mapped mirrors (copy-on-write pages) directly.
         obj._mirror_kind = np.asarray(kind)
         obj._mirror_a = np.asarray(a)
         obj._mirror_b = np.asarray(b)
-        cap = max(64, left.size)
-        obj._mirror_left = np.zeros(cap, dtype=np.int64)
-        obj._mirror_hops = np.zeros(cap, dtype=np.int64)
-        obj._mirror_hopnone = np.zeros(cap, dtype=bool)
-        obj._mirror_left[:left.size] = left
-        obj._mirror_hops[:left.size] = hops
-        obj._mirror_hopnone[:left.size] = (
-            hopnone.view(np.bool_) if hopnone.dtype == np.uint8 else hopnone)
         return obj
 
     def lookup(self, address: int) -> Optional[int]:
@@ -405,58 +377,32 @@ class Dxr(LookupAlgorithm):
         return state.get("best")
 
     # ------------------------------------------------------------------
-    # Lane compiler (repro.core.vector): every step fully lowered.
-    # The mirrors are no table simulator's, so every compile copies
-    # them; a delta that deepens the search outgrows the compiled
-    # probe chain, and the engine recompiles.
+    # Lane compiler (repro.core.vector): the initial mirror is copied
+    # per compile; the probe chain is one floor search over the live
+    # sections, spliced from ``prev``.  A delta that deepens the search
+    # outgrows the compiled chain, and the engine recompiles.
     # ------------------------------------------------------------------
     def vector_specs(self, prev):
-        from ..core.vector import VectorStepSpec, key_slice
+        from ..core.vector import VectorStepSpec, key_slice, range_search_specs
 
-        # Initial table as parallel kind/a/b arrays:
-        # kind 0 = empty, 1 = ('hop', a), 2 = ('section', a, count=b).
-        # Copies freeze the incrementally-maintained mirrors.
+        # kind 0 = empty, 1 = ('hop', a), 2 = a section.
         kind = self._mirror_kind.copy()
         a = self._mirror_a.copy()
-        b = self._mirror_b.copy()
-        suffix_mask = (1 << self.suffix_bits) - 1
 
         def init_update(lanes, vals, found, active):
-            addr = lanes.values("addr")
-            slot = key_slice(addr, self.suffix_bits)
-            lanes.assign("key", key_slice(addr, mask=suffix_mask))
-            section = kind[slot] == 2
-            hop = kind[slot] == 1
+            slot = key_slice(lanes.values("addr"), self.suffix_bits)
+            slot_kind = kind[slot]
+            section = slot_kind == 2
+            hop = slot_kind == 1
             # Non-section lanes finish here; section lanes keep done=None
             # (the base state), exactly as the scalar action leaves it.
             lanes.assign("done", np.where(section, 0, 1), none=section)
             lanes.assign("best", np.where(hop, a[slot], 0), none=~hop)
-            lanes.assign("lo", np.where(section, a[slot], 0), none=~section)
-            lanes.assign("hi", np.where(section, a[slot] + b[slot] - 1, 0),
-                         none=~section)
 
-        # The global range table as left-endpoint / hop columns; one
-        # shared spec drives every binary-search level.
-        n = len(self.ranges)
-        left = self._mirror_left[:n].copy()
-        hops = self._mirror_hops[:n].copy()
-        hop_none = self._mirror_hopnone[:n].copy()
-
-        def probe_update(lanes, vals, found, active):
-            lo = lanes.values("lo")
-            hi = lanes.values("hi")
-            searching = (~lanes.truthy("done") & lanes.present("lo")
-                         & (lo <= hi))
-            mid = np.where(searching, (lo + hi) >> 1, 0)
-            le = searching & (left[mid] <= lanes.values("key"))
-            lanes.assign_where("best", le, hops[mid], none=hop_none[mid])
-            lanes.assign_where("lo", le, mid + 1)
-            lanes.assign_where("hi", searching & ~le, mid - 1)
-
-        probe = VectorStepSpec(probe_update)
         specs = {"initial": VectorStepSpec(init_update)}
-        for level in range(self.search_depth):
-            specs[f"probe_{level}"] = probe
+        specs.update(range_search_specs(
+            self._sections.freeze(prev.get("probe_0")),
+            [f"probe_{level}" for level in range(self.search_depth)]))
         return specs
 
     def vector_extract_hop(self, lanes):

@@ -95,10 +95,6 @@ class TrieNode:
                 slots[base | offset] = hop
         return slots
 
-    def slot_hop_for_child(self, slot: int) -> Optional[int]:
-        """The LPM *within this node* along a child's path."""
-        return self.hop_at(slot)
-
     def tcam_items(self) -> int:
         """Entries a TCAM rendering needs: segments + pure child slots.
 
@@ -109,11 +105,6 @@ class TrieNode:
             1 for slot in self.children if (slot, self.stride) not in self.segments
         )
         return len(self.segments) + extra_children
-
-    def used_slots(self) -> int:
-        slots = set(self.expanded_slots())
-        slots.update(self.children)
-        return len(slots)
 
 
 class MultibitTrie(LookupAlgorithm):

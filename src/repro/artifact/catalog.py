@@ -323,7 +323,8 @@ class ArtifactCatalog:
         """Snapshot ``algo`` (built from ``fib``) as ``name``/``version``.
 
         Passing the compiled ``vector_plan`` additionally persists its
-        view backings.  Returns the version written.  Saves are
+        view backings, if ``algo`` exports state: only a state import
+        adopts them.  Returns the version written.  Saves are
         deterministic: identical state yields identical bytes.
         """
         if version is None:
@@ -353,7 +354,7 @@ class ArtifactCatalog:
             for key in sorted(state):
                 sections.append((f"state/{key}", state[key]))
         header["plan_fingerprint"] = algo.compile_plan().fingerprint()
-        if vector_plan is not None:
+        if vector_plan is not None and exported is not None:
             from ..core.vector import view_state
             views: Dict[str, Any] = {}
             for step, view in sorted(vector_plan.view_map().items()):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from ..core.units import (
     SRAM_PAGE_BITS,
     TCAM_BLOCK_BITS,
-    TCAM_BLOCK_ENTRIES,
     TCAM_BLOCK_WIDTH,
 )
 
@@ -53,11 +52,6 @@ class ChipSpec:
     @property
     def sram_bits(self) -> int:
         return self.sram_pages * SRAM_PAGE_BITS
-
-    @property
-    def tcam_capacity_entries(self) -> int:
-        """Max ternary entries at one block width (the §6.5 capacity)."""
-        return self.tcam_blocks * TCAM_BLOCK_ENTRIES
 
 
 #: Tofino-2 geometry with perfect utilization and 2 dependent ALU ops

@@ -54,9 +54,6 @@ class CramProgram:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_register(self, name: str) -> None:
-        self.registers.add(name)
-
     def add_step(self, step: Step, after: Sequence[str] = ()) -> Step:
         """Add ``step``, optionally depending on named earlier steps."""
         if step.name in self._steps:

@@ -31,7 +31,9 @@ The execution model:
   :class:`SparseMapView` probe fallback when the key space is too
   large to densify), and TCAM groups flattened into ``(value, mask)``
   row matrices answered by a broadcast ``(keys & mask) == value``
-  compare plus a priority argmax (:class:`TcamMatrixView`).
+  compare plus a priority argmax (:class:`TcamMatrixView`).  A sorted
+  range table is one floor search (:class:`RangeView`): DXR's binary
+  search and BSIC's BST walk resolve in one kernel, not one per level.
 * **Per-step lowering specs.**  Algorithms describe how each step's
   selector/action lower to array form via
   :meth:`~repro.algorithms.base.LookupAlgorithm.vector_specs` —
@@ -78,9 +80,11 @@ __all__ = [
     "SparseMapView",
     "TcamMatrixView",
     "TcamGroupView",
+    "RangeView",
     "VectorStepSpec",
     "VectorPlan",
     "compile_vector_plan",
+    "range_search_specs",
     "map_view",
     "view_state",
     "view_from_state",
@@ -514,6 +518,34 @@ class TcamGroupView:
         return vals, found
 
 
+class RangeView:
+    """A sorted range table (Appendix A.4) as one floor search: row
+    ``i`` covers the keys from ``lefts[i]`` (in the searched keys'
+    dtype) to the next row's, and holds ``hops[i]`` or no hop
+    (``none[i]``).  A binary search of the table, or a walk down a BST
+    built from it, is the one ``searchsorted`` of :meth:`floor`."""
+
+    __slots__ = ("lefts", "hops", "none", "version")
+
+    def __init__(self, lefts: np.ndarray, hops: np.ndarray,
+                 none: np.ndarray, version: int = 0):
+        self.lefts = lefts
+        self.hops = hops
+        self.none = none
+        self.version = version
+
+    def floor(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(hops, none)`` of the row holding each key: the last whose
+        left endpoint is <= the key.  A key below ``lefts[0]`` reads
+        an arbitrary row; callers mask those lanes out."""
+        if not self.lefts.size:
+            return (np.zeros(keys.shape, dtype=np.int64),
+                    np.ones(keys.shape, dtype=bool))
+        pos = self.lefts.searchsorted(keys, side="right")
+        pos -= 1
+        return self.hops[pos], self.none[pos]
+
+
 def view_state(view) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
     """A view's content as ``(kind, meta, arrays)`` for persistence.
 
@@ -550,6 +582,9 @@ def view_state(view) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
             "data": (np.concatenate([v.data for _m, v in view.groups])
                      if view.groups else empty),
         }
+    if isinstance(view, RangeView):
+        return "range", {"version": int(view.version)}, {
+            "lefts": view.lefts, "hops": view.hops, "none": view.none}
     raise VectorError(f"cannot serialize view of type {type(view).__name__}")
 
 
@@ -566,10 +601,13 @@ def view_from_state(kind: str, meta: Dict[str, Any],
                           int(meta.get("version", 0)))
     if kind == "dense":
         return DenseArrayView(np.asarray(arrays["dense"]),
-                              np.asarray(arrays["present"]).view(np.bool_)
-                              if arrays["present"].dtype == np.uint8
-                              else np.asarray(arrays["present"]),
+                              _bool_array(arrays["present"]),
                               int(meta.get("version", 0)))
+    if kind == "range":
+        return RangeView(np.asarray(arrays["lefts"]),
+                         np.asarray(arrays["hops"]),
+                         _bool_array(arrays["none"]),
+                         int(meta.get("version", 0)))
     if kind == "sparse":
         return SparseMapView(np.asarray(arrays["keys"]),
                              np.asarray(arrays["data"]),
@@ -593,6 +631,12 @@ def view_from_state(kind: str, meta: Dict[str, Any],
                            SparseMapView(keys[lo:hi], data[lo:hi])))
         return TcamGroupView(groups)
     raise VectorError(f"unknown serialized view kind {kind!r}")
+
+
+def _bool_array(array) -> np.ndarray:
+    """A persisted mask back as ``bool`` (stored as ``uint8``)."""
+    array = np.asarray(array)
+    return array.view(np.bool_) if array.dtype == np.uint8 else array
 
 
 def _int_items(slots: Dict[int, Any]) -> Optional[List[Tuple[int, int]]]:
@@ -694,6 +738,27 @@ class VectorStepSpec:
     select: Optional[Callable[[Lanes], Tuple[np.ndarray,
                                              Optional[np.ndarray]]]] = None
     reader: Optional[Any] = None
+
+
+def range_search_specs(view: RangeView, steps: Sequence[str]
+                       ) -> Dict[str, VectorStepSpec]:
+    """A search chain's steps lowered to one floor search of ``addr``.
+
+    The first step resolves ``best`` for every lane still searching
+    (``done`` unset) against ``view``; the later ones are no-ops, so the
+    kernel schedule keeps the program's step names while a lane pays
+    for one search, not one probe per level.
+    """
+    def search(lanes, _vals, _found, _active):
+        hops, none = view.floor(lanes.values("addr"))
+        lanes.assign_where("best", ~lanes.truthy("done"), hops, none=none)
+
+    def resolved(lanes, _vals, _found, _active):
+        pass
+
+    rest = VectorStepSpec(resolved)
+    return {step: VectorStepSpec(search, reader=view) if i == 0 else rest
+            for i, step in enumerate(steps)}
 
 
 def _table_view(step, prev) -> Optional[Any]:
@@ -841,7 +906,8 @@ class VectorPlan:
 
         Returns an ``int64`` array of next hops with :data:`MISS_HOP`
         in no-route lanes.  A plan that did not lower runs the batch
-        through the embedded scalar plan instead, on the live tables.  An address the lane dtype cannot hold is outside
+        through the embedded scalar plan instead, on the live tables.
+        An address the lane dtype cannot hold is outside
         ``[0, 2**width)``: ``ValueError`` (a non-integer: ``TypeError``).
         In-dtype but out-of-width values are admission's check
         (``LookupServer.submit``), not a per-batch array pass.

@@ -16,12 +16,13 @@ Bitmaps get a dedicated :class:`Bitmap` built on numpy so that the
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Dict, Generic, Iterator, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from ..core.vector import (BitmapView, DenseArrayView, SparseMapView,
-                           map_view, patch_sparse_view)
+from ..core.vector import (BitmapView, DenseArrayView, RangeView,
+                           SparseMapView, key_dtype, map_view,
+                           patch_sparse_view)
 from ..obs.accounting import AccessStats
 
 V = TypeVar("V")
@@ -117,6 +118,78 @@ def freeze_map(log: FreezeLog, prev, slots, key_bits: int,
                 prev.version = log.version
                 return prev
     return log.stamp(map_view(slots(), key_bits, capacity=capacity))
+
+
+class RangeSections:
+    """A range table kept as one sorted section per slice: DXR's and
+    BSIC's range tables as the lane kernels read them.
+
+    Slice ``s`` covers the keys ``[s << shift, (s + 1) << shift)`` of a
+    ``width``-bit space, and its left endpoints are stored as those
+    keys, in :func:`~repro.core.vector.key_dtype` ``(width)``, so the
+    slices in order are one sorted :class:`RangeView`.  A freeze handed
+    the previous view splices in only the slices :meth:`set` changed
+    since (the log's tail), and never writes the old arrays.
+    """
+
+    def __init__(self, width: int, shift: int):
+        self.shift = shift
+        self.dtype = key_dtype(width)  # None: no lane holds such a key
+        #: slice -> its section's lefts, hops and none arrays, one dict
+        #: per column (no per-slice tuple for the collector to track).
+        self.columns: Tuple[Dict[int, np.ndarray], ...] = ({}, {}, {})
+        self.log = FreezeLog()
+
+    def set(self, slice_bits: int, entries: Optional[Sequence]) -> None:
+        """(Re)place a slice's ``RangeEntry`` rows; ``None`` drops it."""
+        lefts, hops, none = self.columns
+        if self.dtype is None or (entries is None
+                                  and slice_bits not in lefts):
+            return
+        self.log.record(slice_bits)
+        if entries is None:
+            for column in self.columns:
+                del column[slice_bits]
+            return
+        base, n = slice_bits << self.shift, len(entries)
+        lefts[slice_bits] = np.fromiter(
+            (base | e.left for e in entries), self.dtype, n)
+        hops[slice_bits] = np.fromiter(
+            (e.next_hop or 0 for e in entries), np.int64, n)
+        none[slice_bits] = np.fromiter(
+            (e.next_hop is None for e in entries), bool, n)
+
+    def freeze(self, prev=None) -> RangeView:
+        """Every section as one view, spliced from ``prev`` when the log
+        still reaches back to it."""
+        tail = (self.log.tail(prev.version)
+                if isinstance(prev, RangeView) else None)
+        if tail == []:
+            return prev
+        live = self.columns[0]
+        if tail is None:
+            order = sorted(live)
+            parts = [[column[s] for s in order] for column in self.columns]
+        else:
+            changed = sorted(set(tail))
+            first = prev.lefts.searchsorted(np.array(
+                [s << self.shift for s in changed], self.dtype))
+            past = prev.lefts.searchsorted(np.array(
+                [(s + 1 << self.shift) - 1 for s in changed], self.dtype),
+                side="right")
+            parts = [[], [], []]
+            for old, column, part in zip(
+                    (prev.lefts, prev.hops, prev.none), self.columns, parts):
+                cursor = 0
+                for s, lo, hi in zip(changed, first.tolist(), past.tolist()):
+                    part.append(old[cursor:lo])
+                    if s in live:
+                        part.append(column[s])
+                    cursor = hi
+                part.append(old[cursor:])
+        return self.log.stamp(RangeView(*(
+            np.concatenate([np.zeros(0, dtype)] + part)
+            for dtype, part in zip((self.dtype, np.int64, bool), parts))))
 
 
 class DirectIndexTable(Generic[V]):

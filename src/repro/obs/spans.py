@@ -123,8 +123,9 @@ class SpanRecord:
 
     @property
     def span_id(self) -> str:
-        retry = self.attrs.get("retry")
-        return f"{self.trace_id}:{self.name}" + (f":{retry}" if retry else "")
+        retries = self.attrs.get("retries")
+        return f"{self.trace_id}:{self.name}" + (
+            f":{retries}" if retries else "")
 
     @property
     def dur_s(self) -> float:
@@ -218,12 +219,15 @@ class SpanRecorder:
     # -- recording -----------------------------------------------------
     def record(self, trace_id: str, name: str, start_s: float,
                end_s: float, *, parent_id: Optional[str] = None,
-               **attrs) -> SpanRecord:
-        """Append one closed span (clamps a negative duration to 0)."""
+               shared: Optional[dict] = None, **attrs) -> SpanRecord:
+        """Append one closed span (clamps a negative duration to 0).
+        ``shared`` is an attribute dict used as is instead of ``attrs``:
+        no span's attributes are written once recorded, so the spans of
+        one batch can share one dict."""
         if end_s < start_s:
             end_s = start_s
-        span = SpanRecord(trace_id, name, start_s, end_s,
-                          parent_id=parent_id, attrs=attrs)
+        span = SpanRecord(trace_id, name, start_s, end_s, parent_id=parent_id,
+                          attrs=attrs if shared is None else shared)
         with self._lock:
             self._spans.append(span)
         if self._spans_total is not None:

@@ -492,9 +492,6 @@ class LookupServer:
             self._arm_deadline(handle)
         return handle
 
-    def submit_one(self, address: int) -> PendingLookup:
-        return self.submit([address])
-
     def lookup(self, address: int,
                timeout: Optional[float] = None) -> Optional[int]:
         """Synchronous single lookup (submit + flush + wait)."""
@@ -826,15 +823,13 @@ class LookupServer:
         # last duration is this batch's; it rides on the execute span.
         child_s = getattr(self._pool.engines[worker], "last_execute_s", None)
         batch_trace = batch_trace_id_for(batch_seq, epoch)
+        attrs = {"worker": worker, "batch": batch_seq, "reason": batch.reason,
+                 "size": len(batch.addresses), "epoch": epoch,
+                 "retries": retries}
         for phase, start, end, _ in phases:
-            extra = ({"child_execute_s": child_s}
-                     if child_s is not None and phase == "execute"
-                     else {})
-            spans.record(
-                batch_trace, phase, start, end, worker=worker,
-                batch=batch_seq, reason=batch.reason,
-                size=len(batch.addresses), epoch=epoch,
-                retries=retries, **extra)
+            spans.record(batch_trace, phase, start, end, shared=dict(
+                attrs, child_execute_s=child_s)
+                if child_s is not None and phase == "execute" else attrs)
         for handle in finished:
             if handle.sampled:
                 spans.record(

@@ -54,22 +54,94 @@ class TestBstForest:
         assert forest.search(deep, 5) == self.make_tree(7)[0].search(5)
         assert forest.tree(shallow) == shallow_tree
 
-    def test_columns_extend_without_touching_frozen_arrays(self):
-        forest = BstForest(endpoint_bits=8)
-        forest.add_tree(self.make_tree(7)[0])
-        frozen = forest.columns(1)
-        assert forest.columns(1) is frozen  # nothing appended: reused
-        snapshot = [column.copy() for column in frozen]
-        forest.add_tree(self.make_tree(3)[0])
-        grown = forest.columns(1)
-        assert grown[0].shape[0] == 4 and frozen[0].shape[0] == 2
-        for before, after in zip(snapshot, frozen):
-            assert (before == after).all()
-        assert grown[0].tolist() == [n[0] for n in forest.levels[1]]
-
     def test_node_entry_bits(self):
         # §4.2's four fields: endpoint + hop + two 24-bit pointers.
         assert BstForest(40).node_entry_bits == 40 + 8 + 48
+
+
+def churned_bsic(seed=4, width=16, k=8):
+    """A BSIC over a random table, and routes to churn it with: every
+    slice-local kind of change (a long prefix in and out, a short one
+    that re-derives the slices under it)."""
+    import random
+
+    rng = random.Random(seed)
+    fib = Fib(width)
+    while len(fib) < 120:
+        length = rng.randint(k - 3, width)
+        fib.insert(from_bitstring(format(rng.getrandbits(length),
+                                         f"0{length}b"), width),
+                   rng.randint(1, 30))
+    routes = list(fib)
+    churn = [(prefix, None) for prefix, _hop in routes[:6]] + [
+        (from_bitstring(format(rng.getrandbits(length), f"0{length}b"),
+                        width), rng.randint(1, 30))
+        for length in (k - 2, k + 1, k + 4, width, width - 1)]
+    return Bsic(fib, k=k), fib, churn
+
+
+def commit(bsic, fib, churn):
+    bsic.begin_update_batch()
+    for prefix, hop in churn:
+        if hop is None:
+            bsic.delete(prefix)
+            fib.delete(prefix)
+        else:
+            bsic.insert(prefix, hop)
+            fib.insert(prefix, hop)
+    bsic.end_update_batch()
+
+
+class TestRangeView:
+    """The lane kernels search one range view over every live slice;
+    a commit re-freezes it by splicing only the slices it re-derived."""
+
+    @staticmethod
+    def fields(view):
+        return [view.lefts.tolist(), view.hops.tolist(), view.none.tolist()]
+
+    def test_patched_view_equals_a_fresh_freeze(self):
+        from repro.core import compile_vector_plan
+        from repro.core.vector import VectorPlan
+
+        bsic, fib, churn = churned_bsic()
+        old = compile_vector_plan(bsic)
+        before = old.view_map()["bst_level_0"]
+        commit(bsic, fib, churn)
+        # The log reaches back to the old view: this is a splice.
+        assert bsic._sections.log.tail(before.version)
+        new = VectorPlan(bsic, plan=old.plan, prev=old.view_map())
+        patched = new.view_map()["bst_level_0"]
+        assert patched is not before
+        fresh = compile_vector_plan(Bsic(fib, k=bsic.k))
+        assert self.fields(patched) == \
+            self.fields(fresh.view_map()["bst_level_0"])
+        addresses = list(range(0, 1 << 16, 97))
+        assert new.lookup_batch_hops(addresses) == \
+            [fib.lookup(a) for a in addresses]
+
+    def test_frozen_arrays_are_never_written(self):
+        from repro.core import compile_vector_plan
+        from repro.core.vector import VectorPlan
+
+        bsic, fib, churn = churned_bsic(seed=9)
+        addresses = list(range(0, 1 << 16, 89))
+        expected = [fib.lookup(a) for a in addresses]
+        old = compile_vector_plan(bsic)
+        view = old.view_map()["bst_level_0"]
+        arrays = (view.lefts, view.hops, view.none)
+        snapshot = [array.copy() for array in arrays]
+        plan = old
+        for round_ in range(12):  # enough dead nodes to compact
+            commit(bsic, fib, churn if round_ % 2 == 0 else
+                   [(p, None if h is not None else 7)
+                    for p, h in churn])
+            plan = VectorPlan(bsic, plan=plan.plan, prev=plan.view_map())
+        for before, array in zip(snapshot, arrays):
+            assert (before == array).all()
+        assert old.lookup_batch_hops(addresses) == expected
+        assert plan.lookup_batch_hops(addresses) == \
+            [fib.lookup(a) for a in addresses]
 
 
 class TestPaperTable3:

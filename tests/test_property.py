@@ -4,6 +4,9 @@ Invariants exercised:
   * the binary trie is a faithful map + LPM oracle against a model dict;
   * prefix expansion preserves longest-match semantics exactly;
   * range expansion + BST search equals trie LPM over the full space;
+  * the lane kernels' one floor search over every slice's section
+    equals BSIC's BST walk and DXR's binary search, at slice edges and
+    on the uint64 path (endpoints >= 2**63);
   * TCAM prefix search equals trie LPM;
   * d-left stores and retrieves arbitrary key/value sets;
   * bit marking is a bijection on (bits, length);
@@ -16,7 +19,11 @@ Invariants exercised:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import Bsic, LogicalTcam, Mashup, Resail, bit_mark, unmark
+import numpy as np
+
+from repro.algorithms import (Bsic, Dxr, LogicalTcam, Mashup, Resail,
+                              bit_mark, unmark)
+from repro.algorithms.bsic import BstForest
 from repro.control import (
     ANNOUNCE,
     WITHDRAW,
@@ -25,14 +32,18 @@ from repro.control import (
     RuntimePolicy,
     UpdateOp,
 )
+from repro.core.vector import key_dtype
 from repro.engine import BatchEngine
 from repro.memory import DLeftHashTable, TcamTable
+from repro.memory.sram import RangeSections
 from repro.prefix import (
     BinaryTrie,
     Fib,
     Prefix,
+    RangeEntry,
     expand_to_lengths,
     expand_to_ranges,
+    lookup_ranges,
     ranges_to_bst,
 )
 
@@ -121,6 +132,84 @@ class TestRangeProperties:
         assert lefts == sorted(set(lefts))
         for a, b in zip(table, table[1:]):
             assert a.next_hop != b.next_hop  # fully merged
+
+
+@st.composite
+def sliced_sections(draw):
+    """``(width, k, {slice: section})``: sorted sections that each cover
+    their slice from 0 (Appendix A.4's shape).  At width 64 every slice
+    sits in the top half, so every endpoint is >= 2**63."""
+    width, k = draw(st.sampled_from([(16, 6), (32, 16), (64, 24)]))
+    shift = width - k
+    low = 1 << (k - 1) if width == 64 else 0
+    out = {}
+    for slice_bits in draw(st.sets(st.integers(low, (1 << k) - 1),
+                                   min_size=1, max_size=4)):
+        lefts = [0] + sorted(draw(st.sets(
+            st.integers(1, (1 << shift) - 1), max_size=6)))
+        hops = draw(st.lists(st.one_of(st.none(), st.integers(0, 255)),
+                             min_size=len(lefts), max_size=len(lefts)))
+        out[slice_bits] = [RangeEntry(left, hop)
+                           for left, hop in zip(lefts, hops)]
+    return width, k, out
+
+
+def edge_keys(width, firsts):
+    """Every address one either side of each first address given."""
+    return sorted({key for first in firsts
+                   for key in (first - 1, first, first + 1)
+                   if 0 <= key < 1 << width})
+
+
+def floor_hops(view, keys, width):
+    hops, none = view.floor(np.array(keys, dtype=key_dtype(width)))
+    return [None if miss else hop
+            for hop, miss in zip(hops.tolist(), none.tolist())]
+
+
+class TestFloorSearchProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(sliced_sections())
+    def test_floor_search_is_the_bst_walk_and_the_binary_search(self, case):
+        width, k, sections = case
+        shift = width - k
+        ranges, forest = RangeSections(width, shift), BstForest(shift)
+        roots = {}
+        for slice_bits, section in sections.items():
+            ranges.set(slice_bits, section)
+            roots[slice_bits] = forest.add_tree(ranges_to_bst(section))
+        firsts = [(slice_bits << shift) + offset
+                  for slice_bits, section in sections.items()
+                  for offset in [e.left for e in section] + [1 << shift]]
+        keys = [key for key in edge_keys(width, firsts)
+                if key >> shift in sections]
+        top = (1 << shift) - 1
+        for key, hop in zip(keys, floor_hops(ranges.freeze(), keys, width)):
+            slice_bits, suffix = key >> shift, key & top
+            assert hop == forest.search(roots[slice_bits], suffix) \
+                == lookup_ranges(sections[slice_bits], suffix), hex(key)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.integers(9, 64),
+                              st.integers(0, (1 << 64) - 1),
+                              st.integers(0, 15)), min_size=1, max_size=12))
+    def test_floor_search_answers_dxr_and_bsic_on_uint64_lanes(self, routes):
+        k, shift, fib = 8, 56, Fib(64)
+        for length, bits, hop in routes:  # top bit set: uint64 keys
+            top_bits = bits >> (64 - length) | 1 << (length - 1)
+            fib.insert(Prefix.from_bits(top_bits, length, 64), hop)
+        dxr, bsic = Dxr(fib, k=k), Bsic(fib, k=k)
+        grouped = dxr._slices.groups
+        firsts = [first for prefix, _hop in fib for first in (
+            prefix.value, prefix.value + (1 << 64 - prefix.length))]
+        firsts += [first for slice_bits in grouped
+                   for first in (slice_bits << shift, slice_bits + 1 << shift)]
+        keys = [key for key in edge_keys(64, firsts)
+                if key >> shift in grouped]
+        expected = [fib.lookup(key) for key in keys]
+        assert [dxr.lookup(key) for key in keys] == expected
+        assert floor_hops(dxr._sections.freeze(), keys, 64) == expected
+        assert floor_hops(bsic._sections.freeze(), keys, 64) == expected
 
 
 class TestTcamProperties:

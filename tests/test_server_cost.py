@@ -74,12 +74,26 @@ served width, or one that is not an integer, for that request alone;
 PR 17 re-measured beside it reads 19.5 + 13.8.  The budgets below still
 hold and were not moved.)
 
+``test_span_bytes_on_the_served_shape_stay_in_budget`` prices the
+span ring in bytes: what clearing it frees (``tracemalloc``), divided
+by the spans it held, after four rounds of the first leg's traffic
+(~790 spans at 1/16 sampling).
+
+=========================================  ==============
+span attributes                            bytes per span
+=========================================  ==============
+a dict per span (0e25e8f)                           424
+one dict per batch, shared by its phases            256
+=========================================  ==============
+
 The second half is the identity the aggregation must not break: every
 request is still counted, timed and observed exactly once.
 """
 
+import gc
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -100,6 +114,10 @@ SUBMIT_BUDGET, COMPLETE_BUDGET, TOTAL_BUDGET = 22.5, 15.5, 38.0
 
 #: The idle path's figures above plus the same ~15 % headroom.
 IDLE_SUBMIT_BUDGET, IDLE_COMPLETE_BUDGET = 60.0, 113.5
+
+#: Bytes the span ring holds per span on the served shape (measured
+#: 256; a dict per span was 424).
+SPAN_BYTES_BUDGET = 300
 
 #: ``MonotonicClock.call_at`` + ``cancel`` pairs, and the budget per
 #: pair (measured 8.0; a ``threading.Timer`` start and stop was 57.7).
@@ -252,6 +270,33 @@ def test_idle_path_calls_per_request_stay_in_budget():
           f"{completed:.1f} = {submitted + completed:.1f}")
     assert submitted <= IDLE_SUBMIT_BUDGET
     assert completed <= IDLE_COMPLETE_BUDGET
+
+
+def test_span_bytes_on_the_served_shape_stay_in_budget():
+    front = Frontend()
+    server = front.server
+    for request in front.requests[:2 * MAX_BATCH // REQUEST_SIZE]:
+        server.submit(request)
+    front.serve(front.take_batches())
+    server.spans.clear()
+    tracemalloc.start()
+    try:
+        for _round in range(4):
+            handles = [server.submit(request) for request in front.requests]
+            front.serve(front.take_batches())
+            assert all(handle.done() for handle in handles)
+            del handles
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        spans = len(server.spans)
+        server.spans.clear()
+        gc.collect()
+        per_span = (held - tracemalloc.get_traced_memory()[0]) / spans
+    finally:
+        tracemalloc.stop()
+    print(f"span ring: {per_span:.0f} bytes per span over {spans} spans")
+    assert spans > 500
+    assert per_span <= SPAN_BYTES_BUDGET
 
 
 def test_monotonic_call_at_and_cancel_stay_in_budget():

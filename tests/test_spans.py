@@ -324,6 +324,33 @@ class TestServerSpans:
         roots = server.spans.spans("request")
         assert len(roots) == 1 and roots[0].attrs["outcome"] == "ok"
 
+    def test_retry_markers_of_one_batch_have_distinct_span_ids(self):
+        """A batch re-queued twice leaves two ``retry`` markers on one
+        trace; the retry count in their span IDs tells them apart."""
+        fib = small_fib()
+        server = LookupServer(
+            HiBst(fib), workers=1, sample_rate=1.0,
+            restart_policy=RestartPolicy(base_backoff_s=0.005,
+                                         max_backoff_s=0.01, budget=5,
+                                         jitter=0.0))
+        engine = server.engines()[0]
+        real, deaths = engine.lookup_batch, []
+
+        def sabotage(addresses):
+            if len(deaths) < 2:
+                deaths.append(1)
+                raise WorkerCrash("induced")
+            return real(addresses)
+
+        engine.lookup_batch = sabotage
+        with server:
+            assert server.lookup_batch([1, 2, 3], timeout=30) == \
+                [fib.lookup(a) for a in (1, 2, 3)]
+        retries = server.spans.spans("retry")
+        assert [s.attrs["retries"] for s in retries] == [1, 2]
+        assert len({s.trace_id for s in retries}) == 1
+        assert len({s.span_id for s in retries}) == 2
+
     def test_process_mode_ships_spans_across_a_kill(self):
         fib = small_fib(seed=13, size=25)
         managed = ManagedFib(lambda f: HiBst(f), fib)

@@ -571,7 +571,8 @@ class TestEngineBackend:
         through a ``vector_patch`` hook.)  A real width-64 table serves
         from kernels, and a delta commit is one patch: a compile over
         the same scalar plan and step chain, the old initial view
-        handed back to its table as ``prev``."""
+        handed back to its table as ``prev`` and the range view
+        spliced from the old one."""
         base = Fib(64)
         for i in range(24):
             base.insert(Prefix.from_bits((0x2001 << 16) | i, 32, 64), i)
@@ -581,7 +582,8 @@ class TestEngineBackend:
         assert engine.active_backend == "vector"
         assert engine.vector_plan.fully_lowered
         assert len(engine.vector_plan) == len(engine.plan.step_names)
-        assert set(engine.vector_plan.view_map()) == {"initial"}
+        assert set(engine.vector_plan.view_map()) == {"initial",
+                                                      "bst_level_0"}
 
         def count(metric):
             return engine.registry.get(metric).value(engine="wide")
