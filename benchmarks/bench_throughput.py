@@ -77,7 +77,7 @@ V6_MAKERS = [
 
 
 #: Batch-16 gates, vector over scalar plan, per family.
-B16_THRESHOLD_X = {"resail": 1.5, "dxr": 1.2}
+B16_THRESHOLD_X = {"resail": 1.5, "dxr": 1.2, "bsic": 1.0, "ltcam": 1.0}
 IPV6_B16_THRESHOLD_X = {"bsic": 1.0}
 
 

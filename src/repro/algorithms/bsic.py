@@ -378,7 +378,7 @@ class Bsic(LookupAlgorithm):
     def vector_specs(self, prev):
         """Lower Algorithm 2 to lane kernels.
 
-        The initial TCAM probes through its own vector view (hop vs
+        The initial TCAM is one floor search of its range form (hop vs
         BST-root results told apart by a tag bit), re-frozen from
         ``prev``.  A walk down a BST built from a sorted range table is
         a binary search of it, so the levels lower to one floor search

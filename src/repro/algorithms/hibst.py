@@ -227,6 +227,7 @@ class HiBst(LookupAlgorithm):
             return {"empty": VectorStepSpec(
                 update=lambda lanes, _v, _f, _a: None)}
 
+        self._vector_extract_arrays()  # now, not on the first batch
         specs = {}
         root = self.root_index
         for depth, level_nodes in enumerate(self.levels):
@@ -269,38 +270,39 @@ class HiBst(LookupAlgorithm):
 
     def _vector_extract_arrays(self):
         """Flattened node + CSR ancestor arrays for vector extraction
-        (cached; ``_build`` invalidates)."""
+        (cached; ``_build`` invalidates).  Each ancestor is keyed by
+        ``gid * (width + 1) + length``: chains ascend by length and
+        nodes by ``gid``, so the keys are globally sorted and the
+        longest fitting ancestor of every lane is one floor search."""
         import numpy as np
 
         from ..core.vector import key_dtype
 
         if self._vector_arrays is None:
-            offsets: List[int] = []
-            total = 0
-            for level_nodes in self.levels:
-                offsets.append(total)
-                total += len(level_nodes)
-            value = np.zeros(total, dtype=key_dtype(self.width))
-            length = np.zeros(total, dtype=np.int64)
-            hop = np.zeros(total, dtype=np.int64)
-            anc_start = np.zeros(total + 1, dtype=np.int64)
-            anc_len: List[int] = []
-            anc_hop: List[int] = []
-            gid = 0
-            for level_nodes in self.levels:
-                for node in level_nodes:
-                    value[gid] = node.prefix.value
-                    length[gid] = node.prefix.length
-                    hop[gid] = node.hop
-                    for alen, ahop in node.ancestors:  # ascending by length
-                        anc_len.append(alen)
-                        anc_hop.append(ahop)
-                    gid += 1
-                    anc_start[gid] = len(anc_len)
+            nodes = [node for level_nodes in self.levels
+                     for node in level_nodes]
+            sizes = [len(level_nodes) for level_nodes in self.levels]
+            offsets = np.zeros(len(sizes), dtype=np.int64)
+            np.cumsum(sizes[:-1], out=offsets[1:])
+            chains = [len(node.ancestors) for node in nodes]
+            anc_start = np.zeros(len(nodes) + 1, dtype=np.int64)
+            np.cumsum(chains, out=anc_start[1:])
+            ancestors = [pair for node in nodes for pair in node.ancestors]
+            stride = self.width + 1
             self._vector_arrays = (
-                np.array(offsets, dtype=np.int64), value, length, hop,
-                anc_start, np.array(anc_len, dtype=np.int64),
-                np.array(anc_hop, dtype=np.int64),
+                offsets,
+                np.array([node.prefix.value for node in nodes],
+                         dtype=key_dtype(self.width)),
+                np.array([node.prefix.length for node in nodes],
+                         dtype=np.int64),
+                np.array([node.hop for node in nodes], dtype=np.int64),
+                anc_start,
+                np.repeat(np.arange(len(nodes), dtype=np.int64) * stride,
+                          chains)
+                + np.array([length for length, _hop in ancestors],
+                           dtype=np.int64),
+                np.array([hop for _length, hop in ancestors],
+                         dtype=np.int64),
             )
         return self._vector_arrays
 
@@ -313,7 +315,7 @@ class HiBst(LookupAlgorithm):
         pred = lanes.present("pred_level")
         if self.root_index is None or not pred.any():
             return vals, none
-        offsets, value, length, hop, anc_start, anc_len, anc_hop = (
+        offsets, value, length, hop, anc_start, anc_key, anc_hop = (
             self._vector_extract_arrays())
         gid = np.where(
             pred,
@@ -327,25 +329,16 @@ class HiBst(LookupAlgorithm):
         np.copyto(vals, hop[gid], where=matches)
         none &= ~matches
         # Non-matching predecessors resolve through the longest covering
-        # ancestor whose length fits the shared leading bits: a bounded
-        # per-lane binary search over the CSR ancestor chain.
+        # ancestor whose length fits the shared leading bits: the floor
+        # of gid * (width + 1) + common, found when it is still in the
+        # lane's own chain.
         rest = pred & ~matches
         if rest.any() and anc_hop.size:
-            lo = np.where(rest, anc_start[gid], 0)
-            hi = np.where(rest, anc_start[gid + 1], 0)
-            start = lo.copy()
-            while True:
-                cont = lo < hi
-                if not cont.any():
-                    break
-                mid = (lo + hi) >> 1
-                safe = np.where(cont, mid, 0)
-                go = cont & (anc_len[safe] <= common)
-                lo = np.where(go, mid + 1, lo)
-                hi = np.where(cont & ~go, mid, hi)
-            found = rest & (lo > start)
-            safe = np.maximum(lo - 1, 0)
-            np.copyto(vals, anc_hop[safe], where=found)
+            pos = anc_key.searchsorted(gid * (self.width + 1) + common,
+                                       side="right")
+            pos -= 1
+            found = rest & (pos >= anc_start[gid])
+            np.copyto(vals, anc_hop[pos], where=found)
             none &= ~found
         vals[none] = 0
         return vals, none

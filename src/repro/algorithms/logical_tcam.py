@@ -60,8 +60,10 @@ class LogicalTcam(LookupAlgorithm):
 
     def vector_specs(self, prev):
         """Lower the single priority match onto the TCAM's own vector
-        view: masked compare + priority argmax (or grouped probes past
-        ``MATRIX_ROW_LIMIT`` rows), hop register from the result."""
+        view, hop register from the result.  Every row is a prefix, so
+        the view is the table in range form and the match one floor
+        search of the address, however many rows and lengths it holds
+        (:meth:`~repro.memory.tcam.TcamTable.vector_reader`)."""
         from ..core.vector import VectorStepSpec, key_slice
 
         def match_update(lanes, vals, found, active):

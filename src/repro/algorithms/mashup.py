@@ -351,11 +351,13 @@ class Mashup(LookupAlgorithm):
         """Lower Algorithm 3 to lane kernels, all levels or nothing.
 
         NodeRefs and (hop, child) results live as packed int64 codes;
-        the TCAM super-tables lower through their own vector views and
-        the SRAM super-tables through sorted ``(tag << stride) | slot``
-        probes.  All-or-nothing, like the lane compiler itself: any
-        un-encodable piece returns no specs and the whole program runs
-        on the scalar plan instead.
+        the TCAM super-tables lower through their own vector views —
+        each row is an exact tag on top of a stride prefix, so a tile's
+        search is one floor search of its range form — and the SRAM
+        super-tables through sorted ``(tag << stride) | slot`` probes.
+        All-or-nothing, like the lane compiler itself: any un-encodable
+        piece returns no specs and the whole program runs on the scalar
+        plan instead.
         """
         import numpy as np
 

@@ -51,7 +51,9 @@ __all__ = [
 ]
 
 MAGIC = b"REPROART"
-FORMAT_VERSION = 1
+#: 2: a prefix TCAM's view persists as a ``range`` kind; version 1's
+#: ternary kinds (a row matrix, per-group probes) are gone.
+FORMAT_VERSION = 2
 SECTION_ALIGN = 64
 
 _PREFIX = struct.Struct("<8sII")  # magic, format version, header length

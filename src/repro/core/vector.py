@@ -29,11 +29,13 @@ The execution model:
   (:class:`BitmapView`), SRAM/d-left dict views densified into
   index → value arrays (:class:`DenseArrayView`, with a sorted-key
   :class:`SparseMapView` probe fallback when the key space is too
-  large to densify), and TCAM groups flattened into ``(value, mask)``
-  row matrices answered by a broadcast ``(keys & mask) == value``
-  compare plus a priority argmax (:class:`TcamMatrixView`).  A sorted
-  range table is one floor search (:class:`RangeView`): DXR's binary
-  search and BSIC's BST walk resolve in one kernel, not one per level.
+  large to densify), and sorted range tables answered by one floor
+  search (:class:`RangeView`): DXR's binary search and BSIC's BST
+  walk resolve in one kernel, not one per level, and so does every
+  TCAM of the nine schemes — its rows are prefixes, so its
+  longest match is the floor of the key in its range form.  A TCAM
+  whose rows are not prefixes (only a packet classifier's) gets no
+  view, and its step no kernel.
 * **Per-step lowering specs.**  Algorithms describe how each step's
   selector/action lower to array form via
   :meth:`~repro.algorithms.base.LookupAlgorithm.vector_specs` —
@@ -78,8 +80,6 @@ __all__ = [
     "BitmapView",
     "DenseArrayView",
     "SparseMapView",
-    "TcamMatrixView",
-    "TcamGroupView",
     "RangeView",
     "VectorStepSpec",
     "VectorPlan",
@@ -93,7 +93,6 @@ __all__ = [
     "key_slice",
     "MISS_HOP",
     "DENSE_LIMIT",
-    "MATRIX_ROW_LIMIT",
 ]
 
 
@@ -108,16 +107,9 @@ MISS_HOP: int = int(np.iinfo(np.int64).min)
 #: sorted-key probe (:class:`SparseMapView`) is used instead.
 DENSE_LIMIT = 1 << 20
 
-#: Lanes per kernel invocation: bounds the footprint of broadcast
-#: intermediates (TCAM row matrices are ``lanes x rows``).
+#: Lanes per kernel invocation: bounds the footprint of a batch's
+#: intermediate lane vectors.
 DEFAULT_CHUNK = 4096
-
-#: Largest TCAM a ``vector_reader()`` renders as one broadcast row
-#: matrix (:class:`TcamMatrixView`); beyond it the per-group
-#: ``searchsorted`` probe (:class:`TcamGroupView`) is used instead —
-#: the matrix compare is O(lanes x rows) while real priority tables
-#: have few distinct (priority, mask) groups but many rows.
-MATRIX_ROW_LIMIT = 128
 
 _INT_TYPES = (int, np.integer)
 _BOOL_TYPES = (bool, np.bool_)
@@ -325,10 +317,11 @@ class Lanes:
 # Views are snapshots: building one freezes the table.  A backing that
 # supports incremental freezing stamps the view with the write-log
 # `version` it is synced to and, handed the view back on the next
-# freeze (`vector_reader(prev=view)`), replays only the log tail into
-# it instead of re-copying the whole table — the O(delta) path behind
-# plan patching.  A view is only ever resynced while it is being
-# rebound to its (quiesced) plan, never while serving.
+# freeze (`vector_reader(prev=view)`), replays only the log tail
+# instead of re-copying the whole table — the O(delta) path behind
+# plan patching.  A map view is resynced in place, and only while it
+# is being rebound to its (quiesced) plan, never while serving; a range
+# view is spliced into new arrays (:meth:`RangeView.splice`).
 
 
 class BitmapView:
@@ -401,129 +394,13 @@ class SparseMapView:
         return vals, found
 
 
-class TcamMatrixView:
-    """TCAM groups as ``(value, mask)`` row matrices, priority-ordered.
-
-    Rows are flattened in frozen group order (lowest ``(priority,
-    mask)`` first — the winning order), so the broadcast compare
-    ``(keys & mask) == value`` followed by ``argmax`` along the row
-    axis returns the highest-priority match per lane.
-
-    The ``lanes x rows`` compare only runs over lanes that can match at
-    all: a key matches some row only if it agrees with that row on the
-    bits *every* row cares about, i.e. ``key & AND(masks)`` is one of
-    the rows' ``value & AND(masks)`` — one ``searchsorted`` into at
-    most ``rows`` sorted entries, exact as a necessary condition.  A
-    look-aside table of long prefixes rejects nearly all traffic there.
-    """
-
-    __slots__ = ("values_", "masks", "data", "common", "common_values",
-                 "version")
-
-    def __init__(self, values: np.ndarray, masks: np.ndarray,
-                 data: np.ndarray, version: int = 0):
-        self.values_ = values
-        self.masks = masks
-        self.data = data
-        self.version = version
-        #: The bits every row's mask cares about (0 filters nothing),
-        #: as a scalar of the key dtype...
-        self.common = (np.bitwise_and.reduce(masks) if masks.size
-                       else masks.dtype.type(0))
-        #: ...and the rows' distinct values under it, sorted.
-        self.common_values = np.unique(values & self.common)
-
-    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        vals = np.zeros(keys.shape, dtype=np.int64)
-        found = np.zeros(keys.shape, dtype=bool)
-        if self.values_.size == 0:
-            return vals, found
-        under = keys & self.common
-        pos = self.common_values.searchsorted(under)
-        np.minimum(pos, self.common_values.size - 1, out=pos)
-        maybe = self.common_values[pos] == under
-        if active is not None:
-            maybe &= active
-        idx = maybe.nonzero()[0]
-        if idx.size:
-            match = ((keys[idx, None] & self.masks[None, :])
-                     == self.values_[None, :])
-            hit = match.any(axis=1)
-            vals[idx] = np.where(hit, self.data[match.argmax(axis=1)], 0)
-            found[idx] = hit
-        return vals, found
-
-
-class TcamGroupView:
-    """TCAM groups as per-group sorted-key probes, priority-ordered.
-
-    The scalable form of :class:`TcamMatrixView`: one
-    :class:`SparseMapView` per frozen ``(priority, mask)`` group,
-    probed in winning order with the group's mask applied to the keys.
-    Lanes answered by an earlier (higher-priority) group drop out of
-    later probes, so the first hit per lane wins — exactly
-    :meth:`TcamTable.search`.  Cost is O(groups x lanes x log rows)
-    instead of the matrix's O(lanes x rows); prefix-style tables have
-    at most ``key_width + 1`` groups.
-    """
-
-    __slots__ = ("groups", "order", "version")
-
-    def __init__(self, groups: Sequence[Tuple[int, "SparseMapView"]],
-                 order: Optional[List[Tuple[int, int]]] = None,
-                 version: Optional[int] = None):
-        #: ``(mask, view)`` pairs in frozen group (winning) order, the
-        #: mask a scalar of the view's key dtype.
-        self.groups = [(view.keys.dtype.type(mask), view)
-                       for mask, view in groups]
-        #: Each group's ``(priority, mask)`` and the write-log version
-        #: synced to, for ``TcamTable.vector_reader(prev=view)``.
-        self.order = order
-        self.version = version
-
-    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        vals = np.zeros(keys.shape, dtype=np.int64)
-        found = np.zeros(keys.shape, dtype=bool)
-        # Compress to the active lanes once, then shrink the probe set
-        # as groups answer: each searchsorted touches only lanes no
-        # earlier (higher-priority) group matched, so deep probe chains
-        # cost O(sum of survivors) instead of O(groups x lanes).
-        if active is None:
-            idx = np.arange(keys.shape[0])
-            sub = keys
-        else:
-            idx = active.nonzero()[0]
-            sub = keys[idx]
-        if idx.size == 0:
-            return vals, found
-        for mask, view in self.groups:
-            gkeys = view.keys
-            if gkeys.size == 0:
-                continue
-            probe = sub & mask
-            pos = gkeys.searchsorted(probe)
-            np.minimum(pos, gkeys.size - 1, out=pos)
-            gfound = gkeys[pos] == probe
-            if gfound.any():
-                hit = idx[gfound]
-                vals[hit] = view.data[pos[gfound]]
-                found[hit] = True
-                keep = ~gfound
-                idx = idx[keep]
-                if idx.size == 0:
-                    break
-                sub = sub[keep]
-        return vals, found
-
-
 class RangeView:
     """A sorted range table (Appendix A.4) as one floor search: row
     ``i`` covers the keys from ``lefts[i]`` (in the searched keys'
     dtype) to the next row's, and holds ``hops[i]`` or no hop
-    (``none[i]``).  A binary search of the table, or a walk down a BST
-    built from it, is the one ``searchsorted`` of :meth:`floor`."""
+    (``none[i]``, with ``hops[i]`` 0).  A binary search of the table, a
+    walk down a BST built from it, and a longest-prefix match in a TCAM
+    of prefix rows are all the one ``searchsorted`` of :meth:`floor`."""
 
     __slots__ = ("lefts", "hops", "none", "version")
 
@@ -545,6 +422,66 @@ class RangeView:
         pos -= 1
         return self.hops[pos], self.none[pos]
 
+    def gather(self, keys: np.ndarray, active: Optional[np.ndarray] = None
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """The table-view form of :meth:`floor`, for a table whose
+        ranges cover its whole key space (a TCAM of prefix rows):
+        found where the range holds a hop and the lane is active."""
+        vals, none = self.floor(keys)
+        found = ~none
+        if active is not None:
+            found &= active
+            vals[~found] = 0
+        return vals, found
+
+    def splice(self, spans: Sequence[Tuple[int, int]],
+               pieces: Sequence[Optional[Tuple[np.ndarray, ...]]]
+               ) -> "RangeView":
+        """A new view: this one with the rows whose left endpoints lie
+        in each inclusive key span ``(first, last)`` (sorted, disjoint)
+        replaced by the matching ``(lefts, hops, none)`` piece, or
+        dropped for a ``None`` one.  This view's arrays are read, never
+        written, so a plan still serving them is undisturbed."""
+        bounds = np.array(spans, dtype=self.lefts.dtype).reshape(-1, 2)
+        firsts = self.lefts.searchsorted(bounds[:, 0]).tolist()
+        pasts = self.lefts.searchsorted(bounds[:, 1], side="right").tolist()
+
+        def spliced(column: int, old: np.ndarray) -> np.ndarray:
+            part, cursor = [], 0
+            for first, past, piece in zip(firsts, pasts, pieces):
+                part.append(old[cursor:first])
+                if piece is not None:
+                    part.append(piece[column])
+                cursor = past
+            part.append(old[cursor:])
+            return np.concatenate(part)
+
+        return RangeView(*(spliced(column, old) for column, old in
+                           enumerate((self.lefts, self.hops, self.none))))
+
+    def merged(self) -> "RangeView":
+        """This view less each row that repeats its predecessor's hop
+        (DXR's merge of equal neighbours); itself if none does."""
+        hops, none = self.hops, self.none
+        keep = np.ones(hops.size, dtype=bool)
+        keep[1:] = (hops[1:] != hops[:-1]) | (none[1:] != none[:-1])
+        if keep.all():
+            return self
+        return RangeView(self.lefts[keep], hops[keep], none[keep],
+                         self.version)
+
+
+#: Each persisted view kind: its class and the array fields its
+#: constructor takes, in order, before ``version``; masks are stored
+#: as ``uint8`` and come back as ``bool``.
+_VIEW_KINDS = {
+    "bitmap": (BitmapView, ("packed",)),
+    "dense": (DenseArrayView, ("dense", "present")),
+    "sparse": (SparseMapView, ("keys", "data")),
+    "range": (RangeView, ("lefts", "hops", "none")),
+}
+_MASK_FIELDS = frozenset({"present", "none"})
+
 
 def view_state(view) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
     """A view's content as ``(kind, meta, arrays)`` for persistence.
@@ -554,37 +491,10 @@ def view_state(view) -> Tuple[str, Dict[str, Any], Dict[str, np.ndarray]]:
     map them straight back into live view objects (zero-copy — the
     arrays back the readers directly).
     """
-    if isinstance(view, BitmapView):
-        return "bitmap", {"version": int(view.version)}, {
-            "packed": view.packed}
-    if isinstance(view, DenseArrayView):
-        return "dense", {"version": int(view.version)}, {
-            "dense": view.dense, "present": view.present}
-    if isinstance(view, SparseMapView):
-        return "sparse", {"version": int(view.version)}, {
-            "keys": view.keys, "data": view.data}
-    if isinstance(view, TcamMatrixView):
-        return "tcam_matrix", {"version": int(view.version)}, {
-            "values": view.values_, "masks": view.masks, "data": view.data}
-    if isinstance(view, TcamGroupView):
-        sizes = [view_.keys.size for _mask, view_ in view.groups]
-        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        empty = np.zeros(0, dtype=np.int64)
-        keys = (np.concatenate([v.keys for _m, v in view.groups])
-                if view.groups else empty)
-        return "tcam_group", {}, {
-            # Masks are keys: a /64 mask does not fit int64.
-            "group_masks": np.array([m for m, _v in view.groups],
-                                    dtype=keys.dtype),
-            "group_offsets": offsets,
-            "keys": keys,
-            "data": (np.concatenate([v.data for _m, v in view.groups])
-                     if view.groups else empty),
-        }
-    if isinstance(view, RangeView):
-        return "range", {"version": int(view.version)}, {
-            "lefts": view.lefts, "hops": view.hops, "none": view.none}
+    for kind, (cls, fields) in _VIEW_KINDS.items():
+        if type(view) is cls:
+            return kind, {"version": int(view.version)}, {
+                field: getattr(view, field) for field in fields}
     raise VectorError(f"cannot serialize view of type {type(view).__name__}")
 
 
@@ -596,41 +506,12 @@ def view_from_state(kind: str, meta: Dict[str, Any],
     mmapped artifact makes the reconstructed view serve directly off
     the mapped pages.
     """
-    if kind == "bitmap":
-        return BitmapView(np.asarray(arrays["packed"]),
-                          int(meta.get("version", 0)))
-    if kind == "dense":
-        return DenseArrayView(np.asarray(arrays["dense"]),
-                              _bool_array(arrays["present"]),
-                              int(meta.get("version", 0)))
-    if kind == "range":
-        return RangeView(np.asarray(arrays["lefts"]),
-                         np.asarray(arrays["hops"]),
-                         _bool_array(arrays["none"]),
-                         int(meta.get("version", 0)))
-    if kind == "sparse":
-        return SparseMapView(np.asarray(arrays["keys"]),
-                             np.asarray(arrays["data"]),
-                             int(meta.get("version", 0)))
-    if kind == "tcam_matrix":
-        return TcamMatrixView(np.asarray(arrays["values"]),
-                              np.asarray(arrays["masks"]),
-                              np.asarray(arrays["data"]),
-                              int(meta.get("version", 0)))
-    if kind == "tcam_group":
-        masks = np.asarray(arrays["group_masks"])
-        offsets = np.asarray(arrays["group_offsets"])
-        keys = np.asarray(arrays["keys"])
-        data = np.asarray(arrays["data"])
-        if offsets.size != masks.size + 1:
-            raise ValueError("group offsets do not match group count")
-        groups = []
-        for g in range(masks.size):
-            lo, hi = int(offsets[g]), int(offsets[g + 1])
-            groups.append((masks[g],
-                           SparseMapView(keys[lo:hi], data[lo:hi])))
-        return TcamGroupView(groups)
-    raise VectorError(f"unknown serialized view kind {kind!r}")
+    if kind not in _VIEW_KINDS:
+        raise VectorError(f"unknown serialized view kind {kind!r}")
+    cls, fields = _VIEW_KINDS[kind]
+    return cls(*(_bool_array(arrays[field]) if field in _MASK_FIELDS
+                 else np.asarray(arrays[field]) for field in fields),
+               int(meta.get("version", 0)))
 
 
 def _bool_array(array) -> np.ndarray:

@@ -169,27 +169,16 @@ class RangeSections:
         live = self.columns[0]
         if tail is None:
             order = sorted(live)
-            parts = [[column[s] for s in order] for column in self.columns]
-        else:
-            changed = sorted(set(tail))
-            first = prev.lefts.searchsorted(np.array(
-                [s << self.shift for s in changed], self.dtype))
-            past = prev.lefts.searchsorted(np.array(
-                [(s + 1 << self.shift) - 1 for s in changed], self.dtype),
-                side="right")
-            parts = [[], [], []]
-            for old, column, part in zip(
-                    (prev.lefts, prev.hops, prev.none), self.columns, parts):
-                cursor = 0
-                for s, lo, hi in zip(changed, first.tolist(), past.tolist()):
-                    part.append(old[cursor:lo])
-                    if s in live:
-                        part.append(column[s])
-                    cursor = hi
-                part.append(old[cursor:])
-        return self.log.stamp(RangeView(*(
-            np.concatenate([np.zeros(0, dtype)] + part)
-            for dtype, part in zip((self.dtype, np.int64, bool), parts))))
+            return self.log.stamp(RangeView(*(
+                np.concatenate([np.zeros(0, dtype)]
+                               + [column[s] for s in order])
+                for dtype, column in zip((self.dtype, np.int64, bool),
+                                         self.columns))))
+        changed = sorted(set(tail))
+        return self.log.stamp(prev.splice(
+            [(s << self.shift, (s + 1 << self.shift) - 1) for s in changed],
+            [tuple(column[s] for column in self.columns) if s in live
+             else None for s in changed]))
 
 
 class DirectIndexTable(Generic[V]):

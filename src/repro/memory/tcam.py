@@ -22,16 +22,17 @@ assigns priorities so longer prefixes win.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, Generic, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from ..core.vector import (MATRIX_ROW_LIMIT, SparseMapView, TcamGroupView,
-                           TcamMatrixView, key_dtype, patch_sparse_view)
+from ..core.vector import RangeView, key_dtype
 from ..obs.accounting import AccessStats
 from ..prefix.prefix import Prefix
+from ..prefix.ranges import sweep_ranges
 from .sram import FreezeLog
 
 V = TypeVar("V")
@@ -45,9 +46,6 @@ class TcamEntry(Generic[V]):
     mask: int
     priority: int
     data: V
-
-    def matches(self, key: int) -> bool:
-        return (key & self.mask) == (self.value & self.mask)
 
 
 class TcamTable(Generic[V]):
@@ -74,8 +72,8 @@ class TcamTable(Generic[V]):
         self._groups: Dict[Tuple[int, int], Dict[int, TcamEntry[V]]] = {}
         self._group_order: List[Tuple[int, int]] = []
         #: Every insert/delete records the one group row it can change
-        #: — ``(priority, mask, value)`` — and a group view handed back
-        #: as ``prev`` re-reads just those rows.
+        #: — ``(priority, mask, value)`` — and a view handed back as
+        #: ``prev`` re-derives just the keys under those rows.
         self.log = FreezeLog()
 
     def __len__(self) -> int:
@@ -199,91 +197,108 @@ class TcamTable(Generic[V]):
         return search
 
     def vector_reader(self, encode=None, prev=None):
-        """Batch-search snapshot view for the lane compiler.
+        """Batch-search snapshot view for the lane compiler: the table
+        in range form (:class:`RangeView`), or ``None`` — no kernel.
 
-        Small tables become one :class:`TcamMatrixView`: rows flattened
-        in frozen group order — lowest ``(priority, mask)`` first, the
-        winning order — answered by a broadcast masked compare plus
-        first-match ``argmax``.  At most one row per group can match a
-        key (the masked value is exact within a group), so within-group
-        row order is immaterial.  Beyond :data:`MATRIX_ROW_LIMIT` rows
-        the matrix intermediates blow up (O(lanes x rows)), so the view
-        switches to a :class:`TcamGroupView`: one sorted-key probe per
-        group, walked in the same winning order.
-
-        ``encode`` maps each entry's data to its int64 lane encoding
-        (return ``None`` to declare the data un-encodable); without it,
-        only int-like data is accepted.  Returns ``None`` — the step
-        then has no kernel — when any data cannot be encoded.  Keys and
-        masks have the :func:`key_dtype` of ``key_width``.  Mutations
-        after the snapshot are invisible until it is re-frozen.
-
-        ``prev`` (the previous freeze's group view) is re-frozen
-        incrementally: the rows the write log names since its version
-        are re-read and patched into its sorted groups — O(delta), not
-        O(rows).  A matrix view (at most ``MATRIX_ROW_LIMIT`` rows) is
-        kept while nothing was written since it froze and rebuilt
-        otherwise, as is a view the log no longer reaches.
+        A *prefix-shaped* table — every group's mask the top ``l`` bits,
+        its priority ``key_width - l``, as :meth:`insert_prefix` writes —
+        answers a key with its longest matching row: the floor of the
+        key in the range form (Appendix A.4), left endpoints in
+        :func:`key_dtype` ``(key_width)``.  Every TCAM of the nine
+        schemes is one.  A classifier's (ranges as non-contiguous masks)
+        is not and gets no view, nor does a table whose data ``encode``
+        maps to ``None`` (without ``encode``: data that is not int-like).
+        Given ``prev``, only the keys under the rows written since are
+        re-derived and spliced into a copy of it; a view the log no
+        longer reaches is rebuilt whole.
         """
         self.log.arm()
-        if isinstance(prev, TcamGroupView) and self._replay(prev, encode):
+        tail = (self.log.tail(prev.version)
+                if isinstance(prev, RangeView) else None)
+        if tail == []:
             return prev
-        if isinstance(prev, TcamMatrixView) and \
-                self.log.tail(prev.version) == []:
-            return prev
-        keys = key_dtype(self.key_width)
-        probes: List[Tuple[int, SparseMapView]] = []
-        for _priority, mask in self._group_order:
-            rows = sorted(self._groups[(_priority, mask)].items())
-            coded = [_encoded(entry.data, encode) for _value, entry in rows]
-            if None in coded:
-                return None
-            probes.append((mask, SparseMapView(
-                np.array([value for value, _entry in rows], dtype=keys),
-                np.array(coded, dtype=np.int64))))
-        if sum(len(probe.data) for _mask, probe in probes) > MATRIX_ROW_LIMIT:
-            return TcamGroupView(probes, list(self._group_order),
-                                 self.log.version)
-        probes.append((0, _empty_probe(keys)))  # an empty table stacks too
-        return TcamMatrixView(
-            np.concatenate([probe.keys for _mask, probe in probes]),
-            np.concatenate([np.full(len(probe.data), mask, dtype=keys)
-                            for mask, probe in probes]),
-            np.concatenate([probe.data for _mask, probe in probes]),
-            self.log.version)
+        width = self.key_width
+        dtype = key_dtype(width)
+        if dtype is None or not all(_prefix_shaped(priority, mask, width)
+                                    for priority, mask in self._group_order):
+            return None
+        # The key intervals to re-derive: a written row's is the keys
+        # under it.  Prefixes nest or are disjoint: widest first at each
+        # start, the nested skipped.
+        intervals = {(value, priority) for priority, mask, value in tail or ()
+                     if _prefix_shaped(priority, mask, width)}
+        if tail is None:  # rebuilt whole: one interval spliced into none
+            prev = RangeView(*_columns([], [], dtype))
+            intervals = {(0, width)}
+        kept = []
+        for lo, span in sorted(intervals, key=lambda i: (i[0], -i[1])):
+            if not kept or lo >= kept[-1][1]:
+                kept.append((lo, lo + (1 << span), span))
+        # The keys past an interval keep their old range: a row at its
+        # end carries the old floor there, unless the next interval or
+        # the top of the key space begins at that key.
+        starts = {lo for lo, _hi, _span in kept}
+        ends = [hi for _lo, hi, _span in kept
+                if hi >> width == 0 and hi not in starts]
+        hops, none = prev.floor(np.array(ends, dtype=dtype))
+        floors = {end: None if empty else hop for end, hop, empty
+                  in zip(ends, hops.tolist(), none.tolist())}
+        ranges = self._ranges(kept, encode, floors)
+        if ranges is None:
+            return None
+        lefts, codes, counts = ranges
+        columns = _columns(lefts, codes, dtype)
+        cuts = [0, *accumulate(counts)]  # interval i's: cuts[i]:cuts[i+1]
+        return self.log.stamp(prev.splice(
+            [(lo, hi if hi in floors else hi - 1) for lo, hi, _span in kept],
+            [tuple(column[start:stop] for column in columns)
+             for start, stop in zip(cuts, cuts[1:])]).merged())
 
-    def _replay(self, view: TcamGroupView, encode) -> bool:
-        """Bring ``view`` up to date from the write-log tail; False when
-        it has to be rebuilt instead (see :meth:`vector_reader`)."""
-        tail = self.log.tail(view.version)
-        if view.order is None or tail is None:
-            return False
-        # The log names the group rows written since; the search index
-        # says what each holds now.
-        updates: Dict[Tuple[int, int], Dict[int, Optional[int]]] = {}
-        for priority, mask, value in set(tail):
-            entry = self._groups.get((priority, mask), {}).get(value)
-            coded = None
-            if entry is not None:
-                coded = _encoded(entry.data, encode)
-                if coded is None:
-                    return False
-            updates.setdefault((priority, mask), {})[value] = coded
-        order, groups = view.order, view.groups
-        keys = key_dtype(self.key_width)
-        for group_key in sorted(updates):
-            at = bisect_left(order, group_key)
-            if at == len(order) or order[at] != group_key:
-                order.insert(at, group_key)
-                groups.insert(at, (keys(group_key[1]), _empty_probe(keys)))
-            probe = groups[at][1]
-            patch_sparse_view(probe, updates[group_key])
-            if not probe.keys.size:
-                del order[at], groups[at]
-        if sum(probe.keys.size for _mask, probe in groups) <= MATRIX_ROW_LIMIT:
-            return False
-        view.version = self.log.version
-        return True
+    def _ranges(self, intervals, encode, floors):
+        """``(lefts, codes, counts)`` of the sorted, disjoint key
+        intervals ``(lo, hi, span)``, ``hi = lo + 2**span``: each is
+        :func:`~repro.prefix.ranges.sweep_ranges` of the group winners
+        inside it, its default the longest row covering it all, and ends
+        with a range at ``hi`` holding ``floors[hi]`` if there is one.
+        A ``None`` code is no row, ``counts`` the ranges per interval;
+        ``None`` when a row's data has no code.  A row costs one tuple:
+        the set-up's full freeze of BSIC's v6 ``initial`` table sits
+        near a cyclic-collector threshold."""
+        order = [(priority, mask, self._groups[(priority, mask)])
+                 for priority, mask in self._group_order]  # longest first
+        lefts: List[int] = []
+        codes: List[Optional[int]] = []
+        counts: List[int] = []
+        for lo, hi, span in intervals:
+            rows, default = [], None
+            for priority, mask, group in order:
+                if priority > span:  # covers the whole interval
+                    entry = group.get(lo & mask)
+                    if entry is None:
+                        continue
+                    default = _encoded(entry.data, encode)
+                    if default is None:
+                        return None
+                    break
+                # Probe each candidate value, or scan the group if smaller.
+                for value in (range(lo, hi, 1 << priority)
+                              if 1 << (span - priority) <= len(group)
+                              else group):
+                    if lo <= value < hi and value in group:
+                        code = _encoded(group[value].data, encode)
+                        if code is None:
+                            return None
+                        rows.append((value - lo, span - priority, code))
+            rows.sort()
+            start = len(lefts)
+            firsts, hops = sweep_ranges(rows, span, default)
+            lefts.extend(lo + first for first in firsts)
+            codes.extend(hops)
+            if hi in floors:
+                lefts.append(hi)
+                codes.append(floors[hi])
+            counts.append(len(lefts) - start)
+        return lefts, codes, counts
 
     # ------------------------------------------------------------------
     # CRAM accounting (§2.1)
@@ -300,8 +315,18 @@ class TcamTable(Generic[V]):
         return [entry for rows in self._entries.values() for entry in rows]
 
 
-def _empty_probe(keys) -> SparseMapView:
-    return SparseMapView(np.zeros(0, dtype=keys), np.zeros(0, dtype=np.int64))
+def _prefix_shaped(priority: int, mask: int, width: int) -> bool:
+    """A group of prefix rows: mask the top ``l`` bits, priority
+    ``width - l``."""
+    return 0 <= priority <= width and mask == (1 << width) - (1 << priority)
+
+
+def _columns(lefts, codes, dtype) -> Tuple[np.ndarray, ...]:
+    """Ranges as RangeView columns: a ``None`` code is no hop."""
+    n = len(codes)
+    return (np.fromiter(lefts, dtype, n),
+            np.fromiter((code or 0 for code in codes), np.int64, n),
+            np.fromiter((code is None for code in codes), bool, n))
 
 
 def _encoded(data, encode) -> Optional[int]:

@@ -18,7 +18,7 @@ lands on its correct next hop (Appendix A.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .prefix import Prefix
 from .trie import BinaryTrie
@@ -59,15 +59,32 @@ def expand_to_ranges(
                 f"prefix width {prefix.width} does not match range space {width}"
             )
         bound[(prefix.value, prefix.length)] = hop
+    rows = [(first, length, hop)
+            for (first, length), hop in sorted(bound.items())]
+    lefts, hops = sweep_ranges(rows, width, default_hop)
+    return [RangeEntry(left, hop) for left, hop in zip(lefts, hops)]
 
-    merged: List[RangeEntry] = []
+
+def sweep_ranges(
+    rows: Sequence[Tuple[int, int, Optional[int]]],
+    width: int,
+    default_hop: Optional[int] = None,
+) -> Tuple[List[int], List[Optional[int]]]:
+    """:func:`expand_to_ranges` as two parallel lists, left endpoints
+    and hops, for a caller that builds arrays of them: no object per
+    range.  ``rows`` are prefixes over a ``width``-bit space as
+    ``(first address, length, hop)``, one per prefix, sorted."""
+    lefts: List[int] = []
+    hops: List[Optional[int]] = []
 
     def emit(left: int, hop: Optional[int]) -> None:
-        if merged and merged[-1].left == left:
-            merged.pop()  # a prefix opens exactly where another closed
-        if merged and merged[-1].next_hop == hop:
+        if lefts and lefts[-1] == left:
+            lefts.pop()  # a prefix opens exactly where another closed
+            hops.pop()
+        if hops and hops[-1] == hop:
             return  # DXR optimization 1: merge equal neighbours
-        merged.append(RangeEntry(left, hop))
+        lefts.append(left)
+        hops.append(hop)
 
     # One left-to-right sweep.  Prefixes nest or are disjoint, so the
     # ones covering the sweep point form a stack, innermost (longest,
@@ -75,18 +92,22 @@ def expand_to_ranges(
     # enclosing prefix before the ones inside it.
     top = 1 << width
     emit(0, default_hop)
-    covering: List[Tuple[int, int]] = []  # (last address, hop)
-    for (first, length), hop in sorted(bound.items()):
-        while covering and covering[-1][0] < first:
-            last = covering.pop()[0]
-            emit(last + 1, covering[-1][1] if covering else default_hop)
+    ends: List[int] = []  # the covering prefixes' ends, and their hops
+    covering: List[Optional[int]] = []
+    for first, length, hop in rows:
+        while ends and ends[-1] <= first:
+            end = ends.pop()
+            covering.pop()
+            emit(end, covering[-1] if covering else default_hop)
         emit(first, hop)
-        covering.append((first + (1 << (width - length)) - 1, hop))
-    while covering:
-        last = covering.pop()[0]
-        if last + 1 < top:
-            emit(last + 1, covering[-1][1] if covering else default_hop)
-    return merged
+        ends.append(first + (1 << (width - length)))
+        covering.append(hop)
+    while ends:
+        end = ends.pop()
+        covering.pop()
+        if end < top:
+            emit(end, covering[-1] if covering else default_hop)
+    return lefts, hops
 
 
 class SliceIndex:

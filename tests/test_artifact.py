@@ -218,6 +218,41 @@ def test_stale_format_version_raises(saved_artifact, tmp_path):
         _load_bytes(tmp_path, bytes(blob))
 
 
+def test_format_1_artifact_is_refused_by_its_version(tmp_path,
+                                                     monkeypatch):
+    """Format 1 persisted a prefix TCAM's view as a ternary kind (a row
+    matrix or per-group probes) that no reader rebuilds any more: such
+    a file is refused for its version, a typed
+    :class:`ArtifactVersionError`, before any view is reconstructed."""
+    import repro.artifact.format as format_module
+    import repro.core.vector as vector_module
+
+    fib = Fib(32)
+    for bits, length, hop in [(0x0A, 8, 1), (0xC0A80101, 32, 4)]:
+        fib.insert(Prefix.from_bits(bits, length, 32), hop)
+    algo = Resail(fib)
+    real = vector_module.view_state
+
+    def format_1(view):
+        kind, meta, arrays = real(view)
+        if kind != "range":
+            return kind, meta, arrays
+        return "ternary", meta, {"values": arrays["lefts"],
+                                 "masks": arrays["lefts"],
+                                 "data": arrays["hops"]}
+
+    catalog = ArtifactCatalog(str(tmp_path / "catalog"))
+    with monkeypatch.context() as patch:
+        patch.setattr(format_module, "FORMAT_VERSION", 1)
+        patch.setattr(vector_module, "view_state", format_1)
+        catalog.save("old", algo, fib,
+                     vector_plan=algo.compile_vector_plan())
+    blob = Path(catalog.path("old", "v001")).read_bytes()
+    assert b'"kind":"ternary"' in blob
+    with pytest.raises(ArtifactVersionError, match="format version 1"):
+        _load_bytes(tmp_path, blob).algorithm()
+
+
 def test_header_flip_raises_corrupt(saved_artifact, tmp_path):
     blob = bytearray(saved_artifact["data"])
     blob[_PREFIX.size + 5] ^= 0x40

@@ -41,10 +41,9 @@ from repro.control import (
     UpdateOp,
 )
 from repro.core import compile_plan
-from repro.core.vector import (MATRIX_ROW_LIMIT, DenseArrayView, SparseMapView,
-                               TcamGroupView, compile_vector_plan, key_dtype,
-                               map_view, patch_sparse_view, view_from_state,
-                               view_state)
+from repro.core.vector import (DenseArrayView, RangeView, SparseMapView,
+                               compile_vector_plan, key_dtype, map_view,
+                               patch_sparse_view, view_from_state, view_state)
 from repro.datasets import (matching_addresses, synthesize_as65000,
                             synthesize_as131072, uniform_addresses)
 from repro.engine import BatchEngine
@@ -615,31 +614,6 @@ bit_scripts = st.lists(
 #: prefixes (LPM priorities); 2/3 insert and delete raw rows whose
 #: priority is unrelated to their mask, including duplicates of one
 #: (value, mask) at several priorities.
-tcam_scripts = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=3),
-              st.integers(min_value=0, max_value=4),
-              st.integers(min_value=0, max_value=15),
-              st.integers(min_value=0, max_value=7)),
-    min_size=0, max_size=24)
-
-
-def _tcam_apply(table, width, step):
-    op, length, bits, data = step
-    prefix = Prefix.from_bits(bits & ((1 << length) - 1), length, width)
-    value, mask = prefix.value, tcam_module.prefix_mask(length, width)
-    try:
-        if op == 0:
-            table.insert_prefix(prefix, data)
-        elif op == 1:
-            table.delete_prefix(prefix)
-        elif op == 2:
-            table.insert(value, mask, priority=data % 3, data=data)
-        else:
-            table.delete(value, mask)
-    except KeyError:
-        pass
-
-
 def _tcam_keys(width):
     """Every 4-bit head (all a script can distinguish), with the tail
     bits clear, set, and mixed."""
@@ -681,6 +655,20 @@ def _slot_apply(table, script):
             table.clear_slot(keys[index])
         elif table.load(keys[index]) is not None:
             table.delete(keys[index])
+
+
+def _record_intervals(patch):
+    """Record the key intervals ``(lo, hi, span)`` every TCAM freeze
+    re-derives while ``patch`` is active."""
+    derived = []
+    real = TcamTable._ranges
+
+    def recorded(self, intervals, encode, floors):
+        derived.extend(intervals)
+        return real(self, intervals, encode, floors)
+
+    patch.setattr(TcamTable, "_ranges", recorded)
+    return derived
 
 
 def _assert_same_gather(view, fresh, keys):
@@ -793,77 +781,114 @@ class TestIncrementalFreeze:
         _assert_same_gather(resynced, table.vector_reader(),
                             _slot_keys(table))
 
-    @pytest.mark.parametrize("width", [8, 64])
-    @given(initial=tcam_scripts, churn=tcam_scripts)
-    @settings(max_examples=40, deadline=None)
-    def test_tcam_replay_equals_full_freeze(self, width, initial, churn):
-        """After every write, each of two outstanding views (two
-        in-thread replicas, synced at different times) re-frozen with
-        ``prev=`` gathers exactly what a from-scratch view gathers —
-        through new and emptied (priority, mask) groups and across the
-        matrix/group row limit in both directions."""
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tcam_module, "MATRIX_ROW_LIMIT", 6)
-            self._check_tcam_replay(width, initial, churn)
-
-    @staticmethod
-    def _check_tcam_replay(width, initial, churn):
+    @pytest.mark.parametrize("width", [8, 24, 32, 64])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_tcam_range_splice_equals_full_freeze(self, width, data):
+        """Random prefix-shaped tables — plain prefixes, MASHUP-style
+        rows (an exact tag on top of a stride prefix) and duplicate raw
+        ``(value, mask)`` rows, where the first writer wins — churned by
+        random insert/delete runs.  Each of two outstanding views (two
+        replicas, synced at different times) re-frozen with ``prev=``
+        equals a fresh freeze, gathers what ``search`` answers at every
+        range edge and either side of it, and leaves every array of
+        every earlier freeze as it was."""
+        tag_bits = data.draw(st.sampled_from([0, 2]), label="tag_bits")
+        stride = width - tag_bits
+        op = st.tuples(
+            st.sampled_from(["prefix", "drop", "raw", "unraw"]),
+            st.integers(0, (1 << tag_bits) - 1),
+            st.integers(0, stride),
+            st.one_of(  # a few top-bit patterns, so that rows nest,
+                st.integers(0, 7).map(lambda top: top << (stride - 3)),
+                st.just((1 << stride) - 1),  # the top of the key space
+                st.integers(0, (1 << stride) - 1)),
+            st.integers(0, 7))
         table = TcamTable(width)
-        encode = (lambda data: data + 100) if width == 64 else None
-        for step in initial:
-            _tcam_apply(table, width, step)
-        keys = _tcam_keys(width)
-        views = [table.vector_reader(encode=encode), None]
-        for n, step in enumerate(churn):
-            _tcam_apply(table, width, step)
-            # The second view syncs on every other write only.
-            for which in ((0, 1) if n % 2 else (0,)):
-                prev = views[which]
-                views[which] = table.vector_reader(encode=encode, prev=prev)
-                if isinstance(prev, TcamGroupView) and isinstance(
-                        views[which], TcamGroupView):
-                    assert views[which] is prev   # replayed in place
-                _assert_same_gather(
-                    views[which], table.vector_reader(encode=encode), keys)
-        scalar = table.plan_reader()
-        vals, found = table.vector_reader(encode=encode).gather(keys)
-        wrap = encode or (lambda data: data)
-        assert [v if f else None for v, f in
-                zip(vals.tolist(), found.tolist())] == \
-            [None if scalar(k) is None else wrap(scalar(k))
-             for k in keys.tolist()]
+        encode = (lambda code: code + 100) if width == 64 else None
+        wrap = encode or (lambda code: code)
 
-    def test_tcam_replay_walks_every_group_transition(self, monkeypatch):
+        def apply(step):
+            kind, tag, length, bits, code = step
+            value = (tag << stride) | (bits >> (stride - length)
+                                       << (stride - length))
+            mask = tcam_module.prefix_mask(tag_bits + length, width)
+            try:
+                if kind == "prefix":
+                    table.insert_prefix(
+                        Prefix(value, tag_bits + length, width), code)
+                elif kind == "drop":
+                    table.delete_prefix(
+                        Prefix(value, tag_bits + length, width))
+                elif kind == "raw":   # may duplicate a row: first wins
+                    table.insert(value, mask, stride - length, code)
+                else:
+                    table.delete(value, mask)
+            except KeyError:
+                pass
+
+        for step in data.draw(st.lists(op, max_size=12), label="initial"):
+            apply(step)
+        views = [table.vector_reader(encode=encode)] * 2
+        frozen = []
+        for n, run in enumerate(data.draw(
+                st.lists(st.lists(op, min_size=1, max_size=4),
+                         max_size=6), label="runs")):
+            for step in run:
+                apply(step)
+            frozen += [(view, [view.lefts.copy(), view.hops.copy(),
+                               view.none.copy()]) for view in views]
+            for which in ((0, 1) if n % 2 else (0,)):
+                views[which] = table.vector_reader(encode=encode,
+                                                   prev=views[which])
+                fresh = table.vector_reader(encode=encode)
+                for got, want in zip(
+                        (views[which].lefts, views[which].hops,
+                         views[which].none),
+                        (fresh.lefts, fresh.hops, fresh.none)):
+                    assert got.dtype == want.dtype
+                    assert got.tolist() == want.tolist()
+                edges = sorted({min(max(int(left) + d, 0), (1 << width) - 1)
+                                for left in fresh.lefts.tolist()
+                                for d in (-1, 0, 1)})
+                keys = np.array(edges, dtype=key_dtype(width))
+                vals, found = views[which].gather(keys)
+                assert [v if f else None for v, f in
+                        zip(vals.tolist(), found.tolist())] == \
+                    [None if table.search(k) is None
+                     else wrap(table.search(k)) for k in edges]
+        for view, arrays in frozen:
+            for old, now in zip(arrays, (view.lefts, view.hops, view.none)):
+                assert np.array_equal(old, now)
+
+    def test_tcam_splice_walks_every_group_transition(self):
         """The transitions the fuzzer reaches by chance, by hand: a new
-        (priority, mask) group ahead of, between and behind the frozen
-        ones; a group emptying; a shadowed duplicate taking over; and
-        the row count crossing the matrix limit in both directions."""
-        monkeypatch.setattr(tcam_module, "MATRIX_ROW_LIMIT", 4)
+        length group ahead of, between and behind the frozen ones; a
+        group emptying; a shadowed duplicate taking over; a row at the
+        top of the key space; and a re-freeze with nothing written."""
         table = TcamTable(64)
         keys = _tcam_keys(64)
         for head in range(6):
             table.insert_prefix(Prefix.from_bits(head, 4, 64), head)
         view = table.vector_reader()
-        assert isinstance(view, TcamGroupView) and len(view.groups) == 1
 
-        def resync(expect_same=True):
+        def resync():
             nonlocal view
             fresh = table.vector_reader(prev=view)
-            assert (fresh is view) == expect_same
+            assert fresh is not view
             view = fresh
-            _assert_same_gather(view, table.vector_reader(), keys)
+            full = table.vector_reader()
+            assert view.lefts.tolist() == full.lefts.tolist()
+            _assert_same_gather(view, full, keys)
 
         table.insert_prefix(Prefix.from_bits(0b10, 2, 64), 20)   # behind
         table.insert_prefix(Prefix.from_bits(1, 64, 64), 64)     # ahead
         table.insert_prefix(Prefix.from_bits(0b101, 3, 64), 30)  # between
         resync()
-        assert view.order == [(0, (1 << 64) - 1), (60, 0xF << 60),
-                              (61, 0x7 << 61), (62, 0x3 << 62)]
-        assert [int(mask) for mask, _probe in view.groups] == \
-            [mask for _priority, mask in view.order]
+        assert view.gather(keys[30:31])[0].tolist() == [30]
         table.delete_prefix(Prefix.from_bits(0b101, 3, 64))      # empties
         resync()
-        assert len(view.groups) == len(view.order) == 3
         # Two rows of one (value, mask): the older wins its group, and
         # deleting it promotes the younger one of the same priority.
         table.insert(0xA << 60, 0xF << 60, priority=60, data=77)
@@ -873,15 +898,10 @@ class TestIncrementalFreeze:
         table.delete(0xA << 60, 0xF << 60)
         resync()
         assert view.gather(keys[30:31])[0].tolist() == [78]
-        for head in range(6):                     # down through the limit
-            table.delete_prefix(Prefix.from_bits(head, 4, 64))
-        resync(expect_same=False)
-        assert isinstance(view, tcam_module.TcamMatrixView)
-        for head in range(8):                     # and back up
-            table.insert_prefix(Prefix.from_bits(head, 4, 64), head)
-        resync(expect_same=False)
-        assert isinstance(view, TcamGroupView)
-        resync()                                   # nothing written: a no-op
+        table.insert_prefix(Prefix.from_bits((1 << 64) - 1, 64, 64), 99)
+        resync()
+        assert view.gather(keys[-2:])[0].tolist() == [99, 0]
+        assert table.vector_reader(prev=view) is view  # nothing written
 
     def test_tcam_log_trim_falls_back_to_full_rebuild(self, monkeypatch):
         monkeypatch.setattr(sram_module, "FREEZE_LOG_CAP", 4)
@@ -891,11 +911,14 @@ class TestIncrementalFreeze:
         stale = table.vector_reader()
         live = table.vector_reader()
         table.insert_prefix(Prefix.from_bits(7, 12, 16), 999)
-        assert table.vector_reader(prev=live) is live   # inside the log
+        with monkeypatch.context() as patch:   # inside the log: a splice
+            derived = _record_intervals(patch)
+            table.vector_reader(prev=live)
+        assert derived == [(7 << 4, 8 << 4, 4)]
         for i in range(200, 232):   # way past the cap: the tail is gone
             table.insert_prefix(Prefix.from_bits(i, 12, 16), i)
         rebuilt = table.vector_reader(prev=stale)
-        assert rebuilt is not stale and isinstance(rebuilt, TcamGroupView)
+        assert rebuilt is not stale and isinstance(rebuilt, RangeView)
         keys = np.arange(0, 1 << 16, 5, dtype=np.int64)
         _assert_same_gather(rebuilt, table.vector_reader(), keys)
         # An un-encodable write makes the view unbuildable either way.
@@ -903,20 +926,41 @@ class TestIncrementalFreeze:
         assert table.vector_reader(prev=rebuilt) is None
         assert table.vector_reader() is None
 
-    def test_wide_tcam_group_view_state_round_trip(self):
-        """A /64 mask does not fit int64: ``group_masks`` travels in
-        the key dtype and comes back as the same probe."""
+    def test_a_long_write_rederives_only_its_interval(self, monkeypatch):
+        """A /24 write re-derives the 256 keys under it and nothing
+        else: the search is evaluated at that interval's edges only,
+        and every other range is spliced over untouched."""
+        table = TcamTable(32)
+        for i in range(500):
+            table.insert_prefix(Prefix.from_bits(i, 20, 32), i)
+        table.insert_prefix(Prefix.from_bits(0x0A, 8, 32), 1000)
+        table.insert_prefix(Prefix.from_bits(0x0A0001_0, 28, 32), 7)
+        view = table.vector_reader()
+        with monkeypatch.context() as patch:
+            derived = _record_intervals(patch)
+            table.insert_prefix(Prefix.from_bits(0x0A0001, 24, 32), 5)
+            patched = table.vector_reader(prev=view)
+        assert derived == [(0x0A000100, 0x0A000200, 8)]
+        fresh = table.vector_reader()
+        assert patched.lefts.tolist() == fresh.lefts.tolist()
+        assert patched.hops.tolist() == fresh.hops.tolist()
+        # The /8, the /28 at the /24's start, the rest of the /24, the
+        # /8 again.
+        keys = np.array([0x0A0000FF, 0x0A000100, 0x0A000110, 0x0A0001FF,
+                         0x0A000200], dtype=np.int64)
+        assert patched.gather(keys)[0].tolist() == [1000, 7, 5, 5, 1000]
+
+    def test_wide_tcam_range_view_state_round_trip(self):
+        """A 64-bit table's left endpoints pass bit 63: they travel in
+        the key dtype and come back as the same search."""
         table = TcamTable(64)
-        for i in range(MATRIX_ROW_LIMIT + 8):
+        for i in range(40):
             table.insert_prefix(
                 Prefix.from_bits((1 << 63) | i, 64, 64), i)      # /64s
             table.insert_prefix(Prefix.from_bits(i, 20, 64), i + 1000)
         view = table.vector_reader()
-        assert isinstance(view, TcamGroupView)
         kind, meta, arrays = view_state(view)
-        assert arrays["group_masks"].dtype == np.uint64
-        assert arrays["keys"].dtype == np.uint64
-        assert int(arrays["group_masks"][0]) == (1 << 64) - 1
+        assert kind == "range" and arrays["lefts"].dtype == np.uint64
         back = view_from_state(kind, meta, arrays)
         keys = np.array([(1 << 63) | 5, (1 << 63) | 4000, 3 << 44,
                          (3 << 44) | 77, 0, (1 << 64) - 1], dtype=np.uint64)

@@ -28,13 +28,11 @@ from repro.core import (
 )
 from repro.core.vector import (
     DENSE_LIMIT,
-    MATRIX_ROW_LIMIT,
     BitmapView,
     DenseArrayView,
     Lanes,
+    RangeView,
     SparseMapView,
-    TcamGroupView,
-    TcamMatrixView,
     map_view,
     popcount64,
 )
@@ -215,21 +213,9 @@ class TestViews:
         _vals, found = view.gather(np.array([1, 2]), np.ones(2, dtype=bool))
         assert found.tolist() == [False, True]
 
-    def test_tcam_view_first_row_wins(self):
-        # Row 0 is the higher-priority (longer) match by construction.
-        view = TcamMatrixView(
-            values=np.array([0b1010_0000, 0b1000_0000], dtype=np.int64),
-            masks=np.array([0b1111_0000, 0b1100_0000], dtype=np.int64),
-            data=np.array([1, 2], dtype=np.int64))
-        keys = np.array([0b1010_1010, 0b1001_0000, 0b0000_0001])
-        vals, found = view.gather(keys, np.ones(3, dtype=bool))
-        assert vals.tolist() == [1, 2, 0]
-        assert found.tolist() == [True, True, False]
-
-    def test_tcam_group_view_matches_matrix_view(self):
-        # Same table rendered both ways must answer identically; the
-        # reader switches at MATRIX_ROW_LIMIT, where the broadcast
-        # matrix intermediates stop being worth their O(lanes x rows).
+    def test_tcam_range_view_is_longest_match(self):
+        # A prefix table of many rows in every length group answers
+        # each key with its longest matching row, as the scalar search.
         from repro.memory.tcam import TcamTable
 
         fib = Fib(8)
@@ -241,33 +227,40 @@ class TestViews:
         table = TcamTable(8, name="t")
         for prefix, hop in fib:
             table.insert_prefix(prefix, hop)
-        assert len(table) > MATRIX_ROW_LIMIT
-        group = table.vector_reader()
-        assert isinstance(group, TcamGroupView)
-        entries = sorted(  # the matrix form, built by hand
-            (e.priority, e.mask, e.value & e.mask, e.data)
-            for e in table.entries())
-        matrix = TcamMatrixView(
-            np.array([v for _p, _m, v, _d in entries], dtype=np.int64),
-            np.array([m for _p, m, _v, _d in entries], dtype=np.int64),
-            np.array([d for _p, _m, _v, d in entries], dtype=np.int64))
+        view = table.vector_reader()
+        assert isinstance(view, RangeView)
+        assert view.lefts.size < len(table)  # equal neighbours merged
         keys = np.arange(256, dtype=np.int64)
-        active = np.ones(256, dtype=bool)
-        gv, gf = group.gather(keys, active)
-        mv, mf = matrix.gather(keys, active)
-        assert gf.tolist() == mf.tolist()
-        assert gv.tolist() == mv.tolist()
+        active = keys % 5 != 0
+        for mask in (None, active):
+            vals, found = view.gather(keys, mask)
+            want = [table.search(k) if mask is None or mask[k] else None
+                    for k in range(256)]
+            assert [v if f else None for v, f in
+                    zip(vals.tolist(), found.tolist())] == want
+            assert vals[~found].tolist() == [0] * int((~found).sum())
 
-    def test_small_tcam_still_renders_as_matrix(self):
+    def test_classifier_shaped_tcam_has_no_view(self):
+        """A non-contiguous mask (a classifier's port range) is not a
+        prefix, so the table has no range form and its step no kernel;
+        once that row is gone the table freezes again."""
         from repro.memory.tcam import TcamTable
 
         table = TcamTable(8)
         table.insert_prefix(Prefix.from_bits(0b1, 1, 8), 1)
-        assert isinstance(table.vector_reader(), TcamMatrixView)
+        assert isinstance(table.vector_reader(), RangeView)
+        table.insert(0b0000_0101, 0b0000_1111, priority=0, data=2)
+        assert table.vector_reader() is None
+        # The right priority for the mask's bit count is not enough.
+        table.delete(0b0000_0101, 0b0000_1111)
+        table.insert(0b0101_0000, 0b1111_0000, priority=3, data=2)
+        assert table.vector_reader() is None
+        table.delete(0b0101_0000, 0b1111_0000)
+        assert isinstance(table.vector_reader(), RangeView)
 
     def test_wide_tcam_has_no_vector_view(self):
-        """(Id kept from when it had none.)  A 64-bit table's view
-        holds ``uint64`` keys and masks, ``int64`` data, and answers
+        """(Id kept from when it had none.)  A 64-bit table's range view
+        holds ``uint64`` left endpoints, ``int64`` hops, and answers
         addresses on both sides of bit 63."""
         from repro.memory.tcam import TcamTable
 
@@ -275,9 +268,9 @@ class TestViews:
         table.insert_prefix(Prefix.from_bits(0b1, 1, 64), 1)
         table.insert_prefix(Prefix.from_bits((1 << 64) - 1, 64, 64), 2)
         view = table.vector_reader()
-        assert isinstance(view, TcamMatrixView)
-        assert view.values_.dtype == view.masks.dtype == np.uint64
-        assert view.data.dtype == np.int64
+        assert isinstance(view, RangeView)
+        assert view.lefts.dtype == np.uint64
+        assert view.hops.dtype == np.int64 and view.none.dtype == bool
         keys = np.array([(1 << 64) - 1, 1 << 63, (1 << 63) - 1, 0],
                         dtype=np.uint64)
         vals, found = view.gather(keys)
@@ -287,7 +280,7 @@ class TestViews:
         # One bit narrower and the keys are signed again.
         narrow = TcamTable(63)
         narrow.insert_prefix(Prefix.from_bits(0b1, 1, 63), 1)
-        assert narrow.vector_reader().masks.dtype == np.int64
+        assert narrow.vector_reader().lefts.dtype == np.int64
 
     def test_popcount64_matches_python(self):
         rng = np.random.default_rng(0)

@@ -36,8 +36,8 @@ from repro.algorithms import (
 )
 from repro.control import CapacityGuard, ChurnGenerator, ManagedFib
 from repro.core import MISS_HOP, compile_plan, compile_vector_plan
-from repro.core.vector import (Lanes, SparseMapView, TcamGroupView,
-                               TcamMatrixView, key_dtype, view_state)
+from repro.core.vector import (Lanes, RangeView, SparseMapView, key_dtype,
+                               view_state)
 from repro.memory import DLeftHashTable, ExactMatchTable
 from repro.prefix import Fib, Prefix
 
@@ -209,13 +209,9 @@ def check_view_dtypes(step, view, keys):
     ``int64`` — the two halves of the contract never share an array."""
     if isinstance(view, SparseMapView):
         pairs = [(view.keys, view.data)]
-    elif isinstance(view, TcamGroupView):
-        pairs = [(probe.keys, probe.data) for _mask, probe in view.groups]
-        assert all(mask.dtype == keys for mask, _probe in view.groups), step
-    elif isinstance(view, TcamMatrixView):
-        pairs = [(view.values_, view.data), (view.masks, view.data),
-                 (view.common_values, view.data)]
-        assert view.common.dtype == keys, step
+    elif isinstance(view, RangeView):
+        pairs = [(view.lefts, view.hops)]
+        assert view.none.dtype == np.bool_, (step, view.none.dtype)
     else:
         return  # bitmap / dense views are indexed, not compared
     for key_array, data in pairs:
@@ -233,8 +229,12 @@ def check_register_file_contract(algo, fib, extras):
         if step not in views and hasattr(backing, "vector_reader"):
             views[step] = backing.vector_reader()
     for step, view in views.items():
-        check_view_dtypes(step, view,
-                          key_dtype(program.step(step).table.key_width))
+        # A keyless table's range view (BSIC's BSTs, DXR's ranges) is
+        # searched by the whole address.
+        width = program.step(step).table.key_width
+        if isinstance(view, RangeView) and not width:
+            width = fib.width
+        check_view_dtypes(step, view, key_dtype(width))
     addrs = np.asarray(probe_addresses(fib, extras),
                        dtype=key_dtype(fib.width))
     lanes = Lanes(vplan._registers, len(addrs))
