@@ -213,6 +213,54 @@ class TestViews:
         _vals, found = view.gather(np.array([1, 2]), np.ones(2, dtype=bool))
         assert found.tolist() == [False, True]
 
+    def test_tcam_view_first_row_wins(self):
+        """(Id kept from when the view was a row matrix.)  Where two
+        rows match, the first — the longer prefix — wins in the range
+        view too."""
+        from repro.memory.tcam import TcamTable
+
+        table = TcamTable(8)
+        table.insert_prefix(Prefix.from_bits(0b1010, 4, 8), 1)
+        table.insert_prefix(Prefix.from_bits(0b10, 2, 8), 2)
+        view = table.vector_reader()
+        assert isinstance(view, RangeView)
+        keys = np.array([0b1010_1010, 0b1001_0000, 0b0000_0001])
+        vals, found = view.gather(keys, np.ones(3, dtype=bool))
+        assert vals.tolist() == [1, 2, 0]
+        assert found.tolist() == [True, True, False]
+
+    def test_tcam_group_view_matches_matrix_view(self):
+        """(Id kept from when a large table froze to a group view.)  The
+        range view a table of many rows freezes to answers every key as
+        the ternary matrix built by hand from its rows: first matching
+        row in priority order."""
+        from repro.memory.tcam import TcamTable
+
+        fib = Fib(8)
+        rng = np.random.default_rng(7)
+        for length in range(1, 9):
+            for bits in rng.integers(0, 1 << length, size=40).tolist():
+                fib.insert(Prefix.from_bits(int(bits), length, 8),
+                           int(length))
+        table = TcamTable(8, name="t")
+        for prefix, hop in fib:
+            table.insert_prefix(prefix, hop)
+        view = table.vector_reader()
+        assert isinstance(view, RangeView)
+        entries = sorted(  # the matrix form, built by hand
+            (e.priority, e.mask, e.value & e.mask, e.data)
+            for e in table.entries())
+        masks = np.array([m for _p, m, _v, _d in entries], dtype=np.int64)
+        values = np.array([v for _p, _m, v, _d in entries], dtype=np.int64)
+        data = np.array([d for _p, _m, _v, d in entries], dtype=np.int64)
+        keys = np.arange(256, dtype=np.int64)
+        hits = (keys[:, None] & masks[None, :]) == values[None, :]
+        mf = hits.any(axis=1)
+        mv = np.where(mf, data[hits.argmax(axis=1)], 0)
+        rv, rf = view.gather(keys, np.ones(256, dtype=bool))
+        assert rf.tolist() == mf.tolist()
+        assert rv.tolist() == mv.tolist()
+
     def test_tcam_range_view_is_longest_match(self):
         # A prefix table of many rows in every length group answers
         # each key with its longest matching row, as the scalar search.
