@@ -22,13 +22,14 @@ Two scheduling modes, combinable:
   at batch K"), for pinpoint regression tests.
 
 :class:`ChaosEngine` adapts the plan to thread-mode workers by
-wrapping a :class:`~repro.engine.BatchEngine` replica: a ``kill``
-raises :class:`~repro.server.coalescer.WorkerCrash` (the worker loop
-re-raises it and dies with the batch unscattered), a ``raise`` throws
-a retry-safe :class:`ChaosBatchFault` (the batch's futures fail with
-a typed error).  Process-mode workers consult the plan directly in
-the child: a ``kill`` is a real ``os._exit`` — no cleanup, no goodbye
-— and ack faults act on the snapshot-ack protocol itself.
+wrapping the shared :class:`~repro.engine.BatchEngine` once per
+worker: a ``kill`` raises :class:`~repro.server.coalescer.WorkerCrash`
+(the worker loop re-raises it and dies with the batch unscattered), a
+``raise`` throws a retry-safe :class:`ChaosBatchFault` (the batch's
+futures fail with a typed error).  Process-mode workers consult the
+plan directly in the child: a ``kill`` is a real ``os._exit`` — no
+cleanup, no goodbye — and ack faults act on the snapshot-ack protocol
+itself.
 """
 
 from __future__ import annotations
@@ -266,9 +267,11 @@ class ChaosPlan:
 class ChaosEngine:
     """A thread-worker engine proxy that executes the chaos plan.
 
-    Wraps one :class:`~repro.engine.BatchEngine` replica; everything
-    except ``lookup_batch`` delegates to the wrapped engine (including
-    the plan/cache introspection the server uses).
+    Wraps the server's :class:`~repro.engine.BatchEngine` for one
+    worker (the batch sequence is counted per worker); everything
+    except ``lookup_batch`` delegates to the wrapped engine, so the
+    wrappers of one engine hand out equal ``on_commit`` methods and
+    the pool refreshes that engine once per commit.
     """
 
     def __init__(self, engine, plan: ChaosPlan, worker: int):

@@ -420,8 +420,7 @@ def _serve_vrfs(args: argparse.Namespace, base: Fib) -> int:
     registry = MetricsRegistry()
     sharded = VrfShardedEngine(
         base.width, lambda fib: _build(algo, fib), shards=args.shards,
-        max_vrfs=args.vrfs, cache_size=args.cache, registry=registry,
-        name="serve")
+        max_vrfs=args.vrfs, registry=registry, name="serve")
     for vrf_id in range(args.vrfs):
         sharded.add_vrf(vrf_id, base.copy())
     addresses = skewed_addresses(base, args.requests, seed=args.seed)
@@ -441,7 +440,7 @@ def _serve_vrfs(args: argparse.Namespace, base: Fib) -> int:
     lookups = registry.counter("repro_engine_lookups_total")
     print(f"serve: algo={algo} vrfs={args.vrfs} shards={args.shards} "
           f"requests={len(addresses)} batch={args.max_batch} "
-          f"cache={args.cache} seed={args.seed}")
+          f"seed={args.seed}")
     for eng in sharded.shard_engines():
         if eng is not None:
             print(f"  shard {eng.name}: {lookups.value(engine=eng.name)} "
@@ -512,7 +511,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = LookupServer(
         managed=managed, workers=args.workers, max_batch=args.max_batch,
         max_wait_s=args.max_wait / 1000.0, overload=args.overload,
-        mode=args.mode, cache_size=args.cache, name="serve",
+        mode=args.mode, name="serve",
         chaos=chaos_plan, ship_deltas=args.delta,
         request_deadline_s=args.deadline / 1000.0 if args.deadline else None,
         sample_rate=args.sample_rate, span_seed=args.seed,
@@ -552,9 +551,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"serve: algo={args.algo} mode={args.mode} workers={args.workers} "
           f"requests={len(addresses)} request_size={request_size} "
           f"max_batch={args.max_batch} max_wait={args.max_wait}ms "
-          f"cache={args.cache} seed={args.seed}")
-    for eng in server.engines():
-        print(f"  worker {eng.name}: backend {eng.active_backend}")
+          f"seed={args.seed}")
+    for i, eng in enumerate(server.engines()):
+        print(f"  worker {i}: backend {eng.active_backend}")
     cuts = collections.Counter()
     for key, count in registry.get("repro_server_flush_total").items():
         reason = dict(key)["reason"]
@@ -971,10 +970,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a skewed lookup workload through the LookupServer",
         description="Serve Zipf-skewed requests through the coalescing "
-                    "LookupServer (a pool of engine replicas, thread or "
-                    "forked), optionally landing managed churn commits "
-                    "meanwhile, and spot-check every answer against the "
-                    "oracle of the epoch it was served under.  --vrfs N "
+                    "LookupServer (worker threads over one shared engine, "
+                    "or forked replicas), optionally landing managed churn "
+                    "commits meanwhile, and spot-check every answer against "
+                    "the oracle of the epoch it was served under.  --vrfs N "
                     "runs the synchronous VRF-hash sharding demo instead.",
     )
     p.add_argument("--algo", default="resail",
@@ -987,15 +986,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total lookups to serve")
     # Defaults are bench/workloads.py::SERVING, the measured configuration.
     p.add_argument("--workers", type=int, default=2,
-                   help="engine replicas in the worker pool")
+                   help="worker threads (thread mode: all run one "
+                        "engine; process mode: a forked replica each)")
     p.add_argument("--max-batch", type=int, default=512,
                    help="coalescer batch-size flush trigger")
     p.add_argument("--max-wait", type=float, default=2.0,
                    help="longest a coalesced batch waits, in milliseconds "
                         "(it is cut sooner when it fills, or when a worker "
                         "is idle and it would not fill in time)")
-    p.add_argument("--cache", type=int, default=0,
-                   help="FIB-cache capacity per engine (0 disables)")
     p.add_argument("--mode", choices=["thread", "process"],
                    default="thread",
                    help="worker replica kind (process: forked children, "

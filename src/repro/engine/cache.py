@@ -14,9 +14,7 @@ the lookup structure absorbs the hot addresses at one hash probe each.
 * **Observability-native.**  The cache owns a
   :class:`repro.obs.AccessStats` (``collect_access_stats`` finds it
   like any other table), so cache hit rates and per-address hit
-  tallies flow through the same accounting as TCAM/SRAM accesses —
-  and :meth:`seed` closes the loop by warming the cache from exactly
-  those tallies.
+  tallies flow through the same accounting as TCAM/SRAM accesses.
 * **Prefix invalidation.**  A route update only changes answers for
   addresses covered by the touched prefixes; :meth:`invalidate` drops
   precisely those entries.  :class:`repro.engine.BatchEngine` wires
@@ -31,7 +29,7 @@ overloading ``None``.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.accounting import AccessStats
 from ..prefix.prefix import Prefix
@@ -82,7 +80,7 @@ class FibCache:
         self._entries.move_to_end(address)
         return True, entry[0]
 
-    def put(self, address: int, hop: Optional[int], weight: int = 1) -> None:
+    def put(self, address: int, hop: Optional[int]) -> None:
         """Install (or refresh) an entry; evicts on overflow."""
         entries = self._entries
         self.stats.writes += 1
@@ -93,7 +91,7 @@ class FibCache:
             return
         if len(entries) >= self.capacity:
             self._evict()
-        entries[address] = [hop, weight]
+        entries[address] = [hop, 1]
 
     def _evict(self) -> None:
         """Drop the least-used entry among the ``sample`` oldest."""
@@ -134,26 +132,6 @@ class FibCache:
         self._entries.clear()
         self.stats.writes += dropped
         return dropped
-
-    def seed(self, tally, resolve: Callable[[int], Optional[int]],
-             limit: Optional[int] = None) -> int:
-        """Warm the cache from an :class:`AccessStats` hit tally.
-
-        ``tally`` maps addresses to hit counts (e.g. this cache's own
-        ``stats.hit_tally`` from a previous run, or an engine's
-        per-address tally); the hottest ``limit`` addresses (count
-        descending, address ascending for determinism) are resolved
-        through ``resolve`` and installed with their observed counts,
-        so the eviction hybrid starts with the measured skew.
-        """
-        if limit is None:
-            limit = self.capacity
-        ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
-        seeded = 0
-        for address, count in ranked[:limit]:
-            self.put(address, resolve(address), weight=count)
-            seeded += 1
-        return seeded
 
     def items(self) -> Iterator[Tuple[int, Optional[int]]]:
         """Cached ``(address, hop)`` pairs, LRU first (for tests)."""

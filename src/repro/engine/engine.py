@@ -10,10 +10,16 @@
   :class:`~repro.core.plan.LookupPlan` it embeds, which reads the live
   tables, and :attr:`BatchEngine.active_backend` reports which of the
   two it is;
-* an optional :class:`~repro.engine.cache.FibCache` answers hot
-  addresses before the plan runs at all;
+* an optional :class:`~repro.engine.cache.FibCache` (``cache_size=``;
+  nothing that serves sets it) answers hot addresses before the plan;
 * every lookup, batch, cache hit/miss, invalidation, and plan
   recompile is counted in a :class:`~repro.obs.MetricsRegistry`.
+
+A cacheless engine is safe to share between threads: a batch only
+reads the compiled plan (frozen views; each chunk allocates its own
+lanes), and :meth:`refresh` rebinds it in one assignment.  A thread-mode
+:class:`~repro.server.LookupServer` runs one engine in all its workers
+and refreshes it once per commit, under the commit gate's write side.
 
 The engine stays correct under churn by *subscribing to commits*:
 :meth:`over_managed` registers a commit listener on a
@@ -56,7 +62,6 @@ class BatchEngine:
         cache_size: int = 0,
         registry: Optional[MetricsRegistry] = None,
         name: str = "engine",
-        cache_sample: int = 8,
         backend: str = "auto",
         patch_threshold: int = 256,
     ):
@@ -72,7 +77,7 @@ class BatchEngine:
         self.patch_threshold = patch_threshold
         self._managed = None
         self.cache: Optional[FibCache] = (
-            FibCache(cache_size, name=f"{name}-cache", sample=cache_sample)
+            FibCache(cache_size, name=f"{name}-cache")
             if cache_size else None
         )
         reg = self.registry
@@ -266,23 +271,6 @@ class BatchEngine:
             return False
         self._vector = new
         return True
-
-    def warm(self, addresses: Sequence[int]) -> None:
-        """Pre-populate the cache by looking the addresses up."""
-        for address in addresses:
-            self.lookup(address)
-
-    def seed_cache(self, tally, limit: Optional[int] = None) -> int:
-        """Warm the cache from an ``obs.accounting`` hit tally
-        (addresses -> counts); see :meth:`FibCache.seed`."""
-        if self.cache is None:
-            return 0
-        seeded = self.cache.seed(tally, self._vector.lookup, limit=limit)
-        self._cache_entries.set(len(self.cache), engine=self.name)
-        return seeded
-
-    def cache_hit_ratio(self) -> float:
-        return self.cache.hit_rate() if self.cache is not None else 0.0
 
     # ------------------------------------------------------------------
     # Managed-runtime integration

@@ -5,7 +5,7 @@
 tag-widened FIB (idiom I5, exactly as
 :class:`repro.algorithms.vrf.VrfRouter` does) and serves it through
 its own independent :class:`~repro.engine.BatchEngine` — its own
-compiled plan, its own cache, its own counters.  A lookup touches
+compiled plan, its own counters.  A lookup touches
 exactly one shard.  The tag widens the key: an IPv6 shard is wider
 than 64 bits, where no lane dtype exists, so its vector plan hands
 every batch to its scalar plan (``active_backend == "plan"``).  (Replicas of *one* table are the worker pool's
@@ -39,7 +39,6 @@ class VrfShardedEngine:
         *,
         shards: int = 2,
         max_vrfs: int = 16,
-        cache_size: int = 0,
         registry: Optional[MetricsRegistry] = None,
         name: str = "vrf-engine",
     ):
@@ -54,7 +53,6 @@ class VrfShardedEngine:
         self.name = name
         self.registry = registry or MetricsRegistry()
         self._factory = factory
-        self._cache_size = cache_size
         self._vrfs: Dict[int, Fib] = {}
         # Per shard: the coalesced tag-widened FIB and its engine
         # (None until the shard has a VRF).
@@ -98,13 +96,11 @@ class VrfShardedEngine:
         if engine is None:
             self._engines[shard] = BatchEngine(
                 self._factory(self._fibs[shard]),
-                cache_size=self._cache_size,
                 registry=self.registry,
                 name=f"{self.name}-s{shard}",
             )
         else:
-            # Unknown extent (a whole VRF changed): full invalidation.
-            engine.refresh(self._factory(self._fibs[shard]), touched=None)
+            engine.refresh(self._factory(self._fibs[shard]))
 
     def vrf_ids(self) -> List[int]:
         return sorted(self._vrfs)

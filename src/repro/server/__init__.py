@@ -6,9 +6,10 @@ Layers, bottom-up:
   idle-worker and deadline flush triggers and future-like per-request
   handles;
 * :mod:`repro.server.pool` — the :class:`CommitGate` readers/writer
-  gate plus :class:`ThreadWorkerPool`: the one worker pool, N engine
-  replicas over one bounded queue with block/shed backpressure, orphan
-  re-queue and restarts;
+  gate plus :class:`ThreadWorkerPool`: the one worker pool, N worker
+  threads over one bounded queue with block/shed backpressure, orphan
+  re-queue and restarts (in thread mode every worker runs the server's
+  one engine);
 * :mod:`repro.server.procpool` — :class:`ForkedReplica`, the second
   replica kind: an engine in a forked child behind a pipe that fills
   the pool's engine slot, shipped a delta or FIB snapshot at each

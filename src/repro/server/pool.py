@@ -1,26 +1,16 @@
 """Worker pool: coalesced batches in, scattered answers out.
 
 :class:`ThreadWorkerPool` runs N worker threads over one bounded
-queue, each owning one *replica* — any object with ``lookup_batch``
+queue, each running one *replica* — any object with ``lookup_batch``
 and ``on_commit``.  There are two replica kinds and one pool:
 
-* an in-thread :class:`~repro.engine.BatchEngine` (its own compiled
-  plan over the shared committed structure).  Worker threads share the
-  interpreter lock, and a lane kernel is a run of short NumPy calls (83
-  profile-visible ones for RESAIL since PR 19, 304 before), each of
-  which drops the lock once a batch passes 500 elements, so two of
-  them do not add up.  Measured on the 2-core sandbox (PR 19,
-  ``docs/serving.md``): one thread doing everything a 512-address batch
-  of the saturate workload needs — the kernel and its 32 requests'
-  bookkeeping — takes 0.18 + 32 x 0.009 = 0.47 ms, 1.1 M lookups/s if
-  it did nothing else; the server with two worker threads delivers
-  260 k/s, 24 % of that (PR 17: 0.52 + 32 x 0.009 = 0.81 ms, 630 k/s,
-  185 k/s delivered, 29 %), and the pool alone (whole 512-address
-  requests, two outstanding) reads 1.5-1.9 us/lookup where the engine
-  on one thread reads 0.38-0.41 (PR 17: 4.3-5.3 against 1.0).  Two
-  threads looping nothing but the kernel at n = 512 cost 0.57-0.61 ms
-  per batch in aggregate against 0.25 for one (PR 17: 1.9-2.3 against
-  0.65-0.72);
+* an in-thread :class:`~repro.engine.BatchEngine`, one per server,
+  that every worker thread runs: its compiled plan is read-only while
+  batches execute, so the threads share one plan and a commit
+  refreshes it once.  The threads share the interpreter lock, which a
+  lane kernel drops in each NumPy call once a batch passes 500
+  elements; ``docs/serving.md`` has what two threads deliver against
+  one;
 * a :class:`~repro.server.procpool.ForkedReplica` — the same engine in
   a forked child behind a pipe, which takes the kernel off the parent's
   interpreter lock altogether.  The worker thread blocks on the round
@@ -353,13 +343,16 @@ class ThreadWorkerPool:
 
     # ------------------------------------------------------------------
     def on_commit(self, outcome: str, algo, touched, delta=None) -> None:
-        """Refresh every replica after a landed commit.
+        """Refresh every distinct replica once after a landed commit.
 
         Must be called with the gate's write side held (the server's
         commit handler does), so no batch is mid-execution.  ``delta``
         (the committed :class:`~repro.control.FibDelta`, when the
         runtime applied in place) lets each replica patch its compiled
-        plans instead of recompiling them.
+        plans instead of recompiling them.  Worker slots that share an
+        engine (directly, or through per-worker chaos wrappers) hand
+        out equal bound ``on_commit`` methods, so that engine is told
+        once.
 
         A replica's ``on_commit`` may return a wait for work it only
         started (a forked replica's ack): every replica is told first,
@@ -370,8 +363,9 @@ class ThreadWorkerPool:
         can never come up serving a stale table at the new epoch.
         """
         with self._lifecycle:
-            waits = [engine.on_commit(outcome, algo, touched, delta=delta)
-                     for engine in self.engines]
+            waits = [on_commit(outcome, algo, touched, delta=delta)
+                     for on_commit in dict.fromkeys(
+                         engine.on_commit for engine in self.engines)]
         for wait in waits:
             if wait is not None:
                 wait()

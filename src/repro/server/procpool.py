@@ -76,8 +76,7 @@ def fib_snapshot(fib) -> Snapshot:
     return [(prefix.bits, prefix.length, hop) for prefix, hop in fib]
 
 
-def _build_engine(width: int, factory, snapshot: Snapshot,
-                  cache_size: int):
+def _build_engine(width: int, factory, snapshot: Snapshot):
     from ..engine.engine import BatchEngine
     from ..prefix.prefix import Prefix
     from ..prefix.trie import Fib
@@ -85,7 +84,7 @@ def _build_engine(width: int, factory, snapshot: Snapshot,
     fib = Fib(width)
     for bits, length, hop in snapshot:
         fib.insert(Prefix.from_bits(bits, length, width), hop)
-    return BatchEngine(factory(fib), cache_size=cache_size), fib
+    return BatchEngine(factory(fib)), fib
 
 
 def _apply_wire(fib, wire: WireDelta, width: int):
@@ -110,8 +109,7 @@ def _apply_wire(fib, wire: WireDelta, width: int):
     return FibDelta(ops)
 
 
-def _artifact_engine(width: int, factory, path: str, resync: WireDelta,
-                     cache_size: int):
+def _artifact_engine(width: int, factory, path: str, resync: WireDelta):
     """Child-side warm start: mmap the catalog snapshot instead of
     rebuilding from pickled triples, then land the resync delta (the
     commits shipped since the artifact was written) on the loaded base.
@@ -134,13 +132,13 @@ def _artifact_engine(width: int, factory, path: str, resync: WireDelta,
             algo.apply_delta(delta)
         else:
             algo = factory(fib.copy())
-    return BatchEngine(algo, cache_size=cache_size), fib
+    return BatchEngine(algo), fib
 
 
 def _replica_main(conn, worker_idx: int, width: int, factory,
-                  snapshot: Snapshot, cache_size: int,
-                  ship_seq0: int = 0, artifact=None, chaos=None,
-                  batch_seq0: int = 0, commit_seq0: int = 0) -> None:
+                  snapshot: Snapshot, ship_seq0: int = 0, artifact=None,
+                  chaos=None, batch_seq0: int = 0,
+                  commit_seq0: int = 0) -> None:
     """Child body: rebuild from snapshots, answer address batches.
 
     ``chaos`` is a duck-typed dataplane fault plan
@@ -176,12 +174,12 @@ def _replica_main(conn, worker_idx: int, width: int, factory,
     if artifact is not None:
         try:
             engine, fib = _artifact_engine(width, factory, artifact[0],
-                                           artifact[1], cache_size)
+                                           artifact[1])
         except Exception as exc:  # noqa: BLE001 — report, fall back
             conn.send(("artifact_fail", repr(exc)))
             return
     else:
-        engine, fib = _build_engine(width, factory, snapshot, cache_size)
+        engine, fib = _build_engine(width, factory, snapshot)
     conn.send(("ready", engine.active_backend))
     batch_seq, commit_seq = batch_seq0, commit_seq0
     ship_seq = ship_seq0
@@ -222,14 +220,13 @@ def _replica_main(conn, worker_idx: int, width: int, factory,
         commit_seq += 1
         seq, payload = message[1], message[2]
         if kind == "snapshot":
-            engine, fib = _build_engine(width, factory, payload, cache_size)
+            engine, fib = _build_engine(width, factory, payload)
         elif kind == "reload":
             # Blue/green: become the new catalog version wholesale.
             # Like "snapshot", a reload is a full resync — it resets
             # the ship chain rather than extending it.
             try:
-                engine, fib = _artifact_engine(width, factory, payload,
-                                               [], cache_size)
+                engine, fib = _artifact_engine(width, factory, payload, [])
             except Exception as exc:  # noqa: BLE001 — report, don't ack
                 conn.send(("artifact_fail", repr(exc)))
                 return
@@ -245,13 +242,11 @@ def _replica_main(conn, worker_idx: int, width: int, factory,
                     algo.apply_delta(delta)
                     engine.refresh(algo, delta.prefixes(), delta=delta)
                 else:
-                    engine = BatchEngine(factory(fib.copy()),
-                                         cache_size=cache_size)
+                    engine = BatchEngine(factory(fib.copy()))
             except Exception:  # noqa: BLE001 — resync, don't diverge
                 # Any delta-apply failure: rebuild from the (already
                 # updated) local FIB mirror — correct by construction.
-                engine = BatchEngine(factory(fib.copy()),
-                                     cache_size=cache_size)
+                engine = BatchEngine(factory(fib.copy()))
         ship_seq = seq
         if action is not None:
             delay_s, drop = action
@@ -280,7 +275,6 @@ class ReplicaSource:
         fib,
         factory: Callable,
         *,
-        cache_size: int = 0,
         artifact: Optional[str] = None,
         committed: Optional[Callable[[], Tuple]] = None,
         ship_deltas: bool = True,
@@ -302,7 +296,6 @@ class ReplicaSource:
         self.ship_deltas = ship_deltas
         self._width = fib.width
         self._factory = factory
-        self._cache_size = cache_size
         self._committed = committed or (lambda: (None, None))
         #: ``on_ship(kind, nbytes)`` — observer for shipped payload
         #: sizes (``kind`` is ``"snapshot"``, ``"delta"`` or
@@ -359,8 +352,7 @@ class ReplicaSource:
             snapshot = sorted((bits, length, hop) for (bits, length), hop
                               in self._table.items())
             artifact = None
-        return (self._width, self._factory, snapshot, self._cache_size,
-                self.seq, artifact)
+        return (self._width, self._factory, snapshot, self.seq, artifact)
 
     def step(self, seq: int, outcome: str, delta) -> bytes:
         """The pickled message taking a replica from ship sequence

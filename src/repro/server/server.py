@@ -4,26 +4,26 @@
 logical clients submit single addresses or small batches; a
 :class:`~repro.server.coalescer.RequestCoalescer` packs them into
 engine-sized batches on a size, idle or deadline trigger; the worker
-pool runs each batch through one of its engine replicas (in-thread
-:class:`~repro.engine.BatchEngine` replicas by default, forked children
-behind pipes with ``mode="process"``) and scatters the answers back to
-the per-request futures.
+pool runs each batch through its replica (by default one
+:class:`~repro.engine.BatchEngine` that every worker thread shares; a
+forked child per worker behind a pipe with ``mode="process"``) and
+scatters the answers back to the per-request futures.
 
 Consistency under churn — the property the stress tests prove — comes
 from one rule: **commits quiesce serving**.  The server subscribes to
 :class:`~repro.control.ManagedFib` commits; the handler takes the
 :class:`~repro.server.pool.CommitGate` write side (waiting out every
-in-flight batch), bumps the serving epoch, refreshes every worker
-replica (recompile/patch + targeted cache invalidation in-thread, a
-shipped delta or FIB snapshot to a forked child), and releases.  Every
-batch therefore executes entirely within one epoch: no lookup can
-observe a half-applied update, and rolled-back batches — which never
-notify — leave the serving plan untouched.  The rule leans on the
-replicas reading frozen kernel views: an in-place delta mutates the
-live tables *before* the gate is taken, so thread mode refuses (with
-``ValueError``) a plan that did not lower, whose scalar plan reads
-those tables directly.  A forked child applies its deltas between its
-own batches and serves such a plan.
+in-flight batch), bumps the serving epoch, refreshes every distinct
+replica once (one plan patch or recompile for the shared in-thread
+engine, a shipped delta or FIB snapshot to each forked child), and
+releases.  Every batch therefore executes entirely within one epoch:
+no lookup can observe a half-applied update, and rolled-back batches
+— which never notify — leave the serving plan untouched.  The rule
+leans on the replicas reading frozen kernel views: an in-place delta
+mutates the live tables *before* the gate is taken, so thread mode
+refuses (with ``ValueError``) a plan that did not lower, whose scalar
+plan reads those tables directly.  A forked child applies its deltas
+between its own batches and serves such a plan.
 
 Fault tolerance (``docs/robustness.md`` has the full fault model):
 
@@ -191,6 +191,8 @@ class LookupServer:
     ):
         if backend != "auto":  # kept for bench/; nothing to choose
             raise ValueError(f"backend {backend!r}: only 'auto' is accepted")
+        if cache_size:  # kept for bench/; the engines are not cached
+            raise ValueError(f"cache_size {cache_size!r}: only 0 is accepted")
         if mode not in SERVER_MODES:
             raise ValueError(f"mode {mode!r} not one of {SERVER_MODES}")
         if overload not in SERVER_OVERLOAD_POLICIES:
@@ -326,12 +328,13 @@ class LookupServer:
         # The one place the replica kind is chosen: the pool, the gate
         # and the fault path below are the same for both.
         if mode == "thread":
-            engines = [
-                BatchEngine(algo, cache_size=cache_size, registry=reg,
-                            name=f"{name}-w{i}")
-                for i in range(workers)
-            ]
-            if not engines[0].vector_plan.fully_lowered:
+            # One engine for every worker thread: its compiled plan is
+            # read-only (frozen views, per-chunk lanes) and a commit
+            # rebinds it only under the gate's write side, so the
+            # process compiles, holds and refreshes one plan, not one
+            # per worker.
+            engine = BatchEngine(algo, registry=reg, name=name)
+            if not engine.vector_plan.fully_lowered:
                 # Its scalar plan would read the tables a commit is
                 # mutating on another thread; a forked child applies
                 # its deltas between batches.
@@ -339,20 +342,22 @@ class LookupServer:
                     f"{algo.name}: the plan did not lower to lane kernels, "
                     "and thread replicas would read live tables under "
                     "concurrent commits; serve it with mode='process'")
+            engines = [engine] * workers
             if chaos is not None:
+                # Wrapped per worker: the fault schedule counts each
+                # worker's batches.
                 from ..chaos.plan import ChaosEngine
                 engines = [ChaosEngine(engine, chaos, i)
-                           for i, engine in enumerate(engines)]
+                           for i in range(workers)]
         else:
             if factory is None or base_fib is None:
                 raise ServerError(
                     "process mode needs factory= and base_fib= (or managed=)")
             source = ReplicaSource(
-                base_fib, factory, cache_size=cache_size,
-                artifact=artifact, committed=self._committed,
-                ship_deltas=ship_deltas, ack_timeout_s=ack_timeout_s,
-                chaos=chaos, on_ship=self._note_ship,
-                on_error=self._on_error)
+                base_fib, factory, artifact=artifact,
+                committed=self._committed, ship_deltas=ship_deltas,
+                ack_timeout_s=ack_timeout_s, chaos=chaos,
+                on_ship=self._note_ship, on_error=self._on_error)
             engines = [ForkedReplica(source, i, name=f"{name}-w{i}")
                        for i in range(workers)]
         self._pool = ThreadWorkerPool(
@@ -389,8 +394,9 @@ class LookupServer:
         return self._pool.workers
 
     def engines(self) -> list:
-        """The worker replicas, one per worker: in-thread engines or
-        forked replicas.  Each has ``name`` and ``active_backend``."""
+        """The worker replicas, one per worker slot: the one shared
+        in-thread engine in every slot, or a forked replica each.  Each
+        has ``name`` and ``active_backend``."""
         return list(self._pool.engines)
 
     @property

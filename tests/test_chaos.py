@@ -31,8 +31,8 @@ class CountingEngine:
         self.calls += 1
         return [None] * len(addresses)
 
-    def seed_cache(self, tally):
-        self.seeded = tally
+    def on_commit(self, outcome, algo, touched, delta=None):
+        self.committed = outcome
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +135,11 @@ class TestChaosEngine:
         for _ in range(5):
             engine.lookup_batch([1, 2])
         assert engine._seq == 5 and inner.calls == 5
-        engine.seed_cache({1: 2})  # __getattr__ delegation
-        assert inner.seeded == {1: 2}
+        engine.on_commit("batch_applied", None, [])  # __getattr__ delegation
+        assert inner.committed == "batch_applied"
+        # Every wrapper of one engine hands out the same commit hook.
+        other = ChaosEngine(inner, ChaosPlan.none(), worker=4)
+        assert other.on_commit == engine.on_commit == inner.on_commit
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Unit tests for the batch dataplane engine (``repro.engine``).
 
 Covers the plan compiler's error paths, the skew-aware FIB cache
-(hybrid eviction, invalidation, tally seeding), the engine's counters
+(hybrid eviction, invalidation), the engine's counters
 and cache wiring, the commit-listener contract with the managed
 runtime, VRF-hash sharding, and the ``repro serve`` CLI.
 """
@@ -76,19 +76,6 @@ class TestFibCache:
         cache.put(1, 1)
         assert cache.invalidate([]) == 0
         assert len(cache) == 1
-
-    def test_seed_from_tally_ranks_by_count(self):
-        cache = FibCache(2)
-        tally = {5: 100, 6: 1, 7: 50}
-        seeded = cache.seed(tally, resolve=lambda a: a * 10)
-        assert seeded == 2
-        assert dict(cache.items()) == {5: 50, 7: 70}
-
-    def test_seeded_weights_feed_eviction(self):
-        cache = FibCache(2, sample=2)
-        cache.seed({5: 100, 7: 2}, resolve=lambda a: a)
-        cache.put(9, 9)  # evicts 7 (count 2), keeps 5 (count 100)
-        assert 5 in cache and 7 not in cache
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -172,7 +159,8 @@ class TestBatchEngine:
 
     def test_refresh_rebinds_and_invalidates_scoped(self, example_fib):
         engine = BatchEngine(LogicalTcam(example_fib), cache_size=16)
-        engine.warm([0x10, 0x80])
+        for address in (0x10, 0x80):
+            engine.lookup(address)
         changed = Fib(8, list(example_fib))
         changed.insert(p(0b0001, 4), 9)  # covers 0x10..0x1F
         engine.refresh(LogicalTcam(changed), touched=[p(0b0001, 4)])
@@ -182,21 +170,13 @@ class TestBatchEngine:
 
     def test_refresh_without_extent_clears_everything(self, example_fib):
         engine = BatchEngine(LogicalTcam(example_fib), cache_size=16)
-        engine.warm([0x10, 0x80])
+        for address in (0x10, 0x80):
+            engine.lookup(address)
         engine.refresh()
         assert len(engine.cache) == 0
         assert engine.registry.counter(
             "repro_engine_plan_recompiles_total", ""
         ).value(engine="engine") == 1
-
-    def test_seed_cache_resolves_through_plan(self, example_fib):
-        engine = BatchEngine(LogicalTcam(example_fib), cache_size=8)
-        assert engine.seed_cache({0x10: 5, 0x80: 3}) == 2
-        hit, hop = engine.cache.probe(0x10)
-        assert hit and hop == example_fib.lookup(0x10)
-
-    def test_seed_cache_without_cache_is_zero(self, example_fib):
-        assert BatchEngine(LogicalTcam(example_fib)).seed_cache({1: 1}) == 0
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +214,8 @@ class TestManagedIntegration:
             faults=FaultPlan.build(["mid_update_exception"], seed=1, rate=1.0),
         )
         engine = BatchEngine.over_managed(managed, cache_size=16)
-        engine.warm(list(range(16)))
+        for address in range(16):
+            engine.lookup(address)
         before = dict(engine.cache.items())
         ops = list(ChurnGenerator(example_fib, seed=4).ops(6))
         outcome = managed.apply_batch(ops)
@@ -285,11 +266,11 @@ class TestVrfSharding:
 
     def test_replacing_a_vrf_rebuilds_its_shard(self):
         sharded = VrfShardedEngine(8, lambda f: LogicalTcam(f),
-                                   shards=1, max_vrfs=2, cache_size=8)
+                                   shards=1, max_vrfs=2)
         sharded.add_vrf(0, Fib(8, [(p(0b1, 1), 1)]))
-        assert sharded.lookup(0, 0xFF) == 1  # now cached
+        assert sharded.lookup(0, 0xFF) == 1
         sharded.add_vrf(0, Fib(8, [(p(0b1, 1), 7)]))
-        assert sharded.lookup(0, 0xFF) == 7  # cache was cleared
+        assert sharded.lookup(0, 0xFF) == 7  # the shard was rebuilt
 
     def test_unknown_vrf_and_bad_widths_raise(self):
         sharded = VrfShardedEngine(8, lambda f: LogicalTcam(f), max_vrfs=2)
@@ -334,11 +315,12 @@ class TestServeCli:
         # bench/workloads.py::SERVING is what bench/ measures; a bare
         # `repro serve` must be that configuration, not a slower one.
         # There is no backend flag: the vector plan decides kernels vs
-        # scalar itself.
+        # scalar itself.  There is no cache flag: the server's engines
+        # run uncached.
         args = build_parser().parse_args(["serve"])
-        assert (args.workers, args.max_batch, args.max_wait,
-                args.cache) == (2, 512, 2.0, 0)
+        assert (args.workers, args.max_batch, args.max_wait) == (2, 512, 2.0)
         assert not hasattr(args, "backend")
+        assert not hasattr(args, "cache")
         assert args.sample_rate == DEFAULT_SPAN_SAMPLE_RATE
 
     def test_smoke_serves_from_the_pool(self, capsys, tmp_path):

@@ -1159,13 +1159,50 @@ class TestLookupServer:
         with pytest.raises(ServerError):
             LookupServer(algo, mode="process")  # no factory/base_fib
 
-    def test_worker_engines_are_replicas(self):
+    def test_thread_workers_share_one_engine(self):
         fib = small_fib()
         with LookupServer(HiBst(fib), workers=3, name="r") as server:
             engines = server.engines()
             assert len(engines) == 3
-            assert [e.name for e in engines] == ["r-w0", "r-w1", "r-w2"]
+            assert engines[0] is engines[1] is engines[2]
+            assert engines[0].name == "r"
             assert server.workers == 3
+
+    @pytest.mark.parametrize("make", [
+        HiBst, lambda f: Resail(f, min_bmp=13)], ids=["rebuilt", "applied"])
+    def test_each_commit_refreshes_one_plan_whatever_the_workers(self, make):
+        # Two worker threads share one engine: a landed commit patches
+        # or recompiles its plan once, not once per worker.
+        width = 8 if make is HiBst else 32
+        fib = Fib(width)
+        rng = random.Random(23)
+        while len(fib) < 30:
+            length = rng.randint(1, width)
+            fib.insert(Prefix.from_bits(rng.getrandbits(length), length,
+                                        width), rng.randint(1, 99))
+        managed = ManagedFib(make, fib)
+        batches = list(ChurnGenerator(fib, seed=4).batches(5 * 6, 6))
+        with LookupServer(managed=managed, workers=2) as server:
+            for batch in batches:
+                assert managed.apply_batch(batch) in (
+                    "batch_applied", "batch_rebuilt")
+            addresses = [rng.getrandbits(width) for _ in range(64)]
+            assert server.lookup_batch(addresses, timeout=30) == [
+                managed.oracle.lookup(a) for a in addresses]
+        counters = managed.registry.snapshot()["counters"]
+        refreshes = sum(
+            sum(counters.get(name, {}).values())
+            for name in ("repro_engine_plan_patches_total",
+                         "repro_engine_plan_recompiles_total"))
+        assert sum(counters["repro_server_commits_total"].values()) == 5
+        assert refreshes == 5
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_an_answer_cache_is_refused(self, mode):
+        fib = small_fib()
+        with pytest.raises(ValueError, match="cache_size"):
+            LookupServer(HiBst(fib), factory=HiBst, base_fib=fib,
+                         mode=mode, cache_size=16)
 
     @pytest.mark.parametrize("mode", ["thread", "process"])
     def test_a_bad_address_fails_only_its_own_request(self, mode):
