@@ -35,7 +35,8 @@ from ..core.table import exact_table, ternary_table
 from ..memory.sram import RangeSections
 from ..memory.tcam import TcamTable
 from ..prefix.prefix import Prefix
-from ..prefix.ranges import BstNode, SliceIndex, ranges_to_bst
+from ..prefix.ranges import (BstNode, RangeEntry, SliceIndex, bst_level_sizes,
+                             ranges_to_bst)
 from ..prefix.trie import Fib
 from .base import UPDATE_REBUILD, LookupAlgorithm
 
@@ -214,7 +215,8 @@ class Bsic(LookupAlgorithm):
             self._refresh_row(
                 Prefix.from_bits(slice_bits, self.k, self.width))
         else:
-            self._plant(slice_bits, ranges_to_bst(section))
+            self._plant(slice_bits,
+                        ranges_to_bst(list(map(RangeEntry, *section))))
 
     def _plant(self, slice_bits: int, tree: BstNode) -> None:
         """Store a slice's BST and point its /k ternary row at it."""
@@ -289,6 +291,17 @@ class Bsic(LookupAlgorithm):
         self.forest = BstForest(self.suffix_bits)
         for slice_bits, root in sorted(self._roots.items()):
             self._plant(slice_bits, old.tree(root))
+
+    def level_sizes(self) -> List[int]:
+        """Nodes per BST level over every live slice: each section
+        length's level profile, times the sections of that length."""
+        sizes: List[int] = []
+        for n, count in self._sections.lengths.items():
+            profile = bst_level_sizes(n)
+            sizes.extend([0] * (len(profile) - len(sizes)))
+            for level, nodes in enumerate(profile):
+                sizes[level] += count * nodes
+        return sizes
 
     # ------------------------------------------------------------------
     # Lookup (Algorithm 2)

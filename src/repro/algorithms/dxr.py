@@ -85,8 +85,8 @@ class Dxr(LookupAlgorithm):
                     self.initial[slice_bits] = ("hop", default)
                 continue
             start = len(self.ranges)
-            self.ranges.extend(section)
-            self.initial[slice_bits] = ("section", start, len(section))
+            self.ranges.extend(map(RangeEntry, *section))
+            self.initial[slice_bits] = ("section", start, len(section[0]))
             self._sections.set(slice_bits, section)
 
         self.max_section = max(
@@ -170,11 +170,11 @@ class Dxr(LookupAlgorithm):
             entry = ("hop", default) if default is not None else None
         else:
             start = len(self.ranges)
-            self.ranges.extend(section)
-            entry = ("section", start, len(section))
+            self.ranges.extend(map(RangeEntry, *section))
+            entry = ("section", start, len(section[0]))
             # Monotone: search_depth never shrinks mid-flight, so an
             # already-compiled probe chain stays deep enough.
-            self.max_section = max(self.max_section, len(section))
+            self.max_section = max(self.max_section, len(section[0]))
         self.initial[slice_bits] = entry
         self._mirror_initial_slot(slice_bits)
         self._sections.set(slice_bits, section)
@@ -224,7 +224,7 @@ class Dxr(LookupAlgorithm):
     def state_export(self):
         """The merged range table, initial-table mirrors, and the
         delta-maintenance sources (shorts trie + suffix groups).
-        Importing skips the per-slice ``expand_to_ranges`` sweep over
+        Importing skips the per-slice ``sweep_ranges`` pass over
         all ``2**k`` slices."""
         hops = [r.next_hop for r in self.ranges]
         groups = []
@@ -287,7 +287,9 @@ class Dxr(LookupAlgorithm):
         for slot, entry in enumerate(obj.initial):
             if entry is not None and entry[0] == "section":
                 _tag, start, count = entry
-                obj._sections.set(slot, obj.ranges[start:start + count])
+                rows = obj.ranges[start:start + count]
+                obj._sections.set(slot, ([r.left for r in rows],
+                                         [r.next_hop for r in rows]))
         # Adopt the mapped mirrors (copy-on-write pages) directly.
         obj._mirror_kind = np.asarray(kind)
         obj._mirror_a = np.asarray(a)

@@ -16,7 +16,8 @@ Bitmaps get a dedicated :class:`Bitmap` built on numpy so that the
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Iterator, Optional, Sequence, Tuple, TypeVar
+from typing import (Dict, Generic, Iterator, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import numpy as np
 
@@ -122,42 +123,57 @@ def freeze_map(log: FreezeLog, prev, slots, key_bits: int,
 
 class RangeSections:
     """A range table kept as one sorted section per slice: DXR's and
-    BSIC's range tables as the lane kernels read them.
+    BSIC's range tables, the one store every reader of them shares.
 
-    Slice ``s`` covers the keys ``[s << shift, (s + 1) << shift)`` of a
-    ``width``-bit space, and its left endpoints are stored as those
-    keys, in :func:`~repro.core.vector.key_dtype` ``(width)``, so the
-    slices in order are one sorted :class:`RangeView`.  A freeze handed
-    the previous view splices in only the slices :meth:`set` changed
-    since (the log's tail), and never writes the old arrays.
+    A section is :func:`~repro.prefix.ranges.sweep_ranges`'s two lists,
+    left endpoints within the slice and hops, held at every width:
+    BSIC's BST levels and native lookup read them in place.  Slice ``s``
+    covers the keys ``[s << shift, (s + 1) << shift)`` of a
+    ``width``-bit space; when :func:`~repro.core.vector.key_dtype`
+    ``(width)`` holds such keys, :meth:`freeze` derives the lane
+    kernels' one sorted :class:`RangeView` from the sections.  Handed
+    the previous view, it splices in only the slices :meth:`set`
+    changed since (the log's tail), and never writes the old arrays.
     """
 
     def __init__(self, width: int, shift: int):
         self.shift = shift
         self.dtype = key_dtype(width)  # None: no lane holds such a key
-        #: slice -> its section's lefts, hops and none arrays, one dict
+        #: slice -> its section's left endpoints, and its hops: one dict
         #: per column (no per-slice tuple for the collector to track).
-        self.columns: Tuple[Dict[int, np.ndarray], ...] = ({}, {}, {})
+        self.lefts: Dict[int, List[int]] = {}
+        self.hops: Dict[int, List[Optional[int]]] = {}
+        #: section length -> how many live sections have it.
+        self.lengths: Dict[int, int] = {}
         self.log = FreezeLog()
 
-    def set(self, slice_bits: int, entries: Optional[Sequence]) -> None:
-        """(Re)place a slice's ``RangeEntry`` rows; ``None`` drops it."""
-        lefts, hops, none = self.columns
-        if self.dtype is None or (entries is None
-                                  and slice_bits not in lefts):
+    def set(self, slice_bits: int, section: Optional[
+            Tuple[List[int], List[Optional[int]]]]) -> None:
+        """(Re)place a slice's ``(lefts, hops)``; ``None`` drops it."""
+        old = self.lefts.pop(slice_bits, None)
+        if old is None and section is None:
             return
         self.log.record(slice_bits)
-        if entries is None:
-            for column in self.columns:
-                del column[slice_bits]
-            return
-        base, n = slice_bits << self.shift, len(entries)
-        lefts[slice_bits] = np.fromiter(
-            (base | e.left for e in entries), self.dtype, n)
-        hops[slice_bits] = np.fromiter(
-            (e.next_hop or 0 for e in entries), np.int64, n)
-        none[slice_bits] = np.fromiter(
-            (e.next_hop is None for e in entries), bool, n)
+        lengths = self.lengths
+        if old is not None:
+            del self.hops[slice_bits]
+            lengths[len(old)] -= 1
+            if not lengths[len(old)]:
+                del lengths[len(old)]
+        if section is not None:
+            self.lefts[slice_bits], self.hops[slice_bits] = section
+            n = len(section[0])
+            lengths[n] = lengths.get(n, 0) + 1
+
+    def _arrays(self, slices: Sequence[int]) -> Tuple[np.ndarray, ...]:
+        """The sections of ``slices``, in order, as view columns."""
+        shift, lefts = self.shift, self.lefts
+        hops = [hop for s in slices for hop in self.hops[s]]
+        n = len(hops)
+        return (np.fromiter((s << shift | left for s in slices
+                             for left in lefts[s]), self.dtype, n),
+                np.fromiter((hop or 0 for hop in hops), np.int64, n),
+                np.fromiter((hop is None for hop in hops), bool, n))
 
     def freeze(self, prev=None) -> RangeView:
         """Every section as one view, spliced from ``prev`` when the log
@@ -166,19 +182,13 @@ class RangeSections:
                 if isinstance(prev, RangeView) else None)
         if tail == []:
             return prev
-        live = self.columns[0]
         if tail is None:
-            order = sorted(live)
-            return self.log.stamp(RangeView(*(
-                np.concatenate([np.zeros(0, dtype)]
-                               + [column[s] for s in order])
-                for dtype, column in zip((self.dtype, np.int64, bool),
-                                         self.columns))))
+            return self.log.stamp(RangeView(*self._arrays(sorted(self.lefts))))
         changed = sorted(set(tail))
         return self.log.stamp(prev.splice(
             [(s << self.shift, (s + 1 << self.shift) - 1) for s in changed],
-            [tuple(column[s] for column in self.columns) if s in live
-             else None for s in changed]))
+            [self._arrays([s]) if s in self.lefts else None
+             for s in changed]))
 
 
 class DirectIndexTable(Generic[V]):

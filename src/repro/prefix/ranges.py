@@ -18,6 +18,8 @@ lands on its correct next hop (Appendix A.4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .prefix import Prefix
@@ -166,14 +168,18 @@ class SliceIndex:
         """The slice's own longest match among the short prefixes."""
         return self.shorts.lookup(slice_bits << self.suffix_bits)
 
-    def section(self, slice_bits: int) -> Optional[List[RangeEntry]]:
-        """The slice's completed range table, or ``None`` when it holds
-        no long prefix (its default then answers for the whole slice)."""
+    def section(self, slice_bits: int
+                ) -> Optional[Tuple[List[int], List[Optional[int]]]]:
+        """The slice's completed range table as :func:`sweep_ranges`'s
+        left endpoints and hops, or ``None`` when it holds no long
+        prefix (its default then answers for the whole slice)."""
         group = self.groups.get(slice_bits)
         if not group:
             return None
-        return expand_to_ranges(group.values(), self.suffix_bits,
-                                default_hop=self.default(slice_bits))
+        rows = sorted((suffix.value, suffix.length, hop)
+                      for suffix, hop in group.values())
+        return sweep_ranges(rows, self.suffix_bits,
+                            default_hop=self.default(slice_bits))
 
     def covered(self, prefix: Prefix) -> range:
         """The slices under a prefix of length <= k."""
@@ -203,6 +209,22 @@ def lookup_ranges(table: List[RangeEntry], key: int) -> Optional[int]:
         else:
             hi = mid - 1
     return best
+
+
+@lru_cache(maxsize=None)
+def bst_level_sizes(n: int) -> Tuple[int, ...]:
+    """Nodes per level (level 0 the root) of the balanced BST over a
+    sorted table of ``n`` entries (paper Figure 12).
+
+    The tree is implicit: the node of a span of the table is its
+    midpoint ``(lo + hi) // 2``, its children the spans either side, so
+    its shape depends on ``n`` alone.  Memoised: a table's level sizes
+    are these summed over its sections' lengths.
+    """
+    if n < 1:
+        raise ValueError("range table must be non-empty")
+    below = [bst_level_sizes(m) for m in ((n - 1) // 2, n // 2) if m]
+    return (1,) + tuple(map(sum, zip_longest(*below, fillvalue=0)))
 
 
 def ranges_to_bst(table: List[RangeEntry]) -> "BstNode":

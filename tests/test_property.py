@@ -176,7 +176,8 @@ class TestFloorSearchProperties:
         ranges, forest = RangeSections(width, shift), BstForest(shift)
         roots = {}
         for slice_bits, section in sections.items():
-            ranges.set(slice_bits, section)
+            ranges.set(slice_bits, ([e.left for e in section],
+                                    [e.next_hop for e in section]))
             roots[slice_bits] = forest.add_tree(ranges_to_bst(section))
         firsts = [(slice_bits << shift) + offset
                   for slice_bits, section in sections.items()

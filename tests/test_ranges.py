@@ -144,9 +144,11 @@ class TestSliceIndex:
         index = self.make()
         assert index.section(0b0100) is None  # no long prefix there
         section = index.section(0b0101)
-        assert section == expand_to_ranges(
-            [(P("10"), 3), (P("111"), 4)], 4, default_hop=2)
-        assert [lookup_ranges(section, key) for key in (0, 0b1000, 0b1110)] \
+        table = expand_to_ranges([(P("10"), 3), (P("111"), 4)], 4,
+                                 default_hop=2)
+        assert section == ([r.left for r in table],
+                           [r.next_hop for r in table])
+        assert [lookup_ranges(table, key) for key in (0, 0b1000, 0b1110)] \
             == [2, 3, 4]
 
     def test_withdraw_drops_empty_groups_and_rejects_strangers(self):
