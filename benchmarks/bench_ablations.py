@@ -129,7 +129,7 @@ def test_ablation_bsic_fanout_vs_dxr(benchmark, dxr_v4, bsic_v4):
         # Range structures only (both schemes share an initial table).
         single = len(dxr_v4.ranges) * (dxr_v4.suffix_bits + 8)
         duplicated = dxr_v4.search_depth * single
-        fanout = bsic_v4.forest.total_nodes() * bsic_v4.forest.node_entry_bits
+        fanout = sum(bsic_v4.level_sizes()) * bsic_v4.node_entry_bits
         return single, fanout, duplicated
 
     single, fanout, duplicated = benchmark.pedantic(build, rounds=1, iterations=1)

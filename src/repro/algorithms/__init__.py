@@ -7,7 +7,7 @@ from .base import (
     LookupAlgorithm,
     UpdateUnsupported,
 )
-from .bsic import Bsic, BstForest, bsic_layout_from_counts
+from .bsic import Bsic, bsic_layout_from_counts
 from .dxr import Dxr
 from .hibst import HiBst, hibst_layout_from_size
 from .logical_tcam import LogicalTcam, logical_tcam_capacity, logical_tcam_layout
@@ -31,7 +31,6 @@ __all__ = [
     "UPDATE_REBUILD",
     "UPDATE_UNSUPPORTED",
     "Bsic",
-    "BstForest",
     "bsic_layout_from_counts",
     "Dxr",
     "HiBst",

@@ -23,7 +23,7 @@ right endpoints are discarded.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ from ..core.table import exact_table, ternary_table
 from ..memory.sram import RangeSections
 from ..memory.tcam import TcamTable
 from ..prefix.prefix import Prefix
-from ..prefix.ranges import (BstNode, RangeEntry, SliceIndex, bst_level_sizes,
-                             ranges_to_bst)
+from ..prefix.ranges import SliceIndex, bst_level_sizes, lookup_ranges
 from ..prefix.trie import Fib
 from .base import UPDATE_REBUILD, LookupAlgorithm
 
@@ -48,119 +47,17 @@ NEXT_HOP_BITS = 8
 POINTER_BITS = 24
 #: Initial-table result: 1 type bit + max(pointer, hop) bits.
 INITIAL_DATA_BITS = 1 + POINTER_BITS
-#: Dead nodes tolerated before a compaction is worth its table sweep.
-MIN_DEAD_NODES = 64
-
-_Node = Tuple[int, Optional[int], Optional[int], Optional[int]]
-
-
-class BstForest:
-    """Per-level node storage for all of BSIC's BSTs (idiom I8).
-
-    Every BST node lives in the table of its level; pointers are
-    indices into the next level's table.  One lookup therefore touches
-    each level's table at most once — the memory fan-out that makes
-    binary search legal on RMT chips.
-
-    The level tables only ever grow: :meth:`drop_tree` leaves a
-    replaced tree's nodes where they are, unreachable, and counts them
-    out of :meth:`level_sizes`.  A reader holding a root therefore
-    never sees its tree change; the owner sheds the dead nodes by
-    moving the live trees into a fresh forest.
-    """
-
-    def __init__(self, endpoint_bits: int):
-        self.endpoint_bits = endpoint_bits
-        #: levels[d][i] = (endpoint, hop, left_index, right_index).
-        self.levels: List[List[_Node]] = []
-        #: Nodes per level still reachable from a live root.
-        self._live: List[int] = []
-
-    @property
-    def node_entry_bits(self) -> int:
-        """Endpoint + next hop + two child pointers (§4.2's four fields)."""
-        return self.endpoint_bits + NEXT_HOP_BITS + 2 * POINTER_BITS
-
-    @property
-    def depth(self) -> int:
-        """Levels some live tree reaches."""
-        return len(self.level_sizes())
-
-    def level_sizes(self) -> List[int]:
-        """Live nodes per level (what a from-scratch build would hold)."""
-        sizes = list(self._live)
-        while sizes and not sizes[-1]:
-            sizes.pop()
-        return sizes
-
-    def total_nodes(self) -> int:
-        return sum(self._live)
-
-    def dead_nodes(self) -> int:
-        return sum(len(level) for level in self.levels) - sum(self._live)
-
-    def add_tree(self, root: BstNode) -> int:
-        """Store a BST; returns the root's index in level 0."""
-        return self._place(root, 0)
-
-    def _place(self, node: BstNode, depth: int) -> int:
-        while len(self.levels) <= depth:
-            self.levels.append([])
-            self._live.append(0)
-        left = self._place(node.left, depth + 1) if node.left else None
-        right = self._place(node.right, depth + 1) if node.right else None
-        index = len(self.levels[depth])
-        hop = node.next_hop
-        self.levels[depth].append((node.left_endpoint, hop, left, right))
-        self._live[depth] += 1
-        return index
-
-    def drop_tree(self, root_index: int) -> None:
-        """Count a stored tree's nodes dead (its root is being replaced)."""
-        frontier = [root_index]
-        depth = 0
-        while frontier:
-            self._live[depth] -= len(frontier)
-            level = self.levels[depth]
-            frontier = [child for index in frontier
-                        for child in level[index][2:] if child is not None]
-            depth += 1
-
-    def tree(self, root_index: int, depth: int = 0) -> BstNode:
-        """A stored tree back as linked nodes (:meth:`add_tree`'s inverse)."""
-        endpoint, hop, left, right = self.levels[depth][root_index]
-        return BstNode(
-            endpoint, hop,
-            None if left is None else self.tree(left, depth + 1),
-            None if right is None else self.tree(right, depth + 1))
-
-    def search(self, root_index: int, key: int) -> Optional[int]:
-        """Algorithm 2's BST walk across the level tables."""
-        index: Optional[int] = root_index
-        level = 0
-        best: Optional[int] = None
-        while index is not None:
-            endpoint, hop, left, right = self.levels[level][index]
-            if key == endpoint:
-                return hop
-            if key > endpoint:
-                best = hop
-                index = right
-            else:
-                index = left
-            level += 1
-        return best
-
-    def node(self, level: int, index: int):
-        return self.levels[level][index]
+#: A BST node pointer: a slice and the span ``[lo, hi]`` of its section
+#: under the node (the node itself is the span's midpoint).
+NodePointer = Tuple[int, int, int]
 
 
 class Bsic(LookupAlgorithm):
     """Behavioural BSIC for IPv4 (k=16) and IPv6 (k=24)."""
 
     #: Appendix A.3.2: an update rebuilds the affected structures from
-    #: the auxiliary database.  Here those are the touched slices' BSTs
-    #: and ternary rows, never the table: as a delta batch
+    #: the auxiliary database.  Here those are the touched slices'
+    #: sections and ternary rows, never the table: as a delta batch
     #: (``supports_delta``) every dirty slice is re-derived once per
     #: batch; with deltas off the runtime rebuilds once per batch
     #: instead of calling insert/delete per route.
@@ -179,8 +76,6 @@ class Bsic(LookupAlgorithm):
 
         #: The auxiliary database: short-prefix trie + suffix groups.
         self._slices = SliceIndex(fib.width, k, fib)
-        #: slice bits -> root index of its BST in the forest.
-        self._roots: Dict[int, int] = {}
         #: What the routes changed since the last flush invalidate:
         #: slices to re-derive, and ternary rows of prefixes shorter
         #: than k to re-write.
@@ -189,9 +84,9 @@ class Bsic(LookupAlgorithm):
         self._in_batch = False
 
         self.initial: TcamTable[Tuple] = TcamTable(self.k, name="initial")
-        self.forest = BstForest(self.suffix_bits)
-        #: Each live slice's range table, the one the lane kernels
-        #: search (its BST, flattened back).
+        #: Each live slice's sorted range table.  Its BST is implicit
+        #: (the PlanB layout): a node is a position in the section, its
+        #: children computed from it, so no tree is stored beside it.
         self._sections = RangeSections(self.width, self.suffix_bits)
         # The build is the update path with everything dirty.
         self._dirty_slices.update(self._slices.groups)
@@ -203,27 +98,20 @@ class Bsic(LookupAlgorithm):
         self._flush()
 
     def _refresh_slice(self, slice_bits: int) -> None:
-        """Re-derive one slice: its BST (appended to the forest, the
-        replaced one counted dead) and its /k ternary row."""
-        old = self._roots.pop(slice_bits, None)
-        if old is not None:
-            self.forest.drop_tree(old)
+        """Re-derive one slice's range section.  Its /k ternary row
+        names the slice, not a tree, so the row is written only when
+        the slice gains or loses its section."""
+        had = slice_bits in self._sections.lefts
         section = self._slices.section(slice_bits)
         self._sections.set(slice_bits, section)
         if section is None:
             # No long prefix left: the row is the exact /k route's, if any.
             self._refresh_row(
                 Prefix.from_bits(slice_bits, self.k, self.width))
-        else:
-            self._plant(slice_bits,
-                        ranges_to_bst(list(map(RangeEntry, *section))))
-
-    def _plant(self, slice_bits: int, tree: BstNode) -> None:
-        """Store a slice's BST and point its /k ternary row at it."""
-        root = self.forest.add_tree(tree)
-        self._roots[slice_bits] = root
-        self.initial.insert_prefix(
-            Prefix.from_bits(slice_bits, self.k, self.k), ("bst", root))
+        elif not had:
+            self.initial.insert_prefix(
+                Prefix.from_bits(slice_bits, self.k, self.k),
+                ("bst", slice_bits))
 
     def _refresh_row(self, prefix: Prefix) -> None:
         """(Re)write or clear the ternary hop row of a short prefix."""
@@ -252,9 +140,9 @@ class Bsic(LookupAlgorithm):
 
     def _touch(self, prefix: Prefix) -> None:
         """Mark what a changed route invalidates: a prefix of length
-        >= k its own slice (BST, or the /k row when the slice has
-        none); a shorter one its ternary row and the BSTs under it,
-        whose uncovered ranges inherit its hop."""
+        >= k its own slice (its section, or the /k row when the slice
+        has none); a shorter one its ternary row and the sections under
+        it, whose uncovered ranges inherit its hop."""
         if prefix.length >= self.k:
             self._dirty_slices.add(prefix.slice(0, self.k))
         else:
@@ -279,18 +167,30 @@ class Bsic(LookupAlgorithm):
             self._refresh_row(prefix)
         self._dirty_slices.clear()
         self._dirty_rows.clear()
-        if self.forest.dead_nodes() > max(MIN_DEAD_NODES,
-                                          self.forest.total_nodes()):
-            self._compact()
 
-    def _compact(self) -> None:
-        """Move the live trees into a fresh forest, repointing every
-        BST row.  The range sections do not move: a walk of a moved
-        tree still searches the same table."""
-        old = self.forest
-        self.forest = BstForest(self.suffix_bits)
-        for slice_bits, root in sorted(self._roots.items()):
-            self._plant(slice_bits, old.tree(root))
+    # ------------------------------------------------------------------
+    # The BSTs, implicit over the sections (Figure 12, idiom I8)
+    # ------------------------------------------------------------------
+    @property
+    def node_entry_bits(self) -> int:
+        """Endpoint + next hop + two child pointers (§4.2's four fields)."""
+        return self.suffix_bits + NEXT_HOP_BITS + 2 * POINTER_BITS
+
+    def bst_root(self, slice_bits: int) -> NodePointer:
+        """The root of a slice's BST: its whole section."""
+        return slice_bits, 0, len(self._sections.lefts[slice_bits]) - 1
+
+    def bst_node(self, pointer: NodePointer) -> Tuple:
+        """``(endpoint, hop, left, right)`` of the node a pointer names:
+        the section entry at the span's midpoint (Figure 12's balanced
+        tree) and the spans either side of it as the child pointers,
+        ``None`` when empty."""
+        slice_bits, lo, hi = pointer
+        mid = (lo + hi) // 2
+        return (self._sections.lefts[slice_bits][mid],
+                self._sections.hops[slice_bits][mid],
+                (slice_bits, lo, mid - 1) if lo < mid else None,
+                (slice_bits, mid + 1, hi) if mid < hi else None)
 
     def level_sizes(self) -> List[int]:
         """Nodes per BST level over every live slice: each section
@@ -303,6 +203,11 @@ class Bsic(LookupAlgorithm):
                 sizes[level] += count * nodes
         return sizes
 
+    @property
+    def depth(self) -> int:
+        """BST levels: the deepest live tree's."""
+        return len(self.level_sizes())
+
     # ------------------------------------------------------------------
     # Lookup (Algorithm 2)
     # ------------------------------------------------------------------
@@ -314,8 +219,9 @@ class Bsic(LookupAlgorithm):
         kind, value = result
         if kind == "hop":
             return value
-        key = address & ((1 << self.suffix_bits) - 1)
-        return self.forest.search(value, key)
+        return lookup_ranges(self._sections.lefts[value],
+                             self._sections.hops[value],
+                             address & ((1 << self.suffix_bits) - 1))
 
     # ------------------------------------------------------------------
     # CRAM model (Figure 6b: initial CAM + fanned-out BST levels)
@@ -337,19 +243,19 @@ class Bsic(LookupAlgorithm):
             elif result[0] == "hop":
                 state["best"], state["done"] = result[1], 1
             else:
-                state["ptr"] = result[1]
+                state["ptr"] = self.bst_root(result[1])
 
         prog.add_step(Step("initial", table=initial, reads=["addr"],
                            writes=["key", "ptr", "best", "done"],
                            action=init_act))
 
         previous = "initial"
-        for level, size in enumerate(self.forest.level_sizes()):
+        for level, size in enumerate(self.level_sizes()):
             table = exact_table(
-                f"bst_level_{level}", 0, size, self.forest.node_entry_bits,
+                f"bst_level_{level}", 0, size, self.node_entry_bits,
                 key_selector=lambda s: None if s.get("done") or s.get("ptr") is None
                 else s["ptr"],
-                backing=lambda i, level=level: self.forest.levels[level][i],
+                backing=self.bst_node,
             )
 
             def act(state: dict, result) -> None:
@@ -378,7 +284,7 @@ class Bsic(LookupAlgorithm):
     # ------------------------------------------------------------------
     # Vector lowering (the lane compiler)
     # ------------------------------------------------------------------
-    #: Tag bit distinguishing ("hop", h) from ("bst", root) in the
+    #: Tag bit distinguishing ("hop", h) from ("bst", slice) in the
     #: initial view's int64 encoding: hop entries carry bit 32.
     _HOP_TAG = 1 << 32
 
@@ -392,7 +298,7 @@ class Bsic(LookupAlgorithm):
         """Lower Algorithm 2 to lane kernels.
 
         The initial TCAM is one floor search of its range form (hop vs
-        BST-root results told apart by a tag bit), re-frozen from
+        BST results told apart by a tag bit), re-frozen from
         ``prev``.  A walk down a BST built from a sorted range table is
         a binary search of it, so the levels lower to one floor search
         over every live slice's table (the PlanB move): ``bst_level_0``
@@ -422,7 +328,7 @@ class Bsic(LookupAlgorithm):
         )}
         specs.update(range_search_specs(
             self._sections.freeze(prev.get("bst_level_0")),
-            [f"bst_level_{depth}" for depth in range(self.forest.depth)]))
+            [f"bst_level_{depth}" for depth in range(self.depth)]))
         return specs
 
     def vector_extract_hop(self, lanes):
@@ -434,7 +340,7 @@ class Bsic(LookupAlgorithm):
     def layout(self) -> Layout:
         return bsic_layout_from_counts(
             initial_entries=len(self.initial),
-            level_sizes=self.forest.level_sizes(),
+            level_sizes=self.level_sizes(),
             k=self.k,
             width=self.width,
             name=self.name,

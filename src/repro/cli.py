@@ -526,9 +526,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     churn = ()
     if args.churn_ops and args.churn_every:
         commits = -(-len(addresses) // args.max_batch) // args.churn_every
-        churn = ChurnGenerator(
+        churn = list(ChurnGenerator(
             base, seed=args.seed, profile=PROFILES[args.profile]
-        ).batches(commits * args.churn_ops, args.churn_ops)
+        ).batches(commits * args.churn_ops, args.churn_ops))
     with contextlib.ExitStack() as stack:
         if args.status_port is not None:
             from .obs.status import StatusServer
@@ -564,6 +564,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"{cuts['deadline']}, other {cuts['other']}), "
           f"{report['shed']} shed, {report['straddled']} commit-straddled")
     print(f"  churn: {report['commits']} batches committed, "
+          f"{report['rolled_back']} rolled back, "
           f"serving epoch {report['epoch']}, health={managed.health}")
     sup = server.supervisor
     if chaos_plan is not None or sup.deaths:

@@ -20,8 +20,8 @@ from .prefix import (
     bitstring,
     from_bitstring,
 )
-from .ranges import (BstNode, RangeEntry, SliceIndex, expand_to_ranges,
-                     lookup_ranges, ranges_to_bst)
+from .ranges import (RangeEntry, SliceIndex, bst_level_sizes,
+                     expand_to_ranges, lookup_ranges)
 from .trie import BinaryTrie, Fib
 
 __all__ = [
@@ -42,10 +42,9 @@ __all__ = [
     "expansion_cost",
     "RangeEntry",
     "SliceIndex",
-    "BstNode",
+    "bst_level_sizes",
     "expand_to_ranges",
     "lookup_ranges",
-    "ranges_to_bst",
     "as_prefix",
     "format_address",
     "parse_ipv4_address",

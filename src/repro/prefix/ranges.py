@@ -195,16 +195,20 @@ class SliceIndex:
         return [s for s in self.groups if s in covered]
 
 
-def lookup_ranges(table: List[RangeEntry], key: int) -> Optional[int]:
-    """Reference binary search over a merged range table."""
-    lo, hi = 0, len(table) - 1
+def lookup_ranges(lefts: Sequence[int], hops: Sequence[Optional[int]],
+                  key: int) -> Optional[int]:
+    """The hop of ``key`` in a merged range table, given as
+    :func:`sweep_ranges`'s two lists: Algorithm 2's walk down the
+    balanced BST over the table, the tree implicit (each probe is the
+    node of its span, :func:`bst_level_sizes`), so a binary search."""
+    lo, hi = 0, len(lefts) - 1
     best = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        if table[mid].left == key:
-            return table[mid].next_hop
-        if table[mid].left < key:
-            best = table[mid].next_hop
+        if lefts[mid] == key:
+            return hops[mid]
+        if lefts[mid] < key:
+            best = hops[mid]
             lo = mid + 1
         else:
             hi = mid - 1
@@ -225,78 +229,3 @@ def bst_level_sizes(n: int) -> Tuple[int, ...]:
         raise ValueError("range table must be non-empty")
     below = [bst_level_sizes(m) for m in ((n - 1) // 2, n // 2) if m]
     return (1,) + tuple(map(sum, zip_longest(*below, fillvalue=0)))
-
-
-def ranges_to_bst(table: List[RangeEntry]) -> "BstNode":
-    """Build a balanced BST from the left endpoints (paper Figure 12).
-
-    The median endpoint becomes the root so the tree depth is
-    ``ceil(log2(n + 1))`` — the quantity that determines BSIC's number
-    of BST levels, and hence its steps/stages.
-    """
-    if not table:
-        raise ValueError("range table must be non-empty")
-
-    def build(lo: int, hi: int) -> Optional[BstNode]:
-        if lo > hi:
-            return None
-        mid = (lo + hi) // 2
-        entry = table[mid]
-        return BstNode(
-            left_endpoint=entry.left,
-            next_hop=entry.next_hop,
-            left=build(lo, mid - 1),
-            right=build(mid + 1, hi),
-        )
-
-    return build(0, len(table) - 1)
-
-
-@dataclass
-class BstNode:
-    """A node of the range BST: endpoint, hop, and two children."""
-
-    left_endpoint: int
-    next_hop: Optional[int]
-    left: Optional["BstNode"]
-    right: Optional["BstNode"]
-
-    def depth(self) -> int:
-        """Height of the subtree in nodes (a leaf has depth 1)."""
-        left = self.left.depth() if self.left else 0
-        right = self.right.depth() if self.right else 0
-        return 1 + max(left, right)
-
-    def size(self) -> int:
-        left = self.left.size() if self.left else 0
-        right = self.right.size() if self.right else 0
-        return 1 + left + right
-
-    def search(self, key: int) -> Optional[int]:
-        """Reference BST search (Algorithm 2's inner loop)."""
-        node: Optional[BstNode] = self
-        best: Optional[int] = None
-        while node is not None:
-            if key == node.left_endpoint:
-                return node.next_hop
-            if key > node.left_endpoint:
-                best = node.next_hop
-                node = node.right
-            else:
-                node = node.left
-        return best
-
-    def level_sizes(self) -> List[int]:
-        """Number of nodes at each level (level 0 is the root)."""
-        sizes: List[int] = []
-        frontier = [self]
-        while frontier:
-            sizes.append(len(frontier))
-            nxt: List[BstNode] = []
-            for node in frontier:
-                if node.left:
-                    nxt.append(node.left)
-                if node.right:
-                    nxt.append(node.right)
-            frontier = nxt
-        return sizes

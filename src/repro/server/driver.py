@@ -9,6 +9,7 @@ answer is audited.  Nothing here prints — callers format the report.
 
 from __future__ import annotations
 
+import operator
 import signal
 import threading
 from contextlib import contextmanager
@@ -99,41 +100,54 @@ def serve_workload(server, managed, requests: Sequence[Sequence[int]], *,
     """Serve ``requests`` through the (unstarted) ``server`` under churn.
 
     Up to four producer threads submit the requests; the calling thread
-    applies the ``churn`` batches to ``managed`` for as long as traffic
-    is still being produced.  The server is started and closed here; a
-    ``KeyboardInterrupt`` (SIGINT/SIGTERM included) stops producers and
-    churn, and the close still answers everything already accepted.
-    Every ``check_every``-th answered address is audited against the
-    oracle snapshot of the epoch it was served under.
+    applies churn batch ``i`` of ``n`` once ``(2i + 1) / 2n`` of the
+    requests are submitted (the middle of the ``i``-th of ``n`` equal
+    shares of the traffic), so every batch is applied, each at a fixed
+    point of the traffic.  ``n`` is ``len(churn)``; an iterator of
+    unknown length counts as one share, so its batches after the first
+    land once all traffic is in.  The server is started and closed
+    here; a ``KeyboardInterrupt`` (SIGINT/SIGTERM included) stops
+    producers and churn, and the close still answers everything
+    already accepted.  Every ``check_every``-th answered address is
+    audited against the oracle snapshot of the epoch it was served
+    under.
     """
     registry = server.registry
     audit = EpochAudit(server, managed)
     producers = min(4, server.workers)
-    handles: List[Optional[PendingLookup]] = [None] * len(requests)
+    total = len(requests)
+    shares = 2 * max(1, operator.length_hint(churn))
+    handles: List[Optional[PendingLookup]] = [None] * total
+    sent = [0] * producers  # requests each producer has submitted
+    refused = threading.Event()  # the server is closing: submits raise
 
     def produce(lane: int) -> None:
         try:
-            for idx in range(lane, len(requests), producers):
+            for idx in range(lane, total, producers):
                 handles[idx] = server.submit(requests[idx])
+                sent[lane] += 1
         except ServerError:
-            return  # server closing (interrupt drain): stop submitting
+            refused.set()  # server closing (interrupt drain): stop
 
     threads = [threading.Thread(target=produce, args=(lane,),
                                 name=f"serve-client-{lane}")
                for lane in range(producers)]
     pacing = threading.Event()  # never set: .wait() is a pure sleep
     interrupted = False
-    landed = 0
+    landed = rolled_back = 0
     try:
         with _signals_interrupt(), server, \
                 registry.timer("repro_serve_batch"):
             for thread in threads:
                 thread.start()
-            for batch in churn:
-                if not any(t.is_alive() for t in threads):
-                    break
-                landed += managed.apply_batch(batch) != "batch_rolled_back"
-                pacing.wait(0.001)
+            for i, batch in enumerate(churn):
+                due = min(total, (2 * i + 1) * total // shares)
+                while sum(sent) < due and not refused.is_set():
+                    pacing.wait(0.0005)
+                if managed.apply_batch(batch) == "batch_rolled_back":
+                    rolled_back += 1
+                else:
+                    landed += 1
             for thread in threads:
                 thread.join()
             server.flush()
@@ -165,6 +179,7 @@ def serve_workload(server, managed, requests: Sequence[Sequence[int]], *,
         "checked": audit.checked,
         "mismatches": audit.mismatches,
         "commits": landed,
+        "rolled_back": rolled_back,
         "epoch": server.epoch,
         "serve_s": registry.timings_snapshot().get(
             "repro_serve_batch", {}).get("total_s", 0.0),

@@ -3,60 +3,82 @@
 import pytest
 
 from repro.algorithms import Bsic
-from repro.algorithms.bsic import BstForest, bsic_layout_from_counts
+from repro.algorithms.bsic import bsic_layout_from_counts
 from repro.chip import map_to_ideal_rmt, map_to_tofino2
-from repro.prefix import Fib, RangeEntry, expand_to_ranges, from_bitstring, parse_prefix, ranges_to_bst
+from repro.prefix import Fib, Prefix, from_bitstring, parse_prefix
 
 P = parse_prefix
 A = lambda s: int.from_bytes(bytes(map(int, s.split("."))), "big")
 
 
 class TestBstForest:
-    def make_tree(self, n=7):
-        table = [RangeEntry(i * 2, i % 3) for i in range(n)]
-        return ranges_to_bst(table), table
+    """BSIC's BSTs, one per slice, implicit over the slices' sorted
+    range sections: a node is a position in its section, its children
+    the spans either side, so nothing is stored beside the section."""
+
+    @staticmethod
+    def make(*slices):
+        """A width-16, k=8 BSIC whose every given slice has the 7-entry
+        section ``0 1 2 3 4 5 6`` (three host routes over the /8)."""
+        fib = Fib(16)
+        for slice_bits in slices:
+            fib.insert(Prefix.from_bits(slice_bits, 8, 16), 9)
+            for suffix, hop in ((1, 1), (3, 2), (5, 3)):
+                fib.insert(Prefix.from_bits(slice_bits << 8 | suffix, 16, 16),
+                           hop)
+        return Bsic(fib, k=8), fib
+
+    @staticmethod
+    def walk(bsic, slice_bits, key):
+        """Algorithm 2's walk, node by node, from the slice's root."""
+        pointer, best = bsic.bst_root(slice_bits), None
+        while pointer is not None:
+            endpoint, hop, left, right = bsic.bst_node(pointer)
+            if key == endpoint:
+                return hop
+            if key > endpoint:
+                best, pointer = hop, right
+            else:
+                pointer = left
+        return best
 
     def test_add_and_search(self):
-        forest = BstForest(endpoint_bits=8)
-        bst, table = self.make_tree()
-        root = forest.add_tree(bst)
-        for key in range(14):
-            assert forest.search(root, key) == bst.search(key)
+        bsic, fib = self.make(0x12)
+        for key in range(256):
+            assert self.walk(bsic, 0x12, key) == fib.lookup(0x1200 | key) \
+                == bsic.lookup(0x1200 | key)
 
     def test_multiple_trees_independent(self):
-        forest = BstForest(endpoint_bits=8)
-        bst1, _ = self.make_tree(7)
-        table2 = [RangeEntry(i * 3, 9) for i in range(5)]
-        bst2 = ranges_to_bst(table2)
-        r1 = forest.add_tree(bst1)
-        r2 = forest.add_tree(bst2)
-        assert forest.search(r2, 4) == 9
-        assert forest.search(r1, 4) == bst1.search(4)
+        bsic, _fib = self.make(0x12, 0x34)
+        bsic.insert(Prefix.from_bits(0x3404, 16, 16), 7)
+        assert self.walk(bsic, 0x34, 4) == 7
+        assert self.walk(bsic, 0x12, 4) == 9
 
     def test_level_sizes(self):
-        forest = BstForest(endpoint_bits=8)
-        forest.add_tree(self.make_tree(7)[0])
-        assert forest.level_sizes() == [1, 2, 4]
-        assert forest.total_nodes() == 7
-        assert forest.depth == 3
+        bsic, _fib = self.make(0x12)
+        assert bsic.level_sizes() == [1, 2, 4]
+        assert bsic.depth == 3
 
     def test_dropped_trees_stay_put_but_stop_counting(self):
-        forest = BstForest(endpoint_bits=8)
-        deep = forest.add_tree(self.make_tree(7)[0])
-        shallow_tree = self.make_tree(3)[0]
-        shallow = forest.add_tree(shallow_tree)
-        assert forest.level_sizes() == [2, 4, 4]
-        forest.drop_tree(deep)
-        # Live counts are what a from-scratch forest would hold ...
-        assert forest.level_sizes() == [1, 2] and forest.depth == 2
-        assert (forest.total_nodes(), forest.dead_nodes()) == (3, 7)
-        # ... while a reader still holding the old root sees its tree.
-        assert forest.search(deep, 5) == self.make_tree(7)[0].search(5)
-        assert forest.tree(shallow) == shallow_tree
+        from repro.core import compile_vector_plan
+
+        bsic, fib = self.make(0x12, 0x34)
+        frozen = compile_vector_plan(bsic)
+        assert bsic.level_sizes() == [2, 4, 8]
+        for suffix in (3, 5):
+            prefix = Prefix.from_bits(0x3400 | suffix, 16, 16)
+            bsic.delete(prefix)
+            fib.delete(prefix)
+        # Live counts are what a from-scratch build would hold ...
+        assert bsic.level_sizes() == Bsic(fib, k=8).level_sizes() == [2, 4, 4]
+        assert bsic.depth == 3
+        # ... while a plan frozen before still sees the old tree.
+        assert frozen.lookup_batch_hops([0x3403, 0x3405]) == [2, 3]
+        assert bsic.lookup(0x3403) == bsic.lookup(0x3405) == 9
 
     def test_node_entry_bits(self):
         # §4.2's four fields: endpoint + hop + two 24-bit pointers.
-        assert BstForest(40).node_entry_bits == 40 + 8 + 48
+        assert Bsic(Fib(64), k=24).node_entry_bits == 40 + 8 + 48
 
 
 def churned_bsic(seed=4, width=16, k=8):
@@ -132,7 +154,7 @@ class TestRangeView:
         arrays = (view.lefts, view.hops, view.none)
         snapshot = [array.copy() for array in arrays]
         plan = old
-        for round_ in range(12):  # enough dead nodes to compact
+        for round_ in range(12):  # the same slices, re-derived 12 times
             commit(bsic, fib, churn if round_ % 2 == 0 else
                    [(p, None if h is not None else 7)
                     for p, h in churn])
@@ -161,22 +183,16 @@ class TestPaperTable3:
     def test_bst2_has_five_ranges_plus_completion(self, example_fib):
         # Paper Table 13: slice 1001 expands to 7 intervals.
         bsic = Bsic(example_fib, k=4)
-        root = dict(
-            (e.value, e.data) for e in bsic.initial.entries()
-        )[0b1001][1]
-        sizes = []
-        index, level = root, 0
-        # Count nodes reachable from this root.
-        frontier = [(0, root)]
+        rows = dict((e.value, e.data) for e in bsic.initial.entries())
+        assert rows[0b1001] == ("bst", 0b1001)
+        # Count the nodes reachable from the slice's root.
+        frontier = [bsic.bst_root(0b1001)]
         count = 0
         while frontier:
-            level, idx = frontier.pop()
-            _e, _h, left, right = bsic.forest.node(level, idx)
+            _e, _h, left, right = bsic.bst_node(frontier.pop())
             count += 1
-            if left is not None:
-                frontier.append((level + 1, left))
-            if right is not None:
-                frontier.append((level + 1, right))
+            frontier.extend(child for child in (left, right)
+                            if child is not None)
         assert count == 7
 
 
@@ -261,7 +277,7 @@ class TestUpdates:
 class TestModel:
     def test_steps_is_one_plus_depth(self, ipv6_fib):
         bsic = Bsic(ipv6_fib)
-        assert bsic.cram_metrics().steps == 1 + bsic.forest.depth
+        assert bsic.cram_metrics().steps == 1 + bsic.depth
 
     def test_cram_program_equivalence(self, example_fib):
         bsic = Bsic(example_fib, k=4)
@@ -273,8 +289,8 @@ class TestModel:
         ideal = map_to_ideal_rmt(bsic.layout())
         tofino = map_to_tofino2(bsic.layout())
         # §6.5.3: each BST level needs two Tofino-2 stages.
-        assert tofino.stages >= 2 * bsic.forest.depth
-        assert ideal.stages == 1 + bsic.forest.depth
+        assert tofino.stages >= 2 * bsic.depth
+        assert ideal.stages == 1 + bsic.depth
 
     def test_layout_scaling_is_linear_in_universes(self, ipv6_fib):
         bsic = Bsic(ipv6_fib)

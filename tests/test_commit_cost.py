@@ -11,16 +11,23 @@ and over AS65000 at scale 0.01 (BSIC k=16), and pins what each batch
 writes, counted the way ``test_vector_cost.py`` counts kernel calls:
 the replay repeats exactly from run to run.
 
-Measured with this harness (p50 / max per batch):
+Measured with this harness (p50 / max per batch), with the BSTs stored
+as a forest of node tuples and now implicit over the sections:
 
-=================  ==============  ==============
-figure             width 32        width 64
-=================  ==============  ==============
-BSIC ``initial``   33 / 40         31.5 / 3,886
-BSIC sections      25 / 25         25 / 25
-DXR sections       25 / 32         25 / 25
-=================  ==============  ==============
+================  ===========  =============  ===========
+figure            width        forest         implicit
+================  ===========  =============  ===========
+BSIC ``initial``  32           33 / 40        17 / 23
+BSIC ``initial``  64           31.5 / 3,886   18 / 23
+BSIC sections     32 and 64    25 / 25        25 / 25
+DXR sections      32           25 / 32        25 / 32
+DXR sections      64           25 / 25        25 / 25
+================  ===========  =============  ===========
 
+The forest's tail was its compaction: once dead nodes outnumbered live
+ones every tree moved, and every ``/k`` row was rewritten to its new
+root.  A row now names its slice, and a fresh new-slice announce is
+most of the 17-18.
 A section is one ``SliceIndex.section`` call, DXR's per op, BSIC's per
 dirty slice once per batch.
 """
@@ -65,10 +72,8 @@ def replay(fib, name, monkeypatch, after_batch=None):
         BATCHES * OPS, OPS)
     for batch in batches:
         del calls[:]
-        initial = getattr(managed.algo, "initial", None)
-        before = getattr(getattr(initial, "stats", None), "writes", 0)
-        assert managed.apply_batch(batch) == "batch_applied"
-        assert managed.algo is not None
+        before = managed.algo.initial.stats.writes if name == "bsic" else 0
+        assert managed.apply_batch(batch) == "batch_applied"  # in place
         sections.append(len(calls))
         if name == "bsic":
             writes.append(managed.algo.initial.stats.writes - before)
@@ -89,13 +94,27 @@ def test_sections_rederived_per_batch(table, name, monkeypatch):
           f"p50 {statistics.median(sections)} max {max(sections)}")
 
 
-def test_bsic_level_sizes_follow_the_forest(table, monkeypatch):
-    """The level sizes computed from the section lengths equal the
-    stored forest's, after a fresh build and after every batch."""
-    def check(managed):
-        algo = managed.algo
-        assert algo.level_sizes() == algo.forest.level_sizes()
+def test_bsic_initial_rows_written_per_batch(table, monkeypatch):
+    """A re-derived slice keeps its ``/k`` row: only a slice that gains
+    or loses its section, or a short route, writes one, so no batch of
+    the stream writes over four times the median."""
+    _sections, writes = replay(table, "bsic", monkeypatch)
+    p50 = statistics.median(writes)
+    assert p50 <= OPS
+    assert max(writes) <= 4 * p50, (p50, max(writes))
+    print(f"initial rows/batch w{table.width}: p50 {p50} max {max(writes)}")
 
-    check(ManagedFib(MAKERS["bsic"], table,
-                     policy=RuntimePolicy(check_every=0, guard_every=0)))
+
+def test_bsic_level_sizes_equal_a_scratch_build(table, monkeypatch):
+    """The level sizes BSIC computes from its section lengths equal a
+    from-scratch build's after every eighth batch and the last: the
+    per-length counts track every section re-derived or dropped."""
+    def check(managed):
+        committed.append(managed.algo.level_sizes())
+        if len(committed) % 8 == 0:
+            scratch = MAKERS["bsic"](managed.oracle.copy())
+            assert committed[-1] == scratch.level_sizes()
+
+    committed = []
     replay(table, "bsic", monkeypatch, after_batch=check)
+    assert len(committed) == BATCHES

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import repro.algorithms.bsic as bsic_module
 import repro.memory.dleft as dleft_module
 import repro.memory.sram as sram_module
 import repro.memory.tcam as tcam_module
@@ -332,14 +331,14 @@ def _assert_bsic_equals_scratch(managed, engine, k, probes):
     assert algo.cram_metrics() == scratch.cram_metrics()
     assert algo.layout() == scratch.layout()
     assert len(algo.initial) == len(scratch.initial)
-    assert algo.forest.level_sizes() == scratch.forest.level_sizes()
+    assert algo.level_sizes() == scratch.level_sizes()
 
 
 @pytest.mark.parametrize(("width", "k"), BSIC_SHAPES, ids=BSIC_IDS)
 @pytest.mark.parametrize("guarded", [False, True],
                          ids=["post-commit", "post-rollback"])
 @given(seed=st.integers(min_value=0, max_value=2**16))
-@example(seed=21694)  # --hypothesis-seed=1172: ends right after a compaction
+@example(seed=21694)  # --hypothesis-seed=1172: re-derives the busiest slices
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_bsic_delta_built_equals_scratch_built(width, k, guarded, seed):
@@ -364,9 +363,7 @@ def test_bsic_delta_built_equals_scratch_built(width, k, guarded, seed):
                                     steady + _around(touched, width))
     if guarded:
         assert set(outcomes) == {"batch_rolled_back"}
-        # Undone in place, not rebuilt.  (Dead nodes are no witness:
-        # once they outnumber the live ones _compact moves the trees
-        # into a fresh forest and the count is back to 0.)
+        # Undone in place, not rebuilt.
         assert managed.algo is algo
     else:
         assert set(outcomes) == {"batch_applied"}
@@ -421,7 +418,7 @@ def test_bsic_withdraw_that_empties_a_slice(width, k, data):
     assert managed.apply_batch([UpdateOp(WITHDRAW, long)]) == "batch_applied"
     rows = [e.data for e in managed.algo.initial.entries()]
     assert rows == ([("hop", 4)] if has_exact else [])
-    assert managed.algo.forest.level_sizes() == []
+    assert managed.algo.level_sizes() == []
     _assert_bsic_equals_scratch(managed, engine, k, probes)
     # ... and back: the slice grows a tree again.
     assert managed.apply_batch([UpdateOp(ANNOUNCE, long, 5)]) \
@@ -438,7 +435,7 @@ def test_bsic_depth_growth_declines_the_patch(width, k, extra):
     recompile; the next shallow batch patches again."""
     base = _bsic_base(width)
     managed, engine = _bsic_runtime(k, base, "bsic-deep")
-    depth = managed.algo.forest.depth
+    depth = managed.algo.depth
     slice_bits = next(iter(managed.algo._slices.groups))
     # 2**depth disjoint long prefixes in one slice: > 2**depth ranges.
     bits = depth + 1
@@ -448,7 +445,7 @@ def test_bsic_depth_growth_declines_the_patch(width, k, extra):
             for i in range(0, 1 << bits, 2)]
     assert len(grow) <= engine.patch_threshold
     assert managed.apply_batch(grow) == "batch_applied"
-    assert managed.algo.forest.depth > depth
+    assert managed.algo.depth > depth
     assert _engine_counts(managed, "bsic-deep") == (0, 1)
     probes = _around([op.prefix for op in grow[:extra]], width)
     _assert_bsic_equals_scratch(managed, engine, k, probes)
@@ -496,13 +493,12 @@ def test_dxr_depth_growth_declines_the_patch():
 @given(seed=st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_bsic_compaction_and_frozen_plans(width, k, seed):
-    """Dead nodes are shed once they outnumber the live ones.  No
-    vector plan compiled earlier ever sees a later delta, the
-    compaction included; a scalar plan compiled earlier reads the live
-    tables, so it answers the post-compaction oracle."""
+def test_bsic_frozen_and_live_plans(width, k, seed):
+    """No vector plan compiled earlier ever sees a later delta; a
+    scalar plan compiled earlier reads the live sections, so it
+    answers the live oracle after every one."""
     base = _bsic_base(width)
-    managed, engine = _bsic_runtime(k, base, "bsic-compact",
+    managed, engine = _bsic_runtime(k, base, "bsic-frozen",
                                     check_seed=seed)
     live_plan = compile_plan(managed.algo)
     frozen_vector = compile_vector_plan(managed.algo)
@@ -514,28 +510,15 @@ def test_bsic_compaction_and_frozen_plans(width, k, seed):
         + uniform_addresses(width - k - 1, 16, seed=seed)  # inside victim
     probes[-16:] = [victim.value | a for a in probes[-16:]]
     before = [base.lookup(a) for a in probes]
-    forests = {id(managed.algo.forest)}
-    original = bsic_module.MIN_DEAD_NODES
-    bsic_module.MIN_DEAD_NODES = 0
-    try:
-        for hop in range(1, 200):
-            # Re-deriving the busiest slice kills its whole tree.
-            assert managed.apply_batch(
-                [UpdateOp(ANNOUNCE, victim, hop)]) == "batch_applied"
-            forests.add(id(managed.algo.forest))
-            assert managed.algo.forest.dead_nodes() <= max(
-                0, managed.algo.forest.total_nodes())
-            if len(forests) > 1:
-                break
-    finally:
-        bsic_module.MIN_DEAD_NODES = original
-    assert len(forests) > 1, "compaction never ran"
-    assert managed.algo.forest.dead_nodes() == 0
-    _assert_bsic_equals_scratch(managed, engine, k, probes)
-    after = [managed.oracle.lookup(a) for a in probes]
+    for hop in range(1, 9):
+        # Each batch re-derives the busiest slice's whole section.
+        assert managed.apply_batch(
+            [UpdateOp(ANNOUNCE, victim, hop)]) == "batch_applied"
+        after = [managed.oracle.lookup(a) for a in probes]
+        assert live_plan.lookup_batch(probes) == after
+        assert frozen_vector.lookup_batch_hops(probes) == before
     assert after != before
-    assert live_plan.lookup_batch(probes) == after
-    assert frozen_vector.lookup_batch_hops(probes) == before
+    _assert_bsic_equals_scratch(managed, engine, k, probes)
 
 
 # ---------------------------------------------------------------------------

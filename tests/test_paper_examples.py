@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms import Bsic, Resail, bit_mark
 from repro.datasets import small_example_fib
-from repro.prefix import expand_to_ranges, from_bitstring, ranges_to_bst
+from repro.prefix import expand_to_ranges, from_bitstring
 
 HOPS = {"A": 0, "B": 1, "C": 2, "D": 3}
 
@@ -97,10 +97,13 @@ class TestTable13AndFigure12:
             (0b1100, None),
         ]
 
-    def test_bst_root_and_depth(self):
-        bst = ranges_to_bst(expand_to_ranges(self.entries(), 4))
-        assert bst.left_endpoint == 0b1000  # Figure 12's root
-        assert bst.depth() == 3
+    def test_bst_root_and_depth(self, example_fib):
+        """BSIC's tree for slice 1001 is Figure 12's, implicit over the
+        slice's seven ranges: its root is the middle one."""
+        bsic = Bsic(example_fib, k=4)
+        root = bsic.bst_root(0b1001)
+        assert bsic.bst_node(root)[0] == 0b1000  # Figure 12's root
+        assert bsic.depth == 3
 
     def test_all_algorithms_agree_on_table1(self, example_fib):
         """End-to-end: the worked example routes identically everywhere."""

@@ -16,6 +16,8 @@ Invariants exercised:
     exactly what they touch, rollbacks leave the cache untouched.
 """
 
+import bisect
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,6 @@ import numpy as np
 
 from repro.algorithms import (Bsic, Dxr, LogicalTcam, Mashup, Resail,
                               bit_mark, unmark)
-from repro.algorithms.bsic import BstForest
 from repro.control import (
     ANNOUNCE,
     WITHDRAW,
@@ -40,11 +41,9 @@ from repro.prefix import (
     BinaryTrie,
     Fib,
     Prefix,
-    RangeEntry,
     expand_to_lengths,
     expand_to_ranges,
     lookup_ranges,
-    ranges_to_bst,
 )
 
 WIDTH = 8
@@ -121,8 +120,9 @@ class TestRangeProperties:
     @given(entry_lists(min_len=1), st.integers(0, 255))
     def test_bst_search_equals_lpm(self, entries, address):
         table = expand_to_ranges(entries, WIDTH, default_hop=None)
-        bst = ranges_to_bst(table)
-        assert bst.search(address) == reference_lpm(entries, address)
+        lefts, hops = [r.left for r in table], [r.next_hop for r in table]
+        assert lookup_ranges(lefts, hops, address) \
+            == reference_lpm(entries, address)
 
     @given(entry_lists(min_len=1))
     def test_ranges_cover_space_sorted_and_merged(self, entries):
@@ -136,8 +136,8 @@ class TestRangeProperties:
 
 @st.composite
 def sliced_sections(draw):
-    """``(width, k, {slice: section})``: sorted sections that each cover
-    their slice from 0 (Appendix A.4's shape).  At width 64 every slice
+    """``(width, k, {slice: (lefts, hops)})``: sorted sections that each
+    cover their slice from 0 (Appendix A.4's shape).  At width 64 every slice
     sits in the top half, so every endpoint is >= 2**63."""
     width, k = draw(st.sampled_from([(16, 6), (32, 16), (64, 24)]))
     shift = width - k
@@ -149,8 +149,7 @@ def sliced_sections(draw):
             st.integers(1, (1 << shift) - 1), max_size=6)))
         hops = draw(st.lists(st.one_of(st.none(), st.integers(0, 255)),
                              min_size=len(lefts), max_size=len(lefts)))
-        out[slice_bits] = [RangeEntry(left, hop)
-                           for left, hop in zip(lefts, hops)]
+        out[slice_bits] = (lefts, hops)
     return width, k, out
 
 
@@ -173,22 +172,23 @@ class TestFloorSearchProperties:
     def test_floor_search_is_the_bst_walk_and_the_binary_search(self, case):
         width, k, sections = case
         shift = width - k
-        ranges, forest = RangeSections(width, shift), BstForest(shift)
-        roots = {}
+        ranges = RangeSections(width, shift)
         for slice_bits, section in sections.items():
-            ranges.set(slice_bits, ([e.left for e in section],
-                                    [e.next_hop for e in section]))
-            roots[slice_bits] = forest.add_tree(ranges_to_bst(section))
+            ranges.set(slice_bits, section)
         firsts = [(slice_bits << shift) + offset
-                  for slice_bits, section in sections.items()
-                  for offset in [e.left for e in section] + [1 << shift]]
+                  for slice_bits, (lefts, _hops) in sections.items()
+                  for offset in lefts + [1 << shift]]
         keys = [key for key in edge_keys(width, firsts)
                 if key >> shift in sections]
         top = (1 << shift) - 1
         for key, hop in zip(keys, floor_hops(ranges.freeze(), keys, width)):
             slice_bits, suffix = key >> shift, key & top
-            assert hop == forest.search(roots[slice_bits], suffix) \
-                == lookup_ranges(sections[slice_bits], suffix), hex(key)
+            lefts, hops = sections[slice_bits]
+            # The lane kernels' floor search, the BST walk over the
+            # store's section (the tree implicit in it) and a scan.
+            assert hop == lookup_ranges(ranges.lefts[slice_bits],
+                                        ranges.hops[slice_bits], suffix) \
+                == hops[bisect.bisect_right(lefts, suffix) - 1], hex(key)
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(st.integers(9, 64),

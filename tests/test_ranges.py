@@ -1,4 +1,5 @@
-"""Unit tests for range expansion and BSTs (DXR / BSIC substrate)."""
+"""Unit tests for range expansion and the implicit BSTs over range
+tables (DXR / BSIC substrate)."""
 
 import pytest
 
@@ -6,15 +7,20 @@ from repro.prefix import (
     BinaryTrie,
     RangeEntry,
     SliceIndex,
+    bst_level_sizes,
     expand_to_ranges,
     from_bitstring,
     lookup_ranges,
-    ranges_to_bst,
 )
 
 
 def P(s, width=4):
     return from_bitstring(s, width)
+
+
+def columns(table):
+    """A ``RangeEntry`` table as ``sweep_ranges``'s two lists."""
+    return [r.left for r in table], [r.next_hop for r in table]
 
 
 class TestExpandToRanges:
@@ -58,7 +64,7 @@ class TestExpandToRanges:
             trie.insert(p, h)
         table = expand_to_ranges(entries, 4, default_hop=None)
         for key in range(16):
-            assert lookup_ranges(table, key) == trie.lookup(key), key
+            assert lookup_ranges(*columns(table), key) == trie.lookup(key), key
 
 
 class TestPaperTable13:
@@ -89,38 +95,49 @@ class TestPaperTable13:
         ]
 
     def test_figure_12_bst_shape(self):
-        bst = ranges_to_bst(self.table())
-        assert bst.size() == 7
-        assert bst.depth() == 3  # balanced over 7 endpoints
+        table = self.table()
+        sizes = bst_level_sizes(len(table))
+        assert sum(sizes) == 7
+        assert len(sizes) == 3  # balanced over 7 endpoints
         # Root is the median endpoint, 1000.
-        assert bst.left_endpoint == 0b1000
+        assert table[(len(table) - 1) // 2].left == 0b1000
 
 
 class TestBst:
+    """The balanced BST over a range table, implicit: the node of a
+    span is its midpoint, so a walk is a binary search and the level
+    sizes depend on the table's length alone."""
+
     def test_search_matches_linear(self):
         table = expand_to_ranges(
             [(P("00"), 2), (P("01"), 3), (P("1010"), 1)], 4, default_hop=8
         )
-        bst = ranges_to_bst(table)
+        lefts, hops = columns(table)
         for key in range(16):
-            assert bst.search(key) == lookup_ranges(table, key), key
+            floor = max(i for i, left in enumerate(lefts) if left <= key)
+            assert lookup_ranges(lefts, hops, key) == hops[floor], key
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):
-            ranges_to_bst([])
+            bst_level_sizes(0)
 
     def test_level_sizes_sum_to_size(self):
-        table = expand_to_ranges(
-            [(P(format(i, "04b")), i % 3) for i in range(0, 16, 2)], 4
-        )
-        bst = ranges_to_bst(table)
-        assert sum(bst.level_sizes()) == bst.size()
-        assert len(bst.level_sizes()) == bst.depth()
+        for n in range(1, 70):
+            # The tree level by level: each span's node is its midpoint.
+            frontier, walked = [(0, n - 1)], []
+            while frontier:
+                walked.append(len(frontier))
+                frontier = [span for lo, hi in frontier
+                            for span in ((lo, (lo + hi) // 2 - 1),
+                                         ((lo + hi) // 2 + 1, hi))
+                            if span[0] <= span[1]]
+            sizes = bst_level_sizes(n)
+            assert sizes == tuple(walked)
+            assert sum(sizes) == n and len(sizes) == n.bit_length()
 
     def test_depth_is_logarithmic(self):
         table = [RangeEntry(i, i % 5) for i in range(0, 128, 2)]
-        bst = ranges_to_bst(table)
-        assert bst.depth() == 7  # ceil(log2(64 + 1))
+        assert len(bst_level_sizes(len(table))) == 7  # ceil(log2(64 + 1))
 
 
 class TestSliceIndex:
@@ -146,9 +163,8 @@ class TestSliceIndex:
         section = index.section(0b0101)
         table = expand_to_ranges([(P("10"), 3), (P("111"), 4)], 4,
                                  default_hop=2)
-        assert section == ([r.left for r in table],
-                           [r.next_hop for r in table])
-        assert [lookup_ranges(table, key) for key in (0, 0b1000, 0b1110)] \
+        assert section == columns(table)
+        assert [lookup_ranges(*section, key) for key in (0, 0b1000, 0b1110)] \
             == [2, 3, 4]
 
     def test_withdraw_drops_empty_groups_and_rejects_strangers(self):

@@ -209,6 +209,8 @@ def test_serve_workload_audits_every_answer_under_churn(mode):
     assert report["shed"] == report["straddled"] == 0
     assert report["checked"] == 1000 * REQUEST_SIZE
     assert report["mismatches"] == 0
+    # Every batch is applied, each at a fixed share of the traffic.
+    assert report["commits"] + report["rolled_back"] == len(churn)
     assert report["commits"] == report["epoch"] >= 1
     assert report["serve_s"] > 0
     assert server.drained()
