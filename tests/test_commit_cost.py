@@ -26,9 +26,8 @@ DXR sections      64           25 / 25        25 / 25
 
 The forest's tail was its compaction: once dead nodes outnumbered live
 ones every tree moved, and every ``/k`` row was rewritten to its new
-root.  A row now names its slice, and a fresh new-slice announce is
-most of the 17-18.
-A section is one ``SliceIndex.section`` call, DXR's per op, BSIC's per
+root.  A row now names its slice; most of today's 17-18 rows are
+announces that open a slice.  A section is one ``SliceIndex.section`` call, DXR's per op, BSIC's per
 dirty slice once per batch.
 """
 
@@ -50,13 +49,18 @@ MAKERS = {"bsic": lambda fib: Bsic(fib, k=16 if fib.width == 32 else 24),
 
 
 @pytest.fixture(scope="module", params=sorted(TABLES), ids=lambda w: f"w{w}")
-def table(request):
-    return TABLES[request.param]()
+def replays(request):
+    """Each scheme's replay of the stream over one table."""
+    fib = TABLES[request.param]()
+    with pytest.MonkeyPatch.context() as patch:
+        return {name: replay(fib, name, patch) for name in MAKERS}
 
 
-def replay(fib, name, monkeypatch, after_batch=None):
+def replay(fib, name, patch):
     """The churn stream committed batch by batch: per batch, the
-    sections re-derived and (BSIC) the ``initial`` rows written."""
+    sections re-derived and (BSIC) the ``initial`` rows written; and,
+    every eighth batch, BSIC's level sizes beside a from-scratch
+    build's."""
     calls = []
     section = SliceIndex.section
 
@@ -64,57 +68,54 @@ def replay(fib, name, monkeypatch, after_batch=None):
         calls.append(slice_bits)
         return section(self, slice_bits)
 
-    monkeypatch.setattr(SliceIndex, "section", counted)
+    patch.setattr(SliceIndex, "section", counted)
     managed = ManagedFib(MAKERS[name], fib,
                          policy=RuntimePolicy(check_every=0, guard_every=0))
-    sections, writes = [], []
+    sections, writes, levels = [], [], []
     batches = ChurnGenerator(fib, seed=SEED, profile=CALM).batches(
         BATCHES * OPS, OPS)
-    for batch in batches:
+    for i, batch in enumerate(batches, 1):
         del calls[:]
         before = managed.algo.initial.stats.writes if name == "bsic" else 0
         assert managed.apply_batch(batch) == "batch_applied"  # in place
         sections.append(len(calls))
         if name == "bsic":
             writes.append(managed.algo.initial.stats.writes - before)
-        if after_batch is not None:
-            after_batch(managed)
-    return sections, writes
+            if i % 8 == 0:
+                scratch = MAKERS[name](managed.oracle.copy())
+                levels.append((managed.algo.level_sizes(),
+                               scratch.level_sizes()))
+    assert len(sections) == BATCHES
+    return sections, writes, levels
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
-def test_sections_rederived_per_batch(table, name, monkeypatch):
+def test_sections_rederived_per_batch(replays, name):
     """A batch re-derives about one section per op: no compaction or
     re-plant sweeps the table."""
-    sections, _writes = replay(table, name, monkeypatch)
-    assert len(sections) == BATCHES
+    sections, _writes, _levels = replays[name]
     assert statistics.median(sections) <= OPS
     assert max(sections) <= 2 * OPS, sections
-    print(f"sections/batch {name} w{table.width}: "
+    print(f"sections/batch {name}: "
           f"p50 {statistics.median(sections)} max {max(sections)}")
 
 
-def test_bsic_initial_rows_written_per_batch(table, monkeypatch):
+def test_bsic_initial_rows_written_per_batch(replays):
     """A re-derived slice keeps its ``/k`` row: only a slice that gains
     or loses its section, or a short route, writes one, so no batch of
     the stream writes over four times the median."""
-    _sections, writes = replay(table, "bsic", monkeypatch)
+    _sections, writes, _levels = replays["bsic"]
     p50 = statistics.median(writes)
     assert p50 <= OPS
     assert max(writes) <= 4 * p50, (p50, max(writes))
-    print(f"initial rows/batch w{table.width}: p50 {p50} max {max(writes)}")
+    print(f"initial rows/batch: p50 {p50} max {max(writes)}")
 
 
-def test_bsic_level_sizes_equal_a_scratch_build(table, monkeypatch):
+def test_bsic_level_sizes_equal_a_scratch_build(replays):
     """The level sizes BSIC computes from its section lengths equal a
-    from-scratch build's after every eighth batch and the last: the
-    per-length counts track every section re-derived or dropped."""
-    def check(managed):
-        committed.append(managed.algo.level_sizes())
-        if len(committed) % 8 == 0:
-            scratch = MAKERS["bsic"](managed.oracle.copy())
-            assert committed[-1] == scratch.level_sizes()
-
-    committed = []
-    replay(table, "bsic", monkeypatch, after_batch=check)
-    assert len(committed) == BATCHES
+    from-scratch build's: the per-length counts track every section
+    re-derived or dropped."""
+    _sections, _writes, levels = replays["bsic"]
+    assert len(levels) == BATCHES // 8
+    for computed, scratch in levels:
+        assert computed == scratch
