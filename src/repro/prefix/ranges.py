@@ -120,7 +120,7 @@ class SliceIndex:
     Prefixes of length <= ``k`` live in a trie and supply every slice's
     inherited default; longer ones are grouped by their first ``k``
     bits and held as suffixes over the remaining ``width - k`` bits,
-    ready for :func:`expand_to_ranges`.
+    ready for :func:`sweep_ranges`.
     """
 
     def __init__(self, width: int, k: int,

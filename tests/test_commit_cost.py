@@ -26,9 +26,10 @@ DXR sections      64           25 / 25        25 / 25
 
 The forest's tail was its compaction: once dead nodes outnumbered live
 ones every tree moved, and every ``/k`` row was rewritten to its new
-root.  A row now names its slice; most of today's 17-18 rows are
-announces that open a slice.  A section is one ``SliceIndex.section`` call, DXR's per op, BSIC's per
-dirty slice once per batch.
+root.  A row now names its slice; most of the 17-18 rows a batch
+writes are announces that open a slice.  A section is one
+``SliceIndex.section`` call, DXR's per op, BSIC's per dirty slice once
+per batch.
 """
 
 import statistics
